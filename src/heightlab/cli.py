@@ -559,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = tsub.add_parser("gen", parents=[common], help="construct a tower")
     p.add_argument("--degrees", required=True, help="e.g. 2,2,3,3,5")
     p.add_argument("--gamma", default="-1")
-    p.add_argument("--C", dest="target_c", required=True, type=float,
+    p.add_argument("--C", dest="target_c", required=True, type=Fraction,
                    help="target height constant")
     p.set_defaults(func=_cmd_tower_gen)
     p = tsub.add_parser("certify", parents=[common],

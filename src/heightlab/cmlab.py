@@ -45,6 +45,7 @@ from .numcore import (
     IntPoly,
     PrecisionError,
     _ulp_slop,
+    certify,
     factorint,
 )
 
@@ -402,7 +403,8 @@ def hilbert_class_poly(d) -> IntPoly:
     with workdps(30):
         est = mp.pi * mp.sqrt(mpf(-d)) * mp.fsum(mpf(1) / f.a for f in forms)
         dps = int(est / mp.log(10)) + 25
-    for _ in range(8):
+
+    def attempt(dps):
         with workdps(dps):
             coeffs = [CDisc(1)]
             for f in forms:
@@ -414,18 +416,15 @@ def hilbert_class_poly(d) -> IntPoly:
                     nxt[i] = nxt[i] - cf * j
                 coeffs = nxt
             ints = []
-            ok = True
             for cf in coeffs:
                 re, im = cf.value.real, cf.value.imag
                 n = int(mp.nint(re))
                 if abs(im) + cf.radius > mpf("0.25") or abs(re - n) + cf.radius > mpf("0.25"):
-                    ok = False
-                    break
+                    return None
                 ints.append(n)
-            if ok:
-                return IntPoly(ints)
-        dps *= 2
-    raise PrecisionError("class polynomial coefficients did not stabilize")
+            return IntPoly(ints)
+
+    return certify(attempt, dps, dps << 7, "class polynomial coefficients")
 
 
 # ---------------------------------------------------------------------------
@@ -743,12 +742,17 @@ def records_to_json(records, config: dict | None = None) -> str:
 
 # --- light path: Faltings ratios only --------------------------------------
 
+def _ratio_at(d: int, h: int, precision_digits: int):
+    """Faltings height of d and its ratio to the class number h."""
+    fh = faltings_height_cm(d, precision_digits)
+    with workdps(precision_digits + 15):
+        return fh, fh / h
+
+
 def _ratio_worker(args):
     d, precision_digits = args
     h = class_number(d)
-    fh = faltings_height_cm(d, precision_digits)
-    with workdps(precision_digits + 15):
-        ratio = fh / h
+    fh, ratio = _ratio_at(d, h, precision_digits)
     return (d, h, _bf_encode(fh), _bf_encode(ratio))
 
 
@@ -894,20 +898,19 @@ def finiteness_demo(
     rows = _faltings_ratios(d_max, precision_digits, workers)
     rows.sort(key=lambda t: -t[0])
     qualifying = []
+
+    def separated(pair):
+        ratio = pair[1]
+        hi = ratio.value + ratio.radius
+        lo = ratio.value - ratio.radius
+        return pair if hi <= c_prime or lo > c_prime else None
+
     for d, h, fh, ratio in rows:
-        dps = precision_digits
-        for _ in range(4):
-            hi = ratio.value + ratio.radius
-            lo = ratio.value - ratio.radius
-            if hi <= c_prime or lo > c_prime:
-                break
-            dps *= 2
-            fh = faltings_height_cm(d, dps)
-            with workdps(dps + 15):
-                ratio = fh / h
-        else:
-            raise PrecisionError(
-                f"ratio of discriminant {d} not separated from the bound"
+        if separated((fh, ratio)) is None:
+            fh, ratio = certify(
+                lambda dps: separated(_ratio_at(d, h, dps)),
+                2 * precision_digits, 16 * precision_digits,
+                f"ratio bound of discriminant {d}",
             )
         if ratio.value + ratio.radius <= c_prime:
             qualifying.append(

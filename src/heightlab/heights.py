@@ -26,6 +26,7 @@ from math import gcd
 
 import mpmath
 from mpmath import iv, mp, mpf, workdps
+from mpmath.libmp import mpf_add, mpf_sub
 
 from .numcore import (
     DEFAULT_DIGITS,
@@ -33,6 +34,7 @@ from .numcore import (
     IntPoly,
     PrecisionError,
     _ulp_slop,
+    certify,
     factorint,
     is_prime,
     poly_roots,
@@ -45,11 +47,14 @@ INCONCLUSIVE = "inconclusive"
 
 
 @contextmanager
-def _iv_dps(dps: int):
+def _iv_workdps(dps: int):
+    """Interval and mp working precision both at dps, so endpoints read
+    off an enclosure as mpf are not rounded to the ambient precision."""
     old = iv.dps
     iv.dps = dps
     try:
-        yield
+        with workdps(dps):
+            yield
     finally:
         iv.dps = old
 
@@ -123,20 +128,14 @@ class LogCombination:
 
     def interval(self, dps: int):
         """Outward-rounded enclosure at the given working precision."""
-        # endpoint extraction must happen at matching mp precision, or
-        # the conversion silently rounds to the ambient (often 15) dps
-        with _iv_dps(dps), workdps(dps):
+        with _iv_workdps(dps):
             acc = _iv_fraction(self.const)
             for p, r in self.coeffs.items():
                 acc += _iv_fraction(r) * iv.log(iv.mpf(p))
             return mpf(acc.a), mpf(acc.b)
 
     def evaluate(self, precision_digits: int = DEFAULT_DIGITS) -> BigFloat:
-        lo, hi = self.interval(precision_digits + 10)
-        with workdps(precision_digits + 10):
-            mid = (lo + hi) / 2
-            rad = (hi - lo) / 2 + _ulp_slop(mid)
-        return BigFloat(mid, rad)
+        return BigFloat.from_bounds(*self.interval(precision_digits + 10))
 
     def sign(self, max_dps: int = 1 << 14) -> int:
         """Certified sign in {-1, 0, +1}.
@@ -146,18 +145,12 @@ class LogCombination:
         """
         if not self.coeffs:
             return (self.const > 0) - (self.const < 0)
-        dps = 40
-        while dps <= max_dps:
+
+        def attempt(dps):
             lo, hi = self.interval(dps)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            dps *= 2
-        raise PrecisionError(
-            "sign of log combination not separated from zero "
-            f"within {max_dps} digits"
-        )
+            return 1 if lo > 0 else -1 if hi < 0 else None
+
+        return certify(attempt, 40, max_dps, "sign of a log combination")
 
     def compare(self, other: "LogCombination") -> str:
         s = (self - other).sign()
@@ -212,10 +205,12 @@ class HeightValue:
         return self.numeric
 
     def bounds(self, dps: int) -> tuple[mpf, mpf]:
+        """Enclosure: outward at dps if exact, the disc's exact ends if
+        numeric."""
         if self.is_exact:
             return self.exact.interval(dps)
-        v, r = self.numeric.value, self.numeric.radius
-        return mpf(v) - r, mpf(v) + r
+        v, r = self.numeric.value._mpf_, self.numeric.radius._mpf_
+        return mp.make_mpf(mpf_sub(v, r, 0)), mp.make_mpf(mpf_add(v, r, 0))
 
     def __repr__(self) -> str:
         if self.is_exact:
@@ -233,7 +228,8 @@ def height_value_compare(x: HeightValue, y: HeightValue) -> str:
     """
     if x.is_exact and y.is_exact:
         return x.exact.compare(y.exact)
-    for dps in (40, 80, 160, 320):
+
+    def attempt(dps):
         xlo, xhi = x.bounds(dps)
         ylo, yhi = y.bounds(dps)
         if xhi < ylo:
@@ -242,9 +238,14 @@ def height_value_compare(x: HeightValue, y: HeightValue) -> str:
             return EQUAL
         if xlo > yhi:
             return GREATER
-        if not x.is_exact and not y.is_exact:
-            break
-    return INCONCLUSIVE
+        return None
+
+    # two discs do not sharpen with precision: one attempt decides
+    max_dps = 320 if x.is_exact or y.is_exact else 40
+    try:
+        return certify(attempt, 40, max_dps, "height comparison")
+    except PrecisionError:
+        return INCONCLUSIVE
 
 
 # ---------------------------------------------------------------------------

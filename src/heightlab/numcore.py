@@ -6,6 +6,17 @@ normal form with unimodular transforms, polynomial root isolation with
 a posteriori error radii, and a small disc-arithmetic type ``BigFloat``
 whose error radius is propagated conservatively (reported radius is
 always an upper bound for the true error, never an estimate).
+
+Two policies make every numeric decision certified:
+
+* ``certify(attempt, dps, max_dps, what)`` is the one precision
+  escalation: a decision is enclosed at dps and retried at doubled
+  precision until it is separated, or a ``PrecisionError`` naming it is
+  raised past ``max_dps``;
+
+* ``BigFloat.from_bounds(lo, hi)`` is the one conversion of an
+  enclosure into a ball: the midpoint is exact and the radius rounded
+  up, so the ball contains [lo, hi] whatever the ambient precision.
 """
 
 from __future__ import annotations
@@ -17,11 +28,11 @@ from math import gcd, isqrt
 
 import mpmath
 from mpmath import mp, mpc, mpf, workdps
+from mpmath.libmp import mpf_add, mpf_shift, mpf_sub, round_ceiling
 
 DEFAULT_DIGITS = 64
 
-# Escalation policy for iterative numerics: double the working precision,
-# give up after this many doublings.
+# Doublings of the working precision root isolation may take.
 MAX_ESCALATIONS = 10
 
 
@@ -36,6 +47,20 @@ class ConstructionError(ValueError):
 
 class VerificationFailure(RuntimeError):
     """An experiment's verification predicate failed."""
+
+
+def certify(attempt, dps: int, max_dps: int, what: str):
+    """First result of ``attempt`` that is not None, trying it at dps,
+    2*dps, 4*dps, ... while the precision stays at most ``max_dps``.
+
+    ``attempt(dps)`` returns None when its enclosures at dps do not
+    decide; when no attempt decides, PrecisionError names ``what``."""
+    while dps <= max_dps:
+        out = attempt(dps)
+        if out is not None:
+            return out
+        dps *= 2
+    raise PrecisionError(f"{what} not certified within {max_dps} digits")
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +378,10 @@ def _ulp_slop(*vals) -> mpf:
     return 8 * m * mpf(10) ** (-mp.dps)
 
 
+# Bits of a radius built by BigFloat.from_bounds (a double's mantissa).
+_RADIUS_BITS = 53
+
+
 class BigFloat:
     """A real or complex value with a certified absolute error radius.
 
@@ -370,6 +399,20 @@ class BigFloat:
         if r < 0:
             raise ValueError("radius must be nonnegative")
         self.radius = r
+
+    @classmethod
+    def from_bounds(cls, lo, hi) -> "BigFloat":
+        """The ball enclosing the real interval [lo, hi]: its midpoint is
+        exact and its radius rounded up to _RADIUS_BITS, whatever the
+        ambient precision."""
+        a, b = mpmath.mpmathify(lo)._mpf_, mpmath.mpmathify(hi)._mpf_
+        rad = mp.make_mpf(mpf_shift(mpf_sub(b, a, _RADIUS_BITS, round_ceiling), -1))
+        if rad < 0:
+            raise ValueError("interval bounds out of order")
+        ball = cls.__new__(cls)
+        ball.value = mp.make_mpf(mpf_shift(mpf_add(a, b, 0), -1))
+        ball.radius = rad
+        return ball
 
     @property
     def is_complex(self) -> bool:
@@ -477,9 +520,10 @@ def _dk_roots(poly: IntPoly, digits: int) -> list[BigFloat]:
     """
     n = poly.degree
     target = mpf(10) ** (-digits)
-    dps = max(digits + 15, 2 * digits, 30)
-    z = None
-    for _ in range(MAX_ESCALATIONS + 1):
+    z = None  # iterates carry over to the next precision
+
+    def attempt(dps):
+        nonlocal z
         with workdps(dps):
             lc = mpf(poly.leading)
             monic = [mpf(c) / lc for c in poly.coeffs]
@@ -538,10 +582,11 @@ def _dk_roots(poly: IntPoly, digits: int) -> list[BigFloat]:
                 )
                 if isolated:
                     return [BigFloat(z[i], radii[i]) for i in range(n)]
-        dps *= 2
-    raise PrecisionError(
-        f"root finding did not certify radius <= 1e-{digits} "
-        f"after {MAX_ESCALATIONS} precision escalations"
+        return None
+
+    dps = max(digits + 15, 2 * digits, 30)
+    return certify(
+        attempt, dps, dps << MAX_ESCALATIONS, f"root discs of radius <= 1e-{digits}"
     )
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from mpmath import iv, mpf, workdps
+from mpmath import iv, mpf
 
 from .heights import (
     EQUAL,
@@ -44,14 +44,14 @@ from .heights import (
     LESS,
     HeightValue,
     LogCombination,
-    _iv_dps,
     _iv_fraction,
+    _iv_workdps,
 )
 from .numcore import (
     DEFAULT_DIGITS,
     BigFloat,
     IntMatrix,
-    PrecisionError,
+    certify,
     factorint,
     is_prime,
     smith_normal_form,
@@ -114,9 +114,7 @@ class RadicalScalar:
         return LogCombination(self.exponents)
 
     def value_interval(self, dps: int):
-        # endpoints extracted at matching mp precision (see
-        # LogCombination.interval)
-        with _iv_dps(dps), workdps(dps):
+        with _iv_workdps(dps):
             acc = iv.mpf(0)
             for p, e in self.exponents.items():
                 acc += _iv_fraction(e) * iv.log(iv.mpf(p))
@@ -267,18 +265,23 @@ def projective_height(point: RadicalPoint) -> HeightValue:
     certified comparison (a tie forces identical exponent vectors, so
     it is resolved by coefficient identity)."""
     nz = [c for c in point.coords if c is not None]
+    best = nz[0]
+    for c in nz[1:]:
+        if (c.log_value() - best.log_value()).sign() > 0:
+            best = c
+    return HeightValue(exact=_finite_places(nz) + best.log_value())
+
+
+def _finite_places(nz) -> LogCombination:
+    """sum over primes l of log max_i |x_i|_l, i.e. max_i(-e_{l,i}) * log l
+    over the nonzero coordinates nz."""
     primes = sorted({p for c in nz for p in c.exponents})
     coeffs: dict[int, Fraction] = {}
     for l in primes:
         c_l = max(-c.exponents.get(l, Fraction(0)) for c in nz)
         if c_l != 0:
             coeffs[l] = c_l
-    finite = LogCombination(coeffs)
-    best = nz[0]
-    for c in nz[1:]:
-        if (c.log_value() - best.log_value()).sign() > 0:
-            best = c
-    return HeightValue(exact=finite + best.log_value())
+    return LogCombination(coeffs)
 
 
 def projective_height_l2(point: RadicalPoint, precision_digits: int = DEFAULT_DIGITS) -> HeightValue:
@@ -287,28 +290,16 @@ def projective_height_l2(point: RadicalPoint, precision_digits: int = DEFAULT_DI
     (1/2) log(sum_i x_i^2).  Exceeds the sup-norm height by at most
     (1/2) log(N+1)."""
     nz = [c for c in point.coords if c is not None]
-    primes = sorted({p for c in nz for p in c.exponents})
-    coeffs: dict[int, Fraction] = {}
-    for l in primes:
-        c_l = max(-c.exponents.get(l, Fraction(0)) for c in nz)
-        if c_l != 0:
-            coeffs[l] = c_l
-    finite = LogCombination(coeffs)
     dps = precision_digits + 12
-    with _iv_dps(dps), workdps(dps):
+    with _iv_workdps(dps):
         acc = iv.mpf(0)
         for c in nz:
             e = iv.mpf(0)
             for p, ex in c.exponents.items():
                 e += _iv_fraction(ex) * iv.log(iv.mpf(p))
             acc += iv.exp(2 * e)
-        arch = iv.log(acc) / 2
-        flo, fhi = finite.interval(dps)
-        lo = flo + mpf(arch.a)
-        hi = fhi + mpf(arch.b)
-        mid = (lo + hi) / 2
-        rad = (hi - lo) / 2 + mpf(10) ** (-dps + 2)
-    return HeightValue(numeric=BigFloat(mid, rad))
+        total = iv.log(acc) / 2 + iv.mpf(_finite_places(nz).interval(dps))
+        return HeightValue(numeric=BigFloat.from_bounds(mpf(total.a), mpf(total.b)))
 
 
 def _pow_rational_is_exact(base: int, gamma: Fraction) -> bool:
@@ -346,14 +337,10 @@ def weighted_projective_height(
     if _pow_rational_is_exact(degree, gamma):
         return HeightValue(exact=base.exact.scale(_pow_rational(degree, gamma)))
     dps = precision_digits + 12
-    with _iv_dps(dps), workdps(dps):
+    with _iv_workdps(dps):
         w = iv.exp(_iv_fraction(gamma) * iv.log(iv.mpf(degree)))
-        blo, bhi = base.exact.interval(dps)
-        prod = w * iv.mpf([blo, bhi])
-        lo, hi = mpf(prod.a), mpf(prod.b)
-        mid = (lo + hi) / 2
-        rad = (hi - lo) / 2 + mpf(10) ** (-dps + 2)
-    return HeightValue(numeric=BigFloat(mid, rad))
+        prod = w * iv.mpf(base.exact.interval(dps))
+        return HeightValue(numeric=BigFloat.from_bounds(mpf(prod.a), mpf(prod.b)))
 
 
 # ---------------------------------------------------------------------------
@@ -378,32 +365,18 @@ class ChainViolationError(AssertionError):
     """The certified comparison found the chain inequality violated."""
 
 
-def _interval_value(comb_pairs, dps: int):
-    """Enclosure of  prod base_i^{q_i} * (prod positive-values)^{1/k}
-    style products, given as a list of ('pow', base, Fraction) and
-    ('geom', [LogCombination...], k) items.  Returns (lo, hi) mpf."""
-    with _iv_dps(dps), workdps(dps):
-        acc = iv.mpf(0)  # accumulate logs
-        for item in comb_pairs:
-            if item[0] == "pow":
-                _, base, q = item
-                acc += _iv_fraction(q) * iv.log(iv.mpf(base))
-            elif item[0] == "geom":
-                _, combs, k = item
-                s = iv.mpf(0)
-                for c in combs:
-                    lo, hi = c.interval(dps)
-                    if not lo > 0:
-                        return None
-                    s += iv.log(iv.mpf([lo, hi]))
-                acc += s / k
-            else:  # ('logcomb', LogCombination): multiply by its value
-                _, c = item
-                lo, hi = c.interval(dps)
-                if not lo > 0:
-                    return None
-                acc += iv.log(iv.mpf([lo, hi]))
-        val = iv.exp(acc)
+def _interval_value(base: int, exponent: Fraction, combinations, k: int, dps: int):
+    """Enclosure (lo, hi) of base^exponent * (prod of the combinations'
+    values)^(1/k), or None when a combination is not certified positive
+    at dps."""
+    with _iv_workdps(dps):
+        s = iv.mpf(0)
+        for c in combinations:
+            lo, hi = c.interval(dps)
+            if not lo > 0:
+                return None
+            s += iv.log(iv.mpf([lo, hi]))
+        val = iv.exp(_iv_fraction(exponent) * iv.log(iv.mpf(base)) + s / k)
         return mpf(val.a), mpf(val.b)
 
 
@@ -470,56 +443,36 @@ def lemma_chain_check(
         k_degree == d_prod and all_h_equal and h_point == heights[0]
     )
     if not structurally_equal:
-        separated = False
-        dps = max(40, precision_digits)
-        while dps <= 1 << 13:
-            lhs_iv = _interval_value(
-                [("pow", k_degree, gamma), ("logcomb", h_point)], dps
-            )
-            mid_iv = _interval_value(
-                [("pow", d_prod, gamma), ("geom", heights, k)], dps
-            )
-            if lhs_iv is not None and mid_iv is not None:
-                if lhs_iv[0] > mid_iv[1]:
-                    separated = True
-                    break
-                if lhs_iv[1] < mid_iv[0]:
-                    raise ChainViolationError(
-                        f"lhs < middle at point {norm!r}, gamma={gamma}"
-                    )
-            dps *= 2
-        if not separated:
-            raise PrecisionError("chain comparison did not separate")
+
+        def attempt(dps):
+            lhs_iv = _interval_value(k_degree, gamma, [h_point], 1, dps)
+            mid_iv = _interval_value(d_prod, gamma, heights, k, dps)
+            if lhs_iv is None or mid_iv is None:
+                return None
+            if lhs_iv[1] < mid_iv[0]:
+                raise ChainViolationError(
+                    f"lhs < middle at point {norm!r}, gamma={gamma}"
+                )
+            return True if lhs_iv[0] > mid_iv[1] else None
+
+        certify(attempt, max(40, precision_digits), 1 << 13, "chain comparison")
 
     # --- report values --------------------------------------------------
-    def power_height(base_deg: int, g: Fraction, comb: LogCombination) -> HeightValue:
-        if _pow_rational_is_exact(base_deg, g):
-            return HeightValue(exact=comb.scale(_pow_rational(base_deg, g)))
-        enc = _interval_value([("pow", base_deg, g), ("logcomb", comb)], precision_digits + 10)
-        if enc is None:
-            return HeightValue(numeric=BigFloat(0, mpf(1)))
-        lo, hi = enc
-        return HeightValue(numeric=BigFloat((lo + hi) / 2, (hi - lo) / 2))
-
-    lhs = power_height(k_degree, gamma, h_point)
-    if all_h_equal and _pow_rational_is_exact(d_prod, gamma):
-        middle = HeightValue(exact=heights[0].scale(_pow_rational(d_prod, gamma)))
-    else:
-        enc = _interval_value(
-            [("pow", d_prod, gamma), ("geom", heights, k)], precision_digits + 10
+    def report_value(base: int, g: Fraction, combs) -> HeightValue:
+        """base^g * (prod of combs)^(1/#combs), exact when that is a
+        rational multiple of one combination."""
+        if all(c == combs[0] for c in combs[1:]) and _pow_rational_is_exact(base, g):
+            return HeightValue(exact=combs[0].scale(_pow_rational(base, g)))
+        start = precision_digits + 10
+        enc = certify(
+            lambda dps: _interval_value(base, g, combs, len(combs), dps),
+            start, start << 5, "chain report value",
         )
-        lo, hi = enc if enc else (mpf(0), mpf(1))
-        middle = HeightValue(numeric=BigFloat((lo + hi) / 2, (hi - lo) / 2))
-    ng_over_k = Fraction(n) * gamma / k
-    if all_h_equal and _pow_rational_is_exact(d_prod, ng_over_k):
-        rhs = HeightValue(exact=heights[0].scale(_pow_rational(d_prod, ng_over_k)))
-    else:
-        enc = _interval_value(
-            [("pow", d_prod, ng_over_k), ("geom", heights, k)], precision_digits + 10
-        )
-        lo, hi = enc if enc else (mpf(0), mpf(1))
-        rhs = HeightValue(numeric=BigFloat((lo + hi) / 2, (hi - lo) / 2))
+        return HeightValue(numeric=BigFloat.from_bounds(*enc))
 
+    lhs = report_value(k_degree, gamma, [h_point])
+    middle = report_value(d_prod, gamma, heights)
+    rhs = report_value(d_prod, Fraction(n) * gamma / k, heights)
     return ChainReport(norm, gamma, n, index_set, lhs, middle, rhs, "holds")
 
 
@@ -582,16 +535,14 @@ def _height_below(h: HeightValue, threshold: LogCombination, precision_digits: i
     """Certified strict comparison h < threshold (exact tie excluded)."""
     if h.is_exact:
         return (h.exact - threshold).sign() < 0
-    dps = precision_digits + 10
-    for _ in range(6):
+
+    def attempt(dps):
         tlo, thi = threshold.interval(dps)
         hlo, hhi = h.bounds(dps)
-        if hhi < tlo:
-            return True
-        if hlo > thi:
-            return False
-        dps *= 2
-    raise PrecisionError("census threshold comparison did not separate")
+        return True if hhi < tlo else False if hlo > thi else None
+
+    dps = precision_digits + 10
+    return certify(attempt, dps, dps << 5, "census threshold comparison")
 
 
 def projective_northcott_experiment(

@@ -26,8 +26,8 @@ from itertools import product as iter_product
 
 from mpmath import iv, mp, mpf, workdps
 
-from .heights import LogCombination, _iv_dps, _iv_fraction
-from .numcore import ConstructionError, is_prime, next_prime
+from .heights import LogCombination, _iv_fraction, _iv_workdps
+from .numcore import ConstructionError, certify, is_prime, next_prime
 from .radicals import RadicalScalar, _pow_rational, _pow_rational_is_exact, radical_degree
 
 
@@ -92,10 +92,12 @@ class TowerSpec:
         return RadicalScalar({lv.p: e, lv.q: -e})
 
     def to_json(self) -> str:
+        """gamma and C as exact rational strings; ``from_json`` also
+        reads the floats older specs hold."""
         return json.dumps(
             {
-                "gamma": float(self.gamma),
-                "C": float(self.target_c),
+                "gamma": str(self.gamma),
+                "C": str(self.target_c),
                 "levels": [
                     {"p": str(lv.p), "q": str(lv.q), "d": lv.d}
                     for lv in self.levels
@@ -332,31 +334,32 @@ def _comb_float(hg, h_comb: LogCombination, deg: int, gamma: Fraction) -> float:
         return float(mp.power(deg, mpf(gamma.numerator) / gamma.denominator) * (lo + hi) / 2)
 
 
+def _sign_vs_level_bound(enclose, spec: TowerSpec, level_index: int, precision_digits: int) -> int:
+    """Certified sign of x - bound, where ``enclose(dps)`` is an iv
+    enclosure of x and the bound is C - log(d_i) / (2 D_i^gamma (d_i - 1))."""
+    lv = spec.levels[level_index - 1]
+    d_i = spec.field_degree(level_index)
+
+    def attempt(dps):
+        with _iv_workdps(dps):
+            val = enclose(dps)
+            b = _iv_fraction(spec.target_c) - iv.log(iv.mpf(lv.d)) / (
+                2 * iv.exp(_iv_fraction(spec.gamma) * iv.log(iv.mpf(d_i))) * (lv.d - 1)
+            )
+            diff_lo = mpf(val.a) - mpf(b.b)
+            diff_hi = mpf(val.b) - mpf(b.a)
+        return 1 if diff_lo > 0 else -1 if diff_hi < 0 else None
+
+    return certify(attempt, max(40, precision_digits), 1 << 13, "level bound comparison")
+
+
 def _interval_sign_vs_bound(
     hg: LogCombination, spec: TowerSpec, level_index: int, precision_digits: int
 ) -> int:
     """Sign of hg - bound when the bound has no exact form."""
-    lv = spec.levels[level_index - 1]
-    d_i = spec.field_degree(level_index)
-    dps = max(40, precision_digits)
-    while dps <= 1 << 13:
-        # endpoint arithmetic at matching mp precision, or the
-        # comparison is silently capped at the ambient (15-digit) dps
-        with _iv_dps(dps), workdps(dps):
-            b = _iv_fraction(spec.target_c) - iv.log(iv.mpf(lv.d)) / (
-                2 * iv.exp(_iv_fraction(spec.gamma) * iv.log(iv.mpf(d_i))) * (lv.d - 1)
-            )
-            lo, hi = hg.interval(dps)
-            diff_lo = mpf(lo) - mpf(b.b)
-            diff_hi = mpf(hi) - mpf(b.a)
-        if diff_lo > 0:
-            return 1
-        if diff_hi < 0:
-            return -1
-        dps *= 2
-    from .numcore import PrecisionError
-
-    raise PrecisionError("level bound comparison did not separate")
+    return _sign_vs_level_bound(
+        lambda dps: iv.mpf(hg.interval(dps)), spec, level_index, precision_digits
+    )
 
 
 def _interval_sign_weighted(
@@ -367,27 +370,13 @@ def _interval_sign_weighted(
     level_index: int,
     precision_digits: int,
 ) -> int:
-    lv = spec.levels[level_index - 1]
-    d_i = spec.field_degree(level_index)
-    dps = max(40, precision_digits)
-    while dps <= 1 << 13:
-        with _iv_dps(dps), workdps(dps):
-            w = iv.exp(_iv_fraction(gamma) * iv.log(iv.mpf(deg)))
-            lo, hi = h_comb.interval(dps)
-            val = w * iv.mpf([lo, hi])
-            b = _iv_fraction(spec.target_c) - iv.log(iv.mpf(lv.d)) / (
-                2 * iv.exp(_iv_fraction(spec.gamma) * iv.log(iv.mpf(d_i))) * (lv.d - 1)
-            )
-            diff_lo = mpf(val.a) - mpf(b.b)
-            diff_hi = mpf(val.b) - mpf(b.a)
-        if diff_lo > 0:
-            return 1
-        if diff_hi < 0:
-            return -1
-        dps *= 2
-    from .numcore import PrecisionError
+    """Sign of deg^gamma * h_comb - bound."""
 
-    raise PrecisionError("level bound comparison did not separate")
+    def enclose(dps):
+        w = iv.exp(_iv_fraction(gamma) * iv.log(iv.mpf(deg)))
+        return w * iv.mpf(h_comb.interval(dps))
+
+    return _sign_vs_level_bound(enclose, spec, level_index, precision_digits)
 
 
 def distinct_fields_check(towers) -> bool:

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -119,7 +120,7 @@ class TestTowerCommands:
         assert code == 0
         spec_path = out.strip().split("spec written to ")[-1]
         assert os.path.dirname(spec_path) == str(tmp_path)
-        data = json.loads(open(spec_path).read())
+        data = json.loads(Path(spec_path).read_text())
         assert len(data["levels"]) == 2
 
         code, out, _ = run(
@@ -136,7 +137,7 @@ class TestTowerCommands:
         assert "level 1" in out and "level 2" in out
         assert "FAILED" not in out
         cert_path = out.strip().split("certificate written to ")[-1]
-        cert = json.loads(open(cert_path).read())
+        cert = json.loads(Path(cert_path).read_text())
         assert cert["passed"] is True
         assert len(cert["levels"]) == 2
 
@@ -152,6 +153,16 @@ class TestTowerCommands:
         p1 = out1.strip().split("spec written to ")[-1]
         p2 = out2.strip().split("spec written to ")[-1]
         assert p1 == p2
+
+    def test_gen_writes_rational_gamma_and_c(self, capsys, tmp_path):
+        code, out, _ = run(
+            capsys, "tower", "gen", "--degrees", "2", "--gamma=-1/3",
+            "--C", "7/10", "--out", str(tmp_path),
+        )
+        assert code == 0
+        spec_path = out.strip().split("spec written to ")[-1]
+        data = json.loads(Path(spec_path).read_text())
+        assert (data["gamma"], data["C"]) == ("-1/3", "7/10")
 
     def test_gen_digit_cap_exit_2(self, capsys, tmp_path):
         code, _, err = run(
@@ -204,13 +215,13 @@ class TestCMCommands:
         path = out.strip().split(" written to ")[-1]
         assert os.path.basename(path).startswith("cm-scan-")
         assert path.endswith(".csv")
-        first = open(path, "rb").read()
+        first = Path(path).read_bytes()
         code, out2, _ = run(
             capsys, "cm", "scan", "--dmax", "40", "--out", str(tmp_path)
         )
         path2 = out2.strip().split(" written to ")[-1]
         assert path2 == path
-        assert open(path, "rb").read() == first
+        assert Path(path).read_bytes() == first
 
     def test_scan_json_format(self, capsys, tmp_path):
         code, out, _ = run(
@@ -227,7 +238,7 @@ class TestCMCommands:
         assert code == 0
         path = out.strip().split(" written to ")[-1]
         assert path.endswith(".json")
-        data = json.loads(open(path).read())
+        data = json.loads(Path(path).read_text())
         assert {r["D"] for r in data["records"]} == {-3, -4, -7, -8, -11, -15,
                                                      -19, -20, -23, -24}
 

@@ -29,8 +29,9 @@ from heightlab.cmlab import (
     verify_decay,
     verify_theta_faltings,
 )
+from heightlab import cmlab
 from heightlab.heights import mahler_height
-from heightlab.numcore import PrecisionError
+from heightlab.numcore import BigFloat, PrecisionError
 
 
 def brute_class_number(d: int) -> int:
@@ -390,6 +391,28 @@ class TestFinitenessDemo:
         out = finiteness_demo(60, 0.5, 20)
         for q in out["qualifying"]:
             assert q["ratio"] <= 0.5 + 1e-12
+
+    def test_separates_at_sixteen_times_precision(self, monkeypatch):
+        # a Faltings height whose disc straddles the bound 0.55 below
+        # 16 * 20 digits and falls below it at 320 digits
+        calls = []
+
+        def faltings(d, precision_digits):
+            calls.append(precision_digits)
+            radius = mpf("0.01") if precision_digits >= 320 else mpf(1)
+            return BigFloat(mpf("0.5"), radius)
+
+        monkeypatch.setattr(cmlab, "faltings_height_cm", faltings)
+        out = finiteness_demo(4, 0.55, 20)
+        assert [q["D"] for q in out["qualifying"]] == [-3, -4]
+        assert sorted(set(calls)) == [20, 40, 80, 160, 320]
+
+    def test_unseparated_ratio_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            cmlab, "faltings_height_cm", lambda d, dps: BigFloat(mpf("0.5"), mpf(1))
+        )
+        with pytest.raises(PrecisionError, match="discriminant -3"):
+            finiteness_demo(3, 0.55, 20)
 
 
 class TestCDisc:

@@ -257,6 +257,19 @@ class TestHeightValueCompare:
         y = HeightValue(exact=LogCombination({2: Fraction(1)}))
         assert height_value_compare(x, y) == LESS
 
+    def test_numeric_disc_finer_than_53_bits(self):
+        # (log 2 + 1e-30) +- 1e-45 lies above log 2; its bounds rounded
+        # to 53 bits fall below log 2
+        with workdps(60):
+            x = HeightValue(numeric=BigFloat(mp.log(2) + mpf("1e-30"), mpf("1e-45")))
+        y = HeightValue(exact=LogCombination({2: Fraction(1)}))
+        assert height_value_compare(x, y) == GREATER
+        assert height_value_compare(y, x) == LESS
+        lo, hi = x.bounds(40)
+        with workdps(200):
+            assert lo == x.numeric.value - x.numeric.radius
+            assert hi == x.numeric.value + x.numeric.radius
+
     def test_inconclusive_overlap(self):
         x = HeightValue(numeric=BigFloat(mpf("0.5"), mpf("0.1")))
         y = HeightValue(numeric=BigFloat(mpf("0.55"), mpf("0.1")))

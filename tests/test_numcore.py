@@ -9,6 +9,7 @@ from heightlab.numcore import (
     IntMatrix,
     IntPoly,
     PrecisionError,
+    certify,
     factorint,
     is_prime,
     next_prime,
@@ -195,6 +196,65 @@ class TestBigFloat:
     def test_pow_int(self):
         x = BigFloat(3, 0)
         assert x.pow_int(5).value == 243
+
+    def test_from_bounds_encloses_at_low_ambient_precision(self):
+        with workdps(80):
+            lo = mp.log(2)
+            hi = lo + mpf(10) ** -70
+        b = BigFloat.from_bounds(lo, hi)
+        with workdps(120):
+            assert b.value == (lo + hi) / 2
+            assert b.value - b.radius <= lo and hi <= b.value + b.radius
+            assert b.radius <= mpf(10) ** -70
+
+    def test_from_bounds_point_and_order(self):
+        b = BigFloat.from_bounds(mpf(3), mpf(3))
+        assert b.value == 3 and b.radius == 0
+        with pytest.raises(ValueError):
+            BigFloat.from_bounds(mpf(2), mpf(1))
+
+
+class TestCertify:
+    def test_doubles_until_decided(self):
+        seen = []
+
+        def attempt(dps):
+            seen.append(dps)
+            return "done" if dps >= 160 else None
+
+        assert certify(attempt, 40, 1000, "probe") == "done"
+        assert seen == [40, 80, 160]
+
+    def test_ceiling_is_attempted(self):
+        seen = []
+
+        def attempt(dps):
+            seen.append(dps)
+            return dps if dps == 320 else None
+
+        assert certify(attempt, 40, 320, "probe") == 320
+        assert seen == [40, 80, 160, 320]
+
+    def test_first_result_that_is_not_none_wins(self):
+        seen = []
+
+        def attempt(dps):
+            seen.append(dps)
+            return False
+
+        assert certify(attempt, 40, 320, "probe") is False
+        assert seen == [40]
+        assert certify(lambda dps: 0, 40, 320, "probe") == 0
+
+    def test_error_names_the_decision_and_ceiling(self):
+        seen = []
+
+        def attempt(dps):
+            seen.append(dps)
+
+        with pytest.raises(PrecisionError, match=r"widget sign .*639 digits"):
+            certify(attempt, 40, 639, "widget sign")
+        assert seen == [40, 80, 160, 320]
 
 
 def _det_fraction(rows):

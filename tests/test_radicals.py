@@ -274,6 +274,23 @@ class TestChain:
         # h_{-2}(a) = 2**(-2) * (1/2) log 17 = (1/8) log 17
         assert rep.rhs.exact == LogCombination({17: Fraction(1, 8)})
 
+    def test_numeric_values_contain_120_digit_values(self):
+        # [1 : 2^(1/2) : 3^(1/3)], gamma = -1/2: [K:Q] = 6, h(P) = (1/3) log 3,
+        # middle = rhs = 6^(-1/2) ((1/2) log 2 * (1/3) log 3)^(1/2); the
+        # radii are near 1e-74, far below what a 53-bit midpoint resolves
+        pt = RadicalPoint([RadicalScalar.one(), _scalar(p2="1/2"), _scalar(p3="1/3")])
+        rep = lemma_chain_check(pt, Fraction(-1, 2))
+        assert rep.verdict == "holds"
+        with workdps(120):
+            w = 1 / mp.sqrt(6)
+            geo = mp.sqrt(mp.log(2) / 2 * mp.log(3) / 3)
+            want = {"lhs": w * mp.log(3) / 3, "middle": w * geo, "rhs": w * geo}
+            for name, truth in want.items():
+                ball = getattr(rep, name).numeric
+                assert ball is not None, name
+                assert ball.radius < mpf(10) ** -60, name
+                assert abs(ball.value - truth) <= ball.radius, name
+
     def test_degenerate(self):
         pt = RadicalPoint([1, 1, None])
         rep = lemma_chain_check(pt, -1)

@@ -56,6 +56,22 @@ class TestTowerSpec:
         again = TowerSpec.from_json(spec.to_json())
         assert again == spec
 
+    def test_json_keeps_rational_gamma_and_c(self):
+        spec = TowerSpec(
+            gamma=Fraction(-1, 3), target_c=Fraction(7, 10), levels=((17, 2, 2),)
+        )
+        again = TowerSpec.from_json(spec.to_json())
+        assert again.gamma == Fraction(-1, 3)
+        assert again.target_c == Fraction(7, 10)
+        assert again == spec
+
+    def test_json_reads_float_specs(self):
+        spec = TowerSpec.from_json(
+            '{"gamma": -1.0, "C": 0.5, "levels": [{"p": "3", "q": "2", "d": 2}]}'
+        )
+        assert spec.gamma == -1
+        assert spec.target_c == Fraction(1, 2)
+
     def test_json_big_primes_survive(self):
         spec = build_tower([2, 2, 3, 3, 5], gamma=-1, target_c=C_LOG2)
         again = TowerSpec.from_json(spec.to_json())
