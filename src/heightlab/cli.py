@@ -53,12 +53,9 @@ from .radicals import (
     RadicalPoint,
     RadicalScalar,
     lemma_chain_check,
-    radical_degree,
     radical_height,
     weighted_projective_height,
     projective_height,
-    _pow_rational,
-    _pow_rational_is_exact,
 )
 from .towers import TowerSpec, build_tower, certify_level
 
@@ -223,23 +220,16 @@ def _cmd_height(args, opts) -> int:
     digits = opts["precision"]
     if kind == "rad":
         r = parse_radical(body)
-        hv = radical_height(r)
-        label = str(hv.exact)
-        if gamma is not None:
-            deg = radical_degree(r)
-            if _pow_rational_is_exact(deg, gamma):
-                scaled = hv.exact.scale(_pow_rational(deg, gamma))
-                label = str(scaled)
-                val = scaled.evaluate(digits).value
-            else:
-                with workdps(digits + 10):
-                    val = mp.power(deg, mp.mpf(gamma.numerator) / gamma.denominator) * hv.exact.evaluate(digits).value
-                label = None
+        if gamma is None:
+            hv = radical_height(r)
         else:
-            val = hv.exact.evaluate(digits).value
+            hv = weighted_projective_height(RadicalPoint([RadicalScalar.one(), r]), gamma, digits)
+        if hv.is_exact:
+            label, val = f"{hv.exact} ", hv.exact.evaluate(digits).value
+        else:
+            label, val = "", hv.numeric.value
         with workdps(digits + 10):
-            num = mp.nstr(val, 10)
-        print(f"{label} ≈ {num}" if label is not None else f"≈ {num}")
+            print(f"{label}≈ {mp.nstr(val, 10)}")
         return 0
     poly = parse_int_poly(body)
     if poly.degree < 1:
@@ -524,6 +514,10 @@ def _common_flags() -> argparse.ArgumentParser:
     return common
 
 
+# argparse reads a separate "-1/3" as a flag ("expected one argument")
+_NEGATIVE_GAMMA = "write a negative fraction as --gamma=-1/3"
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = _common_flags()
     parser = argparse.ArgumentParser(
@@ -538,27 +532,27 @@ def build_parser() -> argparse.ArgumentParser:
                        help="height of a radical or algebraic number")
     p.add_argument("expression", nargs="+",
                    help="'rad: 2/3 ^ 1/5' or 'alg: x^2 - x - 1'")
-    p.add_argument("--gamma", help="degree weight exponent")
+    p.add_argument("--gamma", help=f"degree weight exponent; {_NEGATIVE_GAMMA}")
     p.set_defaults(func=_cmd_height)
 
     p = sub.add_parser("point-height", parents=[common],
                        help="projective height of a radical point")
     p.add_argument("--coords", required=True,
                    help="comma-separated coordinates, e.g. '1,2^1/2,0'")
-    p.add_argument("--gamma", help="degree weight (weighted height)")
+    p.add_argument("--gamma", help=f"degree weight (weighted height); {_NEGATIVE_GAMMA}")
     p.set_defaults(func=_cmd_point_height)
 
     p = sub.add_parser("lemma-check", parents=[common],
                        help="certified chain inequality at one point")
     p.add_argument("--coords", required=True)
-    p.add_argument("--gamma", required=True)
+    p.add_argument("--gamma", required=True, help=f"degree weight; {_NEGATIVE_GAMMA}")
     p.set_defaults(func=_cmd_lemma_check)
 
     tower = sub.add_parser("tower", help="tower construction/certification")
     tsub = tower.add_subparsers(dest="tower_command", required=True)
     p = tsub.add_parser("gen", parents=[common], help="construct a tower")
     p.add_argument("--degrees", required=True, help="e.g. 2,2,3,3,5")
-    p.add_argument("--gamma", default="-1")
+    p.add_argument("--gamma", default="-1", help=f"degree weight (default -1); {_NEGATIVE_GAMMA}")
     p.add_argument("--C", dest="target_c", required=True, type=Fraction,
                    help="target height constant")
     p.set_defaults(func=_cmd_tower_gen)

@@ -44,6 +44,7 @@ from .numcore import (
     BigFloat,
     IntPoly,
     PrecisionError,
+    _as_bigfloat,
     _ulp_slop,
     certify,
     factorint,
@@ -54,99 +55,9 @@ from .numcore import (
 Q_MODULUS_CAP = mpf("0.9995")
 
 
-# ---------------------------------------------------------------------------
-# complex discs
-# ---------------------------------------------------------------------------
-
-class CDisc:
-    """Complex disc: center and certified radius.  Radius propagation
-    is conservative (never an estimate), with rounding slop added per
-    operation."""
-
-    __slots__ = ("value", "radius")
-
-    def __init__(self, value, radius=0):
-        self.value = mpc(value)
-        self.radius = mpf(radius)
-
-    def __add__(self, other):
-        other = _as_cdisc(other)
-        v = self.value + other.value
-        return CDisc(v, self.radius + other.radius + _ulp_slop(v))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CDisc(-self.value, self.radius)
-
-    def __sub__(self, other):
-        return self + (-_as_cdisc(other))
-
-    def __rsub__(self, other):
-        return _as_cdisc(other) + (-self)
-
-    def __mul__(self, other):
-        other = _as_cdisc(other)
-        v = self.value * other.value
-        r = (
-            abs(self.value) * other.radius
-            + abs(other.value) * self.radius
-            + self.radius * other.radius
-        )
-        return CDisc(v, r + _ulp_slop(v))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_cdisc(other)
-        den_lo = abs(other.value) - other.radius
-        if not den_lo > 0:
-            raise PrecisionError("division by a disc containing zero")
-        v = self.value / other.value
-        r = (self.radius + abs(v) * other.radius) / den_lo
-        return CDisc(v, r + _ulp_slop(v))
-
-    def pow_int(self, n: int) -> "CDisc":
-        if n < 0:
-            return CDisc(1) / self.pow_int(-n)
-        out = CDisc(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def exp(self) -> "CDisc":
-        v = mp.exp(self.value)
-        r = abs(v) * mp.expm1(self.radius) if self.radius else mpf(0)
-        return CDisc(v, r + _ulp_slop(v))
-
-    def abs_bounds(self):
-        # outward absolute guard keeps the bounds valid even when the
-        # caller's working precision is below the value's own
-        a = abs(self.value)
-        guard = 4 * (a + self.radius) * mpf(2) ** (-mp.prec)
-        lo = a - self.radius - guard
-        return (lo if lo > 0 else mpf(0), a + self.radius + guard)
-
-    def log_abs(self) -> BigFloat:
-        lo, hi = self.abs_bounds()
-        if not lo > 0:
-            raise PrecisionError("log of a disc containing zero")
-        llo, lhi = mp.log(lo), mp.log(hi)
-        mid = (llo + lhi) / 2
-        return BigFloat(mid, (lhi - llo) / 2 + _ulp_slop(mid, 1))
-
-    def __repr__(self):
-        return f"CDisc({self.value}, r={mp.nstr(self.radius, 3)})"
-
-
-def _as_cdisc(x) -> CDisc:
-    if isinstance(x, CDisc):
-        return x
-    return CDisc(x)
+# The benchmark's tracer (bench/tracer.py, bench/test_bench.py) binds the
+# CM lab's ball type under this name; nothing else uses it.
+CDisc = BigFloat
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +191,7 @@ def fundamental_discriminants(bound: int) -> list[int]:
 # q-series with certified tails
 # ---------------------------------------------------------------------------
 
-def _eta_product(q: CDisc) -> CDisc:
+def _eta_product(q: BigFloat) -> BigFloat:
     """f(q) = prod_{n>=1} (1 - q^n), summed as the pentagonal-number
     series sum_k (-1)^k q^(k(3k-1)/2) with a certified geometric tail
     bound.  Requires |q| below the convergence cap."""
@@ -291,7 +202,7 @@ def _eta_product(q: CDisc) -> CDisc:
             "and not tiny?)"
         )
     tol = mpf(10) ** (-(mp.dps - 5))
-    total = CDisc(1)
+    total = BigFloat(1)
     k = 0
     while True:
         k += 1
@@ -300,12 +211,12 @@ def _eta_product(q: CDisc) -> CDisc:
         e_next = (k + 1) * (3 * k + 2) // 2
         tail = 2 * q_hi**e_next / (1 - q_hi)
         if tail < tol:
-            return CDisc(total.value, total.radius + tail)
+            return BigFloat(total.value, total.radius + tail)
         if k > 10000:
             raise PrecisionError("pentagonal series did not converge")
 
 
-def _eisenstein_e4(q: CDisc) -> CDisc:
+def _eisenstein_e4(q: BigFloat) -> BigFloat:
     """E4(q) = 1 + 240 sum sigma_3(n) q^n with a certified tail via
     sigma_3(n) <= n^4 <= C * |q|^(-n/2)."""
     q_hi = q.abs_bounds()[1]
@@ -328,34 +239,34 @@ def _eisenstein_e4(q: CDisc) -> CDisc:
         cube = div * div * div
         for m in range(div, n_terms + 1, div):
             sigma3[m] += cube
-    total = CDisc(1)
-    q_pow = CDisc(1)
+    total = BigFloat(1)
+    q_pow = BigFloat(1)
     for n in range(1, n_terms + 1):
         q_pow = q_pow * q
         total = total + q_pow * (240 * sigma3[n])
-    return CDisc(total.value, total.radius + tail)
+    return BigFloat(total.value, total.radius + tail)
 
 
 _TWO_PI_I_SLOP = 8
 
 
-def _q_from_tau(tau: CDisc) -> CDisc:
-    two_pi_i = CDisc(mpc(0, 2) * mp.pi, _ulp_slop(mp.pi) * _TWO_PI_I_SLOP)
+def _q_from_tau(tau: BigFloat) -> BigFloat:
+    two_pi_i = BigFloat(mpc(0, 2) * mp.pi, _ulp_slop(mp.pi) * _TWO_PI_I_SLOP)
     return (two_pi_i * tau).exp()
 
 
-def modular_discriminant(tau, precision_digits: int = DEFAULT_DIGITS) -> CDisc:
+def modular_discriminant(tau, precision_digits: int = DEFAULT_DIGITS) -> BigFloat:
     """Delta(tau) = q prod (1 - q^n)^24, q = exp(2 pi i tau), as a
     certified complex disc."""
     with workdps(precision_digits + 15):
-        t = _as_cdisc(tau)
+        t = _as_bigfloat(tau)
         if not t.value.imag > 0:
             raise ValueError("tau must lie in the upper half plane")
         q = _q_from_tau(t)
         return q * _eta_product(q).pow_int(24)
 
 
-def _j_at(tau: CDisc) -> CDisc:
+def _j_at(tau: BigFloat) -> BigFloat:
     q = _q_from_tau(tau)
     e4 = _eisenstein_e4(q)
     delta = q * _eta_product(q).pow_int(24)
@@ -378,20 +289,20 @@ def _reduce_to_fundamental_domain(tau: mpc) -> mpc:
     raise PrecisionError("fundamental domain reduction did not terminate")
 
 
-def j_invariant(tau, precision_digits: int = DEFAULT_DIGITS) -> CDisc:
+def j_invariant(tau, precision_digits: int = DEFAULT_DIGITS) -> BigFloat:
     """j(tau) = E4(q)^3 / Delta(tau), computed after moving tau to the
     fundamental domain (j is SL2(Z)-invariant, and there the q-series
     tails are sharp)."""
     with workdps(precision_digits + 15):
         t = _reduce_to_fundamental_domain(mpc(tau))
-        return _j_at(CDisc(t))
+        return _j_at(BigFloat(t))
 
 
-def _tau_cdisc(form: ReducedForm) -> CDisc:
+def _tau_ball(form: ReducedForm) -> BigFloat:
     """CM point of a form, at ambient precision, as a disc."""
     root = mp.sqrt(mpf(-form.discriminant))
     val = mpc(-form.b, root) / (2 * form.a)
-    return CDisc(val, _ulp_slop(val) * 4)
+    return BigFloat(val, _ulp_slop(val) * 4)
 
 
 def hilbert_class_poly(d) -> IntPoly:
@@ -406,11 +317,11 @@ def hilbert_class_poly(d) -> IntPoly:
 
     def attempt(dps):
         with workdps(dps):
-            coeffs = [CDisc(1)]
+            coeffs = [BigFloat(1)]
             for f in forms:
-                j = _j_at(_tau_cdisc(f))
+                j = _j_at(_tau_ball(f))
                 # multiply running polynomial by (x - j); lowest first
-                nxt = [CDisc(0)] * (len(coeffs) + 1)
+                nxt = [BigFloat(0)] * (len(coeffs) + 1)
                 for i, cf in enumerate(coeffs):
                     nxt[i + 1] = nxt[i + 1] + cf
                     nxt[i] = nxt[i] - cf * j
@@ -440,7 +351,7 @@ def j_height(d, precision_digits: int = 24) -> BigFloat:
     with workdps(precision_digits + 15):
         acc = BigFloat(0, 0)
         for f in forms:
-            lo, hi = _j_at(_tau_cdisc(f)).abs_bounds()
+            lo, hi = _j_at(_tau_ball(f)).abs_bounds()
             if hi <= 1:
                 continue
             if lo >= 1:
@@ -458,11 +369,11 @@ def s_invariant(tau, precision_digits: int = DEFAULT_DIGITS) -> BigFloat:
     an SL2(Z)-invariant function computed directly from the eta
     product (no reduction applied, so invariance is testable)."""
     with workdps(precision_digits + 15):
-        t = _as_cdisc(tau)
+        t = _as_bigfloat(tau)
         return _s_at(t)
 
 
-def _s_at(t: CDisc) -> BigFloat:
+def _s_at(t: BigFloat) -> BigFloat:
     y_val = t.value.imag
     if not y_val - t.radius > 0:
         raise ValueError("tau must lie in the upper half plane")
@@ -488,7 +399,7 @@ def faltings_height_cm(d, precision_digits: int = 24, normalization_offset=None)
     with workdps(precision_digits + 15):
         acc = BigFloat(0, 0)
         for f in forms:
-            acc = acc + _s_at(_tau_cdisc(f))
+            acc = acc + _s_at(_tau_ball(f))
         acc = acc / len(forms)
         if normalization_offset is None:
             off = _default_offset()
@@ -509,24 +420,28 @@ def theta_null_point(tau, precision_digits: int = DEFAULT_DIGITS):
     tau/4).  Terms are accumulated by increasing |m|, so theta_1 and
     theta_3 (whose term sequences coincide) come out bitwise equal."""
     with workdps(precision_digits + 15):
-        t = _as_cdisc(tau)
+        t = _as_bigfloat(tau)
         if not t.value.imag - t.radius > 0:
             raise ValueError("tau must lie in the upper half plane")
-        pi_i_4 = CDisc(mpc(0, 1) * mp.pi / 4, _ulp_slop(mp.pi) * 4)
-        w = (pi_i_4 * t).exp()
-        return _theta_nulls(w)
+        return _theta_nulls(_theta_w(t))
 
 
-def _theta_nulls(w: CDisc):
+def _theta_w(tau: BigFloat) -> BigFloat:
+    """The theta nome w = exp(pi i tau / 4) of a tau ball."""
+    pi_i_4 = BigFloat(mpc(0, 1) * mp.pi / 4, _ulp_slop(mp.pi) * 4)
+    return (pi_i_4 * tau).exp()
+
+
+def _theta_nulls(w: BigFloat):
     w_hi = w.abs_bounds()[1]
     if w_hi > Q_MODULUS_CAP:
         raise PrecisionError("theta series refused: |w| too close to 1")
     tol = mpf(10) ** (-(mp.dps - 5))
-    buckets = [CDisc(0), CDisc(0), CDisc(0), CDisc(0)]
-    buckets[0] = buckets[0] + CDisc(1)
+    buckets = [BigFloat(0), BigFloat(0), BigFloat(0), BigFloat(0)]
+    buckets[0] = buckets[0] + BigFloat(1)
     w2 = w * w
     w_odd = w
-    w_m2 = CDisc(1)
+    w_m2 = BigFloat(1)
     m = 0
     while True:
         m += 1
@@ -539,7 +454,7 @@ def _theta_nulls(w: CDisc):
             tail = 2 * w_hi ** ((m + 1) * (m + 1)) / gap
             if tail < tol:
                 return tuple(
-                    CDisc(b.value, b.radius + tail) for b in buckets
+                    BigFloat(b.value, b.radius + tail) for b in buckets
                 )
         if m > 1 << 20:
             raise PrecisionError("theta series did not converge")
@@ -554,7 +469,7 @@ def theta_height_estimate(d, precision_digits: int = 24) -> BigFloat:
     with workdps(precision_digits + 15):
         acc = BigFloat(0, 0)
         for f in forms:
-            nulls = _theta_nulls(_theta_w(f))
+            nulls = _theta_nulls(_theta_w(_tau_ball(f)))
             bounds = [th.abs_bounds() for th in nulls]
             l2_lo = mp.sqrt(mp.fsum(lo * lo for lo, _ in bounds))
             l2_hi = mp.sqrt(mp.fsum(hi * hi for _, hi in bounds))
@@ -569,12 +484,6 @@ def theta_height_estimate(d, precision_digits: int = 24) -> BigFloat:
             mid = (term_lo + term_hi) / 2
             acc = acc + BigFloat(mid, (term_hi - term_lo) / 2 + _ulp_slop(mid, 1))
         return acc / len(forms)
-
-
-def _theta_w(form: ReducedForm) -> CDisc:
-    t = _tau_cdisc(form)
-    pi_i_4 = CDisc(mpc(0, 1) * mp.pi / 4, _ulp_slop(mp.pi) * 4)
-    return (pi_i_4 * t).exp()
 
 
 # ---------------------------------------------------------------------------
@@ -636,57 +545,23 @@ def cm_record(d, precision_digits: int = 24) -> CMRecord:
     )
 
 
-def _bf_encode(x: BigFloat):
-    return (x.value._mpf_, x.radius._mpf_)
-
-
-def _bf_decode(t) -> BigFloat:
-    return BigFloat(mp.make_mpf(t[0]), mp.make_mpf(t[1]))
-
-
-def _record_encode(rec: CMRecord):
-    return (
-        rec.d,
-        rec.class_number,
-        _bf_encode(rec.j_height),
-        _bf_encode(rec.faltings_height),
-        _bf_encode(rec.theta_height_est),
-        _bf_encode(rec.residual),
-        _bf_encode(rec.ratio),
-    )
-
-
-def _record_decode(t) -> CMRecord:
-    return CMRecord(
-        d=t[0],
-        class_number=t[1],
-        j_height=_bf_decode(t[2]),
-        faltings_height=_bf_decode(t[3]),
-        theta_height_est=_bf_decode(t[4]),
-        residual=_bf_decode(t[5]),
-        ratio=_bf_decode(t[6]),
-    )
-
-
-def _scan_worker(args):
-    d, precision_digits = args
-    return _record_encode(cm_record(d, precision_digits))
+def _per_discriminant(fn, d_max: int, precision_digits: int, workers: int, chunksize: int) -> list:
+    """fn(d, precision_digits) for every fundamental discriminant d with
+    |d| <= d_max, by increasing |d|; on a pool of ``workers`` processes
+    when there is more than one.  Results travel by pickle, which keeps
+    every mpf bit-exact, so they do not depend on the worker count."""
+    args = [(d, precision_digits) for d in fundamental_discriminants(d_max)]
+    if workers > 1 and len(args) > 1:
+        with multiprocessing.Pool(workers) as pool:
+            return pool.starmap(fn, args, chunksize=chunksize)
+    return [fn(*a) for a in args]
 
 
 def cm_scan(d_max: int, precision_digits: int = 24, workers: int = 1):
     """Records for every fundamental discriminant with |d| <= d_max,
     sorted by |d|.  Each record is a pure function of (d, precision),
     so the result is identical for any worker count."""
-    discs = fundamental_discriminants(d_max)
-    args = [(d, precision_digits) for d in discs]
-    if workers > 1 and len(args) > 1:
-        with multiprocessing.Pool(workers) as pool:
-            encoded = pool.map(_scan_worker, args, chunksize=8)
-    else:
-        encoded = [_scan_worker(a) for a in args]
-    records = [_record_decode(t) for t in encoded]
-    records.sort(key=lambda r: -r.d)
-    return tuple(records)
+    return tuple(_per_discriminant(cm_record, d_max, precision_digits, workers, chunksize=8))
 
 
 CSV_HEADER = (
@@ -742,29 +617,12 @@ def records_to_json(records, config: dict | None = None) -> str:
 
 # --- light path: Faltings ratios only --------------------------------------
 
-def _ratio_at(d: int, h: int, precision_digits: int):
-    """Faltings height of d and its ratio to the class number h."""
+def _ratio_row(d: int, precision_digits: int):
+    """(d, class number h, Faltings height, its ratio to h)."""
+    h = class_number(d)
     fh = faltings_height_cm(d, precision_digits)
     with workdps(precision_digits + 15):
-        return fh, fh / h
-
-
-def _ratio_worker(args):
-    d, precision_digits = args
-    h = class_number(d)
-    fh, ratio = _ratio_at(d, h, precision_digits)
-    return (d, h, _bf_encode(fh), _bf_encode(ratio))
-
-
-def _faltings_ratios(d_max: int, precision_digits: int, workers: int):
-    discs = fundamental_discriminants(d_max)
-    args = [(d, precision_digits) for d in discs]
-    if workers > 1 and len(args) > 1:
-        with multiprocessing.Pool(workers) as pool:
-            rows = pool.map(_ratio_worker, args, chunksize=16)
-    else:
-        rows = [_ratio_worker(a) for a in args]
-    return [(d, h, _bf_decode(f), _bf_decode(r)) for d, h, f, r in rows]
+        return d, h, fh, fh / h
 
 
 def verify_decay(
@@ -779,8 +637,7 @@ def verify_decay(
     checkpoints (default: 100 doubling up to d_max).  env is
     nonincreasing by construction; ``passed`` asserts certified strict
     decay from the first checkpoint to the last."""
-    rows = _faltings_ratios(d_max, precision_digits, workers)
-    rows.sort(key=lambda t: -t[0])  # increasing |d|
+    rows = _per_discriminant(_ratio_row, d_max, precision_digits, workers, chunksize=16)
     if not rows:
         raise ValueError("no fundamental discriminants in range")
     if checkpoints is None:
@@ -895,23 +752,24 @@ def finiteness_demo(
     certified at most c_prime.  Inclusion and exclusion are decided by
     disc bounds, escalating precision on borderline cases."""
     c_prime = mpf(c_prime)
-    rows = _faltings_ratios(d_max, precision_digits, workers)
-    rows.sort(key=lambda t: -t[0])
+    rows = _per_discriminant(_ratio_row, d_max, precision_digits, workers, chunksize=16)
     qualifying = []
 
-    def separated(pair):
-        ratio = pair[1]
+    def separated(row):
+        ratio = row[3]
         hi = ratio.value + ratio.radius
         lo = ratio.value - ratio.radius
-        return pair if hi <= c_prime or lo > c_prime else None
+        return row if hi <= c_prime or lo > c_prime else None
 
-    for d, h, fh, ratio in rows:
-        if separated((fh, ratio)) is None:
-            fh, ratio = certify(
-                lambda dps: separated(_ratio_at(d, h, dps)),
+    for row in rows:
+        d = row[0]
+        if separated(row) is None:
+            row = certify(
+                lambda dps: separated(_ratio_row(d, dps)),
                 2 * precision_digits, 16 * precision_digits,
                 f"ratio bound of discriminant {d}",
             )
+        _, h, fh, ratio = row
         if ratio.value + ratio.radius <= c_prime:
             qualifying.append(
                 {

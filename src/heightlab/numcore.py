@@ -3,9 +3,12 @@
 Everything downstream (heights, radical points, towers, the CM module)
 leans on four primitives kept here: big-integer primality testing, Smith
 normal form with unimodular transforms, polynomial root isolation with
-a posteriori error radii, and a small disc-arithmetic type ``BigFloat``
-whose error radius is propagated conservatively (reported radius is
-always an upper bound for the true error, never an estimate).
+a posteriori error radii, and ``BigFloat``, the package's one real or
+complex ball type, whose error radius is propagated conservatively
+(reported radius is always an upper bound for the true error, never an
+estimate).  The CM lab builds its complex discs with it too; the name
+``cmlab.CDisc`` is kept as an alias only because the benchmark's tracer
+binds it.
 
 Two policies make every numeric decision certified:
 
@@ -150,28 +153,59 @@ def next_prime(n: int) -> int:
     return c
 
 
-def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n (Brent's cycle variant,
-    deterministic parameter schedule)."""
+# Pollard-rho steps one factorint call may take.  After trial division
+# to 3000, a composite n <= 10**24 has a prime factor p <= 10**12, and
+# rho finds p within mu + lambda <= 2**23 steps unless the map's orbit
+# mod p is longer, which happens with probability about
+# exp(-2**46 / (2p)) < 1e-15.  Beyond the budget factorint raises
+# ConstructionError (hostile input, e.g. two 20-digit primes).
+_RHO_STEPS = 1 << 23
+# Steps per gcd: the differences of a batch are multiplied mod n first.
+_RHO_BATCH = 64
+
+
+def _pollard_rho(n: int, steps: int) -> tuple[int, int]:
+    """A nontrivial factor of composite odd n and what is left of
+    ``steps``: Floyd cycle detection on x -> x^2 + c with a
+    deterministic schedule of c, one gcd per batch of steps, and a
+    batch whose gcd is n replayed step by step."""
     if n % 2 == 0:
-        return 2
+        return 2, steps
     for c in range(1, 100):
         x = y = 2
         d = 1
-        f = lambda v: (v * v + c) % n
         while d == 1:
-            x = f(x)
-            y = f(f(y))
-            d = gcd(abs(x - y), n)
+            if steps < _RHO_BATCH:
+                raise ConstructionError(
+                    f"factorization of {n} needs more than {_RHO_STEPS} Pollard-rho steps"
+                )
+            steps -= _RHO_BATCH
+            x0, y0, q = x, y, 1
+            for _ in range(_RHO_BATCH):
+                x = (x * x + c) % n
+                y = (y * y + c) % n
+                y = (y * y + c) % n
+                q = q * (x - y) % n
+            d = gcd(q, n)
+        if d == n:
+            x, y, d = x0, y0, 1
+            while d == 1:
+                x = (x * x + c) % n
+                y = (y * y + c) % n
+                y = (y * y + c) % n
+                d = gcd(x - y, n)
         if d != n:
-            return d
+            return d, steps
     raise ArithmeticError(f"rho failed on {n}")
 
 
 def factorint(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {prime: exponent}."""
+    """Prime factorization of n >= 1 as {prime: exponent}.  Raises
+    ConstructionError when splitting the part without factors below
+    3000 takes more than _RHO_STEPS Pollard-rho steps in all."""
     if n < 1:
         raise ValueError("factorint expects n >= 1")
+    steps = _RHO_STEPS
     out: dict[int, int] = {}
     for p in _SMALL_PRIMES:
         while n % p == 0:
@@ -191,7 +225,7 @@ def factorint(n: int) -> dict[int, int]:
         if r * r == m:
             stack.extend([r, r])
             continue
-        d = _pollard_rho(m)
+        d, steps = _pollard_rho(m, steps)
         stack.extend([d, m // d])
     return dict(sorted(out.items()))
 
@@ -467,13 +501,20 @@ class BigFloat:
         lo = a - self.radius - guard
         return (lo if lo > 0 else mpf(0), a + self.radius + guard)
 
+    def exp(self) -> "BigFloat":
+        v = mpmath.exp(self.value)
+        r = abs(v) * mpmath.expm1(self.radius) if self.radius else mpf(0)
+        return BigFloat(v, r + _ulp_slop(v))
+
     def log_abs(self) -> "BigFloat":
-        """log|self|; requires the disc to exclude zero."""
+        """log|self|; requires the disc to exclude zero.  The slop has an
+        absolute floor: rounding |value| costs up to one ulp of 1 in the
+        log, however small the log itself is."""
         lo, hi = self.abs_bounds()
         if not lo > 0:
             raise PrecisionError("log of a disc containing zero")
         v = mpmath.log(abs(self.value))
-        r = self.radius / lo + _ulp_slop(v)
+        r = self.radius / lo + _ulp_slop(v, 1)
         return BigFloat(v, r)
 
     def sqrt_pos(self) -> "BigFloat":

@@ -25,6 +25,21 @@ class TestHeightCommand:
         # deg 2, gamma -1: (1/2) * (1/2) log 2 = (1/4) log 2
         assert out.strip() == "1/4*log(2) ≈ 0.1732867951"
 
+    def test_radical_with_non_exact_gamma(self, capsys):
+        # 2^(-1/3) is irrational, so the weighted height is a ball
+        code, out, _ = run(capsys, "height", "rad: 2 ^ 1/2", "--gamma=-1/3")
+        assert code == 0
+        assert out.strip() == "≈ 0.2750756409"
+
+    def test_unfactorable_radical_exit_2(self, capsys, monkeypatch):
+        # two 20-digit primes; a small budget keeps the test fast
+        from heightlab import numcore
+
+        monkeypatch.setattr(numcore, "_RHO_STEPS", 1 << 12)
+        code, out, err = run(capsys, "height", "rad: 300000000000000001940000000000000002091")
+        assert code == 2 and out == ""
+        assert "Pollard-rho steps" in err
+
     def test_golden_ratio(self, capsys):
         code, out, err = run(capsys, "height", "alg: x^2 - x - 1")
         assert code == 0

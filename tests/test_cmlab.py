@@ -6,7 +6,6 @@ import pytest
 from mpmath import mp, mpc, mpf, workdps
 
 from heightlab.cmlab import (
-    CDisc,
     CMRecord,
     Discriminant,
     Q_MODULUS_CAP,
@@ -323,9 +322,17 @@ class TestScan:
         assert ds == fundamental_discriminants(60)
 
     def test_workers_byte_identical(self):
-        a = records_to_csv(cm_scan(80, 20, workers=1), "cfg")
-        b = records_to_csv(cm_scan(80, 20, workers=2), "cfg")
-        assert a == b
+        one, two = cm_scan(80, 20, workers=1), cm_scan(80, 20, workers=2)
+        assert records_to_csv(one, "cfg") == records_to_csv(two, "cfg")
+
+        def bits(rec):
+            balls = (rec.j_height, rec.faltings_height, rec.theta_height_est, rec.residual, rec.ratio)
+            return [rec.d, rec.class_number] + [(b.value._mpf_, b.radius._mpf_) for b in balls]
+
+        assert [bits(r) for r in one] == [bits(r) for r in two]
+
+    def test_cdisc_is_the_one_ball_type(self):
+        assert cmlab.CDisc is BigFloat
 
     def test_rerun_byte_identical(self):
         a = records_to_csv(cm_scan(60, 20), "cfg")
@@ -365,6 +372,10 @@ class TestVerifyDecay:
     def test_requires_discs(self):
         with pytest.raises(ValueError):
             verify_decay(d_max=2, checkpoints=[1])
+
+    def test_workers_identical(self):
+        kw = dict(d_max=200, checkpoints=[20, 100, 200], precision_digits=18)
+        assert verify_decay(workers=2, **kw) == verify_decay(workers=1, **kw)
 
 
 class TestVerifyThetaFaltings:
@@ -413,26 +424,3 @@ class TestFinitenessDemo:
         )
         with pytest.raises(PrecisionError, match="discriminant -3"):
             finiteness_demo(3, 0.55, 20)
-
-
-class TestCDisc:
-    def test_div_by_zero_disc(self):
-        with pytest.raises(PrecisionError):
-            CDisc(1) / CDisc(mpf("1e-30"), mpf("1e-20"))
-
-    def test_exp_radius_sound(self):
-        with workdps(25):
-            x = CDisc(mpc("0.3", "0.4"), mpf("1e-18"))
-            y = x.exp()
-        with workdps(60):
-            truth = mp.exp(mpc("0.3", "0.4"))
-            assert abs(y.value - truth) <= y.radius
-
-    def test_mul_radius_sound(self):
-        with workdps(25):
-            a = CDisc(mpc("1.5", "-2"), mpf("1e-15"))
-            b = CDisc(mpc("0.25", "3"), mpf("1e-16"))
-            c = a * b
-        with workdps(60):
-            truth = mpc("1.5", "-2") * mpc("0.25", "3")
-            assert abs(c.value - truth) <= c.radius

@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, mpf, workdps
+from mpmath import mp, mpc, mpf, workdps
 
+from heightlab import numcore
 from heightlab.numcore import (
     BigFloat,
+    ConstructionError,
     IntMatrix,
     IntPoly,
     PrecisionError,
@@ -64,6 +66,19 @@ class TestPrimes:
     def test_factorint_semiprime(self):
         p, q = 1000003, 1000033
         assert factorint(p * q) == {p: 1, q: 1}
+
+    def test_factorint_twelve_digit_factors(self):
+        # the largest factors a number below 10**24 can force rho to find
+        assert factorint(100000000003 * 1000000000039) == {100000000003: 1, 1000000000039: 1}
+
+    def test_factorint_step_budget(self, monkeypatch):
+        # two 20-digit primes need ~1e10 rho steps; a small budget keeps
+        # the test fast, the fixed one ends the same way
+        n = 300000000000000001940000000000000002091
+        monkeypatch.setattr(numcore, "_RHO_STEPS", 1 << 12)
+        with pytest.raises(ConstructionError, match="Pollard-rho"):
+            factorint(n)
+        assert factorint(1009 * 100003 * 10000019) == {1009: 1, 100003: 1, 10000019: 1}
 
     def test_factorint_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -192,6 +207,43 @@ class TestBigFloat:
             x = BigFloat(mpf(7), mpf(10) ** -20)
             assert abs(x.sqrt_pos().value - mp.sqrt(7)) <= x.sqrt_pos().radius + mpf(10) ** -25
             assert abs(x.log_abs().value - mp.log(7)) <= x.log_abs().radius + mpf(10) ** -25
+
+    def test_log_abs_near_unit_complex(self):
+        # |z| rounds to 1 at 30 digits, while log|z| = -1.97e-32
+        with workdps(30):
+            z = BigFloat(mpc("0.6", "0.8"))
+            lg = z.log_abs()
+        with workdps(120):
+            assert abs(lg.value - mp.log(abs(z.value))) <= lg.radius
+        rng = random.Random(5)
+        for _ in range(200):
+            with workdps(30):
+                t = mpf(rng.random()) * 2 * mp.pi
+                z = BigFloat(mpc(mp.cos(t), mp.sin(t)) * (1 + mpf(rng.uniform(-1, 1)) * mpf(10) ** -28))
+                lg = z.log_abs()
+            with workdps(120):
+                assert abs(lg.value - mp.log(abs(z.value))) <= lg.radius
+
+    def test_complex_division_by_zero_disc(self):
+        with pytest.raises(PrecisionError):
+            BigFloat(mpc(1, 1)) / BigFloat(mpc("1e-30", "1e-30"), mpf("1e-20"))
+
+    def test_complex_exp_radius_sound(self):
+        with workdps(25):
+            x = BigFloat(mpc("0.3", "0.4"), mpf("1e-18"))
+            y = x.exp()
+        with workdps(60):
+            truth = mp.exp(mpc("0.3", "0.4"))
+            assert abs(y.value - truth) <= y.radius
+
+    def test_complex_mul_radius_sound(self):
+        with workdps(25):
+            a = BigFloat(mpc("1.5", "-2"), mpf("1e-15"))
+            b = BigFloat(mpc("0.25", "3"), mpf("1e-16"))
+            c = a * b
+        with workdps(60):
+            truth = mpc("1.5", "-2") * mpc("0.25", "3")
+            assert abs(c.value - truth) <= c.radius
 
     def test_pow_int(self):
         x = BigFloat(3, 0)
