@@ -46,7 +46,7 @@ from .cmlab import (
     verify_decay,
     verify_theta_faltings,
 )
-from .heights import mahler_height, rational_roots
+from .heights import degree_weight, mahler_height, rational_roots
 from .numcore import ConstructionError, IntPoly, PrecisionError, squarefree_decomposition
 from .radicals import (
     ChainViolationError,
@@ -246,12 +246,10 @@ def _cmd_height(args, opts) -> int:
             file=sys.stderr,
         )
     mh = mahler_height(poly, precision_digits=max(digits, 24))
-    val = mh.value
-    if gamma is not None:
-        with workdps(digits + 10):
-            val = mp.power(poly.degree, mp.mpf(gamma.numerator) / gamma.denominator) * val
     with workdps(digits + 10):
-        print(f"≈ {mp.nstr(val, 10)}")
+        if gamma is not None:
+            mh = mh * degree_weight(poly.degree, gamma, digits)
+        print(f"≈ {mp.nstr(mh.value, 10)}")
     return 0
 
 

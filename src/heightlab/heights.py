@@ -16,13 +16,16 @@ always terminates.  (A nonzero combination cannot vanish: with zero
 constant term that is multiplicative independence of the primes, and
 with nonzero rational constant it would make e^c algebraic.)  Numeric
 heights are ``BigFloat`` discs.
+
+Degree weights d**gamma are settled here for the whole package:
+``rational_power`` gives the exact value when it is rational, and
+``_iv_log_weight`` is the one enclosure of gamma * log(d).
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from fractions import Fraction
-from math import gcd
 
 import mpmath
 from mpmath import iv, mp, mpf, workdps
@@ -61,6 +64,36 @@ def _iv_workdps(dps: int):
 
 def _iv_fraction(q: Fraction):
     return iv.mpf(q.numerator) / iv.mpf(q.denominator)
+
+
+def _iv_log_weight(d: int, gamma: Fraction):
+    """Enclosure of gamma * log(d) at the current iv precision; its iv.exp
+    encloses the degree weight d**gamma."""
+    return _iv_fraction(gamma) * iv.log(iv.mpf(d))
+
+
+def rational_power(d: int, gamma) -> Fraction | None:
+    """d**gamma for a positive integer d when that is rational, else None.
+    Integer gamma needs no factoring; otherwise d**gamma is rational
+    exactly when gamma times every prime exponent of d is an integer."""
+    gamma = Fraction(gamma)
+    if gamma.denominator == 1 or d == 1:
+        return Fraction(d) ** gamma.numerator
+    out = Fraction(1)
+    for p, e in factorint(d).items():
+        k = e * gamma
+        if k.denominator != 1:
+            return None
+        out *= Fraction(p) ** k.numerator
+    return out
+
+
+def degree_weight(d: int, gamma, precision_digits: int = 40) -> BigFloat:
+    """Ball enclosing d**gamma, from its interval enclosure at
+    precision_digits + 15."""
+    with _iv_workdps(precision_digits + 15):
+        w = iv.exp(_iv_log_weight(d, Fraction(gamma)))
+        return BigFloat.from_bounds(mpf(w.a), mpf(w.b))
 
 
 class LogCombination:
@@ -406,19 +439,6 @@ def weil_height(alpha: AlgebraicNumber, precision_digits: int = 40) -> HeightVal
 def weighted_height(alpha: AlgebraicNumber, gamma, precision_digits: int = 40) -> HeightValue:
     """Degree-weighted height  deg(alpha)**gamma * height(alpha)."""
     h = weil_height(alpha, precision_digits)
-    b = h.numeric
-    g = Fraction(gamma)
+    w = degree_weight(alpha.degree, gamma, precision_digits)
     with workdps(precision_digits + 15):
-        if g.denominator == 1:
-            f = _as_fraction_bigfloat(Fraction(alpha.degree) ** g.numerator)
-        else:
-            v = mpf(alpha.degree) ** (mpf(g.numerator) / g.denominator)
-            f = BigFloat(v, _ulp_slop(v))
-        scaled = b * f
-    return HeightValue(numeric=scaled)
-
-
-def _as_fraction_bigfloat(q: Fraction) -> BigFloat:
-    v = mpf(q.numerator) / mpf(q.denominator)
-    r = mpf(0) if v == q else _ulp_slop(v)
-    return BigFloat(v, r)
+        return HeightValue(numeric=h.numeric * w)

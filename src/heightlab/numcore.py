@@ -31,7 +31,7 @@ from math import gcd, isqrt
 
 import mpmath
 from mpmath import mp, mpc, mpf, workdps
-from mpmath.libmp import mpf_add, mpf_shift, mpf_sub, round_ceiling
+from mpmath.libmp import mpf_add, mpf_pos, mpf_shift, mpf_sub, round_ceiling
 
 DEFAULT_DIGITS = 64
 
@@ -429,7 +429,8 @@ class BigFloat:
 
     def __init__(self, value, radius=0):
         self.value = mpmath.mpmathify(value)
-        r = mpf(radius)
+        # rounded up, so the stored radius is never below the one given
+        r = mp.make_mpf(mpf_pos(mpmath.mpmathify(radius)._mpf_, mp.prec, round_ceiling))
         if r < 0:
             raise ValueError("radius must be nonnegative")
         self.radius = r

@@ -33,19 +33,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from mpmath import iv, mpf
 
 from .heights import (
     EQUAL,
     GREATER,
-    INCONCLUSIVE,
     LESS,
     HeightValue,
     LogCombination,
-    _iv_fraction,
+    _iv_log_weight,
     _iv_workdps,
+    rational_power,
 )
 from .numcore import (
     DEFAULT_DIGITS,
@@ -115,10 +115,7 @@ class RadicalScalar:
 
     def value_interval(self, dps: int):
         with _iv_workdps(dps):
-            acc = iv.mpf(0)
-            for p, e in self.exponents.items():
-                acc += _iv_fraction(e) * iv.log(iv.mpf(p))
-            val = iv.exp(acc)
+            val = iv.exp(iv.mpf(self.log_value().interval(dps)))
             return mpf(val.a), mpf(val.b)
 
     def __eq__(self, other):
@@ -294,33 +291,9 @@ def projective_height_l2(point: RadicalPoint, precision_digits: int = DEFAULT_DI
     with _iv_workdps(dps):
         acc = iv.mpf(0)
         for c in nz:
-            e = iv.mpf(0)
-            for p, ex in c.exponents.items():
-                e += _iv_fraction(ex) * iv.log(iv.mpf(p))
-            acc += iv.exp(2 * e)
+            acc += iv.exp(2 * iv.mpf(c.log_value().interval(dps)))
         total = iv.log(acc) / 2 + iv.mpf(_finite_places(nz).interval(dps))
         return HeightValue(numeric=BigFloat.from_bounds(mpf(total.a), mpf(total.b)))
-
-
-def _pow_rational_is_exact(base: int, gamma: Fraction) -> bool:
-    if gamma.denominator == 1 or base == 1:
-        return True
-    # base**gamma rational iff every prime exponent of base**num is
-    # divisible by den
-    fac = factorint(base)
-    return all((e * gamma.numerator) % gamma.denominator == 0 for e in fac.values())
-
-
-def _pow_rational(base: int, gamma: Fraction) -> Fraction:
-    if base == 1:
-        return Fraction(1)
-    if gamma.denominator == 1:
-        return Fraction(base) ** gamma.numerator
-    out = Fraction(1)
-    for p, e in factorint(base).items():
-        k = Fraction(e) * gamma
-        out *= Fraction(p) ** int(k)
-    return out
 
 
 def weighted_projective_height(
@@ -334,12 +307,12 @@ def weighted_projective_height(
     norm = point.normalized()
     degree = compositum_degree([c for c in norm.coords if c is not None])
     base = projective_height(norm)
-    if _pow_rational_is_exact(degree, gamma):
-        return HeightValue(exact=base.exact.scale(_pow_rational(degree, gamma)))
+    w = rational_power(degree, gamma)
+    if w is not None:
+        return HeightValue(exact=base.exact.scale(w))
     dps = precision_digits + 12
     with _iv_workdps(dps):
-        w = iv.exp(_iv_fraction(gamma) * iv.log(iv.mpf(degree)))
-        prod = w * iv.mpf(base.exact.interval(dps))
+        prod = iv.exp(_iv_log_weight(degree, gamma)) * iv.mpf(base.exact.interval(dps))
         return HeightValue(numeric=BigFloat.from_bounds(mpf(prod.a), mpf(prod.b)))
 
 
@@ -376,7 +349,7 @@ def _interval_value(base: int, exponent: Fraction, combinations, k: int, dps: in
             if not lo > 0:
                 return None
             s += iv.log(iv.mpf([lo, hi]))
-        val = iv.exp(_iv_fraction(exponent) * iv.log(iv.mpf(base)) + s / k)
+        val = iv.exp(_iv_log_weight(base, exponent) + s / k)
         return mpf(val.a), mpf(val.b)
 
 
@@ -461,8 +434,9 @@ def lemma_chain_check(
     def report_value(base: int, g: Fraction, combs) -> HeightValue:
         """base^g * (prod of combs)^(1/#combs), exact when that is a
         rational multiple of one combination."""
-        if all(c == combs[0] for c in combs[1:]) and _pow_rational_is_exact(base, g):
-            return HeightValue(exact=combs[0].scale(_pow_rational(base, g)))
+        w = rational_power(base, g) if all(c == combs[0] for c in combs[1:]) else None
+        if w is not None:
+            return HeightValue(exact=combs[0].scale(w))
         start = precision_digits + 10
         enc = certify(
             lambda dps: _interval_value(base, g, combs, len(combs), dps),
@@ -512,8 +486,6 @@ def _census_atoms(generators, bound: int) -> list[RadicalScalar]:
     """Coordinate magnitudes of complexity <= bound: (p/q) * prod g^k
     with coprime 1 <= p, q <= bound and |k_j| <= bound; deduplicated by
     exponent vector, sorted lexicographically by exponent vector."""
-    from math import gcd
-
     atoms: dict[tuple, RadicalScalar] = {}
     k_ranges = [range(-bound, bound + 1) for _ in generators]
     for p in range(1, bound + 1):

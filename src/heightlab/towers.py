@@ -15,7 +15,12 @@ Certification enumerates monomials deterministically (shells of growing
 exponent size) and compares exact heights against the exact bound when
 the weight is an integer; failures are recorded in the certificate
 rather than raised, so deliberately broken parameter choices can be
-inspected."""
+inspected.
+
+Tower primes above 2^64 are checked by ``is_prime``: 64 Miller-Rabin
+rounds with witnesses seeded by the number, an error below 2^-128 per
+prime.  A level certificate is conditional on that test; no primality
+proof (Pocklington or other) is produced."""
 
 from __future__ import annotations
 
@@ -24,11 +29,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 
-from mpmath import iv, mp, mpf, workdps
+from mpmath import iv, mp, mpf
 
-from .heights import LogCombination, _iv_fraction, _iv_workdps
+from .heights import LogCombination, _iv_fraction, _iv_log_weight, _iv_workdps, rational_power
 from .numcore import ConstructionError, certify, is_prime, next_prime
-from .radicals import RadicalScalar, _pow_rational, _pow_rational_is_exact, radical_degree
+from .radicals import RadicalScalar, compositum_degree, radical_degree, radical_height
 
 
 @dataclass(frozen=True)
@@ -42,7 +47,8 @@ class TowerLevel:
 class TowerSpec:
     """A validated tower: weight gamma < 0, target C > 0, and per-level
     (p, q, d) with p, q prime, pairwise distinct across the tower, and
-    d >= 2."""
+    d >= 2.  Primality above 2^64 is probabilistic (see the module
+    docstring)."""
 
     gamma: Fraction
     target_c: Fraction
@@ -122,30 +128,31 @@ def _bound_combination(spec: TowerSpec, level_index: int) -> LogCombination | No
     """Exact form of the level bound when D_i^(-gamma) is rational:
     C - log(d_i) * D_i^(-gamma) / (2 (d_i - 1))."""
     lv = spec.levels[level_index - 1]
-    d_i = spec.field_degree(level_index)
-    if not _pow_rational_is_exact(d_i, -spec.gamma):
+    w = rational_power(spec.field_degree(level_index), -spec.gamma)
+    if w is None:
         return None
-    factor = _pow_rational(d_i, -spec.gamma) / (2 * (lv.d - 1))
     return LogCombination(const=spec.target_c) - LogCombination.log_of_rational(
         lv.d
-    ).scale(factor)
+    ).scale(w / (2 * (lv.d - 1)))
+
+
+def _level_bound_interval(spec: TowerSpec, level_index: int):
+    """Enclosure of the level bound C - log(d_i) / (2 D_i^gamma (d_i - 1))
+    at the current iv precision."""
+    lv = spec.levels[level_index - 1]
+    w = iv.exp(_iv_log_weight(spec.field_degree(level_index), spec.gamma))
+    return _iv_fraction(spec.target_c) - iv.log(iv.mpf(lv.d)) / (2 * w * (lv.d - 1))
 
 
 def remark_bound(spec: TowerSpec, level_index: int, precision_digits: int = 30) -> mpf:
     """Numeric value of the level-i lower bound
-    C - log(d_i) / (2 * D_i^gamma * (d_i - 1))."""
+    C - log(d_i) / (2 * D_i^gamma * (d_i - 1)): the midpoint of its
+    enclosure at precision_digits + 10."""
     if not 1 <= level_index <= spec.num_levels:
         raise IndexError("level index out of range")
-    comb = _bound_combination(spec, level_index)
-    with workdps(precision_digits + 10):
-        if comb is not None:
-            lo, hi = comb.interval(precision_digits + 10)
-            return (lo + hi) / 2
-        lv = spec.levels[level_index - 1]
-        d_i = spec.field_degree(level_index)
-        g = mpf(spec.gamma.numerator) / spec.gamma.denominator
-        c = mpf(spec.target_c.numerator) / spec.target_c.denominator
-        return c - mp.log(lv.d) / (2 * mp.power(d_i, g) * (lv.d - 1))
+    with _iv_workdps(precision_digits + 10):
+        b = _level_bound_interval(spec, level_index)
+        return (mpf(b.a) + mpf(b.b)) / 2
 
 
 MAX_PRIME_DIGITS = 400
@@ -184,11 +191,9 @@ def build_tower(
     for i, d in enumerate(schedule, start=1):
         d_partial *= d
         # exponent of the threshold exp(C * d * D^(-gamma))
-        with workdps(60):
-            g = mpf(gamma.numerator) / gamma.denominator
-            c = mpf(target_c.numerator) / target_c.denominator
-            expo = c * d * mp.power(d_partial, -g)
-            digits = expo / mp.log(10)
+        with _iv_workdps(60):
+            expo = _iv_fraction(target_c) * d * iv.exp(_iv_log_weight(d_partial, -gamma))
+            digits = mpf((expo / iv.log(10)).b)
             if digits > max_prime_digits:
                 raise ConstructionError(
                     f"level {i} needs a prime with about {mp.nstr(digits, 4)} "
@@ -197,11 +202,9 @@ def build_tower(
                 )
         # precision scaled to the digit count keeps the integer
         # threshold within 1 of exp(C * d * D^(-gamma))
-        with workdps(int(digits) + 40):
-            g = mpf(gamma.numerator) / gamma.denominator
-            c = mpf(target_c.numerator) / target_c.denominator
-            expo = c * d * mp.power(d_partial, -g)
-            threshold = int(mp.ceil(mp.exp(expo)))
+        with _iv_workdps(int(digits) + 40):
+            expo = _iv_fraction(target_c) * d * iv.exp(_iv_log_weight(d_partial, -gamma))
+            threshold = int(mp.ceil(mpf(iv.exp(expo).b)))
         q = 2
         while q in used:
             q = next_prime(q)
@@ -221,7 +224,9 @@ def build_tower(
 class LevelCertificate:
     """Result of checking sampled monomials of one level against the
     level bound.  ``passed`` means no sampled monomial fell below the
-    bound; ``strict`` additionally means every comparison was strict."""
+    bound; ``strict`` additionally means every comparison was strict.
+    Both hold on the condition that the tower primes above 2^64, which
+    are checked by Miller-Rabin only, are prime."""
 
     level: int
     bound: float
@@ -286,9 +291,10 @@ def certify_level(
         m = _monomial(spec, ks)
         deg = radical_degree(m)
         # exact weighted height whenever deg^gamma is rational
-        h_comb = _radical_height_comb(m)
-        if _pow_rational_is_exact(deg, gamma):
-            hg = h_comb.scale(_pow_rational(deg, gamma))
+        h_comb = radical_height(m).exact
+        w = rational_power(deg, gamma)
+        if w is not None:
+            hg = h_comb.scale(w)
             if bound_comb is not None:
                 s = (hg - bound_comb).sign()
             else:
@@ -319,33 +325,23 @@ def certify_level(
     )
 
 
-def _radical_height_comb(m: RadicalScalar) -> LogCombination:
-    from .radicals import radical_height
-
-    return radical_height(m).exact
-
-
 def _comb_float(hg, h_comb: LogCombination, deg: int, gamma: Fraction) -> float:
     if hg is not None:
         lo, hi = hg.interval(30)
         return float((lo + hi) / 2)
-    lo, hi = h_comb.interval(30)
-    with workdps(30):
-        return float(mp.power(deg, mpf(gamma.numerator) / gamma.denominator) * (lo + hi) / 2)
+    with _iv_workdps(30):
+        v = iv.exp(_iv_log_weight(deg, gamma)) * iv.mpf(h_comb.interval(30))
+        return float((mpf(v.a) + mpf(v.b)) / 2)
 
 
 def _sign_vs_level_bound(enclose, spec: TowerSpec, level_index: int, precision_digits: int) -> int:
-    """Certified sign of x - bound, where ``enclose(dps)`` is an iv
-    enclosure of x and the bound is C - log(d_i) / (2 D_i^gamma (d_i - 1))."""
-    lv = spec.levels[level_index - 1]
-    d_i = spec.field_degree(level_index)
+    """Certified sign of x minus the level bound, where ``enclose(dps)``
+    is an iv enclosure of x."""
 
     def attempt(dps):
         with _iv_workdps(dps):
             val = enclose(dps)
-            b = _iv_fraction(spec.target_c) - iv.log(iv.mpf(lv.d)) / (
-                2 * iv.exp(_iv_fraction(spec.gamma) * iv.log(iv.mpf(d_i))) * (lv.d - 1)
-            )
+            b = _level_bound_interval(spec, level_index)
             diff_lo = mpf(val.a) - mpf(b.b)
             diff_hi = mpf(val.b) - mpf(b.a)
         return 1 if diff_lo > 0 else -1 if diff_hi < 0 else None
@@ -373,8 +369,7 @@ def _interval_sign_weighted(
     """Sign of deg^gamma * h_comb - bound."""
 
     def enclose(dps):
-        w = iv.exp(_iv_fraction(gamma) * iv.log(iv.mpf(deg)))
-        return w * iv.mpf(h_comb.interval(dps))
+        return iv.exp(_iv_log_weight(deg, gamma)) * iv.mpf(h_comb.interval(dps))
 
     return _sign_vs_level_bound(enclose, spec, level_index, precision_digits)
 
@@ -385,8 +380,6 @@ def distinct_fields_check(towers) -> bool:
     Two radical fields coincide exactly when they have equal degree and
     their compositum has that same degree; all three degrees are
     computed exactly from the exponent lattices."""
-    from .radicals import compositum_degree
-
     gens = []
     for spec in towers:
         gens.append([spec.generator(i) for i in range(1, spec.num_levels + 1)])

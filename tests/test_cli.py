@@ -31,6 +31,22 @@ class TestHeightCommand:
         assert code == 0
         assert out.strip() == "≈ 0.2750756409"
 
+    @pytest.mark.parametrize(
+        "poly, gamma, shown",
+        [
+            ("x^2 - 2", "-1/2", "0.2450645359"),
+            ("x^2 - 2", "-1", "0.1732867951"),
+            ("x^2 - 2", "-2/3", "0.2183276809"),
+            ("x^3 - x - 1", "-1/2", "0.05411688331"),
+            ("x^3 - x - 1", "-1", "0.03124439715"),
+            ("x^3 - x - 1", "-2/3", "0.04506221836"),
+        ],
+    )
+    def test_algebraic_with_gamma(self, capsys, poly, gamma, shown):
+        code, out, _ = run(capsys, "height", f"alg: {poly}", f"--gamma={gamma}")
+        assert code == 0
+        assert out.strip() == f"≈ {shown}"
+
     def test_unfactorable_radical_exit_2(self, capsys, monkeypatch):
         # two 20-digit primes; a small budget keeps the test fast
         from heightlab import numcore

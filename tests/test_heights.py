@@ -14,6 +14,7 @@ from heightlab.heights import (
     LogCombination,
     height_value_compare,
     mahler_height,
+    rational_power,
     rational_roots,
     weighted_height,
     weil_height,
@@ -235,14 +236,35 @@ class TestWeightedHeight:
         h = weighted_height(a, -1).evaluate(40)
         with workdps(60):
             truth = mp.log(2) / 4  # 2^-1 * (1/2) log 2
-            assert abs(h.value - truth) <= h.radius + mpf(10) ** -35
+            assert abs(h.value - truth) <= h.radius
 
     def test_fractional_gamma(self):
         a = AlgebraicNumber(IntPoly([-2, 0, 1]))
         h = weighted_height(a, Fraction(-1, 2)).evaluate(40)
         with workdps(60):
             truth = mp.log(2) / 2 / mp.sqrt(2)
-            assert abs(h.value - truth) <= h.radius + mpf(10) ** -30
+            assert abs(h.value - truth) <= h.radius
+
+
+class TestRationalPower:
+    GAMMAS = [Fraction(g) for g in ("-2", "-1", "-1/2", "-1/3", "-2/3", "-3/4", "-5/6")]
+
+    @staticmethod
+    def _integer_root(n: int, k: int):
+        """The integer r with r**k == n, or None."""
+        r = round(n ** (1 / k))
+        return next((c for c in (r - 1, r, r + 1) if c > 0 and c**k == n), None)
+
+    def test_exact_when_a_rational_root_exists(self):
+        for d in range(1, 65):
+            for g in self.GAMMAS:
+                w = rational_power(d, g)
+                # a rational q with q**den = d**num is 1/r for an integer
+                # r with r**den = d**(-num)
+                root = self._integer_root(d ** -g.numerator, g.denominator)
+                assert (w is None) == (root is None), (d, g)
+                if w is not None:
+                    assert w ** g.denominator == Fraction(d) ** g.numerator
 
 
 class TestHeightValueCompare:

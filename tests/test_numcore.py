@@ -259,6 +259,15 @@ class TestBigFloat:
             assert b.value - b.radius <= lo and hi <= b.value + b.radius
             assert b.radius <= mpf(10) ** -70
 
+    def test_radius_rounded_up_at_ambient_precision(self):
+        # 1/3 at 60 digits, stored at 15: rounding to nearest would
+        # keep a radius below the one passed in
+        with workdps(60):
+            r = mpf(1) / 3
+        with workdps(15):
+            b = BigFloat(0, r)
+        assert b.radius >= r
+
     def test_from_bounds_point_and_order(self):
         b = BigFloat.from_bounds(mpf(3), mpf(3))
         assert b.value == 3 and b.radius == 0

@@ -140,6 +140,13 @@ class TestRemarkBound:
             assert abs(b1 - (mpf(7) / 10 - mp.log(2))) < mpf(10) ** -25
             assert abs(b2 - (mpf(7) / 10 - 2 * mp.log(2))) < mpf(10) ** -25
 
+    def test_values_without_exact_form(self):
+        # D_i^(1/3) is irrational at every level of [2, 8, 3]
+        spec = build_tower([2, 8, 3], Fraction(-1, 3), Fraction(69, 100))
+        assert [float(remark_bound(spec, i)) for i in (1, 2, 3)] == [
+            0.25334463826862125, 0.3157239756588182, -0.3081555066386346,
+        ]
+
     def test_index_range(self):
         spec = build_tower([2], gamma=-1, target_c=Fraction(1))
         with pytest.raises(IndexError):
