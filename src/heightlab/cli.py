@@ -46,7 +46,7 @@ from .cmlab import (
     verify_decay,
     verify_theta_faltings,
 )
-from .heights import degree_weight, mahler_height, rational_roots
+from .heights import HeightValue, degree_weight, mahler_height, rational_roots
 from .numcore import ConstructionError, IntPoly, PrecisionError, squarefree_decomposition
 from .radicals import (
     ChainViolationError,
@@ -207,6 +207,18 @@ def _write_text(path: str, text: str):
 # subcommand handlers (each returns an exit code)
 # ---------------------------------------------------------------------------
 
+def _print_height(hv: HeightValue, digits: int) -> None:
+    """'exact ≈ value' for an exact height, '≈ value (radius r)' for a
+    ball."""
+    if hv.is_exact:
+        val = hv.exact.evaluate(digits).value
+        with workdps(digits + 10):
+            print(f"{hv.exact} ≈ {mp.nstr(val, 10)}")
+    else:
+        with workdps(digits + 10):
+            print(f"≈ {mp.nstr(hv.numeric.value, 10)} (radius {mp.nstr(hv.numeric.radius, 3)})")
+
+
 def _cmd_height(args, opts) -> int:
     expr = " ".join(args.expression)
     kind, _, body = expr.partition(":")
@@ -224,12 +236,7 @@ def _cmd_height(args, opts) -> int:
             hv = radical_height(r)
         else:
             hv = weighted_projective_height(RadicalPoint([RadicalScalar.one(), r]), gamma, digits)
-        if hv.is_exact:
-            label, val = f"{hv.exact} ", hv.exact.evaluate(digits).value
-        else:
-            label, val = "", hv.numeric.value
-        with workdps(digits + 10):
-            print(f"{label}≈ {mp.nstr(val, 10)}")
+        _print_height(hv, digits)
         return 0
     poly = parse_int_poly(body)
     if poly.degree < 1:
@@ -246,10 +253,10 @@ def _cmd_height(args, opts) -> int:
             file=sys.stderr,
         )
     mh = mahler_height(poly, precision_digits=max(digits, 24))
-    with workdps(digits + 10):
-        if gamma is not None:
+    if gamma is not None:
+        with workdps(digits + 10):
             mh = mh * degree_weight(poly.degree, gamma, digits)
-        print(f"≈ {mp.nstr(mh.value, 10)}")
+    _print_height(HeightValue(numeric=mh), digits)
     return 0
 
 
@@ -260,13 +267,7 @@ def _cmd_point_height(args, opts) -> int:
         hv = weighted_projective_height(point, Fraction(args.gamma), digits)
     else:
         hv = projective_height(point)
-    if hv.is_exact:
-        val = hv.exact.evaluate(digits).value
-        with workdps(digits + 10):
-            print(f"{hv.exact} ≈ {mp.nstr(val, 10)}")
-    else:
-        with workdps(digits + 10):
-            print(f"≈ {mp.nstr(hv.numeric.value, 10)} (radius {mp.nstr(hv.numeric.radius, 3)})")
+    _print_height(hv, digits)
     return 0
 
 
@@ -315,10 +316,11 @@ def _cmd_tower_gen(args, opts) -> int:
 def _cmd_tower_certify(args, opts) -> int:
     with open(args.spec) as fh:
         spec = TowerSpec.from_json(fh.read())
-    levels = (
-        [int(args.level)] if args.level is not None
-        else list(range(1, spec.num_levels + 1))
-    )
+    if args.level is not None and not 1 <= args.level <= spec.num_levels:
+        raise UsageError(f"--level must be between 1 and {spec.num_levels}")
+    if args.monomials < 1:
+        raise UsageError("--monomials must be at least 1")
+    levels = [args.level] if args.level is not None else list(range(1, spec.num_levels + 1))
     results = []
     all_passed = True
     for i in levels:

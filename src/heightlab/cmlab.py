@@ -48,6 +48,7 @@ from .numcore import (
     _ulp_slop,
     certify,
     factorint,
+    log_plus_sum,
 )
 
 # |q| cap for the q-series; beyond this, convergence certification is
@@ -349,17 +350,7 @@ def j_height(d, precision_digits: int = 24) -> BigFloat:
     d = _disc_value(d)
     forms = reduced_forms(d)
     with workdps(precision_digits + 15):
-        acc = BigFloat(0, 0)
-        for f in forms:
-            lo, hi = _j_at(_tau_ball(f)).abs_bounds()
-            if hi <= 1:
-                continue
-            if lo >= 1:
-                llo, lhi = mp.log(lo), mp.log(hi)
-                acc = acc + BigFloat((llo + lhi) / 2, (lhi - llo) / 2 + _ulp_slop(lhi))
-            else:
-                lhi = mp.log(hi)
-                acc = acc + BigFloat(lhi / 2, lhi / 2 + _ulp_slop(lhi))
+        acc = log_plus_sum(BigFloat(0, 0), (_j_at(_tau_ball(f)) for f in forms))
         return acc / len(forms)
 
 

@@ -40,6 +40,7 @@ from .numcore import (
     certify,
     factorint,
     is_prime,
+    log_plus_sum,
     poly_roots,
 )
 
@@ -357,9 +358,7 @@ class AlgebraicNumber:
     def __init__(self, minpoly: IntPoly, approx=None, trust_irreducible: bool = False):
         if minpoly.degree < 1:
             raise ValueError("minimal polynomial must have degree >= 1")
-        minpoly = minpoly.primitive()
-        if minpoly.leading < 0:
-            minpoly = IntPoly([-c for c in minpoly.coeffs])
+        minpoly = minpoly.primitive_positive()
         if minpoly.degree >= 2:
             rr = rational_roots(minpoly)
             if rr:
@@ -404,24 +403,15 @@ def mahler_height(poly: IntPoly, precision_digits: int = 40) -> BigFloat:
     polynomial of positive degree, with certified radius.
 
     Root discs straddling the unit circle contribute the midpoint of
-    [0, log(|z|+r)] with matching radius, so heights of roots of unity
-    come out as 0 within a tiny certified radius.
+    [0, log(|z|+r)] with matching radius (``log_plus_sum``), so heights
+    of roots of unity come out as 0 within a tiny certified radius.
     """
     if poly.degree < 1:
         raise ValueError("degree >= 1 required")
     roots = poly_roots(poly, precision_digits + 10)
     with workdps(precision_digits + 15):
-        total = BigFloat(mpmath.log(abs(poly.leading)), _ulp_slop(mpf(poly.leading)))
-        for disc in roots:
-            lo, hi = disc.abs_bounds()
-            if hi <= 1:
-                continue
-            if lo >= 1:
-                total = total + disc.log_abs()
-            else:
-                top = mpmath.log(hi)
-                total = total + BigFloat(top / 2, top / 2 + _ulp_slop(top))
-        total = total * BigFloat(Fraction(1, poly.degree))
+        lead = BigFloat(mpmath.log(abs(poly.leading)), _ulp_slop(mpf(poly.leading)))
+        total = log_plus_sum(lead, roots) * BigFloat(Fraction(1, poly.degree))
         v, r = total.value, total.radius
         if v < 0:
             # mathematically >= 0; fold the undershoot into the radius

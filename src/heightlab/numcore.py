@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import mpmath
 from mpmath import mp, mpc, mpf, workdps
@@ -271,6 +271,13 @@ class IntPoly:
             return self
         return IntPoly([c // g for c in self.coeffs])
 
+    def primitive_positive(self) -> "IntPoly":
+        """The primitive part with positive leading coefficient."""
+        p = self.primitive()
+        if p.coeffs and p.leading < 0:
+            p = IntPoly([-c for c in p.coeffs])
+        return p
+
     def __call__(self, x):
         acc = 0 * x if self.coeffs else 0
         for c in reversed(self.coeffs):
@@ -313,31 +320,42 @@ class IntPoly:
         return "IntPoly(" + " ".join(terms) + ")"
 
 
+def _strip(p: list) -> list:
+    """p without trailing zero coefficients (in place)."""
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _divmod_q(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of num by den over Q, coefficients lowest
+    first; den's last coefficient is nonzero, the remainder is stripped."""
+    r = list(num)
+    dd, ld = len(den) - 1, den[-1]
+    q = [Fraction(0)] * max(len(r) - dd, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + dd] / ld
+        for i in range(dd + 1):
+            r[k + i] -= c * den[i]
+    return q, _strip(r[:dd])
+
+
 def _poly_gcd_q(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     """Monic gcd over Q, coefficients lowest first."""
-    def norm(p):
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    a, b = norm(list(a)), norm(list(b))
+    a, b = _strip(list(a)), _strip(list(b))
     while b:
-        # a mod b
-        r = list(a)
-        db, lb = len(b) - 1, b[-1]
-        while len(r) - 1 >= db and norm(r):
-            dr = len(r) - 1
-            if dr < db:
-                break
-            q = r[-1] / lb
-            for i in range(db + 1):
-                r[dr - db + i] -= q * b[i]
-            norm(r)
-        a, b = b, norm(r)
+        a, b = b, _divmod_q(a, b)[1]
     if a:
         la = a[-1]
         a = [c / la for c in a]
     return a
+
+
+def _intpoly_of(fr: list[Fraction]) -> IntPoly:
+    """The primitive integer polynomial with positive leading
+    coefficient that is a rational multiple of fr."""
+    den = lcm(*(c.denominator for c in fr))
+    return IntPoly([int(c * den) for c in fr]).primitive_positive()
 
 
 def squarefree_decomposition(p: IntPoly) -> list[tuple[IntPoly, int]]:
@@ -349,50 +367,24 @@ def squarefree_decomposition(p: IntPoly) -> list[tuple[IntPoly, int]]:
     fb = [Fraction(c) for c in p.derivative().coeffs]
     g = _poly_gcd_q(fa, fb)
     if len(g) - 1 == 0:
-        q = p.primitive()
-        if q.leading < 0:
-            q = IntPoly([-c for c in q.coeffs])
-        return [(q, 1)]
-
-    def to_intpoly(fr: list[Fraction]) -> IntPoly:
-        from math import lcm
-        den = 1
-        for c in fr:
-            den = lcm(den, c.denominator)
-        ip = IntPoly([int(c * den) for c in fr]).primitive()
-        if ip.coeffs and ip.leading < 0:
-            ip = IntPoly([-c for c in ip.coeffs])
-        return ip
-
-    def q_div(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
-        num = list(num)
-        out = [Fraction(0)] * (len(num) - len(den) + 1)
-        dd, ld = len(den) - 1, den[-1]
-        for k in range(len(out) - 1, -1, -1):
-            c = num[k + dd] / ld
-            out[k] = c
-            for i in range(dd + 1):
-                num[k + i] -= c * den[i]
-        return out
+        return [(p.primitive_positive(), 1)]
 
     out: list[tuple[IntPoly, int]] = []
-    w = q_div(fa, g)
-    y = q_div(fb, g)
+    w = _divmod_q(fa, g)[0]
+    y = _divmod_q(fb, g)[0]
     m = 1
     while True:
         wd = [Fraction(i * c) for i, c in enumerate(w)][1:]
-        z = [a - b for a, b in zip(y + [Fraction(0)] * len(wd), wd + [Fraction(0)] * len(y))]
-        while z and z[-1] == 0:
-            z.pop()
+        z = _strip([a - b for a, b in zip(y + [Fraction(0)] * len(wd), wd + [Fraction(0)] * len(y))])
         if not z:
             if len(w) > 1:
-                out.append((to_intpoly(w), m))
+                out.append((_intpoly_of(w), m))
             break
         g2 = _poly_gcd_q(list(w), list(z))
         if len(g2) > 1:
-            out.append((to_intpoly(g2), m))
-        w = q_div(w, g2)
-        y = q_div(z, g2)
+            out.append((_intpoly_of(g2), m))
+        w = _divmod_q(w, g2)[0]
+        y = _divmod_q(z, g2)[0]
         m += 1
     return [(g_i, m_i) for (g_i, m_i) in out if g_i.degree >= 1]
 
@@ -547,6 +539,22 @@ def _as_bigfloat(x) -> BigFloat:
         v = mpf(x.numerator) / mpf(x.denominator)
         return BigFloat(v, _ulp_slop(v))
     return BigFloat(x)
+
+
+def log_plus_sum(total: BigFloat, balls) -> BigFloat:
+    """total + sum of log max(1, |z|) over the balls z.  Balls with
+    |z| <= 1 add nothing; a ball straddling the unit circle adds the
+    midpoint of [0, log(|z|+r)] with matching radius."""
+    for z in balls:
+        lo, hi = z.abs_bounds()
+        if hi <= 1:
+            continue
+        if lo >= 1:
+            total = total + z.log_abs()
+        else:
+            top = mpmath.log(hi)
+            total = total + BigFloat(top / 2, top / 2 + _ulp_slop(top))
+    return total
 
 
 # ---------------------------------------------------------------------------

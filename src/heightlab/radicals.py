@@ -52,30 +52,31 @@ from .numcore import (
     BigFloat,
     IntMatrix,
     certify,
-    factorint,
-    is_prime,
     smith_normal_form,
 )
 
 
 class RadicalScalar:
     """prod_p p^{exponents[p]} with rational exponents; always the
-    positive real value.  Canonical: zero exponents dropped, primes
-    validated and sorted."""
+    positive real value.  Held as its logarithm, a LogCombination with
+    zero constant, so products, quotients and powers of scalars are
+    sums, differences and multiples of logs."""
 
-    __slots__ = ("exponents",)
+    __slots__ = ("_log",)
 
     def __init__(self, exponents=None):
-        ex = {}
-        for p, e in (exponents or {}).items():
-            e = Fraction(e)
-            if e == 0:
-                continue
-            p = int(p)
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-            ex[p] = e
-        self.exponents = dict(sorted(ex.items()))
+        self._log = LogCombination(exponents)
+
+    @staticmethod
+    def _of(log: LogCombination) -> "RadicalScalar":
+        a = RadicalScalar.__new__(RadicalScalar)
+        a._log = log
+        return a
+
+    @property
+    def exponents(self) -> dict[int, Fraction]:
+        """{prime: exponent}, zero exponents dropped, sorted by prime."""
+        return self._log.coeffs
 
     @staticmethod
     def one() -> "RadicalScalar":
@@ -86,32 +87,23 @@ class RadicalScalar:
         q = Fraction(q)
         if q <= 0:
             raise ValueError("radical scalars are positive")
-        ex: dict[int, Fraction] = {}
-        for p, e in factorint(q.numerator).items():
-            ex[p] = ex.get(p, Fraction(0)) + e
-        for p, e in factorint(q.denominator).items():
-            ex[p] = ex.get(p, Fraction(0)) - e
-        return RadicalScalar(ex)
+        return RadicalScalar._of(LogCombination.log_of_rational(q))
 
     def is_one(self) -> bool:
-        return not self.exponents
+        return self._log.is_zero()
 
     def __mul__(self, other: "RadicalScalar") -> "RadicalScalar":
-        ex = dict(self.exponents)
-        for p, e in other.exponents.items():
-            ex[p] = ex.get(p, Fraction(0)) + e
-        return RadicalScalar(ex)
+        return RadicalScalar._of(self._log + other._log)
 
     def __truediv__(self, other: "RadicalScalar") -> "RadicalScalar":
-        return self * other.pow(-1)
+        return RadicalScalar._of(self._log - other._log)
 
     def pow(self, k) -> "RadicalScalar":
-        k = Fraction(k)
-        return RadicalScalar({p: e * k for p, e in self.exponents.items()})
+        return RadicalScalar._of(self._log.scale(k))
 
     def log_value(self) -> LogCombination:
         """log of the scalar, as an exact combination."""
-        return LogCombination(self.exponents)
+        return self._log
 
     def value_interval(self, dps: int):
         with _iv_workdps(dps):
@@ -119,7 +111,7 @@ class RadicalScalar:
             return mpf(val.a), mpf(val.b)
 
     def __eq__(self, other):
-        return isinstance(other, RadicalScalar) and self.exponents == other.exponents
+        return isinstance(other, RadicalScalar) and self._log == other._log
 
     def __hash__(self):
         return hash(("RadicalScalar", tuple(self.exponents.items())))
@@ -142,10 +134,7 @@ class RadicalScalar:
 def radical_degree(a: RadicalScalar) -> int:
     """[Q(a) : Q]: the least m with a**m rational, which is the lcm of
     the exponent denominators."""
-    d = 1
-    for e in a.exponents.values():
-        d = lcm(d, e.denominator)
-    return d
+    return lcm(*(e.denominator for e in a.exponents.values()))
 
 
 def compositum_degree(scalars) -> int:
@@ -156,10 +145,7 @@ def compositum_degree(scalars) -> int:
     primes = sorted({p for s in scalars for p in s.exponents})
     if not primes:
         return 1
-    m = 1
-    for s in scalars:
-        for e in s.exponents.values():
-            m = lcm(m, e.denominator)
+    m = lcm(*map(radical_degree, scalars))
     if m == 1:
         return 1
     n = len(primes)

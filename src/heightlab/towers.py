@@ -281,6 +281,8 @@ def certify_level(
     are recorded as failures, never raised."""
     if not 1 <= level_index <= spec.num_levels:
         raise IndexError("level index out of range")
+    if num_monomials < 1:
+        raise ValueError("num_monomials must be at least 1")
     gamma = spec.gamma
     bound_comb = _bound_combination(spec, level_index)
     bound_val = remark_bound(spec, level_index)

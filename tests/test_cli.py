@@ -29,7 +29,7 @@ class TestHeightCommand:
         # 2^(-1/3) is irrational, so the weighted height is a ball
         code, out, _ = run(capsys, "height", "rad: 2 ^ 1/2", "--gamma=-1/3")
         assert code == 0
-        assert out.strip() == "≈ 0.2750756409"
+        assert out.strip() == "≈ 0.2750756409 (radius 7.05e-38)"
 
     @pytest.mark.parametrize(
         "poly, gamma, shown",
@@ -43,9 +43,17 @@ class TestHeightCommand:
         ],
     )
     def test_algebraic_with_gamma(self, capsys, poly, gamma, shown):
+        radius = {
+            ("x^2 - 2", "-1/2"): "1.96e-34",
+            ("x^2 - 2", "-1"): "1.39e-34",
+            ("x^2 - 2", "-2/3"): "1.75e-34",
+            ("x^3 - x - 1", "-1/2"): "4.33e-35",
+            ("x^3 - x - 1", "-1"): "2.5e-35",
+            ("x^3 - x - 1", "-2/3"): "3.61e-35",
+        }[poly, gamma]
         code, out, _ = run(capsys, "height", f"alg: {poly}", f"--gamma={gamma}")
         assert code == 0
-        assert out.strip() == f"≈ {shown}"
+        assert out.strip() == f"≈ {shown} (radius {radius})"
 
     def test_unfactorable_radical_exit_2(self, capsys, monkeypatch):
         # two 20-digit primes; a small budget keeps the test fast
@@ -67,7 +75,7 @@ class TestHeightCommand:
         assert code == 0
         assert "reducible" in err
         # roots of unity: height 0 up to the certified radius
-        assert abs(float(out.split("≈")[1])) < 1e-30
+        assert abs(float(out.split("≈")[1].split("(")[0])) < 1e-30
 
     def test_parse_error_exit_2(self, capsys):
         code, _, err = run(capsys, "height", "rad: 2 ^^ 3")
@@ -229,6 +237,19 @@ class TestTowerCommands:
         )
         assert code == 1
         assert "FAILED" in out
+
+    @pytest.mark.parametrize(
+        "flags", [["--level", "0"], ["--level", "2"], ["--monomials", "0"]]
+    )
+    def test_certify_bad_level_or_count_exit_2(self, capsys, tmp_path, flags):
+        spec = tmp_path / "one.json"
+        spec.write_text('{"gamma": "-1", "C": "1", "levels": [{"p": "3", "q": "2", "d": 2}]}')
+        code, out, err = run(
+            capsys, "tower", "certify", str(spec), *flags, "--out", str(tmp_path)
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: --")
+        assert [p.name for p in tmp_path.iterdir()] == ["one.json"]
 
     def test_certify_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run(

@@ -74,6 +74,55 @@ class TestRadicalScalar:
         assert len({a, b}) == 1
 
 
+class TestRadicalScalarIsItsLog:
+    """A radical scalar is a view of its log: products, quotients and
+    powers of scalars are sums, differences and multiples of logs."""
+
+    PRIMES = (2, 3, 5, 7, 11, 13, 101)
+
+    @staticmethod
+    def _random_exponents(rng):
+        primes = rng.sample(TestRadicalScalarIsItsLog.PRIMES, rng.randint(0, 4))
+        return {p: Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for p in primes}
+
+    def test_from_rational_is_log_of_rational(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            q = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
+            a = RadicalScalar.from_rational(q)
+            assert a.log_value() == LogCombination.log_of_rational(q)
+            assert a.log_value().const == 0
+        with pytest.raises(ValueError, match="radical scalars are positive"):
+            RadicalScalar.from_rational(0)
+
+    def test_arithmetic_is_log_arithmetic(self):
+        rng = random.Random(12)
+        for _ in range(300):
+            ea, eb = self._random_exponents(rng), self._random_exponents(rng)
+            a, b = RadicalScalar(ea), RadicalScalar(eb)
+            k = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            assert (a * b).log_value() == a.log_value() + b.log_value()
+            assert (a / b).log_value() == a.log_value() - b.log_value()
+            assert a.pow(k).log_value() == a.log_value().scale(k)
+            merged = {p: ea.get(p, 0) + eb.get(p, 0) for p in sorted(set(ea) | set(eb))}
+            assert (a * b).exponents == {p: e for p, e in merged.items() if e}
+            assert (a / a).is_one()
+
+    def test_equal_scalars_hash_equally(self):
+        rng = random.Random(13)
+        for _ in range(200):
+            ea, eb = self._random_exponents(rng), self._random_exponents(rng)
+            a, b = RadicalScalar(ea), RadicalScalar(eb)
+            shuffled = {19: Fraction(0), **dict(reversed(list(ea.items())))}
+            for same in ((a * b) / b, RadicalScalar(shuffled), a.pow(2).pow(Fraction(1, 2))):
+                assert same == a and hash(same) == hash(a)
+
+    def test_non_prime_key(self):
+        for n in (1, 4, 6, 9, 91, 2**61 + 1):
+            with pytest.raises(ValueError, match=f"^{n} is not prime$"):
+                RadicalScalar({n: Fraction(1, 2)})
+
+
 class TestDegrees:
     def test_radical_degree(self):
         assert radical_degree(RadicalScalar.one()) == 1

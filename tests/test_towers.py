@@ -187,6 +187,14 @@ class TestCertifyLevel:
         cert = certify_level(spec, 1, num_monomials=100)
         assert cert.passed
 
+    def test_no_monomials_is_an_error(self):
+        # a certificate over no monomials would pass vacuously
+        spec = TowerSpec(gamma=Fraction(-1), target_c=Fraction(1), levels=((3, 2, 2),))
+        with pytest.raises(ValueError, match="num_monomials"):
+            certify_level(spec, 1, num_monomials=0)
+        with pytest.raises(IndexError):
+            certify_level(spec, 2)
+
 
 class TestDistinctFields:
     def test_distinct_across_seeds(self):

@@ -1,0 +1,51 @@
+"""The names the benchmark's tracer binds all exist in heightlab.
+
+``bench/tracer.py`` wraps heightlab functions by their dotted names, so
+renaming or deleting one of them in ``src/`` breaks every traced
+benchmark run.  This loads the tracer by path, without installing it,
+and resolves each name the way ``Tracer.install`` does.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+from heightlab import cmlab, heights, numcore, towers
+
+TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _owner(path: str):
+    """(object, attribute) for 'module.name' or 'module.Class.name'."""
+    mod, *rest = path.split(".")
+    obj = importlib.import_module(f"heightlab.{mod}")
+    for part in rest[:-1]:
+        obj = getattr(obj, part)
+    return obj, rest[-1]
+
+
+def test_every_traced_name_resolves():
+    tracer = _tracer()
+    for name in tracer.SPANS + tracer.COUNTERS:
+        obj, attr = _owner(name)
+        assert callable(vars(obj).get(attr)), name
+    for name, methods in tracer.BALL_OPS.items():
+        cls, _ = _owner(name + ".method")
+        for meth in methods:
+            assert callable(vars(cls).get(meth)), f"{name}.{meth}"
+    # rebound to observe root isolation; read as the second argument
+    assert callable(numcore.workdps)
+    assert list(inspect.signature(heights.LogCombination.interval).parameters) == ["self", "dps"]
+
+
+def test_identities_the_benchmark_asserts():
+    assert cmlab._ulp_slop is heights._ulp_slop is numcore._ulp_slop
+    assert heights.is_prime is towers.is_prime is numcore.is_prime
