@@ -9,7 +9,6 @@ from .numcore import (
     IntMatrix,
     IntPoly,
     PrecisionError,
-    VerificationFailure,
     factorint,
     is_prime,
     next_prime,

@@ -193,14 +193,29 @@ def _param_hash(config: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def _output_path(out_dir: str, experiment: str, config: dict, ext: str) -> str:
+def _output_path(out_dir: str, config: dict, ext: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
-    return os.path.join(out_dir, f"{experiment}-{_param_hash(config)}.{ext}")
+    return os.path.join(out_dir, f"{config['experiment']}-{_param_hash(config)}.{ext}")
 
 
-def _write_text(path: str, text: str):
-    with open(path, "w") as fh:
-        fh.write(text)
+def _write_artifacts(out_dir: str, config: dict, label: str, **files) -> None:
+    """Write each ``ext=content`` to <out_dir>/<experiment>-<hash12>.<ext>,
+    with the experiment named by config["experiment"].  Text is written
+    as it is; any other content as sorted JSON with one-space indent
+    and a final newline.  Prints '<label> written to <path>' for the
+    first file."""
+    paths = [_output_path(out_dir, config, ext) for ext in files]
+    for path, content in zip(paths, files.values()):
+        if not isinstance(content, str):
+            content = json.dumps(content, sort_keys=True, indent=1) + "\n"
+        with open(path, "w") as fh:
+            fh.write(content)
+    print(f"{label} written to {paths[0]}")
+
+
+def _ball_text(ball, digits: int) -> str:
+    """'≈ value (radius r)', the value to ``digits`` significant digits."""
+    return f"≈ {mp.nstr(ball.value, digits)} (radius {mp.nstr(ball.radius, 3)})"
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +226,9 @@ def _print_height(hv: HeightValue, digits: int) -> None:
     """'exact ≈ value' for an exact height, '≈ value (radius r)' for a
     ball."""
     if hv.is_exact:
-        val = hv.exact.evaluate(digits).value
-        with workdps(digits + 10):
-            print(f"{hv.exact} ≈ {mp.nstr(val, 10)}")
+        print(f"{hv.exact} ≈ {mp.nstr(hv.exact.evaluate(digits).value, 10)}")
     else:
-        with workdps(digits + 10):
-            print(f"≈ {mp.nstr(hv.numeric.value, 10)} (radius {mp.nstr(hv.numeric.radius, 3)})")
+        print(_ball_text(hv.numeric, 10))
 
 
 def _cmd_height(args, opts) -> int:
@@ -305,11 +317,9 @@ def _cmd_tower_gen(args, opts) -> int:
         "C": repr(float(args.target_c)),
         "seed": opts["seed"],
     }
-    path = _output_path(opts["out"], "tower-gen", config, "json")
-    _write_text(path, spec.to_json() + "\n")
     for i, lv in enumerate(spec.levels, start=1):
         print(f"level {i}: d={lv.d} q={lv.q} p has {len(str(lv.p))} digits")
-    print(f"spec written to {path}")
+    _write_artifacts(opts["out"], config, "spec", json=spec.to_json() + "\n")
     return 0
 
 
@@ -346,30 +356,21 @@ def _cmd_tower_certify(args, opts) -> int:
         "monomials": args.monomials,
         "precision": opts["precision"],
     }
-    path = _output_path(opts["out"], "tower-certify", config, "json")
-    _write_text(
-        path,
-        json.dumps(
+    certificate = {
+        "passed": all_passed,
+        "levels": [
             {
-                "passed": all_passed,
-                "levels": [
-                    {
-                        "level": c.level,
-                        "bound": c.bound,
-                        "monomials_checked": c.monomials_checked,
-                        "failures": [list(f["exponents"]) for f in c.failures],
-                        "passed": c.passed,
-                        "strict": c.strict,
-                    }
-                    for c in results
-                ],
-            },
-            sort_keys=True,
-            indent=1,
-        )
-        + "\n",
-    )
-    print(f"certificate written to {path}")
+                "level": c.level,
+                "bound": c.bound,
+                "monomials_checked": c.monomials_checked,
+                "failures": [list(f["exponents"]) for f in c.failures],
+                "passed": c.passed,
+                "strict": c.strict,
+            }
+            for c in results
+        ],
+    }
+    _write_artifacts(opts["out"], config, "certificate", json=certificate)
     return 0 if all_passed else 1
 
 
@@ -382,12 +383,11 @@ def _cmd_cm_scan(args, opts) -> int:
     records = cm_scan(args.dmax, opts["precision"], opts["workers"])
     if opts["format"] == "json":
         text = records_to_json(records, config)
-        path = _output_path(opts["out"], "cm-scan", config, "json")
     else:
         text = records_to_csv(records, _param_hash(config))
-        path = _output_path(opts["out"], "cm-scan", config, "csv")
-    _write_text(path, text)
-    print(f"{len(records)} discriminants written to {path}")
+    _write_artifacts(
+        opts["out"], config, f"{len(records)} discriminants", **{opts["format"]: text}
+    )
     return 0
 
 
@@ -396,12 +396,7 @@ def _cmd_cm_faltings(args, opts) -> int:
         args.discriminant, opts["precision"],
         normalization_offset=args.offset,
     )
-    with workdps(opts["precision"] + 10):
-        print(
-            f"faltings_height({args.discriminant}) ≈ "
-            f"{mp.nstr(fh.value, min(opts['precision'], 20))} "
-            f"(radius {mp.nstr(fh.radius, 3)})"
-        )
+    print(f"faltings_height({args.discriminant}) {_ball_text(fh, min(opts['precision'], 20))}")
     return 0
 
 
@@ -409,12 +404,8 @@ def _cmd_cm_theta(args, opts) -> int:
     form = reduced_forms(args.discriminant)[0]
     tau = form.tau(opts["precision"])
     nulls = theta_null_point(tau, opts["precision"])
-    with workdps(opts["precision"] + 10):
-        for j, th in enumerate(nulls):
-            print(
-                f"theta_{j} ≈ {mp.nstr(th.value, min(opts['precision'], 20))} "
-                f"(radius {mp.nstr(th.radius, 3)})"
-            )
+    for j, th in enumerate(nulls):
+        print(f"theta_{j} {_ball_text(th, min(opts['precision'], 20))}")
     return 0
 
 
@@ -425,19 +416,15 @@ def _cmd_cm_verify_tf(args, opts) -> int:
         "dmax": args.dmax,
         "precision": opts["precision"],
     }
-    path = _output_path(opts["out"], "cm-verify-tf", config, "json")
-    slim = {k: v for k, v in report.items() if k != "records"}
-    _write_text(path, json.dumps(slim, sort_keys=True, indent=1) + "\n")
-    dat = _output_path(opts["out"], "cm-verify-tf", config, "dat")
-    _write_text(
-        dat,
-        "".join(f"{-d} {q} {r}\n" for d, q, r in report["quotients"]),
-    )
     print(
         f"fitted constant {report['fitted_constant']:.6f} "
         f"(radius {report['fitted_radius']:.2e}, argmax D={report['argmax_d']})"
     )
-    print(f"report written to {path}")
+    _write_artifacts(
+        opts["out"], config, "report",
+        json={k: v for k, v in report.items() if k != "records"},
+        dat="".join(f"{-d} {q} {r}\n" for d, q, r in report["quotients"]),
+    )
     return 0 if report["passed"] else 1
 
 
@@ -450,20 +437,17 @@ def _cmd_cm_verify_decay(args, opts) -> int:
         "dmax": args.dmax,
         "precision": opts["precision"],
     }
-    path = _output_path(opts["out"], "cm-verify-decay", config, "json")
-    _write_text(path, json.dumps(report, sort_keys=True, indent=1) + "\n")
-    dat = _output_path(opts["out"], "cm-verify-decay", config, "dat")
-    _write_text(
-        dat,
-        "".join(
+    for c in report["checkpoints"]:
+        print(f"env(|D| >= {c['X_effective']}) = {c['envelope']:.6f}")
+    print(f"{'decay confirmed' if report['passed'] else 'decay NOT confirmed'}")
+    _write_artifacts(
+        opts["out"], config, "report",
+        json=report,
+        dat="".join(
             f"{c['X_effective']} {c['envelope']} {c['radius']}\n"
             for c in report["checkpoints"]
         ),
     )
-    for c in report["checkpoints"]:
-        print(f"env(|D| >= {c['X_effective']}) = {c['envelope']:.6f}")
-    print(f"{'decay confirmed' if report['passed'] else 'decay NOT confirmed'}")
-    print(f"report written to {path}")
     return 0 if report["passed"] else 1
 
 
@@ -478,8 +462,6 @@ def _cmd_cm_finiteness(args, opts) -> int:
         "cprime": repr(float(args.cprime)),
         "precision": opts["precision"],
     }
-    path = _output_path(opts["out"], "cm-finiteness", config, "json")
-    _write_text(path, json.dumps(report, sort_keys=True, indent=1) + "\n")
     print(
         f"{report['count']} discriminants with ratio <= {args.cprime} "
         f"and |D| <= {args.dmax}"
@@ -488,7 +470,7 @@ def _cmd_cm_finiteness(args, opts) -> int:
         print(
             f"  D={q['D']} h={q['class_number']} ratio={q['ratio']:.6f}"
         )
-    print(f"report written to {path}")
+    _write_artifacts(opts["out"], config, "report", json=report)
     return 0
 
 
@@ -571,8 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cm_scan)
     p = csub.add_parser("faltings", parents=[common])
     p.add_argument("-D", "--discriminant", type=int, required=True)
-    p.add_argument("--offset", type=float, default=None,
-                   help="normalization offset (default -log(2)/2)")
+    p.add_argument("--offset", type=Fraction, default=None,
+                   help="normalization offset, e.g. 1/3 or 0.1 (default -log(2)/2)")
     p.set_defaults(func=_cmd_cm_faltings)
     p = csub.add_parser("theta", parents=[common])
     p.add_argument("-D", "--discriminant", type=int, required=True)

@@ -14,10 +14,11 @@ fundamental domain.  On top of that sit:
 
 * the stable Faltings height as the class-group average of
   s(tau) = -(1/12) log(|Delta(tau)| (Im tau)^6), an SL2(Z)-invariant
-  quantity, plus a normalization offset.  The default offset
-  -(1/2) log 2 converts the lattice-period term to the standard
-  normalization of the semistable height (volume form scaled by
-  (2pi)^(-2), algebraic discriminant (2pi)^12 Delta);
+  quantity, plus a normalization offset.  With the default offset
+  -(1/2) log 2 the result is Deligne's normalization (Séminaire
+  Bourbaki 616, 1985) plus (1/2) log 2pi: for d = -3, Chowla-Selberg
+  gives -0.748752485503... in Deligne's normalization, and this
+  module 0.170186047...;
 
 * level-2 theta null points (theta_0 : theta_1 : theta_2 : theta_3)
   with theta_j(tau) = sum over m = j mod 4 of w^(m^2), w = exp(pi i
@@ -34,11 +35,14 @@ from __future__ import annotations
 import json
 import multiprocessing
 from dataclasses import dataclass
-from functools import lru_cache
+from bisect import bisect_left
+from functools import lru_cache, reduce
+from itertools import accumulate
 from math import gcd, isqrt
 
-from mpmath import mp, mpc, mpf, workdps
+from mpmath import iv, mp, mpc, mpf, workdps
 
+from .heights import _iv_workdps
 from .numcore import (
     DEFAULT_DIGITS,
     BigFloat,
@@ -343,15 +347,23 @@ def hilbert_class_poly(d) -> IntPoly:
 # heights
 # ---------------------------------------------------------------------------
 
+def _class_average(d, precision_digits: int, term, total=sum) -> BigFloat:
+    """The class-group average (1/h) * total(terms, zero ball) at
+    precision_digits + 15 digits, where the terms are term(tau) for the
+    CM point ball tau of each of the h reduced forms of d, in order.
+    ``total`` is ``sum`` or another fold with its arguments."""
+    forms = reduced_forms(d)
+    with workdps(precision_digits + 15):
+        return total((term(_tau_ball(f)) for f in forms), BigFloat(0, 0)) / len(forms)
+
+
 def j_height(d, precision_digits: int = 24) -> BigFloat:
     """Weil height of the j-invariant of discriminant d: the class
     polynomial is monic with algebraic-integer roots, so the height is
     the average of log max(1, |j|) over the reduced forms."""
-    d = _disc_value(d)
-    forms = reduced_forms(d)
-    with workdps(precision_digits + 15):
-        acc = log_plus_sum(BigFloat(0, 0), (_j_at(_tau_ball(f)) for f in forms))
-        return acc / len(forms)
+    return _class_average(
+        d, precision_digits, _j_at, lambda js, zero: log_plus_sum(zero, js)
+    )
 
 
 def s_invariant(tau, precision_digits: int = DEFAULT_DIGITS) -> BigFloat:
@@ -384,21 +396,13 @@ def faltings_height_cm(d, precision_digits: int = 24, normalization_offset=None)
     """Stable Faltings height of a CM elliptic curve with CM by the
     order of discriminant d: the class-group average of s(tau) plus a
     normalization offset (default -(1/2) log 2; see the module
-    docstring)."""
-    d = _disc_value(d)
-    forms = reduced_forms(d)
+    docstring).  A Fraction offset is enclosed with its rounding
+    radius; ints, floats and balls are taken as they are."""
+    avg = _class_average(d, precision_digits, _s_at)
     with workdps(precision_digits + 15):
-        acc = BigFloat(0, 0)
-        for f in forms:
-            acc = acc + _s_at(_tau_ball(f))
-        acc = acc / len(forms)
         if normalization_offset is None:
-            off = _default_offset()
-        elif isinstance(normalization_offset, BigFloat):
-            off = normalization_offset
-        else:
-            off = BigFloat(mpf(normalization_offset), 0)
-        return acc + off
+            return avg + _default_offset()
+        return avg + _as_bigfloat(normalization_offset)
 
 
 # ---------------------------------------------------------------------------
@@ -451,30 +455,25 @@ def _theta_nulls(w: BigFloat):
             raise PrecisionError("theta series did not converge")
 
 
+def _theta_term(tau: BigFloat) -> BigFloat:
+    """log(||v||_2 / max_j |theta_j|) for the theta null vector v at
+    tau, enclosed in interval arithmetic at the working precision and
+    clamped below at 0 (||v||_2 >= max_j |theta_j|)."""
+    bounds = [th.abs_bounds() for th in _theta_nulls(_theta_w(tau))]
+    mx_lo = max(lo for lo, _ in bounds)
+    if not mx_lo > 0:
+        raise PrecisionError("theta maximum not separated from zero")
+    with _iv_workdps(mp.dps):
+        l2 = iv.sqrt(iv.fsum(iv.mpf(b) ** 2 for b in bounds))
+        term = iv.log(l2 / iv.mpf([mx_lo, max(hi for _, hi in bounds)]))
+        return BigFloat.from_bounds(max(mpf(term.a), mpf(0)), mpf(term.b))
+
+
 def theta_height_estimate(d, precision_digits: int = 24) -> BigFloat:
     """Archimedean height estimate of the theta null orbit: the
     class-group average of log(||v||_2 / max_j |theta_j|), where v is
     the theta null vector.  Nonnegative by construction."""
-    d = _disc_value(d)
-    forms = reduced_forms(d)
-    with workdps(precision_digits + 15):
-        acc = BigFloat(0, 0)
-        for f in forms:
-            nulls = _theta_nulls(_theta_w(_tau_ball(f)))
-            bounds = [th.abs_bounds() for th in nulls]
-            l2_lo = mp.sqrt(mp.fsum(lo * lo for lo, _ in bounds))
-            l2_hi = mp.sqrt(mp.fsum(hi * hi for _, hi in bounds))
-            mx_lo = max(lo for lo, _ in bounds)
-            mx_hi = max(hi for _, hi in bounds)
-            if not mx_lo > 0:
-                raise PrecisionError("theta maximum not separated from zero")
-            term_lo = mp.log(l2_lo / mx_hi) if l2_lo > mx_hi else mpf(0)
-            term_hi = mp.log(l2_hi / mx_lo)
-            if term_hi < term_lo:
-                term_hi = term_lo
-            mid = (term_lo + term_hi) / 2
-            acc = acc + BigFloat(mid, (term_hi - term_lo) / 2 + _ulp_slop(mid, 1))
-        return acc / len(forms)
+    return _class_average(d, precision_digits, _theta_term)
 
 
 # ---------------------------------------------------------------------------
@@ -561,49 +560,41 @@ CSV_HEADER = (
 )
 
 
+def _row(r: CMRecord) -> tuple:
+    """The CSV_HEADER columns of one record: D and h as ints, heights
+    to 15 significant digits, the error radius to 3."""
+    balls = (r.j_height, r.faltings_height, r.theta_height_est, r.residual, r.ratio)
+    return (
+        r.d,
+        r.class_number,
+        *(mp.nstr(b.value, 15) for b in balls),
+        mp.nstr(r.error_radius, 3),
+    )
+
+
 def records_to_csv(records, config_hash: str = "") -> str:
     """Deterministic CSV: one comment line naming the producing tool
     and configuration hash, the fixed header, then one row per record
     with values printed to 15 significant digits."""
-    lines = [f"# heightlab cm scan; config {config_hash or 'unhashed'}"]
-    lines.append(CSV_HEADER)
-    for r in records:
-        lines.append(
-            ",".join(
-                [
-                    str(r.d),
-                    str(r.class_number),
-                    mp.nstr(r.j_height.value, 15),
-                    mp.nstr(r.faltings_height.value, 15),
-                    mp.nstr(r.theta_height_est.value, 15),
-                    mp.nstr(r.residual.value, 15),
-                    mp.nstr(r.ratio.value, 15),
-                    mp.nstr(r.error_radius, 3),
-                ]
-            )
-        )
+    lines = [f"# heightlab cm scan; config {config_hash or 'unhashed'}", CSV_HEADER]
+    lines.extend(",".join(map(str, _row(r))) for r in records)
     return "\n".join(lines) + "\n"
 
 
 def records_to_json(records, config: dict | None = None) -> str:
     """Deterministic JSON mirror of the CSV content."""
+    columns = CSV_HEADER.split(",")
     payload = {
         "config": config or {},
-        "records": [
-            {
-                "D": r.d,
-                "class_number": r.class_number,
-                "j_height": mp.nstr(r.j_height.value, 15),
-                "faltings_height": mp.nstr(r.faltings_height.value, 15),
-                "theta_height_est": mp.nstr(r.theta_height_est.value, 15),
-                "residual": mp.nstr(r.residual.value, 15),
-                "ratio": mp.nstr(r.ratio.value, 15),
-                "error_radius": mp.nstr(r.error_radius, 3),
-            }
-            for r in records
-        ],
+        "records": [dict(zip(columns, _row(r))) for r in records],
     }
     return json.dumps(payload, sort_keys=True, indent=1)
+
+
+def _ball_max(a: BigFloat, b: BigFloat) -> BigFloat:
+    """Ball enclosing max(x, y) for x in a and y in b: the larger
+    midpoint with the larger radius (max is 1-Lipschitz)."""
+    return BigFloat(a.value if a.value > b.value else b.value, max(a.radius, b.radius))
 
 
 # --- light path: Faltings ratios only --------------------------------------
@@ -639,36 +630,16 @@ def verify_decay(
             checkpoints.append(d_max)
     checkpoints = sorted(set(int(x) for x in checkpoints))
     abs_ds = [-d for d, _, _, _ in rows]
-    # suffix maxima of the ratios (as BigFloat, radius = max radius)
-    suffix: list[BigFloat] = [None] * len(rows)
-    cur = None
-    for i in range(len(rows) - 1, -1, -1):
-        r = rows[i][3]
-        if cur is None:
-            cur = r
-        else:
-            cur = BigFloat(
-                r.value if r.value > cur.value else cur.value,
-                max(r.radius, cur.radius),
-            )
-        suffix[i] = cur
-    max_abs_d = abs_ds[-1]
-    envelope = []
-    for x in checkpoints:
-        x_eff = min(x, max_abs_d)
-        idx = next(i for i, ad in enumerate(abs_ds) if ad >= x_eff)
-        x_eff = abs_ds[idx] if x_eff > abs_ds[idx] else x_eff
-        env = suffix[idx]
-        envelope.append(
-            {
-                "X": x,
-                "X_effective": x_eff,
-                "envelope": float(env.value),
-                "radius": float(env.radius),
-            }
-        )
-    first = suffix[next(i for i, ad in enumerate(abs_ds) if ad >= min(checkpoints[0], max_abs_d))]
-    last = suffix[next(i for i, ad in enumerate(abs_ds) if ad >= min(checkpoints[-1], max_abs_d))]
+    # suffix[i]: the maximum of the ratios from row i on
+    suffix = list(accumulate((row[3] for row in reversed(rows)), _ball_max))[::-1]
+    capped = [min(x, abs_ds[-1]) for x in checkpoints]
+    # env(X) is the suffix maximum from the first row with |d| >= X
+    envs = [suffix[bisect_left(abs_ds, x)] for x in capped]
+    envelope = [
+        {"X": x, "X_effective": xc, "envelope": float(e.value), "radius": float(e.radius)}
+        for x, xc, e in zip(checkpoints, capped, envs)
+    ]
+    first, last = envs[0], envs[-1]
     passed = (last.value + last.radius) < (first.value - first.radius)
     return {
         "d_max": d_max,
@@ -679,6 +650,22 @@ def verify_decay(
         ],
         "passed": bool(passed),
     }
+
+
+def _tf_quotient(r: CMRecord) -> BigFloat:
+    """The record's residual over log(min(theta est, Faltings) + 2),
+    clamped below at 0, enclosed in interval arithmetic at the working
+    precision."""
+    tv, fv = r.theta_height_est, r.faltings_height
+    # the smaller midpoint with the larger radius encloses the minimum
+    m_val, m_rad = min(tv.value, fv.value), max(tv.radius, fv.radius)
+    res = r.residual
+    with _iv_workdps(mp.dps):
+        den = iv.log(iv.mpf(m_val) + iv.mpf([-m_rad, m_rad]) + 2)
+        if not den.a > 0:
+            raise PrecisionError("comparison denominator degenerate")
+        q = (iv.mpf(res.value) + iv.mpf([-res.radius, res.radius])) / den
+        return BigFloat.from_bounds(max(mpf(q.a), mpf(0)), mpf(q.b))
 
 
 def verify_theta_faltings(
@@ -695,33 +682,10 @@ def verify_theta_faltings(
     if not records:
         raise ValueError("no fundamental discriminants in range")
     with workdps(precision_digits + 15):
-        c_fit = None
-        argmax_d = None
-        per_d = []
-        for r in records:
-            tv, fv = r.theta_height_est, r.faltings_height
-            m_val = tv.value if tv.value < fv.value else fv.value
-            m_rad = max(tv.radius, fv.radius)
-            den_lo = mp.log(m_val - m_rad + 2)
-            den_hi = mp.log(m_val + m_rad + 2)
-            if not den_lo > 0:
-                raise PrecisionError("comparison denominator degenerate")
-            q_hi = (r.residual.value + r.residual.radius) / den_lo
-            q_lo = (r.residual.value - r.residual.radius) / den_hi
-            if q_lo < 0:
-                q_lo = mpf(0)
-            q = BigFloat((q_lo + q_hi) / 2, (q_hi - q_lo) / 2)
-            per_d.append((r.d, q))
-            if c_fit is None:
-                c_fit = q
-                argmax_d = r.d
-            else:
-                if q.value > c_fit.value:
-                    argmax_d = r.d
-                c_fit = BigFloat(
-                    q.value if q.value > c_fit.value else c_fit.value,
-                    max(q.radius, c_fit.radius),
-                )
+        per_d = [(r.d, _tf_quotient(r)) for r in records]
+        c_fit = reduce(_ball_max, (q for _, q in per_d))
+    # the first d whose quotient has the largest midpoint
+    argmax_d = max(per_d, key=lambda dq: dq[1].value)[0]
     return {
         "d_max": d_max,
         "precision_digits": precision_digits,

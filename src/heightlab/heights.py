@@ -129,24 +129,37 @@ class LogCombination:
             cs[p] = cs.get(p, Fraction(0)) - e
         return LogCombination(cs)
 
+    @classmethod
+    def _canonical(cls, coeffs: dict, const: Fraction) -> "LogCombination":
+        """From Fraction coefficients keyed by already validated primes
+        and a Fraction constant: drops zeros and sorts, and checks
+        nothing."""
+        out = cls.__new__(cls)
+        out.coeffs = {p: r for p, r in sorted(coeffs.items()) if r}
+        out.const = const
+        return out
+
     def is_zero(self) -> bool:
         return not self.coeffs and self.const == 0
 
-    def __add__(self, other: "LogCombination") -> "LogCombination":
+    def _plus(self, other: "LogCombination", sign: int) -> "LogCombination":
         cs = dict(self.coeffs)
         for p, r in other.coeffs.items():
-            cs[p] = cs.get(p, Fraction(0)) + r
-        return LogCombination(cs, self.const + other.const)
+            cs[p] = cs.get(p, 0) + sign * r
+        return LogCombination._canonical(cs, self.const + sign * other.const)
 
-    def __neg__(self) -> "LogCombination":
-        return LogCombination({p: -r for p, r in self.coeffs.items()}, -self.const)
+    def __add__(self, other: "LogCombination") -> "LogCombination":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "LogCombination") -> "LogCombination":
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def __neg__(self) -> "LogCombination":
+        return self.scale(-1)
 
     def scale(self, q) -> "LogCombination":
         q = Fraction(q)
-        return LogCombination(
+        return LogCombination._canonical(
             {p: r * q for p, r in self.coeffs.items()}, self.const * q
         )
 

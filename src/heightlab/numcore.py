@@ -48,10 +48,6 @@ class ConstructionError(ValueError):
     """A requested object cannot be built within configured bounds."""
 
 
-class VerificationFailure(RuntimeError):
-    """An experiment's verification predicate failed."""
-
-
 def certify(attempt, dps: int, max_dps: int, what: str):
     """First result of ``attempt`` that is not None, trying it at dps,
     2*dps, 4*dps, ... while the precision stays at most ``max_dps``.

@@ -300,6 +300,15 @@ class TestCMCommands:
         assert "faltings_height(-4)" in out
         assert "0.18077055" in out
 
+    def test_faltings_rational_offset(self, capsys):
+        # 1/3 and 0.1 are read as exact rationals, not as binary floats
+        code, out, _ = run(capsys, "cm", "faltings", "-D", "-4", "--offset", "1/3")
+        assert code == 0
+        assert "≈ 0.86067747383116929864 (radius" in out
+        code, out, _ = run(capsys, "cm", "faltings", "-D", "-4", "--offset", "0.1")
+        assert code == 0
+        assert "≈ 0.62734414049783596531 (radius" in out
+
     def test_faltings_bad_disc_exit_2(self, capsys):
         code, _, err = run(capsys, "cm", "faltings", "-D", "-5")
         assert code == 2
@@ -347,6 +356,48 @@ class TestCMCommands:
         files = os.listdir(tmp_path)
         assert any(f.endswith(".json") for f in files)
         assert any(f.endswith(".dat") for f in files)
+
+
+class TestArtifacts:
+    # <experiment>-<hash12>.<ext> for fixed parameters; the hashes cover
+    # the parameter sets, so a change here renames users' files
+    NAMES = [
+        "cm-finiteness-bb0a2af7b03c.json",
+        "cm-scan-3f686b773fcb.csv",
+        "cm-scan-fe2a49b5bb42.json",
+        "cm-verify-decay-abedf9541246.dat",
+        "cm-verify-decay-abedf9541246.json",
+        "cm-verify-tf-0501a5ee5d44.dat",
+        "cm-verify-tf-0501a5ee5d44.json",
+        "tower-certify-d324309b4f60.json",
+        "tower-gen-b53447ace9ce.json",
+    ]
+
+    @staticmethod
+    def write_all(capsys, out):
+        out = str(out)
+        code, text, _ = run(capsys, "tower", "gen", "--degrees", "2,2", "--C", "1/2", "--out", out)
+        assert code == 0
+        spec = text.strip().split("spec written to ")[-1]
+        commands = [
+            ["tower", "certify", spec, "--monomials", "40"],
+            ["cm", "scan", "--dmax", "40"],
+            ["cm", "scan", "--dmax", "30", "--format", "json"],
+            ["cm", "verify-tf", "--dmax", "60", "--precision", "18"],
+            ["cm", "verify-decay", "--dmax", "400", "--precision", "18"],
+            ["cm", "finiteness", "--dmax", "60", "--cprime", "0.05"],
+        ]
+        for argv in commands:
+            code, text, _ = run(capsys, *argv, "--out", out)
+            assert code == 0, argv
+            written = text.strip().split(" written to ")[-1]
+            assert os.path.dirname(written) == out
+        return {name: (Path(out) / name).read_bytes() for name in sorted(os.listdir(out))}
+
+    def test_names_pinned_and_rerun_identical(self, capsys, tmp_path):
+        first = self.write_all(capsys, tmp_path / "a")
+        assert list(first) == self.NAMES
+        assert self.write_all(capsys, tmp_path / "b") == first
 
 
 class TestConfigFile:

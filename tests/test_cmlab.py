@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
@@ -253,6 +254,32 @@ class TestFaltings:
             diff = shifted.value - base.value
             assert abs(diff - mp.log(2) / 2) < mpf(10) ** -20
 
+    def test_fraction_offset(self):
+        base = faltings_height_cm(-4, 30, normalization_offset=0)
+        third = faltings_height_cm(-4, 30, normalization_offset=Fraction(1, 3))
+        assert third.radius > base.radius  # 1/3 carries its rounding radius
+        with workdps(80):
+            gap = abs(third.value - base.value - mpf(1) / 3)
+            assert gap <= third.radius + base.radius
+
+    @pytest.mark.parametrize("d", [-3, -4, -7, -8, -23, -163, -15, -84])
+    def test_deligne_normalization_plus_half_log_2pi(self, d):
+        # Chowla-Selberg through Lerch's formula: in Deligne's
+        # normalization the stable Faltings height is
+        #   -(w / 4h) * sum_{a=1}^{|d|} chi_d(a) log Gamma(a/|d|) + (1/4) log|d|,
+        # with w roots of unity, h the class number and chi_d the
+        # Kronecker symbol (d/.); mpmath's loggamma is the oracle
+        n = -d
+        w = {3: 6, 4: 4}.get(n, 2)
+        h = brute_class_number(d)
+        f = faltings_height_cm(d, 40)
+        with workdps(70):
+            s = mp.fsum(kronecker(d, a) * mp.loggamma(mpf(a) / n) for a in range(1, n + 1))
+            deligne = -w * s / (4 * h) + mp.log(n) / 4
+            if d == -3:
+                assert abs(deligne - mpf("-0.74875248550333782792")) < mpf(10) ** -20
+            assert abs(f.value - deligne - mp.log(2 * mp.pi) / 2) <= f.radius + mpf(10) ** -60
+
 
 class TestThetaNulls:
     def test_bitwise_equal_odd_buckets(self):
@@ -294,6 +321,12 @@ class TestThetaNulls:
         for d in (-3, -4, -23, -47):
             est = theta_height_estimate(d, 24)
             assert est.value >= 0
+
+    def test_height_estimate_encloses_higher_precision(self):
+        for d in (-3, -23, -47, -71):
+            lo, hi = theta_height_estimate(d, 20), theta_height_estimate(d, 60)
+            with workdps(100):
+                assert abs(hi.value - lo.value) + hi.radius <= lo.radius
 
 
 class TestCMRecord:
@@ -355,10 +388,17 @@ class TestScan:
             assert int(parts[0]) < 0
 
     def test_json_valid(self):
-        text = records_to_json(cm_scan(30, 20), {"precision": 20})
-        data = json.loads(text)
+        records = cm_scan(30, 20)
+        data = json.loads(records_to_json(records, {"precision": 20}))
         assert data["config"]["precision"] == 20
         assert len(data["records"]) == len(fundamental_discriminants(30))
+        # each JSON record holds the cells of its CSV row, D and h as ints
+        lines = records_to_csv(records).strip().split("\n")
+        header = lines[1].split(",")
+        for rec, row in zip(data["records"], lines[2:]):
+            assert sorted(rec) == sorted(header)
+            assert isinstance(rec["D"], int) and isinstance(rec["class_number"], int)
+            assert [str(rec[k]) for k in header] == row.split(",")
 
 
 class TestVerifyDecay:

@@ -107,6 +107,29 @@ class TestLogCombination:
         with pytest.raises(ValueError):
             LogCombination({-2: Fraction(1)})
 
+    def test_arithmetic_does_not_revalidate_primes(self, monkeypatch):
+        from heightlab import heights
+
+        a = LogCombination({2: Fraction(1, 2), 5: Fraction(-3)}, const=Fraction(1, 3))
+        b = LogCombination({2: Fraction(-1, 2), 3: Fraction(2)}, const=Fraction(2))
+        want = [
+            LogCombination({3: Fraction(2), 5: Fraction(-3)}, const=Fraction(7, 3)),
+            LogCombination({2: Fraction(1), 3: Fraction(-2), 5: Fraction(-3)}, const=Fraction(-5, 3)),
+            LogCombination({2: Fraction(-1, 2), 5: Fraction(3)}, const=Fraction(-1, 3)),
+            LogCombination({2: Fraction(-3, 4), 5: Fraction(9, 2)}, const=Fraction(-1, 2)),
+            LogCombination(),
+        ]
+
+        def no_primality(p):
+            raise AssertionError("is_prime called on an already validated prime")
+
+        monkeypatch.setattr(heights, "is_prime", no_primality)
+        got = [a + b, a - b, -a, a.scale(Fraction(-3, 2)), a.scale(0)]
+        assert got == want
+        assert [list(c.coeffs) for c in got] == [list(c.coeffs) for c in want]
+        assert [hash(c) for c in got] == [hash(c) for c in want]
+        assert all(isinstance(c.const, Fraction) for c in got)
+
 
 class TestRationalRoots:
     def test_known(self):
