@@ -463,7 +463,7 @@ def _cmd_cm_finiteness(args, opts) -> int:
         "precision": opts["precision"],
     }
     print(
-        f"{report['count']} discriminants with ratio <= {args.cprime} "
+        f"{report['count']} discriminants with ratio <= {config['cprime']} "
         f"and |D| <= {args.dmax}"
     )
     for q in report["qualifying"]:
@@ -567,7 +567,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cm_verify_decay)
     p = csub.add_parser("finiteness", parents=[common])
     p.add_argument("--dmax", type=int, required=True)
-    p.add_argument("--cprime", type=float, required=True)
+    p.add_argument("--cprime", type=Fraction, required=True,
+                   help="ratio bound, taken exactly, e.g. 1/3 or 0.05")
     p.set_defaults(func=_cmd_cm_finiteness)
 
     return parser

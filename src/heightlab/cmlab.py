@@ -36,11 +36,13 @@ import json
 import multiprocessing
 from dataclasses import dataclass
 from bisect import bisect_left
+from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate
 from math import gcd, isqrt
 
 from mpmath import iv, mp, mpc, mpf, workdps
+from mpmath.libmp import to_rational
 
 from .heights import _iv_workdps
 from .numcore import (
@@ -49,7 +51,7 @@ from .numcore import (
     IntPoly,
     PrecisionError,
     _as_bigfloat,
-    _ulp_slop,
+    _ulp_slop,  # bound for bench/test_bench.py only; just numcore calls it
     certify,
     factorint,
     log_plus_sum,
@@ -252,12 +254,8 @@ def _eisenstein_e4(q: BigFloat) -> BigFloat:
     return BigFloat(total.value, total.radius + tail)
 
 
-_TWO_PI_I_SLOP = 8
-
-
 def _q_from_tau(tau: BigFloat) -> BigFloat:
-    two_pi_i = BigFloat(mpc(0, 2) * mp.pi, _ulp_slop(mp.pi) * _TWO_PI_I_SLOP)
-    return (two_pi_i * tau).exp()
+    return (BigFloat.rounded(mpc(0, 2) * mp.pi) * tau).exp()
 
 
 def modular_discriminant(tau, precision_digits: int = DEFAULT_DIGITS) -> BigFloat:
@@ -305,9 +303,9 @@ def j_invariant(tau, precision_digits: int = DEFAULT_DIGITS) -> BigFloat:
 
 def _tau_ball(form: ReducedForm) -> BigFloat:
     """CM point of a form, at ambient precision, as a disc."""
-    root = mp.sqrt(mpf(-form.discriminant))
-    val = mpc(-form.b, root) / (2 * form.a)
-    return BigFloat(val, _ulp_slop(val) * 4)
+    # two roundings (sqrt, then division), each within an ulp of Im tau <= |tau|
+    tau = mpc(-form.b, mp.sqrt(-form.discriminant)) / (2 * form.a)
+    return BigFloat.rounded(tau, 2)
 
 
 def hilbert_class_poly(d) -> IntPoly:
@@ -377,19 +375,12 @@ def s_invariant(tau, precision_digits: int = DEFAULT_DIGITS) -> BigFloat:
 
 
 def _s_at(t: BigFloat) -> BigFloat:
-    y_val = t.value.imag
-    if not y_val - t.radius > 0:
+    y = BigFloat(t.value.imag, t.radius)
+    if not y.bounds()[0] > 0:
         raise ValueError("tau must lie in the upper half plane")
-    y = BigFloat(y_val, t.radius)
     q = _q_from_tau(t)
     log_f = _eta_product(q).log_abs()
-    pi_bf = BigFloat(mp.pi, _ulp_slop(mp.pi))
-    return pi_bf * y / 6 - log_f * 2 - y.log_abs() / 2
-
-
-def _default_offset() -> BigFloat:
-    v = -mp.log(2) / 2
-    return BigFloat(v, _ulp_slop(v))
+    return BigFloat.rounded(mp.pi) * y / 6 - log_f * 2 - y.log_abs() / 2
 
 
 def faltings_height_cm(d, precision_digits: int = 24, normalization_offset=None) -> BigFloat:
@@ -401,7 +392,7 @@ def faltings_height_cm(d, precision_digits: int = 24, normalization_offset=None)
     avg = _class_average(d, precision_digits, _s_at)
     with workdps(precision_digits + 15):
         if normalization_offset is None:
-            return avg + _default_offset()
+            return avg + BigFloat.rounded(-mp.log(2) / 2)
         return avg + _as_bigfloat(normalization_offset)
 
 
@@ -423,8 +414,7 @@ def theta_null_point(tau, precision_digits: int = DEFAULT_DIGITS):
 
 def _theta_w(tau: BigFloat) -> BigFloat:
     """The theta nome w = exp(pi i tau / 4) of a tau ball."""
-    pi_i_4 = BigFloat(mpc(0, 1) * mp.pi / 4, _ulp_slop(mp.pi) * 4)
-    return (pi_i_4 * tau).exp()
+    return (BigFloat.rounded(mpc(0, 1) * mp.pi / 4) * tau).exp()
 
 
 def _theta_nulls(w: BigFloat):
@@ -639,8 +629,7 @@ def verify_decay(
         {"X": x, "X_effective": xc, "envelope": float(e.value), "radius": float(e.radius)}
         for x, xc, e in zip(checkpoints, capped, envs)
     ]
-    first, last = envs[0], envs[-1]
-    passed = (last.value + last.radius) < (first.value - first.radius)
+    passed = envs[-1].bounds()[1] < envs[0].bounds()[0]
     return {
         "d_max": d_max,
         "precision_digits": precision_digits,
@@ -659,12 +648,11 @@ def _tf_quotient(r: CMRecord) -> BigFloat:
     tv, fv = r.theta_height_est, r.faltings_height
     # the smaller midpoint with the larger radius encloses the minimum
     m_val, m_rad = min(tv.value, fv.value), max(tv.radius, fv.radius)
-    res = r.residual
     with _iv_workdps(mp.dps):
         den = iv.log(iv.mpf(m_val) + iv.mpf([-m_rad, m_rad]) + 2)
         if not den.a > 0:
             raise PrecisionError("comparison denominator degenerate")
-        q = (iv.mpf(res.value) + iv.mpf([-res.radius, res.radius])) / den
+        q = iv.mpf(r.residual.bounds()) / den
         return BigFloat.from_bounds(max(mpf(q.a), mpf(0)), mpf(q.b))
 
 
@@ -704,16 +692,18 @@ def finiteness_demo(
 ) -> dict:
     """Bounded-ratio demonstration: the fundamental discriminants with
     |d| <= d_max whose ratio (Faltings height / class number) is
-    certified at most c_prime.  Inclusion and exclusion are decided by
-    disc bounds, escalating precision on borderline cases."""
-    c_prime = mpf(c_prime)
+    certified at most c_prime, a float, int or Fraction taken exactly.
+    Inclusion and exclusion compare the exact ends of each ratio ball
+    with c_prime, escalating precision on borderline cases."""
+    c_prime = Fraction(c_prime)
     rows = _per_discriminant(_ratio_row, d_max, precision_digits, workers, chunksize=16)
     qualifying = []
 
+    def ends(row):
+        return [Fraction(*to_rational(e._mpf_)) for e in row[3].bounds()]
+
     def separated(row):
-        ratio = row[3]
-        hi = ratio.value + ratio.radius
-        lo = ratio.value - ratio.radius
+        lo, hi = ends(row)
         return row if hi <= c_prime or lo > c_prime else None
 
     for row in rows:
@@ -725,7 +715,7 @@ def finiteness_demo(
                 f"ratio bound of discriminant {d}",
             )
         _, h, fh, ratio = row
-        if ratio.value + ratio.radius <= c_prime:
+        if ends(row)[1] <= c_prime:
             qualifying.append(
                 {
                     "D": d,

@@ -28,15 +28,14 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import mpmath
-from mpmath import iv, mp, mpf, workdps
-from mpmath.libmp import mpf_add, mpf_sub
+from mpmath import iv, mpf, workdps
 
 from .numcore import (
     DEFAULT_DIGITS,
     BigFloat,
     IntPoly,
     PrecisionError,
-    _ulp_slop,
+    _ulp_slop,  # bound for bench/test_bench.py only; just numcore calls it
     certify,
     factorint,
     is_prime,
@@ -256,8 +255,7 @@ class HeightValue:
         numeric."""
         if self.is_exact:
             return self.exact.interval(dps)
-        v, r = self.numeric.value._mpf_, self.numeric.radius._mpf_
-        return mp.make_mpf(mpf_sub(v, r, 0)), mp.make_mpf(mpf_add(v, r, 0))
+        return self.numeric.bounds()
 
     def __repr__(self) -> str:
         if self.is_exact:
@@ -415,15 +413,15 @@ def mahler_height(poly: IntPoly, precision_digits: int = 40) -> BigFloat:
     """(log|lc| + sum log max(1,|root|)) / deg for any integer
     polynomial of positive degree, with certified radius.
 
-    Root discs straddling the unit circle contribute the midpoint of
-    [0, log(|z|+r)] with matching radius (``log_plus_sum``), so heights
-    of roots of unity come out as 0 within a tiny certified radius.
+    Root discs straddling the unit circle contribute the ball of
+    [0, log(|z|+r)] (``log_plus_sum``), so heights of roots of unity
+    come out as 0 within a tiny certified radius.
     """
     if poly.degree < 1:
         raise ValueError("degree >= 1 required")
     roots = poly_roots(poly, precision_digits + 10)
     with workdps(precision_digits + 15):
-        lead = BigFloat(mpmath.log(abs(poly.leading)), _ulp_slop(mpf(poly.leading)))
+        lead = BigFloat(abs(poly.leading)).log_abs()
         total = log_plus_sum(lead, roots) * BigFloat(Fraction(1, poly.degree))
         v, r = total.value, total.radius
         if v < 0:

@@ -18,8 +18,12 @@ Two policies make every numeric decision certified:
   raised past ``max_dps``;
 
 * ``BigFloat.from_bounds(lo, hi)`` is the one conversion of an
-  enclosure into a ball: the midpoint is exact and the radius rounded
-  up, so the ball contains [lo, hi] whatever the ambient precision.
+  enclosure into a ball, and ``BigFloat.bounds()`` the one reading of
+  a real ball's ends: midpoints and ends are exact and radii rounded
+  up, so neither depends on the ambient precision.
+
+Rounding allowances are computed only here: in the ball operations,
+``BigFloat.rounded`` and root isolation.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from math import gcd, isqrt, lcm
 
 import mpmath
 from mpmath import mp, mpc, mpf, workdps
-from mpmath.libmp import mpf_add, mpf_pos, mpf_shift, mpf_sub, round_ceiling
+from mpmath.libmp import mpf_add, mpf_pos, mpf_shift, mpf_sub, round_ceiling, to_rational
 
 DEFAULT_DIGITS = 64
 
@@ -437,9 +441,17 @@ class BigFloat:
         ball.radius = rad
         return ball
 
-    @property
-    def is_complex(self) -> bool:
-        return isinstance(self.value, mpc) and self.value.imag != 0
+    @classmethod
+    def rounded(cls, value, steps: int = 1) -> "BigFloat":
+        """The ball of a value that mpmath computed in ``steps``
+        correctly rounded operations at the current precision."""
+        return cls(value, steps * _ulp_slop(value))
+
+    def bounds(self) -> tuple[mpf, mpf]:
+        """The exact ends value - radius and value + radius of a real
+        ball, whatever the ambient precision."""
+        v, r = self.value._mpf_, self.radius._mpf_
+        return mp.make_mpf(mpf_sub(v, r, 0)), mp.make_mpf(mpf_add(v, r, 0))
 
     def __repr__(self) -> str:
         return f"BigFloat({mpmath.nstr(self.value, 17)} ± {mpmath.nstr(self.radius, 3)})"
@@ -533,14 +545,14 @@ def _as_bigfloat(x) -> BigFloat:
         return x
     if isinstance(x, Fraction):
         v = mpf(x.numerator) / mpf(x.denominator)
-        return BigFloat(v, _ulp_slop(v))
+        return BigFloat(v) if Fraction(*to_rational(v._mpf_)) == x else BigFloat.rounded(v)
     return BigFloat(x)
 
 
 def log_plus_sum(total: BigFloat, balls) -> BigFloat:
     """total + sum of log max(1, |z|) over the balls z.  Balls with
     |z| <= 1 add nothing; a ball straddling the unit circle adds the
-    midpoint of [0, log(|z|+r)] with matching radius."""
+    ball of [0, log(|z|+r)]."""
     for z in balls:
         lo, hi = z.abs_bounds()
         if hi <= 1:
@@ -548,8 +560,7 @@ def log_plus_sum(total: BigFloat, balls) -> BigFloat:
         if lo >= 1:
             total = total + z.log_abs()
         else:
-            top = mpmath.log(hi)
-            total = total + BigFloat(top / 2, top / 2 + _ulp_slop(top))
+            total = total + BigFloat.from_bounds(0, BigFloat.rounded(mpmath.log(hi)).bounds()[1])
     return total
 
 
@@ -651,11 +662,8 @@ def poly_roots(poly: IntPoly, precision_digits: int = DEFAULT_DIGITS) -> list[Bi
     for factor, mult in squarefree_decomposition(poly):
         if factor.degree == 1:
             c0, c1 = factor.coeffs
-            root = Fraction(-c0, c1)
             with workdps(max(precision_digits + 15, 30)):
-                v = mpf(root.numerator) / mpf(root.denominator)
-                rad = mpf(0) if v == root else _ulp_slop(v)
-                discs = [BigFloat(v, rad)]
+                discs = [_as_bigfloat(Fraction(-c0, c1))]
         else:
             discs = _dk_roots(factor, precision_digits)
         out.extend(d for d in discs for _ in range(mult))

@@ -339,6 +339,26 @@ class TestCMCommands:
         assert code == 0
         assert out.strip().startswith("0 discriminants")
 
+    def test_finiteness_bound_just_below_ratio(self, capsys, tmp_path):
+        # the ratio of D = -3 is 0.17018604770133491386..., 8.9e-20 above
+        # this bound's double; the CLI's 53-bit precision must not decide
+        code, out, _ = run(
+            capsys, "cm", "finiteness", "--dmax", "3",
+            "--cprime", "0.1701860477013349", "--out", str(tmp_path),
+        )
+        assert code == 0
+        assert out.strip().startswith("0 discriminants with ratio <= 0.1701860477013349 ")
+
+    def test_finiteness_rational_bound(self, capsys, tmp_path):
+        code, out, _ = run(
+            capsys, "cm", "finiteness", "--dmax", "4", "--cprime", "1/3",
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        assert out.startswith("2 discriminants with ratio <= 0.3333333333333333 and |D| <= 4\n")
+        report = json.loads(Path(out.strip().split(" written to ")[-1]).read_text())
+        assert report["c_prime"] == 1 / 3
+
     def test_verify_tf_small(self, capsys, tmp_path):
         code, out, _ = run(
             capsys,

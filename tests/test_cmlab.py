@@ -31,7 +31,7 @@ from heightlab.cmlab import (
 )
 from heightlab import cmlab
 from heightlab.heights import mahler_height
-from heightlab.numcore import BigFloat, PrecisionError
+from heightlab.numcore import BigFloat, PrecisionError, _ulp_slop
 
 
 def brute_class_number(d: int) -> int:
@@ -167,6 +167,43 @@ class TestJInvariant:
             assert abs(j0.value - other.value) <= j0.radius + other.radius + mpf(10) ** -25
 
 
+class TestConstantBalls:
+    @pytest.mark.parametrize("dps", [15, 39, 250])
+    def test_pi_constants_enclose_their_values(self, dps):
+        with workdps(dps):
+            pi = BigFloat.rounded(mp.pi)
+            two_pi_i = BigFloat.rounded(mpc(0, 2) * mp.pi)
+            pi_i_4 = BigFloat.rounded(mpc(0, 1) * mp.pi / 4)
+        # no wider than the hand-picked allowance they replace
+        assert two_pi_i.radius <= 64 * mp.pi * mpf(10) ** -dps
+        with workdps(dps + 120):
+            for ball, exact in ((pi, mp.pi), (two_pi_i, 2j * mp.pi), (pi_i_4, 1j * mp.pi / 4)):
+                assert abs(ball.value - exact) <= ball.radius
+
+    @pytest.mark.parametrize("dps", [24, 40])
+    def test_tau_balls_enclose_cm_points(self, dps):
+        for d in range(-3, -501, -1):
+            if d % 4 not in (0, 1):
+                continue
+            for f in reduced_forms(d):
+                with workdps(dps):
+                    tau = cmlab._tau_ball(f)
+                    assert tau.radius <= 4 * _ulp_slop(tau.value)
+                with workdps(120):
+                    exact = mpc(-f.b, mp.sqrt(-d)) / (2 * f.a)
+                    assert abs(tau.value - exact) <= tau.radius
+
+    def test_nomes_enclose_their_values(self):
+        for f in reduced_forms(-56) + reduced_forms(-163):
+            with workdps(30):
+                tau = cmlab._tau_ball(f)
+                q, w = cmlab._q_from_tau(tau), cmlab._theta_w(tau)
+            with workdps(120):
+                exact = mpc(-f.b, mp.sqrt(-f.discriminant)) / (2 * f.a)
+                assert abs(q.value - mp.exp(2j * mp.pi * exact)) <= q.radius
+                assert abs(w.value - mp.exp(1j * mp.pi * exact / 4)) <= w.radius
+
+
 class TestHilbertClassPoly:
     def test_h1_discs(self):
         assert hilbert_class_poly(-3).coeffs == (0, 1)
@@ -261,6 +298,13 @@ class TestFaltings:
         with workdps(80):
             gap = abs(third.value - base.value - mpf(1) / 3)
             assert gap <= third.radius + base.radius
+
+    def test_dyadic_fraction_offset_is_exact(self):
+        half = faltings_height_cm(-4, 24, Fraction(1, 2))
+        point_five = faltings_height_cm(-4, 24, 0.5)
+        assert (half.value, half.radius) == (point_five.value, point_five.radius)
+        third = faltings_height_cm(-4, 24, Fraction(1, 3))
+        assert third.radius > half.radius
 
     @pytest.mark.parametrize("d", [-3, -4, -7, -8, -23, -163, -15, -84])
     def test_deligne_normalization_plus_half_log_2pi(self, d):
@@ -413,6 +457,18 @@ class TestVerifyDecay:
         with pytest.raises(ValueError):
             verify_decay(d_max=2, checkpoints=[1])
 
+    def test_passed_read_from_exact_ends(self, monkeypatch):
+        # 40-digit ratios 1e-20 apart with radius 1e-30: certified
+        # decay, though both envelopes round to the same double
+        def ratio_row(d, precision_digits):
+            with workdps(40):
+                ratio = BigFloat(mpf("0.5") + (mpf("1e-20") if d == -3 else 0), mpf("1e-30"))
+            return d, 1, ratio, ratio
+
+        monkeypatch.setattr(cmlab, "_ratio_row", ratio_row)
+        out = verify_decay(d_max=8, checkpoints=[3, 8], precision_digits=20)
+        assert out["passed"] is True
+
     def test_workers_identical(self):
         kw = dict(d_max=200, checkpoints=[20, 100, 200], precision_digits=18)
         assert verify_decay(workers=2, **kw) == verify_decay(workers=1, **kw)
@@ -442,6 +498,27 @@ class TestFinitenessDemo:
         out = finiteness_demo(60, 0.5, 20)
         for q in out["qualifying"]:
             assert q["ratio"] <= 0.5 + 1e-12
+
+    def test_bound_just_below_ratio_excludes_it(self):
+        # the double nearest the ratio of d = -3 lies 8.9e-20 below it;
+        # read at 53 bits, the ball's upper end rounds onto that double
+        ratio = cmlab._ratio_row(-3, 20)[3]
+        c_prime = float(ratio.value)
+        with workdps(60):
+            assert mpf(c_prime) < ratio.value - ratio.radius
+        out = finiteness_demo(3, c_prime, 20)
+        assert out["qualifying"] == []
+
+    def test_rational_bound_taken_exactly(self, monkeypatch):
+        # a ratio between float(1/3) and 1/3 is below the Fraction and
+        # above the float
+        def faltings(d, precision_digits):
+            with workdps(40):
+                return BigFloat(mpf("0.33333333333333332"), mpf("1e-30"))
+
+        monkeypatch.setattr(cmlab, "faltings_height_cm", faltings)
+        assert [q["D"] for q in finiteness_demo(3, Fraction(1, 3), 20)["qualifying"]] == [-3]
+        assert finiteness_demo(3, 1 / 3, 20)["qualifying"] == []
 
     def test_separates_at_sixteen_times_precision(self, monkeypatch):
         # a Faltings height whose disc straddles the bound 0.55 below

@@ -244,6 +244,14 @@ class TestWeilHeight:
             h2 = mahler_height(IntPoly(list(reversed(p.coeffs))), 40)
             assert abs(h1.value - h2.value) <= h1.radius + h2.radius + mpf(10) ** -35
 
+    def test_leading_term_radius_scales_with_its_log(self):
+        # 10^30 x + 1: the leading term log(10^30) is about 69, so its
+        # rounding allowance is near 1e-53, not near 10^30 * 1e-55
+        h = mahler_height(IntPoly([1, 10**30]), 40)
+        assert h.radius < mpf(10) ** -45
+        with workdps(80):
+            assert abs(h.value - 30 * mp.log(10)) <= h.radius
+
     def test_power_rule(self):
         # h(2^(1/2)) = (1/2) log 2, h(2^(1/3)) = (1/3) log 2
         for d in (2, 3, 4, 5):

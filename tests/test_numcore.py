@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpc, mpf, workdps
@@ -165,6 +167,14 @@ class TestPolyRoots:
         assert len(roots) == 1
         assert roots[0].value == mpf(3) / 2
 
+    def test_linear_root_exact_only_when_dyadic(self):
+        # 1/(2^200 - 1) rounds to 2^-200, which a double holds exactly;
+        # the root is not that double, so its disc needs a radius
+        root = poly_roots(IntPoly([-1, 2**200 - 1]), 20)[0]
+        assert root.radius > 0
+        with workdps(250):
+            assert abs(root.value - mpf(1) / (2**200 - 1)) <= root.radius
+
     def test_roots_satisfy_polynomial(self):
         rng = random.Random(17)
         for _ in range(15):
@@ -267,6 +277,35 @@ class TestBigFloat:
         with workdps(15):
             b = BigFloat(0, r)
         assert b.radius >= r
+
+    def test_bounds_exact_at_low_ambient_precision(self):
+        # at 53 bits both ends would round to the double nearest 1/3
+        with workdps(40):
+            b = BigFloat(mpf(1) / 3, mpf(10) ** -30)
+        lo, hi = b.bounds()
+        assert lo < b.value < hi
+        with workdps(120):
+            assert lo == b.value - b.radius and hi == b.value + b.radius
+
+    def test_rounded_is_value_with_steps_allowances(self):
+        with workdps(30):
+            for steps in (1, 2):
+                b = BigFloat.rounded(mp.pi, steps)
+                assert b.value == mp.pi
+                assert b.radius >= steps * numcore._ulp_slop(mp.pi)
+            assert BigFloat.rounded(2).radius > 0
+
+    def test_fraction_ball_radius_zero_only_when_exact(self):
+        with workdps(30):
+            balls = {q: numcore._as_bigfloat(q) for q in (
+                Fraction(3, 4), Fraction(-5), Fraction(1, 3), Fraction(1, 2**200 - 1)
+            )}
+        assert balls[Fraction(3, 4)].radius == 0 and balls[Fraction(-5)].radius == 0
+        with workdps(250):
+            for q, b in balls.items():
+                assert abs(b.value - mpf(q.numerator) / q.denominator) <= b.radius
+        assert balls[Fraction(1, 3)].radius > 0
+        assert balls[Fraction(1, 2**200 - 1)].radius > 0
 
     def test_from_bounds_point_and_order(self):
         b = BigFloat.from_bounds(mpf(3), mpf(3))
@@ -389,3 +428,17 @@ class TestSmithNormalForm:
     def test_rectangular(self):
         self._check([[6, 10, 15]])
         self._check([[6], [10], [15]])
+
+
+def test_ulp_slop_called_only_in_numcore():
+    # rounding allowances are numcore's alone: every other module gets
+    # its balls from BigFloat.rounded, from_bounds or ball arithmetic
+    callers = set()
+    for path in sorted(Path(numcore.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name == "_ulp_slop":
+                    callers.add(path.name)
+    assert callers == {"numcore.py"}
