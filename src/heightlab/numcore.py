@@ -23,7 +23,10 @@ Two policies make every numeric decision certified:
   up, so neither depends on the ambient precision.
 
 Rounding allowances are computed only here: in the ball operations,
-``BigFloat.rounded`` and root isolation.
+``BigFloat.rounded`` and root isolation.  Ball midpoints carry the
+working precision; ball radii carry _RADIUS_BITS (53) bits, each step
+of their arithmetic rounded up through libmpf, so a radius is exact as
+a float and costs the same at 39 digits as at 250.
 """
 
 from __future__ import annotations
@@ -35,7 +38,28 @@ from math import gcd, isqrt, lcm
 
 import mpmath
 from mpmath import mp, mpc, mpf, workdps
-from mpmath.libmp import mpf_add, mpf_pos, mpf_shift, mpf_sub, round_ceiling, to_rational
+from mpmath.libmp import (
+    fone,
+    from_man_exp,
+    from_rational,
+    fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_div,
+    mpf_gt,
+    mpf_le,
+    mpf_lt,
+    mpf_mul,
+    mpf_neg,
+    mpf_pos,
+    mpf_shift,
+    mpf_sqrt,
+    mpf_sub,
+    round_ceiling,
+    round_floor,
+    to_int,
+    to_rational,
+)
 
 DEFAULT_DIGITS = 64
 
@@ -404,8 +428,38 @@ def _ulp_slop(*vals) -> mpf:
     return 8 * m * mpf(10) ** (-mp.dps)
 
 
-# Bits of a radius built by BigFloat.from_bounds (a double's mantissa).
+# Bits of every ball radius and magnitude bound (a double's mantissa).
 _RADIUS_BITS = 53
+
+
+@lru_cache(maxsize=None)
+def _allowance(dps: int) -> tuple:
+    """8 * 10**-dps rounded up to _RADIUS_BITS: the rounding allowance
+    of one ball operation per unit of magnitude, as in ``_ulp_slop``."""
+    return from_rational(8, 10**dps, _RADIUS_BITS, round_ceiling)
+
+
+def _mag(v, rnd=round_ceiling) -> tuple:
+    """|v| rounded to _RADIUS_BITS, up (round_ceiling) or down
+    (round_floor).  A complex modulus rounds its parts the same way,
+    squares them exactly and rounds the sum and the square root."""
+    if not isinstance(v, mpc):
+        return mpf_abs(v._mpf_, _RADIUS_BITS, rnd)
+    re, im = v._mpc_
+    re, im = mpf_abs(re, _RADIUS_BITS, rnd), mpf_abs(im, _RADIUS_BITS, rnd)
+    return mpf_sqrt(mpf_add(mpf_mul(re, re), mpf_mul(im, im), _RADIUS_BITS, rnd), _RADIUS_BITS, rnd)
+
+
+def _add_up(a, b) -> tuple:
+    return mpf_add(a, b, _RADIUS_BITS, round_ceiling)
+
+
+def _mul_up(a, b) -> tuple:
+    return mpf_mul(a, b, _RADIUS_BITS, round_ceiling)
+
+
+def _div_up(a, b) -> tuple:
+    return mpf_div(a, b, _RADIUS_BITS, round_ceiling)
 
 
 class BigFloat:
@@ -414,18 +468,51 @@ class BigFloat:
     ``value`` is an mpmath number; ``radius`` bounds the distance to the
     exact quantity being represented.  All arithmetic enlarges the
     radius conservatively (true error <= reported radius), including a
-    rounding-slop term for the op itself.
+    rounding allowance for the op itself.
+
+    Radius policy: a midpoint is computed by the same mpmath expression
+    at the working precision, but every radius is a _RADIUS_BITS number
+    computed through libmpf with each step rounded up, whatever the
+    working precision.  Each ball also keeps ``_mag``, an upper bound of
+    |value| at _RADIUS_BITS made with the ball; the allowance of an
+    operation is that bound times 8 * 10**-dps rounded up, so it is
+    never below the exact 8 * |v| * 10**-dps (nor, from 15 digits on,
+    below ``_ulp_slop(v)``).  Denominators of ``/``, ``log_abs`` and
+    ``sqrt_pos`` are |value| - radius rounded down.
     """
 
-    __slots__ = ("value", "radius")
+    __slots__ = ("value", "radius", "_mag")
 
     def __init__(self, value, radius=0):
         self.value = mpmath.mpmathify(value)
         # rounded up, so the stored radius is never below the one given
-        r = mp.make_mpf(mpf_pos(mpmath.mpmathify(radius)._mpf_, mp.prec, round_ceiling))
-        if r < 0:
+        r = mpf_pos(mpmath.mpmathify(radius)._mpf_, _RADIUS_BITS, round_ceiling)
+        if mpf_lt(r, fzero):
             raise ValueError("radius must be nonnegative")
-        self.radius = r
+        self.radius = mp.make_mpf(r)
+        self._mag = _mag(self.value)
+
+    @classmethod
+    def _made(cls, value, radius: tuple, mag: tuple) -> "BigFloat":
+        """The ball of value with a raw radius and magnitude bound, both
+        already rounded up to _RADIUS_BITS."""
+        ball = cls.__new__(cls)
+        ball.value, ball.radius, ball._mag = value, mp.make_mpf(radius), mag
+        return ball
+
+    @classmethod
+    def _op(cls, v, mag: tuple, spread: tuple, scale=None) -> "BigFloat":
+        """The ball of v, which mpmath computed in one rounded operation,
+        with magnitude bound mag: its radius is spread, the error the
+        operands carry into v, plus the allowance 8 * scale * 10**-dps;
+        scale defaults to mag."""
+        slop = _mul_up(mag if scale is None else scale, _allowance(mp.dps))
+        return cls._made(v, _add_up(spread, slop), mag)
+
+    def _min_abs(self) -> tuple:
+        """|value| - radius rounded down: a lower bound of |z| over the
+        ball, which excludes 0 when it is positive."""
+        return mpf_sub(_mag(self.value, round_floor), self.radius._mpf_, _RADIUS_BITS, round_floor)
 
     @classmethod
     def from_bounds(cls, lo, hi) -> "BigFloat":
@@ -433,13 +520,11 @@ class BigFloat:
         exact and its radius rounded up to _RADIUS_BITS, whatever the
         ambient precision."""
         a, b = mpmath.mpmathify(lo)._mpf_, mpmath.mpmathify(hi)._mpf_
-        rad = mp.make_mpf(mpf_shift(mpf_sub(b, a, _RADIUS_BITS, round_ceiling), -1))
-        if rad < 0:
+        rad = mpf_shift(mpf_sub(b, a, _RADIUS_BITS, round_ceiling), -1)
+        if mpf_lt(rad, fzero):
             raise ValueError("interval bounds out of order")
-        ball = cls.__new__(cls)
-        ball.value = mp.make_mpf(mpf_shift(mpf_add(a, b, 0), -1))
-        ball.radius = rad
-        return ball
+        value = mp.make_mpf(mpf_shift(mpf_add(a, b, 0), -1))
+        return cls._made(value, rad, _mag(value))
 
     @classmethod
     def rounded(cls, value, steps: int = 1) -> "BigFloat":
@@ -459,12 +544,20 @@ class BigFloat:
     def __add__(self, other) -> "BigFloat":
         other = _as_bigfloat(other)
         v = self.value + other.value
-        return BigFloat(v, self.radius + other.radius + _ulp_slop(v))
+        return BigFloat._op(v, _mag(v), _add_up(self.radius._mpf_, other.radius._mpf_))
 
     __radd__ = __add__
 
     def __neg__(self) -> "BigFloat":
-        return BigFloat(-self.value, self.radius)
+        # negated exactly: rounding a midpoint longer than the working
+        # precision would move it out of the unchanged radius
+        v = self.value
+        if isinstance(v, mpc):
+            re, im = v._mpc_
+            v = mp.make_mpc((mpf_neg(re), mpf_neg(im)))
+        else:
+            v = mp.make_mpf(mpf_neg(v._mpf_))
+        return BigFloat._made(v, self.radius._mpf_, self._mag)
 
     def __sub__(self, other) -> "BigFloat":
         return self + (-_as_bigfloat(other))
@@ -475,24 +568,21 @@ class BigFloat:
     def __mul__(self, other) -> "BigFloat":
         other = _as_bigfloat(other)
         v = self.value * other.value
-        r = (
-            abs(self.value) * other.radius
-            + abs(other.value) * self.radius
-            + self.radius * other.radius
-            + _ulp_slop(v)
-        )
-        return BigFloat(v, r)
+        ra, rb = self.radius._mpf_, other.radius._mpf_
+        spread = _add_up(_add_up(_mul_up(self._mag, rb), _mul_up(other._mag, ra)), _mul_up(ra, rb))
+        return BigFloat._op(v, _mag(v), spread)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "BigFloat":
         other = _as_bigfloat(other)
-        od = abs(other.value)
-        if not od > other.radius:
+        lo = other._min_abs()
+        if not mpf_gt(lo, fzero):
             raise PrecisionError("division by a disc containing zero")
         v = self.value / other.value
-        r = (self.radius + abs(v) * other.radius) / (od - other.radius) + _ulp_slop(v)
-        return BigFloat(v, r)
+        mag = _mag(v)
+        spread = _div_up(_add_up(self.radius._mpf_, _mul_up(mag, other.radius._mpf_)), lo)
+        return BigFloat._op(v, mag, spread)
 
     def abs_bounds(self) -> tuple[mpf, mpf]:
         # outward absolute guard keeps the bounds valid even when the
@@ -503,29 +593,37 @@ class BigFloat:
         return (lo if lo > 0 else mpf(0), a + self.radius + guard)
 
     def exp(self) -> "BigFloat":
+        """|exp(z + e) - exp(z)| <= |exp(z)| (exp(r) - 1) for |e| <= r;
+        exp(r) - 1 <= r + (e - 2) r^2 <= r + r^2 when r <= 1, and
+        exp(r) - 1 < exp(r) < 2^(3r/2) above."""
         v = mpmath.exp(self.value)
-        r = abs(v) * mpmath.expm1(self.radius) if self.radius else mpf(0)
-        return BigFloat(v, r + _ulp_slop(v))
+        mag = _mag(v)
+        r = self.radius._mpf_
+        if mpf_le(r, fone):
+            grow = _add_up(r, _mul_up(r, r))
+        else:
+            grow = mpf_shift(fone, to_int(mpf_mul(r, from_man_exp(3, -1)), round_ceiling))
+        return BigFloat._op(v, mag, _mul_up(mag, grow))
 
     def log_abs(self) -> "BigFloat":
-        """log|self|; requires the disc to exclude zero.  The slop has an
-        absolute floor: rounding |value| costs up to one ulp of 1 in the
-        log, however small the log itself is."""
-        lo, hi = self.abs_bounds()
-        if not lo > 0:
+        """log|self|; requires the disc to exclude zero.  The allowance
+        has an absolute floor: rounding |value| costs up to one ulp of 1
+        in the log, however small the log itself is."""
+        lo = self._min_abs()
+        if not mpf_gt(lo, fzero):
             raise PrecisionError("log of a disc containing zero")
         v = mpmath.log(abs(self.value))
-        r = self.radius / lo + _ulp_slop(v, 1)
-        return BigFloat(v, r)
+        mag = _mag(v)
+        return BigFloat._op(v, mag, _div_up(self.radius._mpf_, lo), mag if mpf_gt(mag, fone) else fone)
 
     def sqrt_pos(self) -> "BigFloat":
         """Square root of a certified-positive real disc."""
-        lo, hi = self.abs_bounds()
-        if not lo > 0:
+        lo = self._min_abs()
+        if not mpf_gt(lo, fzero):
             raise PrecisionError("sqrt of a disc containing zero")
         v = mpmath.sqrt(abs(self.value))
-        r = self.radius / (2 * mpmath.sqrt(lo)) + _ulp_slop(v)
-        return BigFloat(v, r)
+        root_lo = mpf_shift(mpf_sqrt(lo, _RADIUS_BITS, round_floor), 1)
+        return BigFloat._op(v, _mag(v), _div_up(self.radius._mpf_, root_lo))
 
     def pow_int(self, n: int) -> "BigFloat":
         if n < 0:

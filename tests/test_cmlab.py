@@ -5,6 +5,7 @@ from math import gcd, isqrt
 
 import pytest
 from mpmath import mp, mpc, mpf, workdps
+from mpmath.libmp import to_rational
 
 from heightlab.cmlab import (
     CMRecord,
@@ -32,6 +33,10 @@ from heightlab.cmlab import (
 from heightlab import cmlab
 from heightlab.heights import mahler_height
 from heightlab.numcore import BigFloat, PrecisionError, _ulp_slop
+
+
+def _exact(x) -> Fraction:
+    return Fraction(*to_rational(x._mpf_))
 
 
 def brute_class_number(d: int) -> int:
@@ -469,6 +474,23 @@ class TestVerifyDecay:
         out = verify_decay(d_max=8, checkpoints=[3, 8], precision_digits=20)
         assert out["passed"] is True
 
+    def test_json_radii_not_understated(self, monkeypatch):
+        # a 53-bit radius converts to a float exactly; a longer one rounds
+        # to nearest and can fall below the ball's radius
+        balls = []
+
+        def ratio_row(d, precision_digits):
+            row = ratio_row.orig(d, precision_digits)
+            balls.append(row[3])
+            return row
+
+        ratio_row.orig = cmlab._ratio_row
+        monkeypatch.setattr(cmlab, "_ratio_row", ratio_row)
+        out = verify_decay(d_max=200, precision_digits=20)
+        assert len(balls) == len(out["ratios"]) == len(fundamental_discriminants(200))
+        for ball, (_, _, radius) in zip(balls, out["ratios"]):
+            assert Fraction(radius) >= _exact(ball.radius)
+
     def test_workers_identical(self):
         kw = dict(d_max=200, checkpoints=[20, 100, 200], precision_digits=18)
         assert verify_decay(workers=2, **kw) == verify_decay(workers=1, **kw)
@@ -482,6 +504,21 @@ class TestVerifyThetaFaltings:
         assert c == c and abs(c) < 1e6  # finite
         assert out["argmax_d"] < 0
         assert len(out["quotients"]) == len(fundamental_discriminants(300))
+
+    def test_json_radii_not_understated(self, monkeypatch):
+        balls = []
+
+        def tf_quotient(r):
+            balls.append(tf_quotient.orig(r))
+            return balls[-1]
+
+        tf_quotient.orig = cmlab._tf_quotient
+        monkeypatch.setattr(cmlab, "_tf_quotient", tf_quotient)
+        out = verify_theta_faltings(d_max=200, precision_digits=20)
+        assert len(balls) == len(out["quotients"]) == len(fundamental_discriminants(200))
+        for ball, (_, _, radius) in zip(balls, out["quotients"]):
+            assert Fraction(radius) >= _exact(ball.radius)
+        assert Fraction(out["fitted_radius"]) >= max(_exact(b.radius) for b in balls)
 
 
 class TestFinitenessDemo:

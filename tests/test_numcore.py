@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 from mpmath import mp, mpc, mpf, workdps
+from mpmath.libmp import to_rational
 
 from heightlab import numcore
 from heightlab.numcore import (
@@ -314,6 +315,125 @@ class TestBigFloat:
             BigFloat.from_bounds(mpf(2), mpf(1))
 
 
+def _exact(x) -> Fraction:
+    return Fraction(*to_rational(x._mpf_))
+
+
+def _random_ball(rng, complex_value, radii):
+    """A ball with a full-precision midpoint of modulus below 4 and a
+    radius drawn from radii, built at the current precision."""
+    def part():
+        return (mpf(rng.getrandbits(mp.prec)) / 2**mp.prec - mpf(0.5)) * 8
+
+    value = mpc(part(), part()) if complex_value else part()
+    return BigFloat(value, rng.choice(radii) * mpf(rng.random()))
+
+
+def _points(ball):
+    """The centre of a ball and its extreme points along each axis."""
+    v, r = ball.value, ball.radius
+    steps = (r, -r, mpc(0, r), mpc(0, -r)) if isinstance(v, mpc) else (r, -r)
+    return [v] + [v + s for s in steps]
+
+
+class TestBallEnclosure:
+    """Every operation's ball contains the images of its inputs' centres
+    and extreme points, mapped at four times the precision, and its
+    radius is at least the rounding allowance ``_ulp_slop(value)``."""
+
+    UNARY = {
+        "neg": (lambda x: -x, lambda p: -p),
+        "exp": (BigFloat.exp, mp.exp),
+        "log_abs": (BigFloat.log_abs, lambda p: mp.log(abs(p))),
+        "sqrt_pos": (BigFloat.sqrt_pos, lambda p: mp.sqrt(p)),
+        "pow_int_5": (lambda x: x.pow_int(5), lambda p: p**5),
+        "pow_int_-3": (lambda x: x.pow_int(-3), lambda p: p**-3),
+    }
+    BINARY = {
+        "+": (lambda x, y: x + y, lambda p, q: p + q),
+        "-": (lambda x, y: x - y, lambda p, q: p - q),
+        "*": (lambda x, y: x * y, lambda p, q: p * q),
+        "/": (lambda x, y: x / y, lambda p, q: p / q),
+    }
+
+    def _check(self, dps, out, images, allowance_floor=0):
+        with workdps(4 * dps):
+            for img in images:
+                assert abs(img - out.value) <= out.radius
+        if allowance_floor is not None:
+            with workdps(dps):
+                assert out.radius >= numcore._ulp_slop(out.value, allowance_floor)
+
+    @pytest.mark.parametrize("dps", [15, 39, 250])
+    def test_every_op_encloses_images(self, dps):
+        rng = random.Random(dps)
+        radii = [mpf(0), mpf(10) ** -(dps - 3), mpf(10) ** -(dps // 2), mpf("1e-3"), mpf(1), mpf(3)]
+        for _ in range(20):
+            for name, (op, f) in self.UNARY.items():
+                real = name == "sqrt_pos" or rng.random() < 0.5
+                with workdps(dps):
+                    x = _random_ball(rng, not real, radii)
+                    if name == "sqrt_pos":
+                        x = BigFloat(abs(x.value), x.radius)
+                    try:
+                        out = op(x)
+                    except PrecisionError:
+                        # only a disc near zero is refused
+                        assert name in ("log_abs", "sqrt_pos", "pow_int_-3")
+                        assert abs(x.value) <= 4 * x.radius
+                        continue
+                with workdps(4 * dps):
+                    images = [f(p) for p in _points(x)]
+                # negation is exact and adds no allowance
+                self._check(dps, out, images, None if name == "neg" else 1 if name == "log_abs" else 0)
+            for name, (op, f) in self.BINARY.items():
+                with workdps(dps):
+                    x = _random_ball(rng, rng.random() < 0.5, radii[:4])
+                    y = _random_ball(rng, rng.random() < 0.5, radii[:4])
+                    try:
+                        out = op(x, y)
+                    except PrecisionError:
+                        assert name == "/" and abs(y.value) <= 2 * y.radius
+                        continue
+                with workdps(4 * dps):
+                    images = [f(p, q) for p in _points(x) for q in _points(y)]
+                self._check(dps, out, images)
+
+    def test_exp_of_wide_ball(self):
+        # radii above 1 take the bound exp(r) - 1 < 2^(3r/2)
+        for v, r in ((mpf("0.5"), mpf(2)), (mpc(-1, 2), mpf("1.5")), (mpf(3), mpf(7))):
+            with workdps(30):
+                x = BigFloat(v, r)
+                out = x.exp()
+            with workdps(120):
+                images = [mp.exp(p) for p in _points(x)]
+            self._check(30, out, images)
+
+    def test_negation_exact_below_midpoint_precision(self):
+        # rounded to 53 bits, -x would leave x - x = 1.85e-17 +- 1.5e-31
+        with workdps(60):
+            x, y = BigFloat(mpf(1) / 3), BigFloat(mpc(1, -1) / 3)
+        with workdps(15):
+            d, n = x - x, -y
+        with workdps(60):
+            assert abs(d.value) <= d.radius
+            assert n.value == -y.value
+
+    def test_radius_sum_rounded_up(self):
+        # at 53 bits the sum 1 + 2^-200 rounds to nearest onto 1
+        with workdps(15):
+            s = BigFloat(0, 1) + BigFloat(0, mpf(2) ** -200)
+        assert _exact(s.radius) >= 1 + Fraction(1, 2**200)
+
+    def test_radius_product_rounded_up(self):
+        # r * r rounds to nearest below r^2 at 53 bits
+        r = 1 + Fraction(1, 2**52)
+        with workdps(15):
+            x = BigFloat(0, mpf(r.numerator) / r.denominator)
+            p = x * x
+        assert _exact(p.radius) >= r * r
+
+
 class TestCertify:
     def test_doubles_until_decided(self):
         seen = []
@@ -432,13 +552,20 @@ class TestSmithNormalForm:
 
 def test_ulp_slop_called_only_in_numcore():
     # rounding allowances are numcore's alone: every other module gets
-    # its balls from BigFloat.rounded, from_bounds or ball arithmetic
+    # its balls from BigFloat.rounded, from_bounds or ball arithmetic,
+    # and the ball operations build theirs from 53-bit magnitude bounds
     callers = set()
     for path in sorted(Path(numcore.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call):
-                f = node.func
-                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                if name == "_ulp_slop":
-                    callers.add(path.name)
-    assert callers == {"numcore.py"}
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, ast.ClassDef):
+                scopes = [(f"{top.name}.{fn.name}", fn) for fn in top.body if isinstance(fn, ast.FunctionDef)]
+            else:
+                scopes = [(getattr(top, "name", None), top)]
+            for name, scope in scopes:
+                for node in ast.walk(scope):
+                    if isinstance(node, ast.Call):
+                        f = node.func
+                        called = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                        if called == "_ulp_slop":
+                            callers.add((path.name, name))
+    assert callers == {("numcore.py", "BigFloat.rounded"), ("numcore.py", "_dk_roots")}
