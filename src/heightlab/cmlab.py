@@ -7,10 +7,11 @@ quadratic forms (a, b, c) of discriminant D are enumerated exactly;
 each gives a CM point tau = (-b + i sqrt(|D|)) / (2a) in the standard
 fundamental domain.  On top of that sit:
 
-* j-invariants through the weight-4 Eisenstein series and the modular
-  discriminant, both evaluated as q-series with explicit tail bounds,
-  and Hilbert class polynomials recovered by rounding certified
-  complex coefficients to integers;
+* j-invariants from one theta series: with the Jacobi theta nulls
+  theta_2, theta_3, theta_4 at tau, E4 = (theta_2^8 + theta_3^8 +
+  theta_4^8) / 2, Delta = (theta_2 theta_3 theta_4)^8 / 256 and
+  j = E4^3 / Delta; Hilbert class polynomials are recovered by rounding
+  certified complex coefficients to integers;
 
 * the stable Faltings height as the class-group average of
   s(tau) = -(1/12) log(|Delta(tau)| (Im tau)^6), an SL2(Z)-invariant
@@ -22,8 +23,15 @@ fundamental domain.  On top of that sit:
 
 * level-2 theta null points (theta_0 : theta_1 : theta_2 : theta_3)
   with theta_j(tau) = sum over m = j mod 4 of w^(m^2), w = exp(pi i
-  tau / 4), again with certified tails, and a height estimate read off
-  their archimedean norms.
+  tau / 4), and a height estimate read off their archimedean norms.
+  The Jacobi theta nulls are theta_1 + theta_3, theta_0 + theta_2 and
+  theta_0 - theta_2.  The series stops below the relative tolerance
+  10^-dps |w|, so the small theta_1 ~ w keeps dps digits.
+
+Delta for s(tau) and ``modular_discriminant`` comes from the pentagonal
+series of prod (1 - q^n), q = exp(2 pi i tau), which stops below
+10^-(dps - 5).  Both series bound their tails in 53-bit arithmetic
+rounded up and add them with ``BigFloat.widened``.
 
 All floating results are BigFloat discs (midpoint plus radius that
 includes both truncation tails and rounding slop), so experiment
@@ -51,6 +59,7 @@ from .numcore import (
     IntPoly,
     PrecisionError,
     _as_bigfloat,
+    _geometric_tail,
     _ulp_slop,  # bound for bench/test_bench.py only; just numcore calls it
     certify,
     factorint,
@@ -210,48 +219,21 @@ def _eta_product(q: BigFloat) -> BigFloat:
         )
     tol = mpf(10) ** (-(mp.dps - 5))
     total = BigFloat(1)
-    k = 0
-    while True:
-        k += 1
+    for k in range(1, 10001):
         t = q.pow_int(k * (3 * k - 1) // 2) + q.pow_int(k * (3 * k + 1) // 2)
         total = total + (-t if k % 2 else t)
-        e_next = (k + 1) * (3 * k + 2) // 2
-        tail = 2 * q_hi**e_next / (1 - q_hi)
+        # the exponents left are distinct, from (k+1)(3k+2)/2 on
+        tail = _geometric_tail(q_hi, (k + 1) * (3 * k + 2) // 2)
         if tail < tol:
-            return BigFloat(total.value, total.radius + tail)
-        if k > 10000:
-            raise PrecisionError("pentagonal series did not converge")
+            return total.widened(tail)
+    raise PrecisionError("pentagonal series did not converge")
 
 
-def _eisenstein_e4(q: BigFloat) -> BigFloat:
-    """E4(q) = 1 + 240 sum sigma_3(n) q^n with a certified tail via
-    sigma_3(n) <= n^4 <= C * |q|^(-n/2)."""
-    q_hi = q.abs_bounds()[1]
-    if q_hi > Q_MODULUS_CAP:
-        raise PrecisionError("q-series refused: |q| too close to 1")
-    tol = mpf(10) ** (-(mp.dps - 5))
-    sq = mp.sqrt(q_hi)
-    # max over n of n^4 * sq^n, at n = 4/log(1/sq)
-    c_max = (4 / (mp.e * mp.log(1 / sq))) ** 4 if sq > 0 else mpf(0)
-    n_terms = 16
-    while True:
-        tail = 240 * c_max * sq ** (n_terms + 1) / (1 - sq) if sq > 0 else mpf(0)
-        if tail < tol:
-            break
-        n_terms *= 2
-        if n_terms > 1 << 22:
-            raise PrecisionError("Eisenstein series did not converge")
-    sigma3 = [0] * (n_terms + 1)
-    for div in range(1, n_terms + 1):
-        cube = div * div * div
-        for m in range(div, n_terms + 1, div):
-            sigma3[m] += cube
-    total = BigFloat(1)
-    q_pow = BigFloat(1)
-    for n in range(1, n_terms + 1):
-        q_pow = q_pow * q
-        total = total + q_pow * (240 * sigma3[n])
-    return BigFloat(total.value, total.radius + tail)
+def _eisenstein_e4(eighths) -> BigFloat:
+    """E4 = (theta_2^8 + theta_3^8 + theta_4^8) / 2 from the eighth
+    powers of the Jacobi theta nulls."""
+    t2, t3, t4 = eighths
+    return (t2 + t3 + t4) / 2
 
 
 def _q_from_tau(tau: BigFloat) -> BigFloat:
@@ -270,10 +252,12 @@ def modular_discriminant(tau, precision_digits: int = DEFAULT_DIGITS) -> BigFloa
 
 
 def _j_at(tau: BigFloat) -> BigFloat:
-    q = _q_from_tau(tau)
-    e4 = _eisenstein_e4(q)
-    delta = q * _eta_product(q).pow_int(24)
-    return e4.pow_int(3) / delta
+    """j = E4^3 / Delta with Delta = (theta_2 theta_3 theta_4)^8 / 256,
+    all from one theta series in the nome w of tau."""
+    b0, b1, b2, b3 = _theta_nulls(_theta_w(tau))
+    eighths = [(b1 + b3).pow_int(8), (b0 + b2).pow_int(8), (b0 - b2).pow_int(8)]
+    delta = eighths[0] * eighths[1] * eighths[2] / 256
+    return _eisenstein_e4(eighths).pow_int(3) / delta
 
 
 def _reduce_to_fundamental_domain(tau: mpc) -> mpc:
@@ -293,9 +277,9 @@ def _reduce_to_fundamental_domain(tau: mpc) -> mpc:
 
 
 def j_invariant(tau, precision_digits: int = DEFAULT_DIGITS) -> BigFloat:
-    """j(tau) = E4(q)^3 / Delta(tau), computed after moving tau to the
-    fundamental domain (j is SL2(Z)-invariant, and there the q-series
-    tails are sharp)."""
+    """j(tau) = E4(tau)^3 / Delta(tau), computed after moving tau to
+    the fundamental domain (j is SL2(Z)-invariant, and there the theta
+    series converges fastest)."""
     with workdps(precision_digits + 15):
         t = _reduce_to_fundamental_domain(mpc(tau))
         return _j_at(BigFloat(t))
@@ -418,31 +402,29 @@ def _theta_w(tau: BigFloat) -> BigFloat:
 
 
 def _theta_nulls(w: BigFloat):
-    w_hi = w.abs_bounds()[1]
+    """The four buckets theta_j = sum over m = j (mod 4) of w^(m^2).
+    The series stops once its tail is below 10^-dps |w|: a relative
+    tolerance for theta_1 = w + w^9 + ..., whose relative accuracy j
+    inherits through the Jacobi theta_2 = theta_1 + theta_3."""
+    w_lo, w_hi = w.abs_bounds()
     if w_hi > Q_MODULUS_CAP:
         raise PrecisionError("theta series refused: |w| too close to 1")
-    tol = mpf(10) ** (-(mp.dps - 5))
-    buckets = [BigFloat(0), BigFloat(0), BigFloat(0), BigFloat(0)]
-    buckets[0] = buckets[0] + BigFloat(1)
-    w2 = w * w
-    w_odd = w
-    w_m2 = BigFloat(1)
-    m = 0
-    while True:
-        m += 1
-        w_m2 = w_m2 * w_odd
-        w_odd = w_odd * w2
+    if not w_lo > 0:
+        raise PrecisionError("theta nome not separated from zero")
+    tol = mpf(10) ** (-mp.dps) * w_lo
+    buckets = [BigFloat(1), BigFloat(0), BigFloat(0), BigFloat(0)]
+    w2, w_odd, w_m2 = w * w, w, w
+    for m in range(1, 1 << 20):
         buckets[m % 4] = buckets[m % 4] + w_m2
-        buckets[(-m) % 4] = buckets[(-m) % 4] + w_m2
-        gap = 1 - w_hi ** (2 * m + 3)
-        if gap > mpf("0.5"):
-            tail = 2 * w_hi ** ((m + 1) * (m + 1)) / gap
-            if tail < tol:
-                return tuple(
-                    BigFloat(b.value, b.radius + tail) for b in buckets
-                )
-        if m > 1 << 20:
-            raise PrecisionError("theta series did not converge")
+        buckets[-m % 4] = buckets[-m % 4] + w_m2
+        # the exponents left start at (m+1)^2 and grow by 2m+3 or more
+        tail = _geometric_tail(w_hi, (m + 1) * (m + 1), 2 * m + 3)
+        if tail < tol:
+            return tuple(b.widened(tail) for b in buckets)
+        # w^((m+1)^2) = w^(m^2) w^(2m+1)
+        w_odd = w_odd * w2
+        w_m2 = w_m2 * w_odd
+    raise PrecisionError("theta series did not converge")
 
 
 def _theta_term(tau: BigFloat) -> BigFloat:

@@ -423,11 +423,10 @@ def mahler_height(poly: IntPoly, precision_digits: int = 40) -> BigFloat:
     with workdps(precision_digits + 15):
         lead = BigFloat(abs(poly.leading)).log_abs()
         total = log_plus_sum(lead, roots) * BigFloat(Fraction(1, poly.degree))
-        v, r = total.value, total.radius
-        if v < 0:
+        if total.value < 0:
             # mathematically >= 0; fold the undershoot into the radius
-            return BigFloat(mpf(0), r + abs(v))
-    return BigFloat(v, r)
+            return BigFloat(0, total.radius).widened(-total.value)
+    return total
 
 
 def weil_height(alpha: AlgebraicNumber, precision_digits: int = 40) -> HeightValue:

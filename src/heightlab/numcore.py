@@ -31,6 +31,7 @@ a float and costs the same at 39 digits as at 250.
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -625,17 +626,45 @@ class BigFloat:
         root_lo = mpf_shift(mpf_sqrt(lo, _RADIUS_BITS, round_floor), 1)
         return BigFloat._op(v, _mag(v), _div_up(self.radius._mpf_, root_lo))
 
+    def widened(self, extra) -> "BigFloat":
+        """The same midpoint with radius + extra, rounded up: how a
+        truncation tail or other error bound joins a ball."""
+        extra = mpmath.mpmathify(extra)._mpf_
+        if mpf_lt(extra, fzero):
+            raise ValueError("a ball can only be widened")
+        return BigFloat._made(self.value, _add_up(self.radius._mpf_, extra), self._mag)
+
     def pow_int(self, n: int) -> "BigFloat":
         if n < 0:
             return BigFloat(1) / self.pow_int(-n)
-        out = BigFloat(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _binary_power(self, n, operator.mul) if n else BigFloat(1)
+
+
+def _binary_power(x, n: int, mul):
+    """x**n for n >= 1 by squaring with mul, from the power of n's
+    lowest set bit (not from 1) to its highest: every product is used."""
+    while not n & 1:
+        x = mul(x, x)
+        n >>= 1
+    out = x
+    n >>= 1
+    while n:
+        x = mul(x, x)
+        if n & 1:
+            out = mul(out, x)
+        n >>= 1
+    return out
+
+
+def _geometric_tail(x, e: int, k: int = 1) -> mpf:
+    """2 x**e / (1 - x**k) rounded up to _RADIUS_BITS, for 0 <= x < 1
+    and e, k >= 1: a bound of a series tail of terms of modulus at most
+    2 x**n whose exponents n start at e and grow by at least k."""
+    x = mpf_pos(mpmath.mpmathify(x)._mpf_, _RADIUS_BITS, round_ceiling)
+    gap = mpf_sub(fone, _binary_power(x, k, _mul_up), _RADIUS_BITS, round_floor)
+    if not mpf_gt(gap, fzero):
+        raise ValueError("geometric tail needs a ratio below 1")
+    return mp.make_mpf(_div_up(mpf_shift(_binary_power(x, e, _mul_up), 1), gap))
 
 
 def _as_bigfloat(x) -> BigFloat:

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 
 import pytest
@@ -170,6 +171,92 @@ class TestJInvariant:
             j2 = j_invariant(-1 / tau, 30)
         for other in (j1, j2):
             assert abs(j0.value - other.value) <= j0.radius + other.radius + mpf(10) ** -25
+
+
+def _forms_to_500_and_599():
+    forms = [f for n in range(3, 501) if -n % 4 in (0, 1) for f in reduced_forms(-n)]
+    return forms + reduced_forms(-599)
+
+
+@lru_cache(maxsize=None)
+def _j_balls(dps: int) -> tuple:
+    """(form, _j_at ball) for every reduced form with |d| <= 500 and
+    d = -599, at dps digits."""
+    with workdps(dps):
+        return tuple((f, cmlab._j_at(cmlab._tau_ball(f))) for f in _forms_to_500_and_599())
+
+
+def _sigma3_e4(tau, dps: int):
+    """E4 = 1 + 240 sum sigma_3(n) q^n in plain mpmath at dps digits,
+    summed until n^4 |q|^n is below 10^-dps."""
+    with workdps(dps):
+        q = mp.exp(2j * mp.pi * tau)
+        total, n, q_n = mpf(1), 0, mpf(1)
+        while True:
+            n += 1
+            q_n *= q
+            total += 240 * sum(t**3 for t in range(1, n + 1) if n % t == 0) * q_n
+            if n**4 * abs(q_n) < mpf(10) ** -dps:
+                return total
+
+
+class TestThetaKernel:
+    """j, E4 and Delta read off the Jacobi theta nulls."""
+
+    @pytest.mark.parametrize("dps", [39, 250])
+    def test_j_contains_kleinj(self, dps):
+        with workdps(dps + 20):
+            for f, j in _j_balls(dps):
+                assert abs(1728 * mp.kleinj(f.tau(dps + 20)) - j.value) <= j.radius, f
+
+    def test_j_relative_radius_at_39_digits(self):
+        for f, j in _j_balls(39):
+            if f.discriminant >= -500 and abs(j.value) > 1:
+                assert j.radius <= mpf("1e-34") * abs(j.value), f
+
+    def test_discriminant_is_theta_product(self):
+        taus = [f.tau(30) for d in (-23, -56, -163) for f in reduced_forms(d)]
+        for tau in taus + [mpc("0.31", "0.87"), mpc("-0.5", "2.5")]:
+            delta = modular_discriminant(tau, 30)
+            b0, b1, b2, b3 = theta_null_point(tau, 30)
+            with workdps(45):
+                theta = ((b1 + b3) * (b0 + b2) * (b0 - b2)).pow_int(8) / 256
+                assert abs(delta.value - theta.value) <= delta.radius + theta.radius
+
+    @pytest.mark.parametrize("dps", [39, 100])
+    def test_e4_overlaps_sigma3_series(self, dps):
+        for f in reduced_forms(-23) + reduced_forms(-47) + reduced_forms(-163):
+            with workdps(dps):
+                b0, b1, b2, b3 = cmlab._theta_nulls(cmlab._theta_w(cmlab._tau_ball(f)))
+                e4 = cmlab._eisenstein_e4([(b1 + b3).pow_int(8), (b0 + b2).pow_int(8), (b0 - b2).pow_int(8)])
+            ref = _sigma3_e4(f.tau(2 * dps), 2 * dps)
+            with workdps(2 * dps):
+                assert abs(e4.value - ref) <= e4.radius + mpf(10) ** (5 - 2 * dps)
+
+    def test_tails_join_radii_rounded_up(self, monkeypatch):
+        # at 15 digits a nearest-rounded radius + tail falls below the
+        # exact sum about half of the time
+        widened, seen = BigFloat.widened, []
+
+        def spy(ball, extra):
+            out = widened(ball, extra)
+            seen.append((ball.radius, extra, out))
+            return out
+
+        monkeypatch.setattr(BigFloat, "widened", spy)
+        rng = random.Random(15)
+        returned = []
+        with workdps(15):
+            for i in range(375):
+                tau = BigFloat.rounded(mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 3)))
+                if i < 300:
+                    returned.append(cmlab._eta_product(cmlab._q_from_tau(tau)))
+                else:
+                    returned.extend(cmlab._theta_nulls(cmlab._theta_w(tau)))
+        assert len(returned) == len(seen) == 600
+        for ball, (radius, tail, out) in zip(returned, seen):
+            assert ball is out
+            assert _exact(ball.radius) >= _exact(radius) + _exact(tail)
 
 
 class TestConstantBalls:
@@ -365,6 +452,11 @@ class TestThetaNulls:
         assert Q_MODULUS_CAP < 1
         with pytest.raises(PrecisionError):
             theta_null_point(mpc(0, mpf("1e-6")), 30)
+
+    def test_nome_ball_around_zero_refused(self):
+        # the tolerance 10^-dps |w| would be 0, and the series endless
+        with pytest.raises(PrecisionError):
+            theta_null_point(BigFloat(mpc(0, 10), 5), 30)
 
     def test_height_estimate_nonnegative(self):
         for d in (-3, -4, -23, -47):

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf, workdps
+from mpmath.libmp import to_rational
 
+from heightlab import heights
 from heightlab.heights import (
     EQUAL,
     GREATER,
@@ -243,6 +245,18 @@ class TestWeilHeight:
             h1 = mahler_height(p, 40)
             h2 = mahler_height(IntPoly(list(reversed(p.coeffs))), 40)
             assert abs(h1.value - h2.value) <= h1.radius + h2.radius + mpf(10) ** -35
+
+    def test_undershoot_folded_into_radius_rounded_up(self, monkeypatch):
+        # a sum just below 0 at 15 digits: the nearest-rounded radius +
+        # undershoot would drop the 2^-200
+        fake = BigFloat(-(mpf(2) ** -200), 1)
+        monkeypatch.setattr(heights, "log_plus_sum", lambda total, roots: fake)
+        h = mahler_height(IntPoly([-2, 1]), 0)
+        with workdps(15):
+            total = fake * BigFloat(Fraction(1, 1))
+        assert h.value == 0
+        exact = Fraction(*to_rational(total.radius._mpf_)) - Fraction(*to_rational(total.value._mpf_))
+        assert Fraction(*to_rational(h.radius._mpf_)) >= exact
 
     def test_leading_term_radius_scales_with_its_log(self):
         # 10^30 x + 1: the leading term log(10^30) is about 69, so its

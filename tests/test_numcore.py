@@ -260,6 +260,55 @@ class TestBigFloat:
         x = BigFloat(3, 0)
         assert x.pow_int(5).value == 243
 
+    def test_pow_int_one_is_the_ball_itself(self):
+        # starting from BigFloat(1) * z added one allowance to z's radius
+        rng = random.Random(11)
+        for dps in (15, 39, 250):
+            with workdps(dps):
+                for complex_value in (False, True):
+                    z = _random_ball(rng, complex_value, [mpf(0), mpf(10) ** -(dps // 2)])
+                    p = z.pow_int(1)
+                    assert p.value == z.value and p.radius == z.radius
+
+    def test_pow_int_midpoints_are_plain_binary_powers(self):
+        def plain(v, n):
+            out, base = mpf(1), v
+            while n:
+                if n & 1:
+                    out = out * base
+                base = base * base
+                n >>= 1
+            return out
+
+        rng = random.Random(12)
+        for dps in (15, 39, 250):
+            with workdps(dps):
+                for complex_value in (False, True):
+                    z = _random_ball(rng, complex_value, [mpf(10) ** -(dps // 2)])
+                    for n in range(41):
+                        assert z.pow_int(n).value == plain(z.value, n), (dps, n)
+
+    def test_widened_adds_rounded_up(self):
+        # at 15 digits the nearest sum 1 + 2^-200 is 1
+        with workdps(15):
+            b = BigFloat(mpc(1, 2), 1).widened(mpf(2) ** -200)
+        assert b.value == mpc(1, 2)
+        assert _exact(b.radius) >= 1 + Fraction(1, 2**200)
+        with pytest.raises(ValueError):
+            b.widened(-1)
+
+    def test_geometric_tail_bounds_the_exact_sum(self):
+        rng = random.Random(13)
+        for _ in range(300):
+            with workdps(rng.choice((15, 39, 250))):
+                x = mpf(rng.random()) * mpf("0.9995")
+            e, k = rng.randint(1, 400), rng.randint(1, 40)
+            tail = numcore._geometric_tail(x, e, k)
+            q = _exact(x)
+            assert _exact(tail) >= 2 * q**e / (1 - q**k)
+        with pytest.raises(ValueError):
+            numcore._geometric_tail(1, 3)
+
     def test_from_bounds_encloses_at_low_ambient_precision(self):
         with workdps(80):
             lo = mp.log(2)

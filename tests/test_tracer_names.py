@@ -11,6 +11,8 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+from mpmath import workdps
+
 from heightlab import cmlab, heights, numcore, towers
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
@@ -49,3 +51,22 @@ def test_every_traced_name_resolves():
 def test_identities_the_benchmark_asserts():
     assert cmlab._ulp_slop is heights._ulp_slop is numcore._ulp_slop
     assert heights.is_prime is towers.is_prime is numcore.is_prime
+
+
+def test_cm_counters_count_the_j_kernel(monkeypatch):
+    # the tracer counts calls through the module attributes, so a kernel
+    # reached any other way would read 0 calls on a traced run
+    counts = {}
+    for name in _tracer().COUNTERS:
+        obj, attr = _owner(name)
+        if obj is not cmlab:
+            continue
+
+        def counted(*args, _fn=getattr(cmlab, attr), _attr=attr):
+            counts[_attr] = counts.get(_attr, 0) + 1
+            return _fn(*args)
+
+        monkeypatch.setattr(cmlab, attr, counted)
+    with workdps(40):
+        cmlab._j_at(cmlab._tau_ball(cmlab.reduced_forms(-23)[1]))
+    assert counts == {"_theta_nulls": 1, "_eisenstein_e4": 1}
