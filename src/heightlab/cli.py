@@ -47,7 +47,7 @@ from .cmlab import (
     verify_theta_faltings,
 )
 from .heights import HeightValue, degree_weight, mahler_height, rational_roots
-from .numcore import ConstructionError, IntPoly, PrecisionError, squarefree_decomposition
+from .numcore import BigFloat, ConstructionError, IntPoly, PrecisionError, squarefree_decomposition
 from .radicals import (
     ChainViolationError,
     RadicalPoint,
@@ -438,7 +438,8 @@ def _cmd_cm_verify_decay(args, opts) -> int:
         "precision": opts["precision"],
     }
     for c in report["checkpoints"]:
-        print(f"env(|D| >= {c['X_effective']}) = {c['envelope']:.6f}")
+        envelope = BigFloat(c["envelope"], c["radius"])
+        print(f"env(|D| >= {c['X_effective']}) {_ball_text(envelope, 10)}")
     print(f"{'decay confirmed' if report['passed'] else 'decay NOT confirmed'}")
     _write_artifacts(
         opts["out"], config, "report",

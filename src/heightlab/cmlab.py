@@ -28,10 +28,14 @@ fundamental domain.  On top of that sit:
   theta_0 - theta_2.  The series stops below the relative tolerance
   10^-dps |w|, so the small theta_1 ~ w keeps dps digits.
 
-Delta for s(tau) and ``modular_discriminant`` comes from the pentagonal
-series of prod (1 - q^n), q = exp(2 pi i tau), which stops below
-10^-(dps - 5).  Both series bound their tails in 53-bit arithmetic
-rounded up and add them with ``BigFloat.widened``.
+``cm_record`` sums the theta series once per reduced form and reads all
+three heights off it: j as above, s(tau) from that same Delta, and the
+theta term from the four buckets.  The standalone ``s_invariant``,
+``faltings_height_cm`` and ``modular_discriminant`` take Delta from the
+pentagonal series of prod (1 - q^n), q = exp(2 pi i tau), which stops
+below 10^-(dps - 5): alone, s(tau) costs half as much that way as
+through the theta nulls.  Both series bound their tails in 53-bit
+arithmetic rounded up and add them with ``BigFloat.widened``.
 
 All floating results are BigFloat discs (midpoint plus radius that
 includes both truncation tails and rounding slop), so experiment
@@ -251,13 +255,19 @@ def modular_discriminant(tau, precision_digits: int = DEFAULT_DIGITS) -> BigFloa
         return q * _eta_product(q).pow_int(24)
 
 
-def _j_at(tau: BigFloat) -> BigFloat:
-    """j = E4^3 / Delta with Delta = (theta_2 theta_3 theta_4)^8 / 256,
-    all from one theta series in the nome w of tau."""
-    b0, b1, b2, b3 = _theta_nulls(_theta_w(tau))
+def _j_and_delta(nulls) -> tuple[BigFloat, BigFloat]:
+    """(j, Delta) from the four theta buckets b0..b3: the Jacobi theta
+    nulls are theta_2 = b1 + b3, theta_3 = b0 + b2, theta_4 = b0 - b2,
+    Delta = (theta_2 theta_3 theta_4)^8 / 256 and j = E4^3 / Delta."""
+    b0, b1, b2, b3 = nulls
     eighths = [(b1 + b3).pow_int(8), (b0 + b2).pow_int(8), (b0 - b2).pow_int(8)]
     delta = eighths[0] * eighths[1] * eighths[2] / 256
-    return _eisenstein_e4(eighths).pow_int(3) / delta
+    return _eisenstein_e4(eighths).pow_int(3) / delta, delta
+
+
+def _j_at(tau: BigFloat) -> BigFloat:
+    """j(tau) from one theta series in the nome w of tau."""
+    return _j_and_delta(_nulls_at(tau))[0]
 
 
 def _reduce_to_fundamental_domain(tau: mpc) -> mpc:
@@ -329,23 +339,32 @@ def hilbert_class_poly(d) -> IntPoly:
 # heights
 # ---------------------------------------------------------------------------
 
-def _class_average(d, precision_digits: int, term, total=sum) -> BigFloat:
-    """The class-group average (1/h) * total(terms, zero ball) at
-    precision_digits + 15 digits, where the terms are term(tau) for the
-    CM point ball tau of each of the h reduced forms of d, in order.
-    ``total`` is ``sum`` or another fold with its arguments."""
+def _class_averages(d, precision_digits: int, terms, totals) -> tuple:
+    """Class-group averages at precision_digits + 15 digits.  terms(tau)
+    gives a tuple of per-form terms at the CM point ball tau of each of
+    the h reduced forms of d, in order; the i-th average is
+    (1/h) * totals[i](i-th terms, zero ball), where each fold is ``sum``
+    or another with its arguments."""
     forms = reduced_forms(d)
     with workdps(precision_digits + 15):
-        return total((term(_tau_ball(f)) for f in forms), BigFloat(0, 0)) / len(forms)
+        columns = zip(*(terms(_tau_ball(f)) for f in forms))
+        return tuple(total(col, BigFloat(0, 0)) / len(forms) for total, col in zip(totals, columns))
+
+
+def _class_average(d, precision_digits: int, term, total=sum) -> BigFloat:
+    """The one class-group average of term(tau), folded by total."""
+    return _class_averages(d, precision_digits, lambda tau: (term(tau),), (total,))[0]
+
+
+def _log_plus_total(js, zero: BigFloat) -> BigFloat:
+    return log_plus_sum(zero, js)
 
 
 def j_height(d, precision_digits: int = 24) -> BigFloat:
     """Weil height of the j-invariant of discriminant d: the class
     polynomial is monic with algebraic-integer roots, so the height is
     the average of log max(1, |j|) over the reduced forms."""
-    return _class_average(
-        d, precision_digits, _j_at, lambda js, zero: log_plus_sum(zero, js)
-    )
+    return _class_average(d, precision_digits, _j_at, _log_plus_total)
 
 
 def s_invariant(tau, precision_digits: int = DEFAULT_DIGITS) -> BigFloat:
@@ -358,13 +377,27 @@ def s_invariant(tau, precision_digits: int = DEFAULT_DIGITS) -> BigFloat:
         return _s_at(t)
 
 
-def _s_at(t: BigFloat) -> BigFloat:
+def _im_tau(t: BigFloat) -> BigFloat:
+    """The real ball of Im tau, certified positive: |Im e| <= |e|, so
+    the radius of tau carries over."""
     y = BigFloat(t.value.imag, t.radius)
     if not y.bounds()[0] > 0:
         raise ValueError("tau must lie in the upper half plane")
+    return y
+
+
+def _s_at(t: BigFloat) -> BigFloat:
+    y = _im_tau(t)
     q = _q_from_tau(t)
     log_f = _eta_product(q).log_abs()
     return BigFloat.rounded(mp.pi) * y / 6 - log_f * 2 - y.log_abs() / 2
+
+
+def _normalized(avg: BigFloat, offset) -> BigFloat:
+    """avg plus the normalization offset of ``faltings_height_cm``."""
+    if offset is None:
+        return avg + BigFloat.rounded(-mp.log(2) / 2)
+    return avg + _as_bigfloat(offset)
 
 
 def faltings_height_cm(d, precision_digits: int = 24, normalization_offset=None) -> BigFloat:
@@ -375,9 +408,7 @@ def faltings_height_cm(d, precision_digits: int = 24, normalization_offset=None)
     radius; ints, floats and balls are taken as they are."""
     avg = _class_average(d, precision_digits, _s_at)
     with workdps(precision_digits + 15):
-        if normalization_offset is None:
-            return avg + BigFloat.rounded(-mp.log(2) / 2)
-        return avg + _as_bigfloat(normalization_offset)
+        return _normalized(avg, normalization_offset)
 
 
 # ---------------------------------------------------------------------------
@@ -391,14 +422,18 @@ def theta_null_point(tau, precision_digits: int = DEFAULT_DIGITS):
     theta_3 (whose term sequences coincide) come out bitwise equal."""
     with workdps(precision_digits + 15):
         t = _as_bigfloat(tau)
-        if not t.value.imag - t.radius > 0:
-            raise ValueError("tau must lie in the upper half plane")
-        return _theta_nulls(_theta_w(t))
+        _im_tau(t)
+        return _nulls_at(t)
 
 
 def _theta_w(tau: BigFloat) -> BigFloat:
     """The theta nome w = exp(pi i tau / 4) of a tau ball."""
     return (BigFloat.rounded(mpc(0, 1) * mp.pi / 4) * tau).exp()
+
+
+def _nulls_at(tau: BigFloat) -> tuple:
+    """The four theta buckets at a tau ball: one theta series."""
+    return _theta_nulls(_theta_w(tau))
 
 
 def _theta_nulls(w: BigFloat):
@@ -427,11 +462,11 @@ def _theta_nulls(w: BigFloat):
     raise PrecisionError("theta series did not converge")
 
 
-def _theta_term(tau: BigFloat) -> BigFloat:
-    """log(||v||_2 / max_j |theta_j|) for the theta null vector v at
-    tau, enclosed in interval arithmetic at the working precision and
-    clamped below at 0 (||v||_2 >= max_j |theta_j|)."""
-    bounds = [th.abs_bounds() for th in _theta_nulls(_theta_w(tau))]
+def _theta_term(nulls) -> BigFloat:
+    """log(||v||_2 / max_j |theta_j|) for the theta null vector v, given
+    as its four buckets, enclosed in interval arithmetic at the working
+    precision and clamped below at 0 (||v||_2 >= max_j |theta_j|)."""
+    bounds = [th.abs_bounds() for th in nulls]
     mx_lo = max(lo for lo, _ in bounds)
     if not mx_lo > 0:
         raise PrecisionError("theta maximum not separated from zero")
@@ -445,7 +480,7 @@ def theta_height_estimate(d, precision_digits: int = 24) -> BigFloat:
     """Archimedean height estimate of the theta null orbit: the
     class-group average of log(||v||_2 / max_j |theta_j|), where v is
     the theta null vector.  Nonnegative by construction."""
-    return _class_average(d, precision_digits, _theta_term)
+    return _class_average(d, precision_digits, lambda tau: _theta_term(_nulls_at(tau)))
 
 
 # ---------------------------------------------------------------------------
@@ -486,14 +521,30 @@ def _abs_bf(x: BigFloat) -> BigFloat:
     return BigFloat(abs(x.value), x.radius)
 
 
+def _cm_terms(tau: BigFloat) -> tuple:
+    """(j, s(tau), theta term) at one CM point from one theta series:
+    s(tau) = -(1/12) log|Delta| - (1/2) log Im tau with the Delta that j
+    is built from."""
+    nulls = _nulls_at(tau)
+    j, delta = _j_and_delta(nulls)
+    s = -(delta.log_abs() / 12) - _im_tau(tau).log_abs() / 2
+    return j, s, _theta_term(nulls)
+
+
 def cm_record(d, precision_digits: int = 24) -> CMRecord:
-    """Compute the full record for one discriminant."""
+    """The full record for one discriminant.  One theta series per
+    reduced form gives its j, s(tau) and theta term, so the j and theta
+    heights are the balls of ``j_height`` and ``theta_height_estimate``
+    bit for bit; the Faltings height takes Delta from the theta nulls
+    instead of the pentagonal series of ``faltings_height_cm``, which
+    it agrees with to the radii."""
     d = _disc_value(d)
     h = class_number(d)
-    jh = j_height(d, precision_digits)
-    fh = faltings_height_cm(d, precision_digits)
-    th = theta_height_estimate(d, precision_digits)
+    jh, s_avg, th = _class_averages(
+        d, precision_digits, _cm_terms, (_log_plus_total, sum, sum)
+    )
     with workdps(precision_digits + 15):
+        fh = _normalized(s_avg, None)
         residual = _abs_bf(_clamp_one(th) - _clamp_one(fh) / 2)
         ratio = fh / h
     return CMRecord(

@@ -377,6 +377,25 @@ class TestCMCommands:
         assert any(f.endswith(".json") for f in files)
         assert any(f.endswith(".dat") for f in files)
 
+    def test_verify_decay_prints_envelope_radii(self, capsys, tmp_path):
+        code, out, _ = run(
+            capsys, "cm", "verify-decay", "--dmax", "400", "--precision", "18",
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        lines = out.splitlines()
+        report = json.loads(Path(lines[-1].split(" written to ")[-1]).read_text())
+        checkpoints = report["checkpoints"]
+        assert len(lines) == len(checkpoints) + 2
+        for line, c in zip(lines, checkpoints):
+            # env(|D| >= X) ≈ value (radius r)
+            head, ball = line.split(" ≈ ")
+            value, radius = ball.removesuffix(")").split(" (radius ")
+            assert head == f"env(|D| >= {c['X_effective']})"
+            assert float(value) == pytest.approx(c["envelope"], rel=1e-9)
+            assert float(radius) == pytest.approx(c["radius"], rel=1e-2)
+            assert float(radius) > 0
+
 
 class TestArtifacts:
     # <experiment>-<hash12>.<ext> for fixed parameters; the hashes cover

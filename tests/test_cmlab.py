@@ -488,6 +488,32 @@ class TestCMRecord:
             f = max(mpf(1), rec.faltings_height.value)
             assert abs(rec.residual.value - abs(t - f / 2)) < mpf(10) ** -12
 
+    @staticmethod
+    def _faltings_reference(d) -> mpf:
+        """The class average of -(1/12) log(|q qp(q)^24| y^6), minus
+        (1/2) log 2, straight from mpmath at 60 digits."""
+        forms = reduced_forms(d)
+        with workdps(60):
+            total = mpf(0)
+            for f in forms:
+                tau = f.tau(60)
+                q = mp.exp(2j * mp.pi * tau)
+                total -= mp.log(abs(q * mp.qp(q) ** 24) * tau.imag**6) / 12
+            return total / len(forms) - mp.log(2) / 2
+
+    def test_one_series_agrees_with_the_standalone_heights(self):
+        # cm_record reads all three terms off one theta series per form
+        for d in fundamental_discriminants(300):
+            rec = cm_record(d, 24)
+            for mine, alone in ((rec.j_height, j_height(d, 24)), (rec.theta_height_est, theta_height_estimate(d, 24))):
+                assert (mine.value._mpf_, mine.radius._mpf_) == (alone.value._mpf_, alone.radius._mpf_), d
+            fh, alone = rec.faltings_height, faltings_height_cm(d, 24)
+            assert abs(fh.value - alone.value) <= fh.radius + alone.radius, d
+            assert mp.nstr(fh.value, 15) == mp.nstr(alone.value, 15), d
+            lo, hi = fh.bounds()
+            with workdps(60):
+                assert lo <= self._faltings_reference(d) <= hi, d
+
 
 class TestScan:
     def test_sorted_and_complete(self):

@@ -53,9 +53,9 @@ def test_identities_the_benchmark_asserts():
     assert heights.is_prime is towers.is_prime is numcore.is_prime
 
 
-def test_cm_counters_count_the_j_kernel(monkeypatch):
-    # the tracer counts calls through the module attributes, so a kernel
-    # reached any other way would read 0 calls on a traced run
+def _count_cm_kernels(monkeypatch) -> dict:
+    """Patch every traced cmlab counter to count its calls into the
+    returned dict, keyed by attribute name."""
     counts = {}
     for name in _tracer().COUNTERS:
         obj, attr = _owner(name)
@@ -67,6 +67,21 @@ def test_cm_counters_count_the_j_kernel(monkeypatch):
             return _fn(*args)
 
         monkeypatch.setattr(cmlab, attr, counted)
+    return counts
+
+
+def test_cm_counters_count_the_j_kernel(monkeypatch):
+    # the tracer counts calls through the module attributes, so a kernel
+    # reached any other way would read 0 calls on a traced run
+    counts = _count_cm_kernels(monkeypatch)
     with workdps(40):
         cmlab._j_at(cmlab._tau_ball(cmlab.reduced_forms(-23)[1]))
     assert counts == {"_theta_nulls": 1, "_eisenstein_e4": 1}
+
+
+def test_cm_record_sums_one_theta_series_per_form(monkeypatch):
+    # h(-23) = 3: j, the Faltings term and the theta term of each form
+    # come from one theta series, with no pentagonal series beside it
+    counts = _count_cm_kernels(monkeypatch)
+    cmlab.cm_record(-23, 24)
+    assert counts == {"_theta_nulls": 3, "_eisenstein_e4": 3}
