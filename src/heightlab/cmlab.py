@@ -658,18 +658,16 @@ def verify_decay(
     capped = [min(x, abs_ds[-1]) for x in checkpoints]
     # env(X) is the suffix maximum from the first row with |d| >= X
     envs = [suffix[bisect_left(abs_ds, x)] for x in capped]
-    envelope = [
-        {"X": x, "X_effective": xc, "envelope": float(e.value), "radius": float(e.radius)}
-        for x, xc, e in zip(checkpoints, capped, envs)
-    ]
+    envelope = []
+    for x, xc, e in zip(checkpoints, capped, envs):
+        value, radius = e.doubles()
+        envelope.append({"X": x, "X_effective": xc, "envelope": value, "radius": radius})
     passed = envs[-1].bounds()[1] < envs[0].bounds()[0]
     return {
         "d_max": d_max,
         "precision_digits": precision_digits,
         "checkpoints": envelope,
-        "ratios": [
-            [d, float(r.value), float(r.radius)] for d, _, _, r in rows
-        ],
+        "ratios": [[d, *r.doubles()] for d, _, _, r in rows],
         "passed": bool(passed),
     }
 
@@ -707,14 +705,15 @@ def verify_theta_faltings(
         c_fit = reduce(_ball_max, (q for _, q in per_d))
     # the first d whose quotient has the largest midpoint
     argmax_d = max(per_d, key=lambda dq: dq[1].value)[0]
+    fitted, fitted_radius = c_fit.doubles()
     return {
         "d_max": d_max,
         "precision_digits": precision_digits,
-        "fitted_constant": float(c_fit.value),
-        "fitted_radius": float(c_fit.radius),
+        "fitted_constant": fitted,
+        "fitted_radius": fitted_radius,
         "argmax_d": argmax_d,
         "finite": bool(mp.isfinite(c_fit.value)),
-        "quotients": [[d, float(q.value), float(q.radius)] for d, q in per_d],
+        "quotients": [[d, *q.doubles()] for d, q in per_d],
         "records": records,
         "passed": bool(mp.isfinite(c_fit.value)),
     }

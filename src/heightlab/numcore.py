@@ -22,15 +22,16 @@ Two policies make every numeric decision certified:
   a real ball's ends: midpoints and ends are exact and radii rounded
   up, so neither depends on the ambient precision.
 
-Rounding allowances are computed only here: in the ball operations,
-``BigFloat.rounded`` and root isolation.  Ball midpoints carry the
-working precision; ball radii carry _RADIUS_BITS (53) bits, each step
-of their arithmetic rounded up through libmpf, so a radius is exact as
-a float and costs the same at 39 digits as at 250.
+Rounding allowances are computed only here, in the ball operations
+and ``BigFloat.rounded``; root discs come from ball arithmetic.  Ball
+midpoints carry the working precision; ball radii carry _RADIUS_BITS
+(53) bits, each step of their arithmetic rounded up through libmpf, so
+a radius is exact as a float and costs the same at 39 digits as at 250.
 """
 
 from __future__ import annotations
 
+import cmath
 import operator
 import random
 from fractions import Fraction
@@ -41,6 +42,8 @@ import mpmath
 from mpmath import mp, mpc, mpf, workdps
 from mpmath.libmp import (
     fone,
+    from_float,
+    from_int,
     from_man_exp,
     from_rational,
     fzero,
@@ -58,6 +61,7 @@ from mpmath.libmp import (
     mpf_sub,
     round_ceiling,
     round_floor,
+    to_float,
     to_int,
     to_rational,
 )
@@ -539,6 +543,15 @@ class BigFloat:
         v, r = self.value._mpf_, self.radius._mpf_
         return mp.make_mpf(mpf_sub(v, r, 0)), mp.make_mpf(mpf_add(v, r, 0))
 
+    def doubles(self) -> tuple[float, float]:
+        """A real ball as two doubles for a report: the midpoint rounded
+        to a double, and the radius widened by that rounding and rounded
+        up, so the pair encloses the ball."""
+        v = self.value._mpf_
+        value = to_float(v)
+        gap = mpf_abs(mpf_sub(v, from_float(value), 0), _RADIUS_BITS, round_ceiling)
+        return value, to_float(_add_up(self.radius._mpf_, gap), rnd=round_ceiling)
+
     def __repr__(self) -> str:
         return f"BigFloat({mpmath.nstr(self.value, 17)} ± {mpmath.nstr(self.radius, 3)})"
 
@@ -695,77 +708,101 @@ def log_plus_sum(total: BigFloat, balls) -> BigFloat:
 # root finding
 # ---------------------------------------------------------------------------
 
-def _dk_roots(poly: IntPoly, digits: int) -> list[BigFloat]:
-    """Durand-Kerner simultaneous iteration on a squarefree polynomial.
+def _circle_start(coeffs: tuple) -> list:
+    """n points on the circle of radius max_k |c_(n-k)/c_n|^(1/k), half
+    Fujiwara's bound on the moduli of the roots."""
+    n = len(coeffs) - 1
+    lc = mpf(coeffs[-1])
+    rho = max(abs(mpf(c) / lc) ** (mpf(1) / (n - k)) for k, c in enumerate(coeffs[:-1]))
+    return [rho * cmath.exp(2j * cmath.pi * (k + 0.1357) / n) for k in range(n)]
 
-    Returns one disc per root with a posteriori Weierstrass radii
-    (each disc D(z_i, n*|w_i|) contains a root of the polynomial; once
-    the discs are pairwise disjoint each contains exactly one).
+
+def _aberth(coeffs: list, z: list, eps) -> None:
+    """Gauss-Seidel Aberth-Ehrlich sweeps on the approximations z of the
+    roots of sum c_k x^k, in place, in Python complex or in mpc.  z_i
+    stops moving once |p(z_i)| <= eps * sum |c_k| |z_i|^k: rounding
+    then hides p."""
+    n, live = len(z), range(len(z))
+    for _ in range(60 + 40 * n):
+        moving = []
+        for i in live:
+            x = z[i]
+            p, dp, bound, ax = coeffs[-1], 0, abs(coeffs[-1]), abs(x)
+            for c in coeffs[-2::-1]:
+                dp = dp * x + p
+                p = p * x + c
+                bound = bound * ax + abs(c)
+            if abs(p) > eps * bound:
+                ratio = p / dp
+                z[i] = x - ratio / (1 - ratio * sum(1 / (x - z[j]) for j in range(n) if j != i))
+                moving.append(i)
+        if not moving:
+            return
+        live = moving
+
+
+def _weierstrass_discs(coeffs: tuple, z: list, target: tuple) -> list[BigFloat] | None:
+    """The discs D(z_i, 2n |w_i|), w_i = p(z_i) / (c_n prod_(j != i) (z_i - z_j))
+    enclosed in ball arithmetic from the integer coefficients and the
+    exact z_i; None when one is wider than target or two meet."""
+    n, balls, radii = len(z), [BigFloat(v) for v in z], []
+    for x in balls:
+        p = den = BigFloat(coeffs[-1])
+        for c in coeffs[-2::-1]:
+            p = p * x + c
+        for y in balls:
+            if y is not x:
+                den = den * (x - y)
+        w = p / den
+        radii.append(_mul_up(from_int(2 * n), _add_up(w._mag, w.radius._mpf_)))
+    if all(mpf_le(r, target) for r in radii) and all(
+        mpf_gt((balls[i] - balls[j])._min_abs(), _add_up(radii[i], radii[j]))
+        for i in range(n) for j in range(i + 1, n)
+    ):
+        return [b.widened(mp.make_mpf(r)) for b, r in zip(balls, radii)]
+    return None
+
+
+def _dk_roots(poly: IntPoly, digits: int) -> list[BigFloat]:
+    """Pairwise disjoint discs of radius <= 10**-digits, each holding one
+    root of a squarefree integer polynomial p of degree n >= 2.  (The
+    name, from the Durand-Kerner iteration this replaced, is kept for
+    the benchmark's tracer.)
+
+    As in MPSolve (Bini-Fiorentino, Numer. Algorithms 23, 2000): Aberth
+    sweeps (Bini, Numer. Algorithms 13, 1996) in Python complex from a
+    circle start, skipped when a coefficient over c_n overflows a double
+    or the sweeps end on a value not finite or twice; then Aberth sweeps
+    in mpc at the working precision; then a certificate with no float
+    in it.  For distinct z_i, each connected component of the union of
+    the discs D(z_i, n |w_i|) made of m discs holds m roots
+    (Braess-Hadeler, Numer. Math. 21, 1973), so disjoint discs
+    D(z_i, 2n |w_i|_upper) from ``_weierstrass_discs`` hold one each.
+    When discs are too wide or meet, or a product ball holds 0,
+    ``certify`` doubles the precision; the iterates carry over.
     """
-    n = poly.degree
-    target = mpf(10) ** (-digits)
-    z = None  # iterates carry over to the next precision
+    n, coeffs = poly.degree, poly.coeffs
+    z = _circle_start(coeffs)
+    try:
+        start = [complex(v) for v in z]
+        _aberth([c / coeffs[-1] for c in coeffs], start, 16 * n * 2.0**-53)
+        if all(map(cmath.isfinite, start)) and len(set(start)) == n:
+            z = start
+    except (OverflowError, ZeroDivisionError):
+        pass
+    target = from_rational(1, 10**digits, _RADIUS_BITS, round_floor)
 
     def attempt(dps):
         nonlocal z
         with workdps(dps):
-            lc = mpf(poly.leading)
-            monic = [mpf(c) / lc for c in poly.coeffs]
-            cauchy = 1 + max(abs(c) for c in monic[:-1]) if n > 0 else mpf(1)
-            if z is None:
-                z = [
-                    cauchy * mpmath.expjpi(2 * mpf(k) / n + mpf("0.2843"))
-                    for k in range(n)
-                ]
-            else:
-                z = [mpc(v) for v in z]
-
-            def peval(x):
-                acc = mpc(1)
-                for c in reversed(monic[:-1]):
-                    acc = acc * x + c
-                return acc
-
-            tol = mpf(10) ** (-(dps - 6))
-            w = [mpf(0)] * n
-            for _ in range(60 + 40 * n):
-                delta = mpf(0)
-                for i in range(n):
-                    d = mpc(1)
-                    for j in range(n):
-                        if j != i:
-                            d *= z[i] - z[j]
-                    if d == 0:
-                        d = mpc(tol)
-                    w[i] = peval(z[i]) / d
-                    z[i] = z[i] - w[i]
-                    aw = abs(w[i])
-                    if aw > delta:
-                        delta = aw
-                if delta < tol * max(cauchy, 1):
-                    break
-            radii = []
-            ok = True
-            for i in range(n):
-                d = mpc(1)
-                for j in range(n):
-                    if j != i:
-                        d *= z[i] - z[j]
-                if d == 0:
-                    ok = False
-                    radii.append(mpf("inf"))
-                    continue
-                wi = abs(peval(z[i]) / d)
-                radii.append(2 * n * wi + _ulp_slop(z[i]))
-            if ok and max(radii) <= target:
-                # isolation: discs pairwise disjoint
-                isolated = all(
-                    abs(z[i] - z[j]) > radii[i] + radii[j]
-                    for i in range(n)
-                    for j in range(i + 1, n)
-                )
-                if isolated:
-                    return [BigFloat(z[i], radii[i]) for i in range(n)]
+            z = [mpc(v) for v in z]
+            try:
+                _aberth([mpf(c) for c in coeffs], z, 16 * n * mpf(2) ** -mp.prec)
+                return _weierstrass_discs(coeffs, z, target)
+            except ZeroDivisionError:  # two equal iterates, or p'(z_i) = 0
+                z = _circle_start(coeffs)
+            except PrecisionError:  # a product ball holds 0
+                pass
         return None
 
     dps = max(digits + 15, 2 * digits, 30)
@@ -777,11 +814,12 @@ def _dk_roots(poly: IntPoly, digits: int) -> list[BigFloat]:
 def poly_roots(poly: IntPoly, precision_digits: int = DEFAULT_DIGITS) -> list[BigFloat]:
     """All complex roots of an integer polynomial, with multiplicity.
 
-    Each returned disc has radius at most 10**(-precision_digits).
-    Repeated roots are handled by squarefree decomposition first, so the
-    returned discs for distinct roots are pairwise isolating.  Rational
-    roots of linear factors are returned with radius 0 when exactly
-    representable at working precision.
+    Squarefree decomposition splits off repeated factors, and a root of
+    multiplicity m appears as m copies of one disc.  A linear factor's
+    root is its rational value, of radius 0 when a binary number holds
+    it.  Every other factor gets ``_dk_roots``' discs: each of radius at
+    most 10**(-precision_digits), pairwise disjoint, and certified by
+    ball arithmetic to hold exactly one root.
     """
     if poly.degree < 1:
         raise ValueError("poly_roots requires degree >= 1")

@@ -40,6 +40,12 @@ def _exact(x) -> Fraction:
     return Fraction(*to_rational(x._mpf_))
 
 
+def _encloses(pair, ball: BigFloat) -> bool:
+    """Whether the written (value, radius) doubles enclose the ball."""
+    value, radius = pair
+    return abs(Fraction(value) - _exact(ball.value)) + _exact(ball.radius) <= Fraction(radius)
+
+
 def brute_class_number(d: int) -> int:
     """Independent count of reduced primitive forms: |b| <= a <= c,
     b >= 0 when |b| = a or a = c, b^2 - 4ac = d, gcd(a,b,c) = 1."""
@@ -593,21 +599,26 @@ class TestVerifyDecay:
         assert out["passed"] is True
 
     def test_json_radii_not_understated(self, monkeypatch):
-        # a 53-bit radius converts to a float exactly; a longer one rounds
-        # to nearest and can fall below the ball's radius
-        balls = []
+        # each written double and radius enclose the ball: the ball's own
+        # radius beside the double misses, as at X = 100 the midpoint lies
+        # 7.1e-17 from its double, against a radius of 2.5e-29
+        rows = []
 
         def ratio_row(d, precision_digits):
-            row = ratio_row.orig(d, precision_digits)
-            balls.append(row[3])
-            return row
+            rows.append(ratio_row.orig(d, precision_digits))
+            return rows[-1]
 
         ratio_row.orig = cmlab._ratio_row
         monkeypatch.setattr(cmlab, "_ratio_row", ratio_row)
-        out = verify_decay(d_max=200, precision_digits=20)
-        assert len(balls) == len(out["ratios"]) == len(fundamental_discriminants(200))
-        for ball, (_, _, radius) in zip(balls, out["ratios"]):
-            assert Fraction(radius) >= _exact(ball.radius)
+        out = verify_decay(400, precision_digits=18)
+        assert len(rows) == len(out["ratios"]) == len(fundamental_discriminants(400))
+        for row, pair in zip(rows, out["ratios"]):
+            assert pair[0] == row[0] and _encloses(pair[1:], row[3])
+        for c in out["checkpoints"]:
+            # the envelope ball: the largest midpoint with the largest radius
+            tail = [row[3] for row in rows if -row[0] >= c["X_effective"]]
+            env = BigFloat(max(b.value for b in tail), max(b.radius for b in tail))
+            assert _encloses((c["envelope"], c["radius"]), env)
 
     def test_workers_identical(self):
         kw = dict(d_max=200, checkpoints=[20, 100, 200], precision_digits=18)
@@ -634,9 +645,10 @@ class TestVerifyThetaFaltings:
         monkeypatch.setattr(cmlab, "_tf_quotient", tf_quotient)
         out = verify_theta_faltings(d_max=200, precision_digits=20)
         assert len(balls) == len(out["quotients"]) == len(fundamental_discriminants(200))
-        for ball, (_, _, radius) in zip(balls, out["quotients"]):
-            assert Fraction(radius) >= _exact(ball.radius)
-        assert Fraction(out["fitted_radius"]) >= max(_exact(b.radius) for b in balls)
+        for ball, (_, value, radius) in zip(balls, out["quotients"]):
+            assert _encloses((value, radius), ball)
+        fitted = BigFloat(max(b.value for b in balls), max(b.radius for b in balls))
+        assert _encloses((out["fitted_constant"], out["fitted_radius"]), fitted)
 
 
 class TestFinitenessDemo:

@@ -194,6 +194,43 @@ class TestPolyRoots:
                     )
                 assert val <= 2 * dbound * (r.radius + mpf(10) ** -34)
 
+    def test_coefficients_beyond_a_double(self):
+        # x^2 - 10^400 has no float start; the circle start still converges
+        roots = poly_roots(IntPoly([-(10**400), 0, 1]), 50)
+        assert len(roots) == 2
+        with workdps(300):
+            for r, sign in zip(roots, (-1, 1)):
+                assert r.radius <= mpf(10) ** -50
+                assert abs(r.value - sign * mpf(10) ** 200) <= r.radius
+
+
+def _mignotte(n: int, a: int) -> IntPoly:
+    """x^n - 2(a x - 1)^2: two roots near 1/a about a^(-(n+2)/2) apart."""
+    return IntPoly([-2, 4 * a, -2 * a * a] + [0] * (n - 3) + [1])
+
+
+def _random_poly(degree: int) -> IntPoly:
+    rng = random.Random(f"root-discs-{degree}")
+    return IntPoly([rng.randint(-9, 9) for _ in range(degree)] + [rng.randint(1, 9)])
+
+
+@pytest.mark.parametrize(
+    "poly",
+    [_mignotte(7, 10**6), _mignotte(12, 10**4), _mignotte(20, 1000)]
+    + [_random_poly(d) for d in (5, 17, 40)],
+    ids=["mignotte-7", "mignotte-12", "mignotte-20", "random-5", "random-17", "random-40"],
+)
+def test_every_root_disc_holds_a_root(poly):
+    # the 200-digit reference roots are far closer than the disc radii
+    # (1e-78 and smaller) to the true roots, clusters included
+    discs = poly_roots(poly, 50)
+    assert len(discs) == poly.degree
+    with workdps(200):
+        ref = mp.polyroots(list(reversed(poly.coeffs)), maxsteps=500, extraprec=200)
+        for disc in discs:
+            assert disc.radius <= mpf(10) ** -50
+            assert min(abs(disc.value - r) for r in ref) <= disc.radius
+
 
 class TestBigFloat:
     def test_radius_contains_truth(self):
@@ -327,6 +364,15 @@ class TestBigFloat:
         with workdps(15):
             b = BigFloat(0, r)
         assert b.radius >= r
+
+    def test_int_held_exactly(self):
+        # 2^200 + 1 needs 201 bits: rounded to 15 digits, a ball of radius
+        # 0 would miss it; root discs take integer coefficients this way
+        with workdps(15):
+            b = BigFloat(2**200 + 1)
+            one = b - 2**200
+        assert b.radius == 0 and Fraction(*to_rational(b.value._mpf_)) == 2**200 + 1
+        assert abs(one.value - 1) <= one.radius
 
     def test_bounds_exact_at_low_ambient_precision(self):
         # at 53 bits both ends would round to the double nearest 1/3
@@ -602,7 +648,8 @@ class TestSmithNormalForm:
 def test_ulp_slop_called_only_in_numcore():
     # rounding allowances are numcore's alone: every other module gets
     # its balls from BigFloat.rounded, from_bounds or ball arithmetic,
-    # and the ball operations build theirs from 53-bit magnitude bounds
+    # the ball operations build theirs from 53-bit magnitude bounds, and
+    # root discs are built by ball arithmetic
     callers = set()
     for path in sorted(Path(numcore.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
@@ -617,4 +664,4 @@ def test_ulp_slop_called_only_in_numcore():
                         called = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
                         if called == "_ulp_slop":
                             callers.add((path.name, name))
-    assert callers == {("numcore.py", "BigFloat.rounded"), ("numcore.py", "_dk_roots")}
+    assert callers == {("numcore.py", "BigFloat.rounded")}

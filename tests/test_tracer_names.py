@@ -85,3 +85,27 @@ def test_cm_record_sums_one_theta_series_per_form(monkeypatch):
     counts = _count_cm_kernels(monkeypatch)
     cmlab.cm_record(-23, 24)
     assert counts == {"_theta_nulls": 3, "_eisenstein_e4": 3}
+
+
+def test_root_isolation_opens_the_module_workdps(monkeypatch):
+    # the tracer reads numcore._dk_roots.max_digits from the
+    # numcore.workdps blocks opened while _dk_roots is the innermost call
+    running, opened = [], []
+    dk_roots, module_workdps = numcore._dk_roots, numcore.workdps
+
+    def traced_dk_roots(*args):
+        running.append(True)
+        try:
+            return dk_roots(*args)
+        finally:
+            running.pop()
+
+    def traced_workdps(n, *args, **kwargs):
+        if running:
+            opened.append(n)
+        return module_workdps(n, *args, **kwargs)
+
+    monkeypatch.setattr(numcore, "_dk_roots", traced_dk_roots)
+    monkeypatch.setattr(numcore, "workdps", traced_workdps)
+    numcore.poly_roots(numcore.IntPoly([-2, 0, 1]), 30)
+    assert opened and max(opened) == 60
