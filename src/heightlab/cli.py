@@ -468,9 +468,8 @@ def _cmd_cm_finiteness(args, opts) -> int:
         f"and |D| <= {args.dmax}"
     )
     for q in report["qualifying"]:
-        print(
-            f"  D={q['D']} h={q['class_number']} ratio={q['ratio']:.6f}"
-        )
+        ratio = BigFloat(q["ratio"], q["ratio_radius"])
+        print(f"  D={q['D']} h={q['class_number']} ratio {_ball_text(ratio, 10)}")
     _write_artifacts(opts["out"], config, "report", json=report)
     return 0
 

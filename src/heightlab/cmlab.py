@@ -28,8 +28,8 @@ fundamental domain.  On top of that sit:
   theta_0 - theta_2.  The series stops below the relative tolerance
   10^-dps |w|, so the small theta_1 ~ w keeps dps digits.
 
-``cm_record`` sums the theta series once per reduced form and reads all
-three heights off it: j as above, s(tau) from that same Delta, and the
+``cm_record`` sums the theta series once per pair of conjugate reduced
+forms (a, +-b, c) and reads all three heights off it: j as above, s(tau) from that same Delta, and the
 theta term from the four buckets.  The standalone ``s_invariant``,
 ``faltings_height_cm`` and ``modular_discriminant`` take Delta from the
 pentagonal series of prod (1 - q^n), q = exp(2 pi i tau), which stops
@@ -344,10 +344,15 @@ def _class_averages(d, precision_digits: int, terms, totals) -> tuple:
     gives a tuple of per-form terms at the CM point ball tau of each of
     the h reduced forms of d, in order; the i-th average is
     (1/h) * totals[i](i-th terms, zero ball), where each fold is ``sum``
-    or another with its arguments."""
+    or another with its arguments.  A form (a, -b, c), b > 0, has the
+    CM point -conj(tau) of (a, b, c) and reuses its term tuple, so a
+    fold may read a term only through quantities invariant under
+    tau -> -conj(tau): here |j| (``_log_plus_total``) and the real s(tau)
+    and theta term (``sum``)."""
     forms = reduced_forms(d)
     with workdps(precision_digits + 15):
-        columns = zip(*(terms(_tau_ball(f)) for f in forms))
+        mirrored = {(f.a, f.b): terms(_tau_ball(f)) for f in forms if f.b >= 0}
+        columns = zip(*(mirrored[f.a, abs(f.b)] for f in forms))
         return tuple(total(col, BigFloat(0, 0)) / len(forms) for total, col in zip(totals, columns))
 
 
@@ -533,7 +538,8 @@ def _cm_terms(tau: BigFloat) -> tuple:
 
 def cm_record(d, precision_digits: int = 24) -> CMRecord:
     """The full record for one discriminant.  One theta series per
-    reduced form gives its j, s(tau) and theta term, so the j and theta
+    conjugate pair of reduced forms gives j, s(tau) and the theta term
+    (``_class_averages`` shares it across the pair), so the j and theta
     heights are the balls of ``j_height`` and ``theta_height_estimate``
     bit for bit; the Faltings height takes Delta from the theta nulls
     instead of the pentagonal series of ``faltings_height_cm``, which
@@ -726,7 +732,9 @@ def finiteness_demo(
     |d| <= d_max whose ratio (Faltings height / class number) is
     certified at most c_prime, a float, int or Fraction taken exactly.
     Inclusion and exclusion compare the exact ends of each ratio ball
-    with c_prime, escalating precision on borderline cases."""
+    with c_prime, escalating precision on borderline cases.  Each
+    qualifying Faltings height and ratio is written as a double with a
+    radius that encloses its ball (``BigFloat.doubles``)."""
     c_prime = Fraction(c_prime)
     rows = _per_discriminant(_ratio_row, d_max, precision_digits, workers, chunksize=16)
     qualifying = []
@@ -748,14 +756,9 @@ def finiteness_demo(
             )
         _, h, fh, ratio = row
         if ends(row)[1] <= c_prime:
-            qualifying.append(
-                {
-                    "D": d,
-                    "class_number": h,
-                    "faltings_height": float(fh.value),
-                    "ratio": float(ratio.value),
-                }
-            )
+            (fv, fr), (rv, rr) = fh.doubles(), ratio.doubles()
+            qualifying.append({"D": d, "class_number": h, "faltings_height": fv,
+                               "faltings_radius": fr, "ratio": rv, "ratio_radius": rr})
     return {
         "d_max": d_max,
         "c_prime": float(c_prime),

@@ -51,6 +51,7 @@ from mpmath.libmp import (
     mpf_add,
     mpf_div,
     mpf_gt,
+    mpf_hypot,
     mpf_le,
     mpf_lt,
     mpf_mul,
@@ -369,15 +370,27 @@ def _divmod_q(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction],
     return q, _strip(r[:dd])
 
 
+def _prem_primitive(a: list[int], b: list[int]) -> list[int]:
+    """The primitive part of the pseudo-remainder of a by b over Z,
+    coefficients lowest first; b's last coefficient is nonzero."""
+    r, db, lb = list(a), len(b) - 1, b[-1]
+    for k in range(len(r) - 1 - db, -1, -1):
+        c = r[k + db]
+        r = [lb * x for x in r]
+        for i, bi in enumerate(b):
+            r[k + i] -= c * bi
+    r = _strip(r[:db])
+    g = gcd(*r)
+    return [x // g for x in r]
+
+
 def _poly_gcd_q(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Monic gcd over Q, coefficients lowest first."""
-    a, b = _strip(list(a)), _strip(list(b))
+    """Monic gcd over Q, coefficients lowest first, by a primitive
+    pseudo-remainder sequence over Z."""
+    a, b = (list(_intpoly_of(p).coeffs) for p in (a, b))
     while b:
-        a, b = b, _divmod_q(a, b)[1]
-    if a:
-        la = a[-1]
-        a = [c / la for c in a]
-    return a
+        a, b = b, _prem_primitive(a, b)
+    return [Fraction(c, a[-1]) for c in a]
 
 
 def _intpoly_of(fr: list[Fraction]) -> IntPoly:
@@ -446,13 +459,33 @@ def _allowance(dps: int) -> tuple:
 
 def _mag(v, rnd=round_ceiling) -> tuple:
     """|v| rounded to _RADIUS_BITS, up (round_ceiling) or down
-    (round_floor).  A complex modulus rounds its parts the same way,
-    squares them exactly and rounds the sum and the square root."""
+    (round_floor).  A complex modulus is the ``isqrt`` of the exact sum
+    of the squares of the parts' mantissas cut to 64 bits, scaled to a
+    root of 55 bits or more, each step rounded the same way; a part whose
+    leading bit lies over 2 * 53 + 8 bits below the other's moves |v| by
+    less than the unit in the other's 53rd bit, which round_ceiling adds."""
     if not isinstance(v, mpc):
         return mpf_abs(v._mpf_, _RADIUS_BITS, rnd)
     re, im = v._mpc_
-    re, im = mpf_abs(re, _RADIUS_BITS, rnd), mpf_abs(im, _RADIUS_BITS, rnd)
-    return mpf_sqrt(mpf_add(mpf_mul(re, re), mpf_mul(im, im), _RADIUS_BITS, rnd), _RADIUS_BITS, rnd)
+    if not (re[1] and im[1]):  # a zero part gives |other part|; inf or nan stays
+        return mpf_hypot(re, im, _RADIUS_BITS, rnd)
+    up = rnd == round_ceiling
+    (_, ma, ea, ba), (_, mb, eb, bb) = re, im
+    if abs(ea + ba - eb - bb) > 2 * _RADIUS_BITS + 8:
+        big = mpf_abs(re if ea + ba > eb + bb else im, _RADIUS_BITS, rnd)
+        return mpf_add(big, from_man_exp(1, big[2] + big[3] - _RADIUS_BITS), _RADIUS_BITS, rnd) if up else big
+    if ba > 64:
+        top = ma >> (ba - 64)
+        ma, ea = top + (up and top << (ba - 64) != ma), ea + ba - 64
+    if bb > 64:
+        top = mb >> (bb - 64)
+        mb, eb = top + (up and top << (bb - 64) != mb), eb + bb - 64
+    e = min(ea, eb)
+    n = (ma << (ea - e)) ** 2 + (mb << (eb - e)) ** 2
+    k = max(0, 110 - n.bit_length()) // 2
+    n <<= 2 * k
+    root = isqrt(n)
+    return from_man_exp(root + (up and root * root != n), e - k, _RADIUS_BITS, rnd)
 
 
 def _add_up(a, b) -> tuple:
@@ -479,7 +512,8 @@ class BigFloat:
     at the working precision, but every radius is a _RADIUS_BITS number
     computed through libmpf with each step rounded up, whatever the
     working precision.  Each ball also keeps ``_mag``, an upper bound of
-    |value| at _RADIUS_BITS made with the ball; the allowance of an
+    |value| at _RADIUS_BITS made with the ball (for a complex value, by
+    an integer square root of its parts' mantissas); the allowance of an
     operation is that bound times 8 * 10**-dps rounded up, so it is
     never below the exact 8 * |v| * 10**-dps (nor, from 15 digits on,
     below ``_ulp_slop(v)``).  Denominators of ``/``, ``log_abs`` and

@@ -359,6 +359,23 @@ class TestCMCommands:
         report = json.loads(Path(out.strip().split(" written to ")[-1]).read_text())
         assert report["c_prime"] == 1 / 3
 
+    def test_finiteness_prints_ratio_balls(self, capsys, tmp_path):
+        code, out, _ = run(
+            capsys, "cm", "finiteness", "--dmax", "20", "--cprime", "1/2",
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        lines = out.splitlines()
+        report = json.loads(Path(lines[-1].split(" written to ")[-1]).read_text())
+        assert len(lines) == report["count"] + 2
+        for line, q in zip(lines[1:], report["qualifying"]):
+            # D=-3 h=1 ratio ≈ value (radius r)
+            head, ball = line.split(" ≈ ")
+            value, radius = ball.removesuffix(")").split(" (radius ")
+            assert head == f"  D={q['D']} h={q['class_number']} ratio"
+            assert float(value) == pytest.approx(q["ratio"], rel=1e-9)
+            assert float(radius) == pytest.approx(q["ratio_radius"], rel=1e-2)
+
     def test_verify_tf_small(self, capsys, tmp_path):
         code, out, _ = run(
             capsys,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -6,11 +7,12 @@ from math import gcd, isqrt
 
 import pytest
 from mpmath import mp, mpc, mpf, workdps
-from mpmath.libmp import to_rational
+from mpmath.libmp import mpf_neg, to_rational
 
 from heightlab.cmlab import (
     CMRecord,
     Discriminant,
+    ReducedForm,
     Q_MODULUS_CAP,
     class_number,
     cm_record,
@@ -33,7 +35,7 @@ from heightlab.cmlab import (
 )
 from heightlab import cmlab
 from heightlab.heights import mahler_height
-from heightlab.numcore import BigFloat, PrecisionError, _ulp_slop
+from heightlab.numcore import BigFloat, PrecisionError, _ulp_slop, log_plus_sum
 
 
 def _exact(x) -> Fraction:
@@ -520,6 +522,42 @@ class TestCMRecord:
             with workdps(60):
                 assert lo <= self._faltings_reference(d) <= hi, d
 
+    def test_mirror_forms_give_the_same_terms(self):
+        # (a, -b, c) has the CM point -conj(tau) of (a, b, c): its s(tau)
+        # and theta term are the same balls bit for bit, and its j the
+        # conjugate ball, so the class averages share one term tuple
+        pairs = 0
+        for d in fundamental_discriminants(300):
+            forms = set(reduced_forms(d))
+            for f in forms:
+                if f.b <= 0 or f.b == f.a or f.a == f.c:
+                    continue  # no mirror among the reduced forms
+                mirror = ReducedForm(f.a, -f.b, f.c)
+                assert mirror in forms
+                with workdps(39):
+                    j, s, t = cmlab._cm_terms(cmlab._tau_ball(f))
+                    jm, sm, tm = cmlab._cm_terms(cmlab._tau_ball(mirror))
+                for x, y in ((s, sm), (t, tm)):
+                    assert (x.value._mpf_, x.radius._mpf_) == (y.value._mpf_, y.radius._mpf_), f
+                re, im = j.value._mpc_
+                assert jm.value._mpc_ == (re, mpf_neg(im)) and jm.radius == j.radius, f
+                pairs += 1
+        assert pairs > 100
+
+    def test_record_is_the_per_form_average(self):
+        # every form evaluates its own terms here; cm_record shares one
+        # tuple per conjugate pair and must give the same balls
+        for d in (-23, -47, -71, -84, -95, -119, -260, -299):
+            rec, forms = cm_record(d, 24), reduced_forms(d)
+            with workdps(39):
+                js, ss, ts = zip(*(cmlab._cm_terms(cmlab._tau_ball(f)) for f in forms))
+                zero, h = BigFloat(0, 0), len(forms)
+                jh = log_plus_sum(zero, js) / h
+                fh = sum(ss, zero) / h + BigFloat.rounded(-mp.log(2) / 2)
+                th = sum(ts, zero) / h
+            for mine, want in ((rec.j_height, jh), (rec.faltings_height, fh), (rec.theta_height_est, th)):
+                assert (mine.value._mpf_, mine.radius._mpf_) == (want.value._mpf_, want.radius._mpf_), d
+
 
 class TestScan:
     def test_sorted_and_complete(self):
@@ -536,6 +574,14 @@ class TestScan:
             return [rec.d, rec.class_number] + [(b.value._mpf_, b.radius._mpf_) for b in balls]
 
         assert [bits(r) for r in one] == [bits(r) for r in two]
+
+    def test_csv_digest_frozen(self):
+        # SHA-256 of the CSV as computed before the conjugate pairs of
+        # forms shared their terms: a faster kernel must leave it alone
+        text = records_to_csv(cm_scan(400, 24))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "a63fd3f01ad2f1c4a8def4fd6bae4311df318d11ad9fbbaddb592902fbbb0fbd"
+        )
 
     def test_cdisc_is_the_one_ball_type(self):
         assert cmlab.CDisc is BigFloat
@@ -701,6 +747,24 @@ class TestFinitenessDemo:
         out = finiteness_demo(4, 0.55, 20)
         assert [q["D"] for q in out["qualifying"]] == [-3, -4]
         assert sorted(set(calls)) == [20, 40, 80, 160, 320]
+
+    def test_written_pairs_enclose_their_balls(self, monkeypatch):
+        # each Faltings height and ratio is written with a radius that
+        # covers the ball and its rounding to a double
+        rows = {}
+
+        def ratio_row(d, precision_digits):
+            rows[d] = ratio_row.orig(d, precision_digits)
+            return rows[d]
+
+        ratio_row.orig = cmlab._ratio_row
+        monkeypatch.setattr(cmlab, "_ratio_row", ratio_row)
+        out = finiteness_demo(60, 0.5, 20)
+        assert out["count"] > 5
+        for q in out["qualifying"]:
+            _, _, fh, ratio = rows[q["D"]]
+            assert _encloses((q["faltings_height"], q["faltings_radius"]), fh)
+            assert _encloses((q["ratio"], q["ratio_radius"]), ratio)
 
     def test_unseparated_ratio_raises(self, monkeypatch):
         monkeypatch.setattr(

@@ -145,6 +145,28 @@ class TestIntPoly:
             assert got == want or got == tuple(-c for c in want)
 
 
+    def test_squarefree_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = random.Random(2027)
+
+        def rand(deg, bound):
+            return IntPoly([rng.randint(-bound, bound) for _ in range(deg)] + [rng.randint(1, bound)])
+
+        polys = [rand(deg, 10**6) for deg in (1, 5, 12, 30)]
+        for _ in range(6):
+            g, h, k = rand(rng.randint(1, 3), 9), rand(rng.randint(1, 2), 9), rand(rng.randint(0, 4), 99)
+            polys.append(g * g * h * h * h * k)
+        for p in polys:
+            mine = {m: q.coeffs for q, m in squarefree_decomposition(p)}
+            _, factors = sympy.sqf_list(sympy.Poly(list(reversed(p.coeffs)), x))
+            theirs = {}
+            for f, m in factors:
+                f = IntPoly(reversed(f.all_coeffs())).primitive_positive()
+                theirs[m] = (theirs[m] * f if m in theirs else f)
+            assert mine == {m: f.coeffs for m, f in theirs.items()}, p
+
+
 class TestPolyRoots:
     def test_simple_quadratic(self):
         roots = poly_roots(IntPoly([-2, 0, 1]), 40)  # x^2 - 2
@@ -527,6 +549,57 @@ class TestBallEnclosure:
             x = BigFloat(0, mpf(r.numerator) / r.denominator)
             p = x * x
         assert _exact(p.radius) >= r * r
+
+
+class TestComplexMagnitude:
+    """``_mag`` of a complex value from integer mantissas: a 53-bit
+    bound of |z| in the direction asked for, never looser than rounding
+    the parts to 53 bits and the sum of squares and its square root."""
+
+    @staticmethod
+    def _by_mpf_sqrt(z, rnd):
+        """The libmpf formula of the bound before the integer root."""
+        from mpmath.libmp import mpf_abs, mpf_add, mpf_mul, mpf_sqrt
+
+        re, im = (mpf_abs(p, 53, rnd) for p in z._mpc_)
+        return mp.make_mpf(mpf_sqrt(mpf_add(mpf_mul(re, re), mpf_mul(im, im), 53, rnd), 53, rnd))
+
+    @staticmethod
+    def _values(rng, dps):
+        def part():
+            return (mpf(rng.getrandbits(mp.prec)) / 2**mp.prec - mpf(0.5)) * mpf(2) ** rng.randint(-40, 40)
+
+        for i in range(300):
+            a, b = part(), part()
+            yield {
+                0: mpc(a, b),
+                1: mpc(a, 0),
+                2: mpc(0, b),
+                3: mpc(mpf(2) ** rng.randint(-60, 60), -mpf(2) ** rng.randint(-60, 60)),
+                4: mpc(mpf(2) ** rng.randint(-3, 3), b),
+                5: mpc(a, a * mpf(10) ** rng.choice([-300, 300])),
+                6: mpc(a, a * mpf(2) ** rng.choice([-115, -114, -113, 113, 114, 115])),
+                7: mpc(b * mpf(2) ** -200, -mpf(2) ** rng.randint(-60, 60)),
+            }[i % 8]
+
+    @pytest.mark.parametrize("dps", [15, 39, 250, 1000])
+    def test_encloses_and_never_loosens(self, dps):
+        from mpmath.libmp import round_ceiling, round_floor
+
+        rng = random.Random(1000 + dps)
+        with workdps(dps):
+            values = list(self._values(rng, dps))
+        for z in values:
+            with workdps(3 * dps):
+                modulus = abs(z)
+            up = mp.make_mpf(numcore._mag(z, round_ceiling))
+            down = mp.make_mpf(numcore._mag(z, round_floor))
+            assert down <= modulus <= up, z
+            # exactly, where |z| and its larger part agree past 3 * dps digits
+            square = _exact(z.real) ** 2 + _exact(z.imag) ** 2
+            assert _exact(down) ** 2 <= square <= _exact(up) ** 2, z
+            assert up <= self._by_mpf_sqrt(z, round_ceiling), z
+            assert down >= self._by_mpf_sqrt(z, round_floor), z
 
 
 class TestCertify:

@@ -81,10 +81,11 @@ def test_cm_counters_count_the_j_kernel(monkeypatch):
 
 def test_cm_record_sums_one_theta_series_per_form(monkeypatch):
     # h(-23) = 3: j, the Faltings term and the theta term of each form
-    # come from one theta series, with no pentagonal series beside it
+    # come from one theta series, with no pentagonal series beside it,
+    # and the conjugate pair (2, +-1, 3) shares the series of (2, 1, 3)
     counts = _count_cm_kernels(monkeypatch)
     cmlab.cm_record(-23, 24)
-    assert counts == {"_theta_nulls": 3, "_eisenstein_e4": 3}
+    assert counts == {"_theta_nulls": 2, "_eisenstein_e4": 2}
 
 
 def test_root_isolation_opens_the_module_workdps(monkeypatch):
