@@ -63,7 +63,7 @@ from .numcore import (
     IntPoly,
     PrecisionError,
     _as_bigfloat,
-    _geometric_tail,
+    _tail_below,
     _ulp_slop,  # bound for bench/test_bench.py only; just numcore calls it
     certify,
     factorint,
@@ -227,8 +227,8 @@ def _eta_product(q: BigFloat) -> BigFloat:
         t = q.pow_int(k * (3 * k - 1) // 2) + q.pow_int(k * (3 * k + 1) // 2)
         total = total + (-t if k % 2 else t)
         # the exponents left are distinct, from (k+1)(3k+2)/2 on
-        tail = _geometric_tail(q_hi, (k + 1) * (3 * k + 2) // 2)
-        if tail < tol:
+        tail = _tail_below(q_hi, (k + 1) * (3 * k + 2) // 2, 1, tol)
+        if tail is not None:
             return total.widened(tail)
     raise PrecisionError("pentagonal series did not converge")
 
@@ -385,7 +385,7 @@ def s_invariant(tau, precision_digits: int = DEFAULT_DIGITS) -> BigFloat:
 def _im_tau(t: BigFloat) -> BigFloat:
     """The real ball of Im tau, certified positive: |Im e| <= |e|, so
     the radius of tau carries over."""
-    y = BigFloat(t.value.imag, t.radius)
+    y = t.with_value(t.value.imag)
     if not y.bounds()[0] > 0:
         raise ValueError("tau must lie in the upper half plane")
     return y
@@ -458,8 +458,8 @@ def _theta_nulls(w: BigFloat):
         buckets[m % 4] = buckets[m % 4] + w_m2
         buckets[-m % 4] = buckets[-m % 4] + w_m2
         # the exponents left start at (m+1)^2 and grow by 2m+3 or more
-        tail = _geometric_tail(w_hi, (m + 1) * (m + 1), 2 * m + 3)
-        if tail < tol:
+        tail = _tail_below(w_hi, (m + 1) * (m + 1), 2 * m + 3, tol)
+        if tail is not None:
             return tuple(b.widened(tail) for b in buckets)
         # w^((m+1)^2) = w^(m^2) w^(2m+1)
         w_odd = w_odd * w2
@@ -519,11 +519,11 @@ class CMRecord:
 
 def _clamp_one(x: BigFloat) -> BigFloat:
     # max(1, x) is 1-Lipschitz: midpoint clamps, radius carries over
-    return BigFloat(x.value if x.value > 1 else mpf(1), x.radius)
+    return x.with_value(x.value if x.value > 1 else mpf(1))
 
 
 def _abs_bf(x: BigFloat) -> BigFloat:
-    return BigFloat(abs(x.value), x.radius)
+    return x.with_value(abs(x.value))
 
 
 def _cm_terms(tau: BigFloat) -> tuple:
@@ -623,7 +623,7 @@ def records_to_json(records, config: dict | None = None) -> str:
 def _ball_max(a: BigFloat, b: BigFloat) -> BigFloat:
     """Ball enclosing max(x, y) for x in a and y in b: the larger
     midpoint with the larger radius (max is 1-Lipschitz)."""
-    return BigFloat(a.value if a.value > b.value else b.value, max(a.radius, b.radius))
+    return (a if a.radius >= b.radius else b).with_value(a.value if a.value > b.value else b.value)
 
 
 # --- light path: Faltings ratios only --------------------------------------
@@ -684,9 +684,9 @@ def _tf_quotient(r: CMRecord) -> BigFloat:
     precision."""
     tv, fv = r.theta_height_est, r.faltings_height
     # the smaller midpoint with the larger radius encloses the minimum
-    m_val, m_rad = min(tv.value, fv.value), max(tv.radius, fv.radius)
+    low = (tv if tv.radius >= fv.radius else fv).with_value(min(tv.value, fv.value))
     with _iv_workdps(mp.dps):
-        den = iv.log(iv.mpf(m_val) + iv.mpf([-m_rad, m_rad]) + 2)
+        den = iv.log(iv.mpf(low.bounds()) + 2)
         if not den.a > 0:
             raise PrecisionError("comparison denominator degenerate")
         q = iv.mpf(r.residual.bounds()) / den

@@ -425,7 +425,7 @@ def mahler_height(poly: IntPoly, precision_digits: int = 40) -> BigFloat:
         total = log_plus_sum(lead, roots) * BigFloat(Fraction(1, poly.degree))
         if total.value < 0:
             # mathematically >= 0; fold the undershoot into the radius
-            return BigFloat(0, total.radius).widened(-total.value)
+            return total.with_value(0).widened(-total.value)
     return total
 
 

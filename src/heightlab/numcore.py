@@ -24,9 +24,10 @@ Two policies make every numeric decision certified:
 
 Rounding allowances are computed only here, in the ball operations
 and ``BigFloat.rounded``; root discs come from ball arithmetic.  Ball
-midpoints carry the working precision; ball radii carry _RADIUS_BITS
-(53) bits, each step of their arithmetic rounded up through libmpf, so
-a radius is exact as a float and costs the same at 39 digits as at 250.
+midpoints carry the working precision; ball radii are integer pairs
+(m, e) worth m * 2**e with m of _RADIUS_BITS (53) bits, each step of
+their arithmetic on Python ints and rounded up exactly as libmpf's
+round_ceiling, so a radius costs the same at 39 digits as at 250.
 """
 
 from __future__ import annotations
@@ -36,29 +37,19 @@ import operator
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, log2
 
 import mpmath
 from mpmath import mp, mpc, mpf, workdps
 from mpmath.libmp import (
-    fone,
     from_float,
-    from_int,
     from_man_exp,
     from_rational,
     fzero,
-    mpf_abs,
     mpf_add,
-    mpf_div,
-    mpf_gt,
-    mpf_hypot,
-    mpf_le,
     mpf_lt,
-    mpf_mul,
     mpf_neg,
-    mpf_pos,
     mpf_shift,
-    mpf_sqrt,
     mpf_sub,
     round_ceiling,
     round_floor,
@@ -446,34 +437,61 @@ def _ulp_slop(*vals) -> mpf:
     return 8 * m * mpf(10) ** (-mp.dps)
 
 
-# Bits of every ball radius and magnitude bound (a double's mantissa).
+# Every ball radius and magnitude bound is a pair (m, e) worth m * 2**e,
+# with m = 0 or 2**52 <= m < 2**53: a number of _RADIUS_BITS bits (a
+# double's mantissa) whose arithmetic runs on Python ints, each step
+# rounded up exactly as libmpf rounds with round_ceiling.
 _RADIUS_BITS = 53
+_ZERO = (0, 0)
+_ONE = (1 << 52, -52)
+
+
+def _up(m: int, e: int) -> tuple:
+    """The pair of m * 2**e rounded up, for an integer m >= 0."""
+    s = m.bit_length() - _RADIUS_BITS
+    if s <= 0:
+        return (m << -s, e + s) if m else _ZERO
+    m = -(-m >> s)
+    return (m >> 1, e + s + 1) if m >> _RADIUS_BITS else (m, e + s)
+
+
+def _down(m: int, e: int) -> tuple:
+    """The pair of m * 2**e rounded down, for an integer m >= 0."""
+    s = max(m.bit_length() - _RADIUS_BITS, 0)
+    return _up(m >> s, e + s)
+
+
+def _pair(t: tuple) -> tuple:
+    """The pair of |t| rounded up, for a libmpf number t; ValueError if t
+    is inf or nan, which libmpf writes with mantissa 0 unlike 0 itself."""
+    if not t[1] and t != fzero:
+        raise ValueError("a ball needs a finite midpoint and radius")
+    return _up(t[1], t[2])
 
 
 @lru_cache(maxsize=None)
 def _allowance(dps: int) -> tuple:
-    """8 * 10**-dps rounded up to _RADIUS_BITS: the rounding allowance
-    of one ball operation per unit of magnitude, as in ``_ulp_slop``."""
-    return from_rational(8, 10**dps, _RADIUS_BITS, round_ceiling)
+    """8 * 10**-dps rounded up: a ball operation's allowance per unit of |v|."""
+    return _pair(from_rational(8, 10**dps, _RADIUS_BITS, round_ceiling))
 
 
 def _mag(v, rnd=round_ceiling) -> tuple:
-    """|v| rounded to _RADIUS_BITS, up (round_ceiling) or down
-    (round_floor).  A complex modulus is the ``isqrt`` of the exact sum
-    of the squares of the parts' mantissas cut to 64 bits, scaled to a
-    root of 55 bits or more, each step rounded the same way; a part whose
-    leading bit lies over 2 * 53 + 8 bits below the other's moves |v| by
-    less than the unit in the other's 53rd bit, which round_ceiling adds."""
-    if not isinstance(v, mpc):
-        return mpf_abs(v._mpf_, _RADIUS_BITS, rnd)
-    re, im = v._mpc_
-    if not (re[1] and im[1]):  # a zero part gives |other part|; inf or nan stays
-        return mpf_hypot(re, im, _RADIUS_BITS, rnd)
+    """|v| as a pair rounded up (round_ceiling) or down (round_floor).
+    A complex modulus is the ``isqrt`` of the exact sum of the squares
+    of the parts' mantissas cut to 64 bits, scaled to a root of 55 bits
+    or more, each step rounded the same way; a part whose leading bit
+    lies over 2 * 53 + 8 bits below the other's moves |v| by less than
+    the unit in the other's 53rd bit, which round_ceiling adds."""
     up = rnd == round_ceiling
-    (_, ma, ea, ba), (_, mb, eb, bb) = re, im
+    to = _up if up else _down
+    if not isinstance(v, mpc):
+        return to(v._mpf_[1], v._mpf_[2])
+    (_, ma, ea, ba), (_, mb, eb, bb) = v._mpc_
+    if not (ma and mb):  # a zero part gives |other part|
+        return to(ma, ea) if ma else to(mb, eb)
     if abs(ea + ba - eb - bb) > 2 * _RADIUS_BITS + 8:
-        big = mpf_abs(re if ea + ba > eb + bb else im, _RADIUS_BITS, rnd)
-        return mpf_add(big, from_man_exp(1, big[2] + big[3] - _RADIUS_BITS), _RADIUS_BITS, rnd) if up else big
+        big = to(ma, ea) if ea + ba > eb + bb else to(mb, eb)
+        return _up(big[0] + 1, big[1]) if up else big
     if ba > 64:
         top = ma >> (ba - 64)
         ma, ea = top + (up and top << (ba - 64) != ma), ea + ba - 64
@@ -485,19 +503,36 @@ def _mag(v, rnd=round_ceiling) -> tuple:
     k = max(0, 110 - n.bit_length()) // 2
     n <<= 2 * k
     root = isqrt(n)
-    return from_man_exp(root + (up and root * root != n), e - k, _RADIUS_BITS, rnd)
+    return to(root + (up and root * root != n), e - k)
 
 
-def _add_up(a, b) -> tuple:
-    return mpf_add(a, b, _RADIUS_BITS, round_ceiling)
+def _add_up(a: tuple, b: tuple) -> tuple:
+    """a + b rounded up: at an exponent gap of 53 or more, the larger plus one unit."""
+    if not (a[0] and b[0]):
+        return a if b[0] == 0 else b
+    (ma, ea), (mb, eb) = (a, b) if a[1] >= b[1] else (b, a)
+    if ea - eb >= _RADIUS_BITS:
+        return _up(ma + 1, ea)
+    return _up((ma << (ea - eb)) + mb, eb)
 
 
-def _mul_up(a, b) -> tuple:
-    return mpf_mul(a, b, _RADIUS_BITS, round_ceiling)
+def _sub_down(a: tuple, b: tuple) -> tuple:
+    """a - b rounded down, or zero when a <= b: nonzero iff a > b.  A b
+    below a quarter unit of a rounds as 2**-56 units of a would."""
+    if not b[0]:
+        return a
+    (ma, ea), (mb, eb) = a, b if a[1] - b[1] <= _RADIUS_BITS + 2 else (1, a[1] - 56)
+    n = (ma << (ea - eb)) - mb if ea >= eb else 0
+    return _down(n, eb) if n > 0 else _ZERO
 
 
-def _div_up(a, b) -> tuple:
-    return mpf_div(a, b, _RADIUS_BITS, round_ceiling)
+def _mul_up(a: tuple, b: tuple) -> tuple:
+    return _up(a[0] * b[0], a[1] + b[1])
+
+
+def _div_up(a: tuple, b: tuple) -> tuple:
+    """a / b rounded up, for b > 0, via a ceiling quotient of 55+ bits."""
+    return _up(-(-(a[0] << 55) // b[0]), a[1] - b[1] - 55)
 
 
 class BigFloat:
@@ -509,35 +544,45 @@ class BigFloat:
     rounding allowance for the op itself.
 
     Radius policy: a midpoint is computed by the same mpmath expression
-    at the working precision, but every radius is a _RADIUS_BITS number
-    computed through libmpf with each step rounded up, whatever the
-    working precision.  Each ball also keeps ``_mag``, an upper bound of
-    |value| at _RADIUS_BITS made with the ball (for a complex value, by
-    an integer square root of its parts' mantissas); the allowance of an
-    operation is that bound times 8 * 10**-dps rounded up, so it is
-    never below the exact 8 * |v| * 10**-dps (nor, from 15 digits on,
-    below ``_ulp_slop(v)``).  Denominators of ``/``, ``log_abs`` and
-    ``sqrt_pos`` are |value| - radius rounded down.
+    at the working precision; the radius ``_r`` is an integer pair of
+    _RADIUS_BITS bits whatever the precision, each step rounded up as
+    libmpf's round_ceiling rounds, and ``radius`` reads it as an exact
+    mpf.  ``_mag``, such a pair made with the ball, bounds |value| (for
+    a complex value, by an integer square root of its parts'
+    mantissas); an operation's allowance is that bound times 8 *
+    10**-dps rounded up, never below the exact 8 * |v| * 10**-dps (nor,
+    from 15 digits on, below ``_ulp_slop(v)``).  Denominators of ``/``,
+    ``log_abs`` and ``sqrt_pos`` are |value| - radius rounded down.  A
+    midpoint or radius that is not finite raises ValueError.
     """
 
-    __slots__ = ("value", "radius", "_mag")
+    __slots__ = ("value", "_r", "_mag")
 
     def __init__(self, value, radius=0):
-        self.value = mpmath.mpmathify(value)
-        # rounded up, so the stored radius is never below the one given
-        r = mpf_pos(mpmath.mpmathify(radius)._mpf_, _RADIUS_BITS, round_ceiling)
-        if mpf_lt(r, fzero):
+        value, r = mpmath.mpmathify(value), mpmath.mpmathify(radius)._mpf_
+        parts = value._mpc_ if isinstance(value, mpc) else (value._mpf_,)
+        if not all(t[1] or t == fzero for t in parts):
+            raise ValueError("a ball needs a finite midpoint and radius")
+        if r[0]:
             raise ValueError("radius must be nonnegative")
-        self.radius = mp.make_mpf(r)
-        self._mag = _mag(self.value)
+        # rounded up, never below the radius given; _pair refuses inf and nan
+        self.value, self._r, self._mag = value, _pair(r), _mag(value)
 
     @classmethod
-    def _made(cls, value, radius: tuple, mag: tuple) -> "BigFloat":
-        """The ball of value with a raw radius and magnitude bound, both
-        already rounded up to _RADIUS_BITS."""
+    def _made(cls, value, r: tuple, mag: tuple) -> "BigFloat":
+        """The ball of value with radius and magnitude bound as pairs."""
         ball = cls.__new__(cls)
-        ball.value, ball.radius, ball._mag = value, mp.make_mpf(radius), mag
+        ball.value, ball._r, ball._mag = value, r, mag
         return ball
+
+    @property
+    def radius(self) -> mpf:
+        return mp.make_mpf(from_man_exp(*self._r))
+
+    def with_value(self, value) -> "BigFloat":
+        """This radius about value: the image under a 1-Lipschitz map."""
+        value = mpmath.mpmathify(value)
+        return BigFloat._made(value, self._r, _mag(value))
 
     @classmethod
     def _op(cls, v, mag: tuple, spread: tuple, scale=None) -> "BigFloat":
@@ -551,7 +596,7 @@ class BigFloat:
     def _min_abs(self) -> tuple:
         """|value| - radius rounded down: a lower bound of |z| over the
         ball, which excludes 0 when it is positive."""
-        return mpf_sub(_mag(self.value, round_floor), self.radius._mpf_, _RADIUS_BITS, round_floor)
+        return _sub_down(_mag(self.value, round_floor), self._r)
 
     @classmethod
     def from_bounds(cls, lo, hi) -> "BigFloat":
@@ -559,11 +604,11 @@ class BigFloat:
         exact and its radius rounded up to _RADIUS_BITS, whatever the
         ambient precision."""
         a, b = mpmath.mpmathify(lo)._mpf_, mpmath.mpmathify(hi)._mpf_
-        rad = mpf_shift(mpf_sub(b, a, _RADIUS_BITS, round_ceiling), -1)
-        if mpf_lt(rad, fzero):
+        width = mpf_sub(b, a, _RADIUS_BITS, round_ceiling)
+        if mpf_lt(width, fzero):
             raise ValueError("interval bounds out of order")
         value = mp.make_mpf(mpf_shift(mpf_add(a, b, 0), -1))
-        return cls._made(value, rad, _mag(value))
+        return cls._made(value, _pair(mpf_shift(width, -1)), _mag(value))
 
     @classmethod
     def rounded(cls, value, steps: int = 1) -> "BigFloat":
@@ -574,7 +619,7 @@ class BigFloat:
     def bounds(self) -> tuple[mpf, mpf]:
         """The exact ends value - radius and value + radius of a real
         ball, whatever the ambient precision."""
-        v, r = self.value._mpf_, self.radius._mpf_
+        v, r = self.value._mpf_, from_man_exp(*self._r)
         return mp.make_mpf(mpf_sub(v, r, 0)), mp.make_mpf(mpf_add(v, r, 0))
 
     def doubles(self) -> tuple[float, float]:
@@ -583,8 +628,8 @@ class BigFloat:
         up, so the pair encloses the ball."""
         v = self.value._mpf_
         value = to_float(v)
-        gap = mpf_abs(mpf_sub(v, from_float(value), 0), _RADIUS_BITS, round_ceiling)
-        return value, to_float(_add_up(self.radius._mpf_, gap), rnd=round_ceiling)
+        gap = _pair(mpf_sub(v, from_float(value), 0))
+        return value, to_float(from_man_exp(*_add_up(self._r, gap)), rnd=round_ceiling)
 
     def __repr__(self) -> str:
         return f"BigFloat({mpmath.nstr(self.value, 17)} ± {mpmath.nstr(self.radius, 3)})"
@@ -592,7 +637,7 @@ class BigFloat:
     def __add__(self, other) -> "BigFloat":
         other = _as_bigfloat(other)
         v = self.value + other.value
-        return BigFloat._op(v, _mag(v), _add_up(self.radius._mpf_, other.radius._mpf_))
+        return BigFloat._op(v, _mag(v), _add_up(self._r, other._r))
 
     __radd__ = __add__
 
@@ -605,7 +650,7 @@ class BigFloat:
             v = mp.make_mpc((mpf_neg(re), mpf_neg(im)))
         else:
             v = mp.make_mpf(mpf_neg(v._mpf_))
-        return BigFloat._made(v, self.radius._mpf_, self._mag)
+        return BigFloat._made(v, self._r, self._mag)
 
     def __sub__(self, other) -> "BigFloat":
         return self + (-_as_bigfloat(other))
@@ -616,7 +661,7 @@ class BigFloat:
     def __mul__(self, other) -> "BigFloat":
         other = _as_bigfloat(other)
         v = self.value * other.value
-        ra, rb = self.radius._mpf_, other.radius._mpf_
+        ra, rb = self._r, other._r
         spread = _add_up(_add_up(_mul_up(self._mag, rb), _mul_up(other._mag, ra)), _mul_up(ra, rb))
         return BigFloat._op(v, _mag(v), spread)
 
@@ -625,20 +670,21 @@ class BigFloat:
     def __truediv__(self, other) -> "BigFloat":
         other = _as_bigfloat(other)
         lo = other._min_abs()
-        if not mpf_gt(lo, fzero):
+        if not lo[0]:
             raise PrecisionError("division by a disc containing zero")
         v = self.value / other.value
         mag = _mag(v)
-        spread = _div_up(_add_up(self.radius._mpf_, _mul_up(mag, other.radius._mpf_)), lo)
+        spread = _div_up(_add_up(self._r, _mul_up(mag, other._r)), lo)
         return BigFloat._op(v, mag, spread)
 
     def abs_bounds(self) -> tuple[mpf, mpf]:
         # outward absolute guard keeps the bounds valid even when the
         # caller's working precision is below the value's own
-        a = abs(self.value)
-        guard = 4 * (a + self.radius) * mpf(2) ** (-mp.prec)
-        lo = a - self.radius - guard
-        return (lo if lo > 0 else mpf(0), a + self.radius + guard)
+        a, r = abs(self.value), self.radius
+        top = a + r
+        guard = mp.make_mpf(mpf_shift(top._mpf_, 2 - mp.prec))
+        lo = a - r - guard
+        return (lo if lo > 0 else mpf(0), top + guard)
 
     def exp(self) -> "BigFloat":
         """|exp(z + e) - exp(z)| <= |exp(z)| (exp(r) - 1) for |e| <= r;
@@ -646,11 +692,11 @@ class BigFloat:
         exp(r) - 1 < exp(r) < 2^(3r/2) above."""
         v = mpmath.exp(self.value)
         mag = _mag(v)
-        r = self.radius._mpf_
-        if mpf_le(r, fone):
+        r = self._r
+        if not _sub_down(r, _ONE)[0]:
             grow = _add_up(r, _mul_up(r, r))
         else:
-            grow = mpf_shift(fone, to_int(mpf_mul(r, from_man_exp(3, -1)), round_ceiling))
+            grow = _up(1, to_int(from_man_exp(3 * r[0], r[1] - 1), round_ceiling))
         return BigFloat._op(v, mag, _mul_up(mag, grow))
 
     def log_abs(self) -> "BigFloat":
@@ -658,28 +704,30 @@ class BigFloat:
         has an absolute floor: rounding |value| costs up to one ulp of 1
         in the log, however small the log itself is."""
         lo = self._min_abs()
-        if not mpf_gt(lo, fzero):
+        if not lo[0]:
             raise PrecisionError("log of a disc containing zero")
         v = mpmath.log(abs(self.value))
         mag = _mag(v)
-        return BigFloat._op(v, mag, _div_up(self.radius._mpf_, lo), mag if mpf_gt(mag, fone) else fone)
+        return BigFloat._op(v, mag, _div_up(self._r, lo), mag if _sub_down(mag, _ONE)[0] else _ONE)
 
     def sqrt_pos(self) -> "BigFloat":
         """Square root of a certified-positive real disc."""
         lo = self._min_abs()
-        if not mpf_gt(lo, fzero):
+        if not lo[0]:
             raise PrecisionError("sqrt of a disc containing zero")
         v = mpmath.sqrt(abs(self.value))
-        root_lo = mpf_shift(mpf_sqrt(lo, _RADIUS_BITS, round_floor), 1)
-        return BigFloat._op(v, _mag(v), _div_up(self.radius._mpf_, root_lo))
+        m, e = lo if lo[1] % 2 == 0 else (lo[0] << 1, lo[1] - 1)
+        root_lo = _down(isqrt(m << 106), e // 2 - 52)  # 2 sqrt(lo) rounded down
+        return BigFloat._op(v, _mag(v), _div_up(self._r, root_lo))
 
     def widened(self, extra) -> "BigFloat":
         """The same midpoint with radius + extra, rounded up: how a
         truncation tail or other error bound joins a ball."""
-        extra = mpmath.mpmathify(extra)._mpf_
-        if mpf_lt(extra, fzero):
+        extra = mpmath.mpmathify(extra)
+        if not extra >= 0:
             raise ValueError("a ball can only be widened")
-        return BigFloat._made(self.value, _add_up(self.radius._mpf_, extra), self._mag)
+        r = mpf_add(from_man_exp(*self._r), extra._mpf_, _RADIUS_BITS, round_ceiling)
+        return BigFloat._made(self.value, _pair(r), self._mag)
 
     def pow_int(self, n: int) -> "BigFloat":
         if n < 0:
@@ -707,11 +755,23 @@ def _geometric_tail(x, e: int, k: int = 1) -> mpf:
     """2 x**e / (1 - x**k) rounded up to _RADIUS_BITS, for 0 <= x < 1
     and e, k >= 1: a bound of a series tail of terms of modulus at most
     2 x**n whose exponents n start at e and grow by at least k."""
-    x = mpf_pos(mpmath.mpmathify(x)._mpf_, _RADIUS_BITS, round_ceiling)
-    gap = mpf_sub(fone, _binary_power(x, k, _mul_up), _RADIUS_BITS, round_floor)
-    if not mpf_gt(gap, fzero):
+    x = _pair(mpmath.mpmathify(x)._mpf_)
+    gap = _sub_down(_ONE, _binary_power(x, k, _mul_up))
+    if not gap[0]:
         raise ValueError("geometric tail needs a ratio below 1")
-    return mp.make_mpf(_div_up(mpf_shift(_binary_power(x, e, _mul_up), 1), gap))
+    return mp.make_mpf(from_man_exp(*_div_up(_binary_power(x, e, _mul_up), (gap[0], gap[1] - 1))))
+
+
+def _tail_below(x_hi: mpf, e: int, k: int, tol: mpf) -> mpf | None:
+    """``_geometric_tail(x_hi, e, k)`` if below tol, else None.  The tail
+    is at least 2 x_hi**e, so it is formed only once log2 of that, read
+    as exp + bits + log2(man / 2**bits) lest it underflow, is below
+    log2(4 tol): a margin of 2 over float errors near (e + |log2 tol|) 2**-52."""
+    (_, xm, xe, xb), (_, tm, te, tb) = x_hi._mpf_, tol._mpf_
+    if xm and tm and 1 + e * (xe + xb + log2(xm / (1 << xb))) >= 2 + te + tb + log2(tm / (1 << tb)):
+        return None
+    tail = _geometric_tail(x_hi, e, k)
+    return tail if tail < tol else None
 
 
 def _as_bigfloat(x) -> BigFloat:
@@ -788,12 +848,12 @@ def _weierstrass_discs(coeffs: tuple, z: list, target: tuple) -> list[BigFloat] 
             if y is not x:
                 den = den * (x - y)
         w = p / den
-        radii.append(_mul_up(from_int(2 * n), _add_up(w._mag, w.radius._mpf_)))
-    if all(mpf_le(r, target) for r in radii) and all(
-        mpf_gt((balls[i] - balls[j])._min_abs(), _add_up(radii[i], radii[j]))
+        radii.append(_mul_up(_up(2 * n, 0), _add_up(w._mag, w._r)))
+    if not any(_sub_down(r, target)[0] for r in radii) and all(
+        _sub_down((balls[i] - balls[j])._min_abs(), _add_up(radii[i], radii[j]))[0]
         for i in range(n) for j in range(i + 1, n)
     ):
-        return [b.widened(mp.make_mpf(r)) for b, r in zip(balls, radii)]
+        return [BigFloat._made(b.value, _add_up(b._r, r), b._mag) for b, r in zip(balls, radii)]
     return None
 
 
@@ -824,7 +884,7 @@ def _dk_roots(poly: IntPoly, digits: int) -> list[BigFloat]:
             z = start
     except (OverflowError, ZeroDivisionError):
         pass
-    target = from_rational(1, 10**digits, _RADIUS_BITS, round_floor)
+    target = _pair(from_rational(1, 10**digits, _RADIUS_BITS, round_floor))
 
     def attempt(dps):
         nonlocal z

@@ -368,6 +368,25 @@ class TestBigFloat:
         with pytest.raises(ValueError):
             numcore._geometric_tail(1, 3)
 
+    def test_tail_below_skips_only_tails_at_or_above_tol(self):
+        rng = random.Random(14)
+        cases = [(mpf("1e-320"), 1, 1, mpf("1e-300")), (mpf("1e-320"), 1, 1, mpf("1e-400")),
+                 (mpf("1e-320"), 3, 2, mpf("1e-959")), (mpf("1e-320"), 3, 2, mpf("1e-961"))]
+        for _ in range(400):
+            with workdps(rng.choice((15, 39, 259))):
+                x = mpf(rng.random()) ** rng.choice((1, 4, 40)) * mpf("0.9995")
+                tol = mpf(10) ** -mp.dps * mpf(rng.random())
+            # exponents around the first one whose tail falls below tol
+            edge = max(1, int(mp.log(tol) / mp.log(x)))
+            cases.append((x, max(1, edge + rng.randint(-3, 3)), rng.randint(1, 40), tol))
+        skipped = 0
+        for x, e, k, tol in cases:
+            exact = numcore._geometric_tail(x, e, k)
+            got = numcore._tail_below(x, e, k, tol)
+            assert got == (exact if exact < tol else None), (x, e, k, tol)
+            skipped += got is None
+        assert 0 < skipped < len(cases)
+
     def test_from_bounds_encloses_at_low_ambient_precision(self):
         with workdps(80):
             lo = mp.log(2)
@@ -430,6 +449,21 @@ class TestBigFloat:
         assert b.value == 3 and b.radius == 0
         with pytest.raises(ValueError):
             BigFloat.from_bounds(mpf(2), mpf(1))
+
+    def test_non_finite_ball_refused(self):
+        # a nan or inf midpoint or radius used to make a ball that
+        # carried it into every later operation
+        nan, inf = mpf("nan"), mpf("inf")
+        for args in ((nan,), (inf,), (-inf,), (mpc(1, nan),), (mpc(inf, 0),), (1, nan), (1, inf)):
+            with pytest.raises(ValueError):
+                BigFloat(*args)
+        with pytest.raises(ValueError):
+            BigFloat(1).widened(inf)
+        for lo, hi in ((0, inf), (-inf, 0), (nan, 1)):
+            with pytest.raises(ValueError):
+                BigFloat.from_bounds(lo, hi)
+        with pytest.raises(ValueError):
+            BigFloat(1, -1)
 
 
 def _exact(x) -> Fraction:
@@ -584,7 +618,7 @@ class TestComplexMagnitude:
 
     @pytest.mark.parametrize("dps", [15, 39, 250, 1000])
     def test_encloses_and_never_loosens(self, dps):
-        from mpmath.libmp import round_ceiling, round_floor
+        from mpmath.libmp import from_man_exp, round_ceiling, round_floor
 
         rng = random.Random(1000 + dps)
         with workdps(dps):
@@ -592,14 +626,167 @@ class TestComplexMagnitude:
         for z in values:
             with workdps(3 * dps):
                 modulus = abs(z)
-            up = mp.make_mpf(numcore._mag(z, round_ceiling))
-            down = mp.make_mpf(numcore._mag(z, round_floor))
+            up = mp.make_mpf(from_man_exp(*numcore._mag(z, round_ceiling)))
+            down = mp.make_mpf(from_man_exp(*numcore._mag(z, round_floor)))
             assert down <= modulus <= up, z
             # exactly, where |z| and its larger part agree past 3 * dps digits
             square = _exact(z.real) ** 2 + _exact(z.imag) ** 2
             assert _exact(down) ** 2 <= square <= _exact(up) ** 2, z
             assert up <= self._by_mpf_sqrt(z, round_ceiling), z
             assert down >= self._by_mpf_sqrt(z, round_floor), z
+
+
+def _libmpf_radius_formulas():
+    """The radius of each ball operation as libmpf computed it before
+    radii became integer pairs: every step at 53 bits, round_ceiling."""
+    from mpmath.libmp import (
+        fone, from_man_exp, from_rational, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_le, mpf_mul,
+        mpf_shift, mpf_sqrt, mpf_sub, round_ceiling, round_floor, to_int,
+    )
+
+    def add(a, b):
+        return mpf_add(a, b, 53, round_ceiling)
+
+    def mul(a, b):
+        return mpf_mul(a, b, 53, round_ceiling)
+
+    def div(a, b):
+        return mpf_div(a, b, 53, round_ceiling)
+
+    def mag(v, rnd=round_ceiling):
+        if isinstance(v, mpc):  # the integer-root modulus, tested above
+            return from_man_exp(*numcore._mag(v, rnd))
+        return mpf_abs(v._mpf_, 53, rnd)
+
+    def op(v, spread, scale=None):
+        allowance = from_rational(8, 10**mp.dps, 53, round_ceiling)
+        return add(spread, mul(mag(v) if scale is None else scale, allowance))
+
+    def min_abs(x):
+        return mpf_sub(mag(x.value, round_floor), x.radius._mpf_, 53, round_floor)
+
+    def radius(x):
+        return x.radius._mpf_
+
+    def mul_radius(x, y):
+        rx, ry = radius(x), radius(y)
+        return op(x.value * y.value, add(add(mul(mag(x.value), ry), mul(mag(y.value), rx)), mul(rx, ry)))
+
+    def div_radius(x, y):
+        v = x.value / y.value
+        return op(v, div(add(radius(x), mul(mag(v), radius(y))), min_abs(y)))
+
+    def exp_radius(x):
+        v, r = mp.exp(x.value), radius(x)
+        if mpf_le(r, fone):
+            grow = add(r, mul(r, r))
+        else:
+            grow = mpf_shift(fone, to_int(mpf_mul(r, from_man_exp(3, -1)), round_ceiling))
+        return op(v, mul(mag(v), grow))
+
+    def log_radius(x):
+        v = mp.log(abs(x.value))
+        scale = mag(v) if mpf_gt(mag(v), fone) else fone
+        return op(v, div(radius(x), min_abs(x)), scale)
+
+    def sqrt_radius(x):
+        v = mp.sqrt(abs(x.value))
+        return op(v, div(radius(x), mpf_shift(mpf_sqrt(min_abs(x), 53, round_floor), 1)))
+
+    return {
+        "+": lambda x, y: op(x.value + y.value, add(radius(x), radius(y))),
+        "*": mul_radius,
+        "/": div_radius,
+        "exp": exp_radius,
+        "log_abs": log_radius,
+        "sqrt_pos": sqrt_radius,
+        "widened": lambda x, extra: add(radius(x), extra._mpf_),
+    }
+
+
+class TestRadiusPairs:
+    """Radii and magnitude bounds are integer pairs (m, e) worth m 2**e;
+    each step rounds up (or down) exactly as libmpf at 53 bits."""
+
+    @staticmethod
+    def _pairs(rng):
+        mantissas = (1 << 52, (1 << 53) - 1, (1 << 53) - 2, (1 << 52) + 1)
+        for i in range(600):
+            m = rng.choice(mantissas) if i % 3 == 0 else rng.randrange(1 << 52, 1 << 53)
+            e = rng.choice((0, 100_000, -100_000)) + rng.randint(-60, 60)
+            gap = rng.choice((0, 1, 2, 51, 52, 53, 54, 55, 56, 1000, 1001, 5000))
+            n = rng.choice(mantissas) if i % 5 == 0 else rng.randrange(1 << 52, 1 << 53)
+            yield (m, e), (n, e - gap if i % 2 else e + gap)
+        zero = numcore._ZERO
+        yield zero, zero
+        yield zero, (1 << 52, 7)
+        yield (1 << 52, 7), zero
+        yield ((1 << 53) - 1, 0), (1 << 52, -60)  # the sum carries to 2**53
+        yield ((1 << 52) + 1, 0), ((1 << 53) - 2, 0)  # the product 2**105 - 2 carries
+
+    def test_pair_arithmetic_is_libmpf_at_53_bits(self):
+        from mpmath.libmp import (
+            from_man_exp, fzero, mpf_add, mpf_div, mpf_mul, mpf_sub, round_ceiling, round_floor,
+        )
+
+        def mpf_of(p):
+            got = from_man_exp(*p)
+            assert p == numcore._ZERO or (1 << 52) <= p[0] < (1 << 53), p
+            return got
+
+        for a, b in self._pairs(random.Random(21)):
+            x, y = from_man_exp(*a), from_man_exp(*b)
+            assert mpf_of(numcore._add_up(a, b)) == mpf_add(x, y, 53, round_ceiling), (a, b)
+            assert mpf_of(numcore._mul_up(a, b)) == mpf_mul(x, y, 53, round_ceiling), (a, b)
+            if b[0]:
+                assert mpf_of(numcore._div_up(a, b)) == mpf_div(x, y, 53, round_ceiling), (a, b)
+            diff = mpf_sub(x, y, 53, round_floor)
+            assert mpf_of(numcore._sub_down(a, b)) == (diff if diff[0] == 0 else fzero), (a, b)
+
+    @pytest.mark.parametrize("dps", [15, 39, 259])
+    def test_ball_radii_are_the_libmpf_formulas(self, dps):
+        formulas = _libmpf_radius_formulas()
+        rng = random.Random(2100 + dps)
+        radii = [mpf(0), mpf(10) ** -(dps - 3), mpf(10) ** -(dps // 2), mpf("1e-3"), mpf(1), mpf(3)]
+        for _ in range(40):
+            with workdps(dps):
+                x = _random_ball(rng, rng.random() < 0.5, radii)
+                y = _random_ball(rng, rng.random() < 0.5, radii[:4])
+                positive = BigFloat(abs(x.value), x.radius)
+                extra = mpf(rng.random()) * rng.choice(radii)
+                outs = {"+": (x + y, x, y), "*": (x * y, x, y), "exp": (x.exp(), x),
+                        "widened": (x.widened(extra), x, extra)}
+                for name, op in (("/", lambda: (x / y, x, y)), ("log_abs", lambda: (x.log_abs(), x)),
+                                 ("sqrt_pos", lambda: (positive.sqrt_pos(), positive))):
+                    try:
+                        outs[name] = op()
+                    except PrecisionError:
+                        pass
+                for name, (out, *args) in outs.items():
+                    assert out.radius._mpf_ == formulas[name](*args), (name, args)
+                # pow_int is a chain of ball products
+                n = rng.randint(1, 12)
+                steps = []
+                numcore._binary_power(x, n, lambda a, b: steps.append(formulas["*"](a, b)) or a * b)
+                assert x.pow_int(n).radius._mpf_ == (steps[-1] if steps else x.radius._mpf_), n
+                # a new midpoint keeps the radius bit for bit
+                moved = x.with_value(abs(x.value))
+                same = BigFloat(abs(x.value), x.radius)
+                assert (moved.value, moved._r, moved._mag) == (same.value, same._r, same._mag)
+
+    @pytest.mark.parametrize("dps", [15, 39, 259])
+    def test_abs_bounds_is_the_mpf_formula(self, dps):
+        rng = random.Random(2200 + dps)
+        radii = [mpf(0), mpf(10) ** -(dps - 3), mpf(10) ** -(dps // 2), mpf(1), mpf(5)]
+        for _ in range(100):
+            with workdps(dps):
+                ball = _random_ball(rng, rng.random() < 0.5, radii)
+                a = abs(ball.value)
+                guard = 4 * (a + ball.radius) * mpf(2) ** (-mp.prec)
+                lo = a - ball.radius - guard
+                want = (lo if lo > 0 else mpf(0), a + ball.radius + guard)
+                got = ball.abs_bounds()
+            assert [t._mpf_ for t in got] == [t._mpf_ for t in want]
 
 
 class TestCertify:
