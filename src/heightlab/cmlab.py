@@ -25,12 +25,19 @@ fundamental domain.  On top of that sit:
   with theta_j(tau) = sum over m = j mod 4 of w^(m^2), w = exp(pi i
   tau / 4), and a height estimate read off their archimedean norms.
   The Jacobi theta nulls are theta_1 + theta_3, theta_0 + theta_2 and
-  theta_0 - theta_2.  The series stops below the relative tolerance
-  10^-dps |w|, so the small theta_1 ~ w keeps dps digits.
+  theta_0 - theta_2.  theta_1 and theta_3 have the same terms, so the
+  series sums them once.  It stops below the relative tolerance
+  10^-dps |w|, so the small theta_1 ~ w keeps dps digits.  The theta
+  term log(||v||_2 / max_j |theta_j|) is (1/2) log(S / N) of the exact
+  squared moduli of the bucket midpoints, its ends rounded outward by
+  libmpf and widened by the bucket radii in 53-bit pairs: the CM-point
+  kernel uses no mpmath ``iv``.
 
 ``cm_record`` sums the theta series once per pair of conjugate reduced
-forms (a, +-b, c) and reads all three heights off it: j as above, s(tau) from that same Delta, and the
-theta term from the four buckets.  The standalone ``s_invariant``,
+forms (a, +-b, c) and reads all three heights off it: j as above,
+s(tau) from that same Delta, and the theta term from the four buckets.
+The constant balls (pi, 2 pi i, pi i / 4, -(1/2) log 2) are built once
+per working precision.  The standalone ``s_invariant``,
 ``faltings_height_cm`` and ``modular_discriminant`` take Delta from the
 pentagonal series of prod (1 - q^n), q = exp(2 pi i tau), which stops
 below 10^-(dps - 5): alone, s(tau) costs half as much that way as
@@ -52,9 +59,23 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from mpmath import iv, mp, mpc, mpf, workdps
-from mpmath.libmp import to_rational
+from mpmath.libmp import (
+    from_man_exp,
+    fzero,
+    mpf_add,
+    mpf_div,
+    mpf_log,
+    mpf_lt,
+    mpf_mul,
+    mpf_shift,
+    mpf_sub,
+    round_ceiling,
+    round_floor,
+    to_rational,
+)
 
 from .heights import _iv_workdps
 from .numcore import (
@@ -62,8 +83,15 @@ from .numcore import (
     BigFloat,
     IntPoly,
     PrecisionError,
+    _add_up,
     _as_bigfloat,
+    _div_up,
+    _down,
+    _mag,
+    _mul_up,
+    _sub_down,
     _tail_below,
+    _ten_to_minus_dps,
     _ulp_slop,  # bound for bench/test_bench.py only; just numcore calls it
     certify,
     factorint,
@@ -240,8 +268,29 @@ def _eisenstein_e4(eighths) -> BigFloat:
     return (t2 + t3 + t4) / 2
 
 
+class _Constants(NamedTuple):
+    pi: BigFloat
+    two_pi_i: BigFloat
+    pi_i_4: BigFloat
+    minus_half_log_2: BigFloat
+
+
+@lru_cache(maxsize=64)
+def _constants_at(prec: int, dps: int) -> _Constants:
+    """The constant balls as ``BigFloat.rounded`` makes them at the
+    ambient precision, which the key (mp.prec, mp.dps) names."""
+    values = (mp.pi, mpc(0, 2) * mp.pi, mpc(0, 1) * mp.pi / 4, -mp.log(2) / 2)
+    return _Constants(*map(BigFloat.rounded, values))
+
+
+def _constants() -> _Constants:
+    """The constant balls at the working precision, built once per
+    precision and bit for bit the same each time."""
+    return _constants_at(mp.prec, mp.dps)
+
+
 def _q_from_tau(tau: BigFloat) -> BigFloat:
-    return (BigFloat.rounded(mpc(0, 2) * mp.pi) * tau).exp()
+    return (_constants().two_pi_i * tau).exp()
 
 
 def modular_discriminant(tau, precision_digits: int = DEFAULT_DIGITS) -> BigFloat:
@@ -395,13 +444,13 @@ def _s_at(t: BigFloat) -> BigFloat:
     y = _im_tau(t)
     q = _q_from_tau(t)
     log_f = _eta_product(q).log_abs()
-    return BigFloat.rounded(mp.pi) * y / 6 - log_f * 2 - y.log_abs() / 2
+    return _constants().pi * y / 6 - log_f * 2 - y.log_abs() / 2
 
 
 def _normalized(avg: BigFloat, offset) -> BigFloat:
     """avg plus the normalization offset of ``faltings_height_cm``."""
     if offset is None:
-        return avg + BigFloat.rounded(-mp.log(2) / 2)
+        return avg + _constants().minus_half_log_2
     return avg + _as_bigfloat(offset)
 
 
@@ -423,8 +472,8 @@ def faltings_height_cm(d, precision_digits: int = 24, normalization_offset=None)
 def theta_null_point(tau, precision_digits: int = DEFAULT_DIGITS):
     """Level-2 theta null point (theta_0 : theta_1 : theta_2 : theta_3)
     with theta_j = sum over m = j (mod 4) of w^(m^2), w = exp(pi i
-    tau/4).  Terms are accumulated by increasing |m|, so theta_1 and
-    theta_3 (whose term sequences coincide) come out bitwise equal."""
+    tau/4).  theta_1 and theta_3 have the same terms w^(m^2), m odd,
+    which ``_theta_nulls`` sums once: the two balls are bitwise equal."""
     with workdps(precision_digits + 15):
         t = _as_bigfloat(tau)
         _im_tau(t)
@@ -433,7 +482,7 @@ def theta_null_point(tau, precision_digits: int = DEFAULT_DIGITS):
 
 def _theta_w(tau: BigFloat) -> BigFloat:
     """The theta nome w = exp(pi i tau / 4) of a tau ball."""
-    return (BigFloat.rounded(mpc(0, 1) * mp.pi / 4) * tau).exp()
+    return (_constants().pi_i_4 * tau).exp()
 
 
 def _nulls_at(tau: BigFloat) -> tuple:
@@ -442,43 +491,84 @@ def _nulls_at(tau: BigFloat) -> tuple:
 
 
 def _theta_nulls(w: BigFloat):
-    """The four buckets theta_j = sum over m = j (mod 4) of w^(m^2).
-    The series stops once its tail is below 10^-dps |w|: a relative
-    tolerance for theta_1 = w + w^9 + ..., whose relative accuracy j
-    inherits through the Jacobi theta_2 = theta_1 + theta_3."""
+    """The four buckets theta_j = sum over m = j (mod 4) of w^(m^2),
+    m over all integers.  The odd m give theta_1 and theta_3 the same
+    terms w, w^9, w^25, ..., so their sum is made once and returned as
+    both, each joined with the tail by its own ``widened`` call; an
+    even m adds w^(m^2) twice, for m and for -m.  The series stops once
+    its tail is below 10^-dps |w|: a relative tolerance for theta_1 = w
+    + w^9 + ..., whose relative accuracy j inherits through the Jacobi
+    theta_2 = theta_1 + theta_3."""
     w_lo, w_hi = w.abs_bounds()
     if w_hi > Q_MODULUS_CAP:
         raise PrecisionError("theta series refused: |w| too close to 1")
     if not w_lo > 0:
         raise PrecisionError("theta nome not separated from zero")
-    tol = mpf(10) ** (-mp.dps) * w_lo
-    buckets = [BigFloat(1), BigFloat(0), BigFloat(0), BigFloat(0)]
+    tol = _ten_to_minus_dps(mp.prec, mp.dps) * w_lo
+    buckets = [BigFloat(1), BigFloat(0), BigFloat(0)]
     w2, w_odd, w_m2 = w * w, w, w
     for m in range(1, 1 << 20):
-        buckets[m % 4] = buckets[m % 4] + w_m2
-        buckets[-m % 4] = buckets[-m % 4] + w_m2
+        if m % 2:
+            buckets[1] = buckets[1] + w_m2
+        else:
+            j = m % 4
+            buckets[j] = buckets[j] + w_m2 + w_m2
         # the exponents left start at (m+1)^2 and grow by 2m+3 or more
         tail = _tail_below(w_hi, (m + 1) * (m + 1), 2 * m + 3, tol)
         if tail is not None:
-            return tuple(b.widened(tail) for b in buckets)
+            return tuple(b.widened(tail) for b in (*buckets, buckets[1]))
         # w^((m+1)^2) = w^(m^2) w^(2m+1)
         w_odd = w_odd * w2
         w_m2 = w_m2 * w_odd
     raise PrecisionError("theta series did not converge")
 
 
+def _norm(z) -> tuple:
+    """|z|^2 of a real or complex midpoint, exact, as a libmpf number."""
+    parts = z._mpc_ if isinstance(z, mpc) else (z._mpf_,)
+    return reduce(mpf_add, [mpf_mul(t, t) for t in parts])
+
+
 def _theta_term(nulls) -> BigFloat:
     """log(||v||_2 / max_j |theta_j|) for the theta null vector v, given
-    as its four buckets, enclosed in interval arithmetic at the working
-    precision and clamped below at 0 (||v||_2 >= max_j |theta_j|)."""
-    bounds = [th.abs_bounds() for th in nulls]
-    mx_lo = max(lo for lo, _ in bounds)
-    if not mx_lo > 0:
+    as its four buckets, clamped below at 0 (||v||_2 >= max_j |theta_j|).
+
+    At the midpoints it is (1/2) log(S / N), with S = sum_j |theta_j|^2
+    and N = max_j |theta_j|^2 exact; S / N and its log are rounded
+    outward at the working precision by libmpf's directed rounding, as
+    mpmath ``iv`` rounds them.  Both ends then widen by what the radii
+    r_j carry in, in 53-bit pairs rounded up: S moves by at most E = sum
+    r_j (2 |theta_j| + r_j), so (1/2) log S by E / (2 (S - E)); the
+    maximum M = |theta_k| moves by at most r, the largest r_j of the
+    buckets whose |theta_j| + r_j can reach |theta_k| - r_k, so log M by
+    r / (M - r).  PrecisionError when S - E or M - r is not positive."""
+    norms = [_norm(th.value) for th in nulls]
+    k = 0
+    for j in (1, 2, 3):
+        if mpf_lt(norms[k], norms[j]):
+            k = j
+    m_lo, r = _mag(nulls[k].value, round_floor), nulls[k]._r
+    reach = _sub_down(m_lo, r)
+    for th in nulls:
+        # r_j counts unless |theta_j| + r_j < |theta_k| - r_k
+        if _sub_down(th._r, r)[0] and not _sub_down(reach, _add_up(th._mag, th._r))[0]:
+            r = th._r
+    m_gap = _sub_down(m_lo, r)
+    if not m_gap[0]:
         raise PrecisionError("theta maximum not separated from zero")
-    with _iv_workdps(mp.dps):
-        l2 = iv.sqrt(iv.fsum(iv.mpf(b) ** 2 for b in bounds))
-        term = iv.log(l2 / iv.mpf([mx_lo, max(hi for _, hi in bounds)]))
-        return BigFloat.from_bounds(max(mpf(term.a), mpf(0)), mpf(term.b))
+    total = reduce(mpf_add, norms)
+    # E = sum r_j (2 |theta_j| + r_j); the pair (m, e + 1) is 2 (m, e)
+    err = reduce(_add_up, [_mul_up(th._r, _add_up((th._mag[0], th._mag[1] + 1), th._r)) for th in nulls])
+    s_gap = _sub_down(_down(total[1], total[2]), err)
+    if not s_gap[0]:
+        raise PrecisionError("theta norm not separated from zero")
+    spread = from_man_exp(*_add_up(_div_up(err, (s_gap[0], s_gap[1] + 1)), _div_up(r, m_gap)))
+    lo, hi = (
+        mpf_shift(mpf_log(mpf_div(total, norms[k], mp.prec, rnd), mp.prec, rnd), -1)
+        for rnd in (round_floor, round_ceiling)
+    )
+    lo, hi = mpf_sub(lo, spread), mpf_add(hi, spread)
+    return BigFloat.from_bounds(mp.make_mpf(fzero if lo[0] else lo), mp.make_mpf(hi))
 
 
 def theta_height_estimate(d, precision_digits: int = 24) -> BigFloat:

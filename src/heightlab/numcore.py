@@ -434,7 +434,14 @@ def _ulp_slop(*vals) -> mpf:
         av = abs(v)
         if av > m:
             m = av
-    return 8 * m * mpf(10) ** (-mp.dps)
+    return 8 * m * _ten_to_minus_dps(mp.prec, mp.dps)
+
+
+@lru_cache(maxsize=64)
+def _ten_to_minus_dps(prec: int, dps: int) -> mpf:
+    """10**-dps as mpmath rounds it at the ambient precision, which the
+    key (mp.prec, mp.dps) names: once per working precision."""
+    return mpf(10) ** (-dps)
 
 
 # Every ball radius and magnitude bound is a pair (m, e) worth m * 2**e,
@@ -786,15 +793,23 @@ def _as_bigfloat(x) -> BigFloat:
 def log_plus_sum(total: BigFloat, balls) -> BigFloat:
     """total + sum of log max(1, |z|) over the balls z.  Balls with
     |z| <= 1 add nothing; a ball straddling the unit circle adds the
-    ball of [0, log(|z|+r)]."""
+    ball of [0, log(|z|+r)].  A ball that the 53-bit pairs |value| +
+    radius rounded up and ``_min_abs`` place on one side of the circle
+    costs no full-precision modulus.  One they leave across the circle,
+    or within about 2**-52 of it, is placed by ``abs_bounds``: its
+    full-precision upper end keeps the log(|z|+r) that a disc about a
+    root of unity adds near its radius, not near 2**-52."""
     for z in balls:
-        lo, hi = z.abs_bounds()
-        if hi <= 1:
-            continue
-        if lo >= 1:
-            total = total + z.log_abs()
-        else:
-            total = total + BigFloat.from_bounds(0, BigFloat.rounded(mpmath.log(hi)).bounds()[1])
+        if not _sub_down(_add_up(z._mag, z._r), _ONE)[0]:
+            continue  # |z| <= |value| + radius <= 1
+        if _sub_down(_ONE, z._min_abs())[0]:  # |value| - radius >= 1 not shown
+            lo, hi = z.abs_bounds()
+            if hi <= 1:
+                continue
+            if lo < 1:
+                total = total + BigFloat.from_bounds(0, BigFloat.rounded(mpmath.log(hi)).bounds()[1])
+                continue
+        total = total + z.log_abs()
     return total
 
 

@@ -6,7 +6,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 import pytest
-from mpmath import mp, mpc, mpf, workdps
+from mpmath import iv, mp, mpc, mpf, workdps
 from mpmath.libmp import mpf_neg, to_rational
 
 from heightlab.cmlab import (
@@ -34,7 +34,7 @@ from heightlab.cmlab import (
     verify_theta_faltings,
 )
 from heightlab import cmlab
-from heightlab.heights import mahler_height
+from heightlab.heights import _iv_workdps, mahler_height
 from heightlab.numcore import BigFloat, PrecisionError, _ulp_slop, log_plus_sum
 
 
@@ -304,6 +304,18 @@ class TestConstantBalls:
                 assert abs(w.value - mp.exp(1j * mp.pi * exact / 4)) <= w.radius
 
 
+    @pytest.mark.parametrize("dps", [15, 39, 250])
+    def test_cached_constants_are_the_rounded_balls(self, dps):
+        # one build per working precision, bit for bit what
+        # BigFloat.rounded makes on each call
+        for _ in range(2):
+            with workdps(dps):
+                got = cmlab._constants()
+                want = [BigFloat.rounded(c) for c in (mp.pi, mpc(0, 2) * mp.pi, mpc(0, 1) * mp.pi / 4, -mp.log(2) / 2)]
+            for ball, ref in zip(got, want):
+                assert (ball.value, ball._r) == (ref.value, ref._r)
+
+
 class TestHilbertClassPoly:
     def test_h1_discs(self):
         assert hilbert_class_poly(-3).coeffs == (0, 1)
@@ -476,6 +488,86 @@ class TestThetaNulls:
             lo, hi = theta_height_estimate(d, 20), theta_height_estimate(d, 60)
             with workdps(100):
                 assert abs(hi.value - lo.value) + hi.radius <= lo.radius
+
+
+def _iv_theta_term(nulls) -> BigFloat:
+    """The theta term as mpmath iv enclosed it from the full-precision
+    ``abs_bounds`` of the four buckets, before the exact norms."""
+    bounds = [th.abs_bounds() for th in nulls]
+    mx_lo = max(lo for lo, _ in bounds)
+    with _iv_workdps(mp.dps):
+        l2 = iv.sqrt(iv.fsum(iv.mpf(b) ** 2 for b in bounds))
+        term = iv.log(l2 / iv.mpf([mx_lo, max(hi for _, hi in bounds)]))
+        return BigFloat.from_bounds(max(mpf(term.a), mpf(0)), mpf(term.b))
+
+
+@lru_cache(maxsize=None)
+def _theta_term_reference(f: ReducedForm) -> mpf:
+    """log(||v||_2 / max_j |theta_j|) at tau of f, from the series
+    theta_j = sum over m = j (mod 4) of w^(m^2) summed in mpc at 170
+    digits: good to 150 digits."""
+    with workdps(170):
+        tau = mpc(-f.b, mp.sqrt(-f.discriminant)) / (2 * f.a)
+        w = mp.exp(1j * mp.pi * tau / 4)
+        buckets = [mpc(1), mpc(0), mpc(0), mpc(0)]
+        for m in range(1, 100):
+            term = w ** (m * m)
+            buckets[m % 4] += term
+            buckets[-m % 4] += term
+        norms = [abs(b) for b in buckets]
+        return mp.log(mp.sqrt(mp.fsum(n * n for n in norms)) / max(norms))
+
+
+def _forms_up_to(bound: int):
+    """The reduced forms with b >= 0 of the fundamental d, |d| <= bound."""
+    return [f for d in fundamental_discriminants(bound) for f in reduced_forms(d) if f.b >= 0]
+
+
+class TestThetaTerm:
+    """The theta term from the exact norms of the bucket midpoints."""
+
+    @staticmethod
+    def _terms(dps: int, forms):
+        for f in forms:
+            with workdps(dps):
+                nulls = cmlab._nulls_at(cmlab._tau_ball(f))
+                yield f, nulls, cmlab._theta_term(nulls)
+
+    @pytest.mark.parametrize("dps", [15, 39, 100])
+    def test_encloses_150_digit_reference(self, dps):
+        forms = _forms_up_to(400)
+        assert len(forms) > 400
+        for f, _, term in self._terms(dps, forms):
+            with workdps(170):
+                assert abs(term.value - _theta_term_reference(f)) <= term.radius, (f, dps)
+
+    @pytest.mark.parametrize("dps", [15, 39, 100])
+    def test_radius_at_most_the_iv_formula(self, dps):
+        for f, nulls, term in self._terms(dps, _forms_up_to(400)):
+            with workdps(dps):
+                old = _iv_theta_term(nulls)
+            assert term.radius <= old.radius, (f, dps)
+            lo, hi = old.bounds()
+            assert lo <= term.value <= hi, (f, dps)
+
+    def test_radii_hiding_the_maximum_raise(self):
+        with workdps(30):
+            small = BigFloat(mpc("0.2", "0.1"))
+            for nulls in (
+                # theta_0's own disc reaches 0
+                (BigFloat(1, "1.5"), small, BigFloat(0), small),
+                # theta_1's disc reaches past theta_0 - r_0 with r_1 > |theta_0|
+                (BigFloat(1, "0.1"), BigFloat(mpc("0.5"), "1.2"), BigFloat(0), small),
+                # M - r > 0, but S - E = 1.13 - 0.9 (2 + 0.9) < 0
+                (BigFloat(1, "0.9"), small, BigFloat(0), small),
+            ):
+                with pytest.raises(PrecisionError):
+                    cmlab._theta_term(nulls)
+            # a wide disc that cannot reach |theta_0| - r_0 does not count
+            term = cmlab._theta_term((BigFloat(1, "0.1"), BigFloat(mpc("0.2"), "0.5"), BigFloat(0), small))
+            exact = mp.log(mp.sqrt(1 + mpf("0.04") + mpf("0.05")))
+            assert abs(term.value - exact) <= term.radius
+            assert term.radius < 1
 
 
 class TestCMRecord:

@@ -788,6 +788,43 @@ class TestRadiusPairs:
                 got = ball.abs_bounds()
             assert [t._mpf_ for t in got] == [t._mpf_ for t in want]
 
+    @pytest.mark.parametrize("dps", [15, 39, 259])
+    def test_ulp_slop_is_the_mpf_formula(self, dps):
+        # 10**-dps is cached per working precision, bit for bit
+        rng = random.Random(2300 + dps)
+        for _ in range(20):
+            with workdps(dps):
+                v = _random_ball(rng, rng.random() < 0.5, [mpf(0)]).value
+                assert numcore._ulp_slop(v)._mpf_ == (8 * abs(v) * mpf(10) ** (-mp.dps))._mpf_
+
+    @pytest.mark.parametrize("dps", [15, 39, 100])
+    def test_log_plus_sum_takes_the_abs_bounds_branch(self, dps):
+        # the 53-bit pairs decide as the full-precision abs_bounds rule
+        # did, on balls within 10**-1 .. 10**-(dps - 1) of the unit circle
+        def old_rule(z):
+            lo, hi = z.abs_bounds()
+            if hi <= 1:
+                return "skip", BigFloat(0, 0)
+            if lo >= 1:
+                return "log", z.log_abs()
+            return "straddle", BigFloat.from_bounds(0, BigFloat.rounded(mp.log(hi)).bounds()[1])
+
+        rng = random.Random(2400 + dps)
+        radii = [mpf(0), mpf(10) ** -(dps - 3), mpf(10) ** -(dps // 2)]
+        seen = set()
+        for i in range(600):
+            with workdps(dps):
+                offset = rng.choice((-1, 1)) * mpf(rng.uniform(1, 10)) * mpf(10) ** -rng.randint(2, dps)
+                value = (1 + offset) * (mp.expjpi(mpf(rng.random()) * 2) if i % 2 else rng.choice((-1, 1)))
+                z = BigFloat(value, radii[i % 3])
+                branch, term = old_rule(z)
+                want = BigFloat(0, 0) + term
+                got = numcore.log_plus_sum(BigFloat(0, 0), [z])
+            seen.add((branch, i % 3))
+            assert (got.value, got._r) == (want.value, want._r), (z, branch)
+        assert {b for b, _ in seen} == {"skip", "log", "straddle"}
+        assert {("skip", k) for k in range(3)} | {("log", k) for k in range(3)} <= seen
+
 
 class TestCertify:
     def test_doubles_until_decided(self):
@@ -925,3 +962,19 @@ def test_ulp_slop_called_only_in_numcore():
                         if called == "_ulp_slop":
                             callers.add((path.name, name))
     assert callers == {("numcore.py", "BigFloat.rounded")}
+
+
+def test_cm_point_kernel_uses_no_iv():
+    # the CM-point kernel and log_plus_sum enclose in ball arithmetic and
+    # libmpf directed rounding; mpmath iv is for the exact modules
+    kernel = {
+        "cmlab.py": {"_cm_terms", "_theta_term", "_theta_nulls", "_j_and_delta"},
+        "numcore.py": {"log_plus_sum"},
+    }
+    for name, functions in kernel.items():
+        tree = ast.parse((Path(numcore.__file__).parent / name).read_text())
+        found = [top for top in tree.body if isinstance(top, ast.FunctionDef) and top.name in functions]
+        assert {fn.name for fn in found} == functions
+        for fn in found:
+            names = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
+            assert not {n for n in names if n == "iv" or n.startswith("_iv")}, fn.name
