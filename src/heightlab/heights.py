@@ -415,13 +415,17 @@ def mahler_height(poly: IntPoly, precision_digits: int = 40) -> BigFloat:
 
     Root discs straddling the unit circle contribute the ball of
     [0, log(|z|+r)] (``log_plus_sum``), so heights of roots of unity
-    come out as 0 within a tiny certified radius.
+    come out as 0 within a tiny certified radius.  log|lc| of the exact
+    integer lc is 0 exactly for lc = +-1, and otherwise the rounded log
+    with an allowance relative to it alone: the absolute floor of
+    ``BigFloat.log_abs`` pays for a rounded |value|, which lc is not.
     """
     if poly.degree < 1:
         raise ValueError("degree >= 1 required")
     roots = poly_roots(poly, precision_digits + 10)
     with workdps(precision_digits + 15):
-        lead = BigFloat(abs(poly.leading)).log_abs()
+        lc = abs(poly.leading)
+        lead = BigFloat(0) if lc == 1 else BigFloat.rounded(mpmath.log(lc))
         total = log_plus_sum(lead, roots) * BigFloat(Fraction(1, poly.degree))
         if total.value < 0:
             # mathematically >= 0; fold the undershoot into the radius

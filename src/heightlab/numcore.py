@@ -23,7 +23,10 @@ Two policies make every numeric decision certified:
   up, so neither depends on the ambient precision.
 
 Rounding allowances are computed only here, in the ball operations
-and ``BigFloat.rounded``; root discs come from ball arithmetic.  Ball
+and ``BigFloat.rounded``; root discs come from ball arithmetic.  Root
+isolation trusts only its certificate: its Aberth sweeps run in Python
+complex and on Gaussian integers scaled by 2**mp.prec, never in mpmath
+numbers, and hand exact midpoints to the ball arithmetic.  Ball
 midpoints carry the working precision; ball radii are integer pairs
 (m, e) worth m * 2**e with m of _RADIUS_BITS (53) bits, each step of
 their arithmetic on Python ints and rounded up exactly as libmpf's
@@ -37,7 +40,7 @@ import operator
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm, log2
+from math import floor, gcd, inf, isqrt, lcm, log2, pi
 
 import mpmath
 from mpmath import mp, mpc, mpf, workdps
@@ -391,11 +394,45 @@ def _intpoly_of(fr: list[Fraction]) -> IntPoly:
     return IntPoly([int(c * den) for c in fr]).primitive_positive()
 
 
+# Primes q for the modular squarefree test, tried in turn
+_SQUAREFREE_PRIMES = (2**61 - 1, 2**89 - 1, 2**107 - 1)
+
+
+def _squarefree_mod(coeffs: tuple, q: int) -> bool:
+    """Whether q does not divide c_n and p mod q is coprime to p' mod q,
+    by Euclid over F_q; coefficients lowest first."""
+    if coeffs[-1] % q == 0:
+        return False
+    a = [c % q for c in coeffs]
+    b = _strip([i * c % q for i, c in enumerate(coeffs)][1:])
+    while b:
+        inv, db = pow(b[-1], -1, q), len(b) - 1
+        for k in range(len(a) - 1 - db, -1, -1):
+            f = a[k + db] * inv % q
+            for i, c in enumerate(b):
+                a[k + i] = (a[k + i] - f * c) % q
+        a, b = b, _strip(a[:db])
+    return len(a) == 1
+
+
 def squarefree_decomposition(p: IntPoly) -> list[tuple[IntPoly, int]]:
     """Yun's algorithm: [(g_i, m_i)] with p = lc * prod g_i^{m_i}, each
-    g_i squarefree, primitive, with positive leading coefficient."""
+    g_i squarefree, primitive, with positive leading coefficient.
+
+    First an exact modular test: when, for a prime q of
+    ``_SQUAREFREE_PRIMES`` that does not divide lc(p), p mod q is coprime
+    to p' mod q, p is squarefree and [(primitive part, 1)] comes back at
+    once.  Proof: were p = g^2 h with g, h in Z[x] and deg g >= 1 (Gauss's
+    lemma puts a square factor over Q into Z[x]), q would not divide
+    lc(g), as lc(g)^2 divides lc(p); so the reduction g~ of g has degree
+    deg g >= 1, and g~ divides p~ = g~^2 h~ and p~' = g~ (2 g~' h~ + g~ h~'),
+    hence their gcd.  A q that divides lc(p) or the discriminant of p
+    passes the turn to the next prime, then to Yun's algorithm.
+    """
     if p.degree < 1:
         raise ValueError("need degree >= 1")
+    if any(_squarefree_mod(p.coeffs, q) for q in _SQUAREFREE_PRIMES):
+        return [(p.primitive_positive(), 1)]
     fa = [Fraction(c) for c in p.coeffs]
     fb = [Fraction(c) for c in p.derivative().coeffs]
     g = _poly_gcd_q(fa, fb)
@@ -817,56 +854,209 @@ def log_plus_sum(total: BigFloat, balls) -> BigFloat:
 # root finding
 # ---------------------------------------------------------------------------
 
-def _circle_start(coeffs: tuple) -> list:
-    """n points on the circle of radius max_k |c_(n-k)/c_n|^(1/k), half
-    Fujiwara's bound on the moduli of the roots."""
-    n = len(coeffs) - 1
-    lc = mpf(coeffs[-1])
-    rho = max(abs(mpf(c) / lc) ** (mpf(1) / (n - k)) for k, c in enumerate(coeffs[:-1]))
-    return [rho * cmath.exp(2j * cmath.pi * (k + 0.1357) / n) for k in range(n)]
+def _log2_abs(c: int) -> float:
+    """log2|c| for an integer c != 0: its bit length past 53 plus the log2
+    of its top 53 bits, so finite however long c is."""
+    c = abs(c)
+    s = max(c.bit_length() - 53, 0)
+    return s + log2(c >> s)
 
 
-def _aberth(coeffs: list, z: list, eps) -> None:
-    """Gauss-Seidel Aberth-Ehrlich sweeps on the approximations z of the
-    roots of sum c_k x^k, in place, in Python complex or in mpc.  z_i
-    stops moving once |p(z_i)| <= eps * sum |c_k| |z_i|^k: rounding
-    then hides p."""
-    n, live = len(z), range(len(z))
-    for _ in range(60 + 40 * n):
+def _start(coeffs: tuple) -> list[tuple[float, float]]:
+    """Bini's start (Numer. Algorithms 13, 1996, sec. 3) as pairs
+    (log2|z|, arg z): for each edge from i to k of the upper convex hull
+    of the points (k, log2|c_k|), c_k != 0, k - i points on the circle
+    of radius |c_i / c_k|^(1/(k - i)); and a point 0, written log2 -inf,
+    for each vanishing low coefficient, the roots at 0."""
+    n, hull = len(coeffs) - 1, []
+    for k, l in ((k, _log2_abs(c)) for k, c in enumerate(coeffs) if c):
+        # drop the last vertex while it lies on or below the chord to (k, l)
+        while len(hull) > 1:
+            (i, li), (j, lj) = hull[-2:]
+            if (lj - li) * (k - i) > (l - li) * (j - i):
+                break
+            hull.pop()
+        hull.append((k, l))
+    z = [(-inf, 0.0)] * hull[0][0]
+    for (i, li), (k, lk) in zip(hull, hull[1:]):
+        z += [((li - lk) / (k - i), 2 * pi * (j / (k - i) + k / n) + 0.7) for j in range(k - i)]
+    return z
+
+
+def _aberth(z: list, step) -> None:
+    """Gauss-Seidel Aberth-Ehrlich sweeps (Bini, Numer. Algorithms 13,
+    1996) on the approximations z of the roots, in place: step(z, i) is
+    the corrected z_i, or None once z_i stops.  A z_i that stopped is
+    not swept again; the sweeps end after 60 + 40n."""
+    live = range(len(z))
+    for _ in range(60 + 40 * len(z)):
         moving = []
         for i in live:
-            x = z[i]
-            p, dp, bound, ax = coeffs[-1], 0, abs(coeffs[-1]), abs(x)
-            for c in coeffs[-2::-1]:
-                dp = dp * x + p
-                p = p * x + c
-                bound = bound * ax + abs(c)
-            if abs(p) > eps * bound:
-                ratio = p / dp
-                z[i] = x - ratio / (1 - ratio * sum(1 / (x - z[j]) for j in range(n) if j != i))
+            x = step(z, i)
+            if x is not None:
+                z[i] = x
                 moving.append(i)
         if not moving:
             return
         live = moving
 
 
+def _horner(top_first: list, x) -> tuple:
+    """p(x), p'(x) and sum |c_k| |x|^k for the coefficients of p, highest first."""
+    p, dp, bound, ax = top_first[0], 0, abs(top_first[0]), abs(x)
+    for c in top_first[1:]:
+        dp = dp * x + p
+        p = p * x + c
+        bound = bound * ax + abs(c)
+    return p, dp, bound
+
+
+def _float_step(coeffs: list, eps: float):
+    """The Aberth step in Python complex for sum c_k x^k, c_k floats.  A
+    z_i stops once |p(z_i)| <= eps * sum |c_k| |z_i|^k, as rounding then
+    hides p; a value or bound not finite never stops.  Beyond the unit circle, p
+    is read through r(y) = y^n p(1/y), whose terms stay below their
+    coefficients: p / p' = x r(y) / (n r(y) - y r'(y)) at y = 1/x."""
+    n, down = len(coeffs) - 1, coeffs[::-1]
+
+    def step(z, i):
+        x = z[i]
+        if abs(x) > 1:
+            y = 1 / x
+            r, dr, bound = _horner(coeffs, y)
+            if abs(r) <= eps * bound < inf:
+                return None
+            ratio = x * r / (n * r - y * dr)
+        else:
+            p, dp, bound = _horner(down, x)
+            if abs(p) <= eps * bound < inf:
+                return None
+            ratio = p / dp
+        return x - ratio / (1 - ratio * sum(1 / (x - v) for j, v in enumerate(z) if j != i))
+
+    return step
+
+
+def _horner_fixed(top_first: tuple, a: int, b: int, t: int) -> tuple:
+    """p and p' at x = (a + bi) / 2**t as Gaussian integers at scale
+    2**t, each product rounded down: p's error is at most sqrt(2) n
+    units when |x| <= 1.  Coefficients are integers, highest first."""
+    pr, pi, dr, di = top_first[0] << t, 0, 0, 0
+    for c in top_first[1:]:
+        dr, di = ((dr * a - di * b) >> t) + pr, ((dr * b + di * a) >> t) + pi
+        pr, pi = ((pr * a - pi * b) >> t) + (c << t), (pr * b + pi * a) >> t
+    return pr, pi, dr, di
+
+
+def _divide_fixed(ur: int, ui: int, vr: int, vi: int, s: int) -> tuple:
+    """u / v at scale 2**s for Gaussian integers u, v of one scale, each
+    part rounded down; ZeroDivisionError for v = 0."""
+    d = vr * vr + vi * vi
+    return ((ur * vr + ui * vi) << s) // d, ((ui * vr - ur * vi) << s) // d
+
+
+def _fixed_step(coeffs: tuple, s: int):
+    """The Aberth step on Gaussian integers z_i = (a, b) worth
+    (a + bi) / 2**s, from the exact integer coefficients.  A z_i stops
+    once both parts of p(z_i) are within 4n units of 2**-s, where its
+    rounding error hides it, or those of its correction within 4 units.
+    Beyond the unit circle p is read through r(y) = y^n p(1/y) as in
+    ``_float_step``, at y = 1/x taken at scale 2**(s + 2 log2|x|), fine
+    enough that the Newton ratio, which scales like |x|^2 / r', keeps s
+    fractional bits.  Nothing overflows here, but a direct Horner at
+    |x| > 1 carries integers of about n log2|x| bits: the same steps on
+    H_-4703, whose roots reach 10^93, take four times as long."""
+    n, down, s2 = len(coeffs) - 1, coeffs[::-1], 2 * s
+
+    def step(z, i):
+        a, b = z[i]
+        q = a * a + b * b
+        if q >> s2:  # |x| > 1: num / den = x r(y) / (n r(y) - y r'(y))
+            t = s + q.bit_length() - s2
+            ya, yb = (a << (s + t)) // q, (-b << (s + t)) // q
+            rr, ri, dr, di = _horner_fixed(coeffs, ya, yb, t)
+            if abs(rr) <= 4 * n and abs(ri) <= 4 * n:
+                return None
+            nr, ni = (a * rr - b * ri) >> s, (a * ri + b * rr) >> s
+            dr, di = n * rr - ((ya * dr - yb * di) >> t), n * ri - ((ya * di + yb * dr) >> t)
+        else:
+            nr, ni, dr, di = _horner_fixed(down, a, b, s)
+            if abs(nr) <= 4 * n and abs(ni) <= 4 * n:
+                return None
+        nr, ni = _divide_fixed(nr, ni, dr, di, s)
+        sr = si = 0  # sum of 1 / (x - z_j) at scale 2**s
+        for j, (c, e) in enumerate(z):
+            if j != i:
+                c, e = a - c, b - e
+                d = c * c + e * e
+                sr += (c << s2) // d
+                si -= (e << s2) // d
+        dr, di = (1 << s) - ((nr * sr - ni * si) >> s), -((nr * si + ni * sr) >> s)
+        cr, ci = _divide_fixed(nr, ni, dr, di, s)
+        if abs(cr) <= 4 and abs(ci) <= 4:
+            return None
+        return a - cr, b - ci
+
+    return step
+
+
+def _float_roots(coeffs: tuple, start: list) -> list | None:
+    """Aberth sweeps in Python complex from the start; None when a
+    coefficient over c_n or a start point overflows a double, or the
+    sweeps end on a value not finite or on two equal ones."""
+    n = len(coeffs) - 1
+    try:
+        z = [cmath.rect(2.0**l, t) for l, t in start]
+        _aberth(z, _float_step([c / coeffs[-1] for c in coeffs], 16 * n * 2.0**-53))
+    except (OverflowError, ZeroDivisionError):
+        return None
+    if not all(map(cmath.isfinite, z)) or len(set(z)) < n:
+        return None
+    return z
+
+
+def _shift(v: int, k: int) -> int:
+    """v * 2**k rounded down."""
+    return v << k if k >= 0 else v >> -k
+
+
+def _fixed(v: float, k: int) -> int:
+    """v * 2**k rounded down, exactly."""
+    n, d = v.as_integer_ratio()
+    return _shift(n, k) // d
+
+
+def _polar_fixed(l: float, t: float, s: int) -> tuple:
+    """2**l e^(it) as a Gaussian integer at scale 2**s; 0 for l = -inf."""
+    if l == -inf:
+        return 0, 0
+    e = floor(l)
+    w = cmath.rect(2.0 ** (l - e), t)
+    return _fixed(w.real, s + e), _fixed(w.imag, s + e)
+
+
 def _weierstrass_discs(coeffs: tuple, z: list, target: tuple) -> list[BigFloat] | None:
     """The discs D(z_i, 2n |w_i|), w_i = p(z_i) / (c_n prod_(j != i) (z_i - z_j))
     enclosed in ball arithmetic from the integer coefficients and the
-    exact z_i; None when one is wider than target or two meet."""
-    n, balls, radii = len(z), [BigFloat(v) for v in z], []
-    for x in balls:
-        p = den = BigFloat(coeffs[-1])
-        for c in coeffs[-2::-1]:
+    exact z_i; None when one is wider than target or two meet.  Each
+    z_i - z_j (i < j) is formed once and joins both products, negated
+    exactly for z_j's, in the order of j, and its lower bound of |z_i - z_j|
+    is kept for the separation test."""
+    n, balls, cs = len(z), [BigFloat(v) for v in z], [BigFloat(c) for c in coeffs]
+    dens, gaps = [cs[-1]] * n, {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = balls[i] - balls[j]
+            dens[i], dens[j], gaps[i, j] = dens[i] * d, dens[j] * -d, d._min_abs()
+    radii = []
+    for x, den in zip(balls, dens):
+        p = cs[-1]
+        for c in cs[-2::-1]:
             p = p * x + c
-        for y in balls:
-            if y is not x:
-                den = den * (x - y)
         w = p / den
         radii.append(_mul_up(_up(2 * n, 0), _add_up(w._mag, w._r)))
     if not any(_sub_down(r, target)[0] for r in radii) and all(
-        _sub_down((balls[i] - balls[j])._min_abs(), _add_up(radii[i], radii[j]))[0]
-        for i in range(n) for j in range(i + 1, n)
+        _sub_down(gap, _add_up(radii[i], radii[j]))[0] for (i, j), gap in gaps.items()
     ):
         return [BigFloat._made(b.value, _add_up(b._r, r), b._mag) for b, r in zip(balls, radii)]
     return None
@@ -878,41 +1068,48 @@ def _dk_roots(poly: IntPoly, digits: int) -> list[BigFloat]:
     name, from the Durand-Kerner iteration this replaced, is kept for
     the benchmark's tracer.)
 
-    As in MPSolve (Bini-Fiorentino, Numer. Algorithms 23, 2000): Aberth
-    sweeps (Bini, Numer. Algorithms 13, 1996) in Python complex from a
-    circle start, skipped when a coefficient over c_n overflows a double
-    or the sweeps end on a value not finite or twice; then Aberth sweeps
-    in mpc at the working precision; then a certificate with no float
-    in it.  For distinct z_i, each connected component of the union of
-    the discs D(z_i, n |w_i|) made of m discs holds m roots
+    As in MPSolve (Bini-Fiorentino, Numer. Algorithms 23, 2000), only
+    the last step is rigorous.  Aberth sweeps (Bini, Numer. Algorithms
+    13, 1996) run in Python complex from Bini's start (``_start``),
+    skipped when a coefficient over c_n or a start point overflows a
+    double or the sweeps end on a value not finite or twice; then on
+    Gaussian integers scaled by 2**mp.prec, from the exact integer
+    coefficients; then a certificate with no float in it, from the
+    exact midpoints.  For distinct z_i, each connected component of the
+    union of the discs D(z_i, n |w_i|) made of m discs holds m roots
     (Braess-Hadeler, Numer. Math. 21, 1973), so disjoint discs
     D(z_i, 2n |w_i|_upper) from ``_weierstrass_discs`` hold one each.
     When discs are too wide or meet, or a product ball holds 0,
-    ``certify`` doubles the precision; the iterates carry over.
+    ``certify`` doubles the precision and the iterates carry over; two
+    equal iterates, or p'(z_i) = 0, restart the next attempt from the
+    start.
     """
-    n, coeffs = poly.degree, poly.coeffs
-    z = _circle_start(coeffs)
-    try:
-        start = [complex(v) for v in z]
-        _aberth([c / coeffs[-1] for c in coeffs], start, 16 * n * 2.0**-53)
-        if all(map(cmath.isfinite, start)) and len(set(start)) == n:
-            z = start
-    except (OverflowError, ZeroDivisionError):
-        pass
+    coeffs = poly.coeffs
+    start = _start(coeffs)
+    z, scale = _float_roots(coeffs, start), None
     target = _pair(from_rational(1, 10**digits, _RADIUS_BITS, round_floor))
 
     def attempt(dps):
-        nonlocal z
+        nonlocal z, scale
         with workdps(dps):
-            z = [mpc(v) for v in z]
+            s = mp.prec
+            if z is None:
+                z = [_polar_fixed(l, t, s) for l, t in start]
+            elif scale is None:  # the float stage's roots
+                z = [(_fixed(v.real, s), _fixed(v.imag, s)) for v in z]
+            else:
+                z = [(_shift(a, s - scale), _shift(b, s - scale)) for a, b in z]
+            scale = s
             try:
-                _aberth([mpf(c) for c in coeffs], z, 16 * n * mpf(2) ** -mp.prec)
-                return _weierstrass_discs(coeffs, z, target)
+                _aberth(z, _fixed_step(coeffs, s))
             except ZeroDivisionError:  # two equal iterates, or p'(z_i) = 0
-                z = _circle_start(coeffs)
+                z = None
+                return None
+            exact = [mp.make_mpc((from_man_exp(a, -s), from_man_exp(b, -s))) for a, b in z]
+            try:
+                return _weierstrass_discs(coeffs, exact, target)
             except PrecisionError:  # a product ball holds 0
-                pass
-        return None
+                return None
 
     dps = max(digits + 15, 2 * digits, 30)
     return certify(

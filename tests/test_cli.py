@@ -77,6 +77,14 @@ class TestHeightCommand:
         # roots of unity: height 0 up to the certified radius
         assert abs(float(out.split("≈")[1].split("(")[0])) < 1e-30
 
+    def test_unit_leading_coefficient_adds_no_rounding_floor(self, capsys):
+        # log|lc| = log 1 is exactly 0, not 0 with the absolute-floor
+        # allowance 8 * 10^-39 of log_abs at the working precision; what
+        # is left is the straddle term of the discs about +-1
+        code, out, _ = run(capsys, "height", "alg: x^2 - 1")
+        assert code == 0
+        assert float(out.split("(radius ")[1].rstrip(")\n")) < 1e-39
+
     def test_parse_error_exit_2(self, capsys):
         code, _, err = run(capsys, "height", "rad: 2 ^^ 3")
         assert code == 2 and "error" in err

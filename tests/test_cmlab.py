@@ -350,6 +350,16 @@ class TestJHeight:
             )
 
 
+    def test_mahler_route_overlaps_for_small_fundamental_discriminants(self):
+        # the Mahler height of H_d is a second certified route to h(j_d):
+        # every fundamental |d| <= 500 with h >= 2, and two H_d whose
+        # roots reach 10^33 and 10^58
+        ds = [d for d in fundamental_discriminants(500) if class_number(d) >= 2]
+        for d in ds + [-599, -1832]:
+            direct, via_poly = j_height(d, 30), mahler_height(hilbert_class_poly(d), 30)
+            assert abs(direct.value - via_poly.value) <= direct.radius + via_poly.radius, d
+
+
 class TestSInvariant:
     def test_sl2_invariance(self):
         mats = [(1, 1, 0, 1), (0, -1, 1, 0), (2, 1, 1, 1), (1, 0, 1, 1), (3, 2, 1, 1)]

@@ -167,6 +167,36 @@ class TestIntPoly:
             assert mine == {m: f.coeffs for m, f in theirs.items()}, p
 
 
+    def test_modular_test_falls_back_when_the_first_prime_fails(self):
+        # x (x - q) is squarefree, but its discriminant q^2 vanishes mod
+        # the first prime q; the next prime proves it squarefree
+        q, second = numcore._SQUAREFREE_PRIMES[:2]
+        p = IntPoly([0, -q, 1])
+        assert not numcore._squarefree_mod(p.coeffs, q)
+        assert numcore._squarefree_mod(p.coeffs, second)
+        assert squarefree_decomposition(p) == [(p, 1)]
+
+    def test_yun_when_every_prime_fails(self):
+        # every prime divides the discriminant, or the leading coefficient
+        prod = 1
+        for q in numcore._SQUAREFREE_PRIMES:
+            prod *= q
+        for p in (IntPoly([0, -prod, 1]), IntPoly([-1, 0, prod])):
+            assert not any(numcore._squarefree_mod(p.coeffs, q) for q in numcore._SQUAREFREE_PRIMES)
+            assert squarefree_decomposition(p) == [(p, 1)]
+
+    def test_modular_test_never_passes_a_square_factor(self):
+        # the docstring's proof: g^2 h reduces to a polynomial sharing g~ with its derivative
+        rng = random.Random(61)
+        for _ in range(30):
+            g = IntPoly([rng.randint(-50, 50) for _ in range(rng.randint(1, 4))] + [rng.randint(1, 9)])
+            h = IntPoly([rng.randint(-50, 50) for _ in range(rng.randint(0, 5))] + [rng.randint(1, 9)])
+            if g.degree < 1:
+                continue
+            p = g * g * h
+            assert not any(numcore._squarefree_mod(p.coeffs, q) for q in numcore._SQUAREFREE_PRIMES)
+
+
 class TestPolyRoots:
     def test_simple_quadratic(self):
         roots = poly_roots(IntPoly([-2, 0, 1]), 40)  # x^2 - 2
@@ -216,8 +246,17 @@ class TestPolyRoots:
                     )
                 assert val <= 2 * dbound * (r.radius + mpf(10) ** -34)
 
+    def test_bini_start_follows_the_newton_polygon(self):
+        # roots 2^-20, 1 and 2^20 give one circle each; x^3 - x starts its
+        # root 0 at 0 (log2 -inf) and the others on the unit circle
+        p = IntPoly([-1, 2**20 + 1]) * IntPoly([-(2**20), 1]) * IntPoly([-1, 1]) * IntPoly([0, 1])
+        logs = sorted(l for l, _ in numcore._start(p.coeffs))
+        assert logs[0] == float("-inf")
+        assert [round(l) for l in logs[1:]] == [-20, 0, 20]
+        assert sorted(l for l, _ in numcore._start((0, -1, 0, 1))) == [float("-inf"), 0.0, 0.0]
+
     def test_coefficients_beyond_a_double(self):
-        # x^2 - 10^400 has no float start; the circle start still converges
+        # x^2 - 10^400 has no float stage; Bini's start still converges
         roots = poly_roots(IntPoly([-(10**400), 0, 1]), 50)
         assert len(roots) == 2
         with workdps(300):
@@ -252,6 +291,45 @@ def test_every_root_disc_holds_a_root(poly):
         for disc in discs:
             assert disc.radius <= mpf(10) ** -50
             assert min(abs(disc.value - r) for r in ref) <= disc.radius
+
+
+def _assert_discs_hold_roots(poly: IntPoly, digits: int) -> None:
+    """Every disc of poly_roots(poly, digits) holds a root of mpmath's
+    polyroots taken to 3 * digits digits past the largest coefficient's,
+    so that a root of modulus up to that coefficient keeps 3 * digits
+    digits after the point."""
+    discs = poly_roots(poly, digits)
+    assert len(discs) == poly.degree
+    big = max(abs(c) for c in poly.coeffs)
+    with workdps(3 * digits + len(str(big))):
+        ref = mp.polyroots(list(reversed(poly.coeffs)), maxsteps=1000, extraprec=big.bit_length() + 100)
+        for disc in discs:
+            assert disc.radius <= mpf(10) ** -digits
+            assert min(abs(disc.value - r) for r in ref) <= disc.radius, (poly, disc)
+
+
+def test_discs_hold_roots_of_class_polynomials():
+    # H_d has roots up to e^(pi sqrt|d|), so its moduli span many orders
+    # of magnitude: the inputs the reversed evaluation and Bini's start serve
+    from heightlab.cmlab import class_number, hilbert_class_poly
+
+    for n in range(3, 301):
+        if -n % 4 in (0, 1) and class_number(-n) >= 2:
+            _assert_discs_hold_roots(hilbert_class_poly(-n), 30)
+
+
+@pytest.mark.parametrize(
+    "poly",
+    [
+        IntPoly([0, -1, 0, 1]),
+        IntPoly([0] + [random.Random("zero-constant-term").randint(-9, 9) for _ in range(11)] + [7]),
+        IntPoly([-(10**400), 0, 1]),
+    ],
+    ids=["x^3-x", "seeded-c0-zero", "x^2-10^400"],
+)
+def test_discs_hold_roots_of_special_inputs(poly):
+    # a zero constant term gives the root 0 a start of its own
+    _assert_discs_hold_roots(poly, 30)
 
 
 class TestBigFloat:
@@ -978,3 +1056,17 @@ def test_cm_point_kernel_uses_no_iv():
         for fn in found:
             names = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
             assert not {n for n in names if n == "iv" or n.startswith("_iv")}, fn.name
+
+
+def test_root_sweeps_use_no_mpmath_numbers():
+    # the sweeps run in Python complex and on Gaussian integers; only
+    # _weierstrass_discs, from exact midpoints, touches mpmath
+    sweeps = {
+        "_start", "_aberth", "_horner", "_float_step", "_horner_fixed", "_divide_fixed", "_fixed_step", "_float_roots",
+    }
+    tree = ast.parse(Path(numcore.__file__).read_text())
+    found = [top for top in tree.body if isinstance(top, ast.FunctionDef) and top.name in sweeps]
+    assert {fn.name for fn in found} == sweeps
+    for fn in found:
+        names = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
+        assert not names & {"mpc", "mpf", "mp", "mpmath", "workdps"}, fn.name
