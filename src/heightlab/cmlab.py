@@ -69,7 +69,6 @@ from mpmath.libmp import (
     mpf_div,
     mpf_log,
     mpf_lt,
-    mpf_mul,
     mpf_shift,
     mpf_sub,
     round_ceiling,
@@ -89,6 +88,7 @@ from .numcore import (
     _down,
     _mag,
     _mul_up,
+    _norm,
     _sub_down,
     _tail_below,
     _ten_to_minus_dps,
@@ -521,12 +521,6 @@ def _theta_nulls(w: BigFloat):
         w_odd = w_odd * w2
         w_m2 = w_m2 * w_odd
     raise PrecisionError("theta series did not converge")
-
-
-def _norm(z) -> tuple:
-    """|z|^2 of a real or complex midpoint, exact, as a libmpf number."""
-    parts = z._mpc_ if isinstance(z, mpc) else (z._mpf_,)
-    return reduce(mpf_add, [mpf_mul(t, t) for t in parts])
 
 
 def _theta_term(nulls) -> BigFloat:

@@ -23,11 +23,12 @@ Two policies make every numeric decision certified:
   up, so neither depends on the ambient precision.
 
 Rounding allowances are computed only here, in the ball operations
-and ``BigFloat.rounded``; root discs come from ball arithmetic.  Root
-isolation trusts only its certificate: its Aberth sweeps run in Python
-complex and on Gaussian integers scaled by 2**mp.prec, never in mpmath
-numbers, and hand exact midpoints to the ball arithmetic.  Ball
-midpoints carry the working precision; ball radii are integer pairs
+and ``BigFloat.rounded``.  Root isolation trusts only its certificate:
+its Aberth sweeps run in Python complex and on Gaussian integers scaled
+by 2**mp.prec, never in mpmath numbers, and the certificate bounds the
+residuals and gaps of those Gaussian integers in 53-bit pairs, by a
+Horner with a running error bound; only its output discs are balls.
+Ball midpoints carry the working precision; ball radii are integer pairs
 (m, e) worth m * 2**e with m of _RADIUS_BITS (53) bits, each step of
 their arithmetic on Python ints and rounded up exactly as libmpf's
 round_ceiling, so a radius costs the same at 39 digits as at 250.
@@ -39,7 +40,7 @@ import cmath
 import operator
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import floor, gcd, inf, isqrt, lcm, log2, pi
 
 import mpmath
@@ -48,9 +49,11 @@ from mpmath.libmp import (
     from_float,
     from_man_exp,
     from_rational,
+    fone,
     fzero,
     mpf_add,
     mpf_lt,
+    mpf_mul,
     mpf_neg,
     mpf_shift,
     mpf_sub,
@@ -520,17 +523,23 @@ def _allowance(dps: int) -> tuple:
 
 
 def _mag(v, rnd=round_ceiling) -> tuple:
-    """|v| as a pair rounded up (round_ceiling) or down (round_floor).
-    A complex modulus is the ``isqrt`` of the exact sum of the squares
-    of the parts' mantissas cut to 64 bits, scaled to a root of 55 bits
-    or more, each step rounded the same way; a part whose leading bit
-    lies over 2 * 53 + 8 bits below the other's moves |v| by less than
-    the unit in the other's 53rd bit, which round_ceiling adds."""
+    """|v| as a pair rounded up (round_ceiling) or down (round_floor),
+    for an mpf, an mpc, or a Gaussian integer (a, b, e) worth
+    (a + bi) * 2**e.  A complex modulus is the ``isqrt`` of the exact
+    sum of the squares of the parts' mantissas cut to 64 bits, scaled
+    to a root of 55 bits or more, each step rounded the same way; a
+    part whose leading bit lies over 2 * 53 + 8 bits below the other's
+    moves |v| by less than the unit in the other's 53rd bit, which
+    round_ceiling adds."""
     up = rnd == round_ceiling
     to = _up if up else _down
-    if not isinstance(v, mpc):
+    if isinstance(v, mpc):
+        (_, ma, ea, ba), (_, mb, eb, bb) = v._mpc_
+    elif isinstance(v, tuple):
+        ma, mb, ea = abs(v[0]), abs(v[1]), v[2]
+        ba, bb, eb = ma.bit_length(), mb.bit_length(), ea
+    else:
         return to(v._mpf_[1], v._mpf_[2])
-    (_, ma, ea, ba), (_, mb, eb, bb) = v._mpc_
     if not (ma and mb):  # a zero part gives |other part|
         return to(ma, ea) if ma else to(mb, eb)
     if abs(ea + ba - eb - bb) > 2 * _RADIUS_BITS + 8:
@@ -572,6 +581,10 @@ def _sub_down(a: tuple, b: tuple) -> tuple:
 
 def _mul_up(a: tuple, b: tuple) -> tuple:
     return _up(a[0] * b[0], a[1] + b[1])
+
+
+def _mul_down(a: tuple, b: tuple) -> tuple:
+    return _down(a[0] * b[0], a[1] + b[1])
 
 
 def _div_up(a: tuple, b: tuple) -> tuple:
@@ -827,15 +840,22 @@ def _as_bigfloat(x) -> BigFloat:
     return BigFloat(x)
 
 
+def _norm(z) -> tuple:
+    """|z|^2 of a real or complex midpoint, exact, as a libmpf number."""
+    parts = z._mpc_ if isinstance(z, mpc) else (z._mpf_,)
+    return reduce(mpf_add, [mpf_mul(t, t) for t in parts])
+
+
 def log_plus_sum(total: BigFloat, balls) -> BigFloat:
     """total + sum of log max(1, |z|) over the balls z.  Balls with
-    |z| <= 1 add nothing; a ball straddling the unit circle adds the
-    ball of [0, log(|z|+r)].  A ball that the 53-bit pairs |value| +
-    radius rounded up and ``_min_abs`` place on one side of the circle
-    costs no full-precision modulus.  One they leave across the circle,
-    or within about 2**-52 of it, is placed by ``abs_bounds``: its
-    full-precision upper end keeps the log(|z|+r) that a disc about a
-    root of unity adds near its radius, not near 2**-52."""
+    |z| <= 1 add nothing; a ball of midpoint v and radius r straddling
+    the unit circle adds the ball of [0, u], u = ((|v| + r)^2 - 1) / 2,
+    as log t <= (t^2 - 1) / 2 for t >= 1: |v|^2 - 1 is exact in libmpf,
+    (2 |v| + r) r joins it as a pair rounded up, and u is rounded up
+    once.  A ball that the 53-bit pairs |value| + radius rounded up and
+    ``_min_abs`` place on one side of the circle costs no
+    full-precision modulus.  One they leave across the circle, or
+    within about 2**-52 of it, is placed by ``abs_bounds``."""
     for z in balls:
         if not _sub_down(_add_up(z._mag, z._r), _ONE)[0]:
             continue  # |z| <= |value| + radius <= 1
@@ -844,7 +864,11 @@ def log_plus_sum(total: BigFloat, balls) -> BigFloat:
             if hi <= 1:
                 continue
             if lo < 1:
-                total = total + BigFloat.from_bounds(0, BigFloat.rounded(mpmath.log(hi)).bounds()[1])
+                spread = from_man_exp(*_mul_up(_add_up((z._mag[0], z._mag[1] + 1), z._r), z._r))
+                u = mpf_add(mpf_sub(_norm(z.value), fone, 0), spread, _RADIUS_BITS, round_ceiling)
+                if u[0] or u == fzero:  # |v| + r <= 1 after all
+                    continue
+                total = total + BigFloat.from_bounds(0, mp.make_mpf(mpf_shift(u, -1)))
                 continue
         total = total + z.log_abs()
     return total
@@ -1035,31 +1059,91 @@ def _polar_fixed(l: float, t: float, s: int) -> tuple:
     return _fixed(w.real, s + e), _fixed(w.imag, s + e)
 
 
-def _weierstrass_discs(coeffs: tuple, z: list, target: tuple) -> list[BigFloat] | None:
-    """The discs D(z_i, 2n |w_i|), w_i = p(z_i) / (c_n prod_(j != i) (z_i - z_j))
-    enclosed in ball arithmetic from the integer coefficients and the
-    exact z_i; None when one is wider than target or two meet.  Each
-    z_i - z_j (i < j) is formed once and joins both products, negated
-    exactly for z_j's, in the order of j, and its lower bound of |z_i - z_j|
-    is kept for the separation test."""
-    n, balls, cs = len(z), [BigFloat(v) for v in z], [BigFloat(c) for c in coeffs]
-    dens, gaps = [cs[-1]] * n, {}
-    for i in range(n):
+# sqrt(2) rounded up as a pair: the modulus bound of a Gaussian integer
+# whose parts are each off by less than one unit
+_SQRT2 = (isqrt(2 << 104) + 1, -52)
+
+
+def _residual(top_first: tuple, a: int, b: int, s: int) -> tuple:
+    """|p(z)| rounded up as a pair, at z = (a + bi) / 2**s, for the
+    integer coefficients of p, highest first: Horner on Gaussian-integer
+    mantissas P at exponent e, each step P z + c formed exactly and cut
+    to t bits rounding down, t being 2 log2 n + 8 bits over the longer
+    of z's mantissas and s, with the running error bound ``err`` of
+    ``_weierstrass_discs``."""
+    t = max(s, abs(a).bit_length(), abs(b).bit_length()) + 2 * len(top_first).bit_length() + 8
+    za, err = _mag((a, b, -s)), _ZERO
+    pr, pi, e = top_first[0], 0, 0  # P = (pr + pi i) * 2**e
+    for c in top_first[1:]:
+        pr, pi, e = pr * a - pi * b, pr * b + pi * a, e - s
+        if e >= 0:
+            pr, pi, e = (pr << e) + c, pi << e, 0
+        else:
+            pr += c << -e
+        if err[0]:
+            err = _mul_up(err, za)
+        k = max(abs(pr).bit_length(), abs(pi).bit_length()) - t
+        if k > 0:
+            low = (1 << k) - 1
+            if pr & low or pi & low:  # the cut drops a nonzero bit
+                err = _add_up(err, (_SQRT2[0], _SQRT2[1] + e + k))
+            pr, pi, e = pr >> k, pi >> k, e + k
+    return _add_up(_mag((pr, pi, e)), err)
+
+
+def _weierstrass_radii(coeffs: tuple, z: list, s: int) -> tuple | None:
+    """The radii 2n |w_i| of ``_weierstrass_discs`` rounded up as pairs,
+    and the lower bounds of |z_i - z_j| for i < j, from the Gaussian
+    integers (a_i, b_i) of z_i = (a_i + b_i i) / 2**s; None when two z_i
+    are equal.  Each |z_i - z_j| is the modulus of the exact integer
+    difference rounded down, formed once and joining both products."""
+    n, top_first = len(z), coeffs[::-1]
+    dens, gaps = [_down(abs(coeffs[-1]), 0)] * n, {}
+    for i, (a, b) in enumerate(z):
         for j in range(i + 1, n):
-            d = balls[i] - balls[j]
-            dens[i], dens[j], gaps[i, j] = dens[i] * d, dens[j] * -d, d._min_abs()
-    radii = []
-    for x, den in zip(balls, dens):
-        p = cs[-1]
-        for c in cs[-2::-1]:
-            p = p * x + c
-        w = p / den
-        radii.append(_mul_up(_up(2 * n, 0), _add_up(w._mag, w._r)))
-    if not any(_sub_down(r, target)[0] for r in radii) and all(
+            c, d = z[j]
+            gap = gaps[i, j] = _mag((a - c, b - d, -s), round_floor)
+            if not gap[0]:
+                return None
+            dens[i], dens[j] = _mul_down(dens[i], gap), _mul_down(dens[j], gap)
+    two_n = _up(2 * n, 0)
+    radii = [_mul_up(two_n, _div_up(_residual(top_first, a, b, s), den)) for (a, b), den in zip(z, dens)]
+    return radii, gaps
+
+
+def _weierstrass_discs(coeffs: tuple, z: list, s: int, target: tuple) -> list[BigFloat] | None:
+    """The discs D(z_i, 2n |w_i|), w_i = p(z_i) / (c_n prod_(j != i) (z_i - z_j)),
+    about the exact z_i = (a_i + b_i i) / 2**s, for the integer
+    coefficients of p, lowest first; None when two z_i are equal, a disc
+    is wider than target or two discs meet.
+
+    The bounds are rigorous although only Gaussian integers and 53-bit
+    pairs are formed: |w_i| <= (|P~| + err) / D_i, all rounded up.  The
+    denominator D_i is |c_n| prod |z_i - z_j|, each factor and product
+    rounded down.  The residual is Higham's running error bound for
+    Horner (Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    2002, sec. 5.1), made simpler by an exact z: ``_residual`` computes
+    P~_n = c_n and P~_k = P~_(k+1) z + c_k + d_k, where d_k is what the
+    cut to t bits drops, |d_k| < sqrt(2) ulp_k, or 0 when it drops only
+    zeros.  The exact P_k obeys the same recurrence without d_k, so
+    E_k = P~_k - P_k has E_n = 0 and |E_k| <= |E_(k+1)| |z| + |d_k|, and
+    err, which follows this bound in pairs rounded up, bounds |E_0|:
+    |p(z_i)| = |P_0| <= |P~_0| + err.  A z_i at which every cut is exact
+    and p vanishes, such as a root at 0 placed there by Bini's start,
+    gets radius 0.  Only the output discs are mpmath numbers."""
+    out = _weierstrass_radii(coeffs, z, s)
+    if out is None:
+        return None
+    radii, gaps = out
+    if any(_sub_down(r, target)[0] for r in radii) or not all(
         _sub_down(gap, _add_up(radii[i], radii[j]))[0] for (i, j), gap in gaps.items()
     ):
-        return [BigFloat._made(b.value, _add_up(b._r, r), b._mag) for b, r in zip(balls, radii)]
-    return None
+        return None
+    discs = []
+    for (a, b), r in zip(z, radii):
+        v = mp.make_mpc((from_man_exp(a, -s), from_man_exp(b, -s)))
+        discs.append(BigFloat._made(v, r, _mag(v)))
+    return discs
 
 
 def _dk_roots(poly: IntPoly, digits: int) -> list[BigFloat]:
@@ -1074,15 +1158,15 @@ def _dk_roots(poly: IntPoly, digits: int) -> list[BigFloat]:
     skipped when a coefficient over c_n or a start point overflows a
     double or the sweeps end on a value not finite or twice; then on
     Gaussian integers scaled by 2**mp.prec, from the exact integer
-    coefficients; then a certificate with no float in it, from the
-    exact midpoints.  For distinct z_i, each connected component of the
-    union of the discs D(z_i, n |w_i|) made of m discs holds m roots
+    coefficients; then a certificate with no float in it, on those
+    Gaussian integers.  For distinct z_i, each connected component of
+    the union of the discs D(z_i, n |w_i|) made of m discs holds m roots
     (Braess-Hadeler, Numer. Math. 21, 1973), so disjoint discs
     D(z_i, 2n |w_i|_upper) from ``_weierstrass_discs`` hold one each.
-    When discs are too wide or meet, or a product ball holds 0,
+    When discs are too wide or meet, or two iterates are equal there,
     ``certify`` doubles the precision and the iterates carry over; two
-    equal iterates, or p'(z_i) = 0, restart the next attempt from the
-    start.
+    equal iterates in a sweep, or p'(z_i) = 0, restart the next attempt
+    from the start.
     """
     coeffs = poly.coeffs
     start = _start(coeffs)
@@ -1105,11 +1189,7 @@ def _dk_roots(poly: IntPoly, digits: int) -> list[BigFloat]:
             except ZeroDivisionError:  # two equal iterates, or p'(z_i) = 0
                 z = None
                 return None
-            exact = [mp.make_mpc((from_man_exp(a, -s), from_man_exp(b, -s))) for a, b in z]
-            try:
-                return _weierstrass_discs(coeffs, exact, target)
-            except PrecisionError:  # a product ball holds 0
-                return None
+            return _weierstrass_discs(coeffs, z, s, target)
 
     dps = max(digits + 15, 2 * digits, 30)
     return certify(
@@ -1125,7 +1205,7 @@ def poly_roots(poly: IntPoly, precision_digits: int = DEFAULT_DIGITS) -> list[Bi
     root is its rational value, of radius 0 when a binary number holds
     it.  Every other factor gets ``_dk_roots``' discs: each of radius at
     most 10**(-precision_digits), pairwise disjoint, and certified by
-    ball arithmetic to hold exactly one root.
+    ``_weierstrass_discs`` to hold exactly one root.
     """
     if poly.degree < 1:
         raise ValueError("poly_roots requires degree >= 1")

@@ -85,6 +85,15 @@ class TestHeightCommand:
         assert code == 0
         assert float(out.split("(radius ")[1].rstrip(")\n")) < 1e-39
 
+    @pytest.mark.parametrize("poly", ["x^2 + x + 1", "x^4 + x^3 + x^2 + x + 1", "x^2 - 1"])
+    def test_roots_of_unity_keep_the_radius_of_their_discs(self, capsys, poly):
+        # a disc across the unit circle adds [0, ((|v| + r)^2 - 1) / 2],
+        # of the order of the disc, not the log of abs_bounds' guard at
+        # the working precision (1.84e-40 at 39 digits)
+        code, out, _ = run(capsys, "height", f"alg: {poly}")
+        assert code == 0
+        assert float(out.split("(radius ")[1].rstrip(")\n")) < 1e-60
+
     def test_parse_error_exit_2(self, capsys):
         code, _, err = run(capsys, "height", "rad: 2 ^^ 3")
         assert code == 2 and "error" in err

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 from mpmath import mp, mpc, mpf, workdps
-from mpmath.libmp import to_rational
+from mpmath.libmp import from_man_exp, to_rational
 
 from heightlab import numcore
 from heightlab.numcore import (
@@ -330,6 +330,135 @@ def test_discs_hold_roots_of_class_polynomials():
 def test_discs_hold_roots_of_special_inputs(poly):
     # a zero constant term gives the root 0 a start of its own
     _assert_discs_hold_roots(poly, 30)
+
+
+def _ball_certificate_radii(coeffs: tuple, z: list, s: int) -> list:
+    """The radii 2n |w_i| as the ball certificate formed them before the
+    Gaussian-integer one, at the ambient precision: a BigFloat Horner
+    for p(z_i) and BigFloat products of the z_i - z_j."""
+    n = len(z)
+    balls = [BigFloat(mp.make_mpc((from_man_exp(a, -s), from_man_exp(b, -s)))) for a, b in z]
+    cs = [BigFloat(c) for c in coeffs]
+    dens = [cs[-1]] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = balls[i] - balls[j]
+            dens[i], dens[j] = dens[i] * d, dens[j] * -d
+    radii = []
+    for x, den in zip(balls, dens):
+        p = cs[-1]
+        for c in cs[-2::-1]:
+            p = p * x + c
+        w = p / den
+        radii.append(numcore._mul_up(numcore._up(2 * n, 0), numcore._add_up(w._mag, w._r)))
+    return radii
+
+
+def _certified_calls(monkeypatch) -> list:
+    """Every call of ``_weierstrass_discs`` from now on, as (coeffs, z, s,
+    dps, discs): the exact iterates it certified and its precision."""
+    calls, inner = [], numcore._weierstrass_discs
+
+    def recorded(coeffs, z, s, target):
+        discs = inner(coeffs, z, s, target)
+        calls.append((coeffs, list(z), s, mp.dps, discs))
+        return discs
+
+    monkeypatch.setattr(numcore, "_weierstrass_discs", recorded)
+    return calls
+
+
+def _assert_no_wider_than_balls(calls: list) -> None:
+    """Each certified disc is no wider than the ball certificate's disc
+    about the same midpoint at the same precision."""
+    certified = [call for call in calls if call[-1] is not None]
+    assert certified
+    for coeffs, z, s, dps, discs in certified:
+        with workdps(dps):
+            old = _ball_certificate_radii(coeffs, z, s)
+        for disc, r in zip(discs, old):
+            assert disc.radius <= mp.make_mpf(from_man_exp(*r)), (coeffs, disc)
+
+
+@pytest.mark.parametrize(
+    "poly",
+    [_random_poly(d) for d in (2, 3, 7, 12, 20, 30, 40)]
+    + [
+        IntPoly([-(10**400), 0, 1]),
+        IntPoly([0] + [random.Random("zero-constant-term").randint(-9, 9) for _ in range(11)] + [7]),
+    ],
+    ids=[f"random-{d}" for d in (2, 3, 7, 12, 20, 30, 40)] + ["x^2-10^400", "seeded-c0-zero"],
+)
+def test_discs_no_wider_than_the_ball_certificate(poly, monkeypatch):
+    calls = _certified_calls(monkeypatch)
+    _assert_discs_hold_roots(poly, 30)
+    _assert_no_wider_than_balls(calls)
+
+
+def test_class_polynomial_discs_no_wider_than_the_ball_certificate(monkeypatch):
+    from heightlab.cmlab import class_number, hilbert_class_poly
+
+    calls = _certified_calls(monkeypatch)
+    for n in range(3, 301):
+        if -n % 4 in (0, 1) and class_number(-n) >= 2:
+            poly_roots(hilbert_class_poly(-n), 30)
+    _assert_no_wider_than_balls(calls)
+
+
+def test_exact_root_gets_radius_zero(monkeypatch):
+    # Bini's start places the root 0 of x^3 - x at 0, where every Horner
+    # cut is exact and p vanishes
+    calls = _certified_calls(monkeypatch)
+    discs = poly_roots(IntPoly([0, -1, 0, 1]), 30)
+    assert [d.radius for d in discs if d.value == 0] == [0]
+    _assert_no_wider_than_balls(calls)
+
+
+def _residual_cases(rng):
+    """(coeffs, a, b, s) for points z = (a + bi) / 2**s near simple roots
+    of random polynomials, near the fourfold root 1/2 of (2x - 1)^4 (x + 3),
+    where Horner's cuts cancel all of p but its rounding, and near the
+    root 2^70 + 3, where the Horner exponent turns positive."""
+    for i in range(240):
+        s = rng.choice((20, 53, 100))
+        if i % 3 == 0:
+            coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(2, 12))] + [rng.randint(1, 9)]
+            with workdps(30):
+                root = rng.choice(mp.polyroots(coeffs[::-1], maxsteps=200, extraprec=60))
+                a, b = int(mp.floor(root.real * 2**s)), int(mp.floor(root.imag * 2**s))
+        elif i % 3 == 1:
+            half = IntPoly([-1, 2])
+            coeffs = (half * half * half * half * IntPoly([3, 1])).coeffs
+            a, b = 1 << (s - 1), 0
+        else:
+            coeffs = (IntPoly([-(2**70) - 3, 1]) * IntPoly([1, 1, 1])).coeffs
+            a, b = (2**70 + 3) << s, 0
+        yield coeffs, a + rng.randint(-3, 3), b + rng.randint(-3, 3), s
+
+
+def test_residual_bounds_the_exact_value():
+    # the running error carries the bound where the cut Horner value,
+    # even 0, is below |p(z)|; p(z) is evaluated exactly in fractions
+    rng = random.Random(2500)
+    for coeffs, a, b, s in _residual_cases(rng):
+        x, y = Fraction(a, 2**s), Fraction(b, 2**s)
+        pr, pi = Fraction(0), Fraction(0)
+        for c in reversed(coeffs):
+            pr, pi = pr * x - pi * y + c, pr * y + pi * x
+        m, e = numcore._residual(tuple(reversed(coeffs)), a, b, s)
+        bound = Fraction(m) * Fraction(2) ** e
+        assert pr * pr + pi * pi <= bound * bound, (coeffs, a, b, s)
+
+
+def test_class_polynomial_certifies_at_the_first_precision(monkeypatch):
+    # the roots of H_-1832 reach 10^58; a residual at relative precision
+    # s bits cannot give them discs of 10^-40 at 80 digits, one whose
+    # Horner keeps the bits of the midpoints can
+    from heightlab.cmlab import hilbert_class_poly
+
+    calls = _certified_calls(monkeypatch)
+    assert len(poly_roots(hilbert_class_poly(-1832), 40)) == 26
+    assert [dps for *_, dps, _ in calls] == [80]
 
 
 class TestBigFloat:
@@ -713,6 +842,28 @@ class TestComplexMagnitude:
             assert up <= self._by_mpf_sqrt(z, round_ceiling), z
             assert down >= self._by_mpf_sqrt(z, round_floor), z
 
+    def test_gaussian_integer_encloses_and_never_loosens(self):
+        # (a, b, e) worth (a + bi) 2**e, whose parts need not be odd, gets
+        # a bound at least as tight as the mpc of the same value
+        from mpmath.libmp import round_ceiling, round_floor
+
+        def worth(pair):
+            return Fraction(pair[0]) * Fraction(2) ** pair[1]
+
+        rng = random.Random(1100)
+        for i in range(600):
+            bits = rng.choice((1, 30, 64, 65, 120, 400))
+            a, b = (rng.getrandbits(bits) * rng.choice((-1, 1)) for _ in range(2))
+            a, b = (a << rng.randint(0, 70), b) if i % 2 else (a, b << 200 * (i % 3))
+            if i % 5 == 0:
+                a, b = (0, b) if i % 10 else (a, 0)
+            e = rng.randint(-300, 300)
+            v = mp.make_mpc((from_man_exp(a, e), from_man_exp(b, e)))
+            up, down = (worth(numcore._mag((a, b, e), rnd)) for rnd in (round_ceiling, round_floor))
+            assert down**2 <= Fraction(a * a + b * b) * Fraction(4) ** e <= up**2, (a, b, e)
+            assert up <= worth(numcore._mag(v, round_ceiling)), (a, b, e)
+            assert down >= worth(numcore._mag(v, round_floor)), (a, b, e)
+
 
 def _libmpf_radius_formulas():
     """The radius of each ball operation as libmpf computed it before
@@ -878,14 +1029,25 @@ class TestRadiusPairs:
     @pytest.mark.parametrize("dps", [15, 39, 100])
     def test_log_plus_sum_takes_the_abs_bounds_branch(self, dps):
         # the 53-bit pairs decide as the full-precision abs_bounds rule
-        # did, on balls within 10**-1 .. 10**-(dps - 1) of the unit circle
-        def old_rule(z):
+        # did, on balls within 10**-1 .. 10**-(dps - 1) of the unit circle;
+        # a straddling ball adds [0, ((|v| + r)^2 - 1) / 2], from the exact
+        # |v|^2 and (2 |v|_up + r) r at 53 bits, rounded up once
+        from mpmath.libmp import fone, from_man_exp, fzero, mpf_add, mpf_mul, mpf_shift, mpf_sub, round_ceiling
+
+        def rule(z):
             lo, hi = z.abs_bounds()
             if hi <= 1:
                 return "skip", BigFloat(0, 0)
             if lo >= 1:
                 return "log", z.log_abs()
-            return "straddle", BigFloat.from_bounds(0, BigFloat.rounded(mp.log(hi)).bounds()[1])
+            v, r = z.value, z.radius._mpf_
+            norm = fzero
+            for t in v._mpc_ if isinstance(v, mpc) else (v._mpf_,):
+                norm = mpf_add(norm, mpf_mul(t, t), 0)
+            two_v = mpf_shift(from_man_exp(*numcore._mag(v)), 1)
+            spread = mpf_mul(mpf_add(two_v, r, 53, round_ceiling), r, 53, round_ceiling)
+            u = mpf_add(mpf_sub(norm, fone, 0), spread, 53, round_ceiling)
+            return "straddle", BigFloat.from_bounds(0, mp.make_mpf(mpf_shift(u, -1)) if u[0] == 0 else 0)
 
         rng = random.Random(2400 + dps)
         radii = [mpf(0), mpf(10) ** -(dps - 3), mpf(10) ** -(dps // 2)]
@@ -895,13 +1057,32 @@ class TestRadiusPairs:
                 offset = rng.choice((-1, 1)) * mpf(rng.uniform(1, 10)) * mpf(10) ** -rng.randint(2, dps)
                 value = (1 + offset) * (mp.expjpi(mpf(rng.random()) * 2) if i % 2 else rng.choice((-1, 1)))
                 z = BigFloat(value, radii[i % 3])
-                branch, term = old_rule(z)
+                branch, term = rule(z)
                 want = BigFloat(0, 0) + term
                 got = numcore.log_plus_sum(BigFloat(0, 0), [z])
             seen.add((branch, i % 3))
             assert (got.value, got._r) == (want.value, want._r), (z, branch)
+            if branch == "straddle":
+                # the term holds log max(1, |x|) for every x in the ball
+                with workdps(3 * dps):
+                    top = mp.log(max(1, abs(z.value) + z.radius))
+                lo, hi = term.bounds()
+                assert lo <= 0 and top <= hi, (z, term)
         assert {b for b, _ in seen} == {"skip", "log", "straddle"}
         assert {("skip", k) for k in range(3)} | {("log", k) for k in range(3)} <= seen
+
+
+def test_log_plus_sum_adds_nothing_for_a_ball_inside_the_circle():
+    # |v| + r = 1 - 2**-57 < 1 for a midpoint of 57 bits, though |v|
+    # rounded to 53 bits and abs_bounds' guard at 15 digits (about
+    # 2**-51) leave the ball across the circle
+    with workdps(30):
+        z = BigFloat(1 - mpf(2) ** -56, mpf(2) ** -57)
+    with workdps(15):
+        lo, hi = z.abs_bounds()
+        assert lo < 1 < hi
+        got = numcore.log_plus_sum(BigFloat(0, 0), [z])
+    assert (got.value, got.radius) == (0, 0)
 
 
 class TestCertify:
@@ -1059,14 +1240,17 @@ def test_cm_point_kernel_uses_no_iv():
 
 
 def test_root_sweeps_use_no_mpmath_numbers():
-    # the sweeps run in Python complex and on Gaussian integers; only
-    # _weierstrass_discs, from exact midpoints, touches mpmath
+    # the sweeps run in Python complex and on Gaussian integers, and the
+    # certificate's residuals and products on Gaussian integers and
+    # 53-bit pairs; only _weierstrass_discs' construction of the output
+    # discs touches mpmath
     sweeps = {
         "_start", "_aberth", "_horner", "_float_step", "_horner_fixed", "_divide_fixed", "_fixed_step", "_float_roots",
+        "_residual", "_weierstrass_radii",
     }
     tree = ast.parse(Path(numcore.__file__).read_text())
     found = [top for top in tree.body if isinstance(top, ast.FunctionDef) and top.name in sweeps]
     assert {fn.name for fn in found} == sweeps
     for fn in found:
         names = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
-        assert not names & {"mpc", "mpf", "mp", "mpmath", "workdps"}, fn.name
+        assert not names & {"mpc", "mpf", "mp", "mpmath", "workdps", "BigFloat"}, fn.name
