@@ -19,6 +19,15 @@ Global flags (before or after the subcommand): --precision, --workers,
 for those same keys; explicit flags win.  Exit codes: 0 success, 1
 verification failure, 2 usage error, 3 precision failure.
 
+Input past a work cap exits 2 at once, naming the cap:
+
+  MAX_PRECISION     --precision of any command, in digits (10000)
+  MAX_DISCRIMINANT  |D| of 'cm faltings' (10**8); enumerating the
+                    reduced forms of D takes about |D|/3 steps
+  MAX_DMAX          --dmax of every 'cm' experiment (10**5)
+
+'cm theta' needs only the principal form, so any D passes there.
+
 Experiment outputs land in the --out directory as
 <experiment>-<hash12>.<ext>, where hash12 is the first 12 hex digits of
 the sha256 of the sorted-JSON parameter set, so identical parameters
@@ -36,12 +45,14 @@ from fractions import Fraction
 from mpmath import mp, workdps
 
 from .cmlab import (
+    Discriminant,
+    ReducedForm,
+    _tau_ball,
     cm_scan,
     faltings_height_cm,
     finiteness_demo,
     records_to_csv,
     records_to_json,
-    reduced_forms,
     theta_null_point,
     verify_decay,
     verify_theta_faltings,
@@ -68,6 +79,13 @@ HARD_DEFAULTS = {
 }
 
 CONFIG_KEYS = set(HARD_DEFAULTS)
+
+# Work caps (see the module docstring): past them a command exits 2 at
+# once instead of running for hours.  A scan to X enumerates reduced
+# forms for about X^2 / 20 steps in all, besides h(D) series per D.
+MAX_PRECISION = 10_000
+MAX_DISCRIMINANT = 10**8
+MAX_DMAX = 10**5
 
 
 class UsageError(Exception):
@@ -392,6 +410,11 @@ def _cmd_cm_scan(args, opts) -> int:
 
 
 def _cmd_cm_faltings(args, opts) -> int:
+    if abs(args.discriminant) > MAX_DISCRIMINANT:
+        raise UsageError(
+            f"|D| = {abs(args.discriminant)} is above MAX_DISCRIMINANT = {MAX_DISCRIMINANT}: "
+            "enumerating its reduced forms takes about |D|/3 steps"
+        )
     fh = faltings_height_cm(
         args.discriminant, opts["precision"],
         normalization_offset=args.offset,
@@ -401,8 +424,12 @@ def _cmd_cm_faltings(args, opts) -> int:
 
 
 def _cmd_cm_theta(args, opts) -> int:
-    form = reduced_forms(args.discriminant)[0]
-    tau = form.tau(opts["precision"])
+    d = Discriminant(args.discriminant).value
+    b = d % 2
+    form = ReducedForm(1, b, (b * b - d) // 4)  # the principal form
+    # the certified CM-point ball, at the precision theta_null_point works at
+    with workdps(opts["precision"] + 15):
+        tau = _tau_ball(form)
     nulls = theta_null_point(tau, opts["precision"])
     for j, th in enumerate(nulls):
         print(f"theta_{j} {_ball_text(th, min(opts['precision'], 20))}")
@@ -615,6 +642,10 @@ def _resolve_options(args) -> dict:
         raise UsageError("format must be csv or json")
     if opts["precision"] < 16:
         raise UsageError("precision must be at least 16 digits")
+    if opts["precision"] > MAX_PRECISION:
+        raise UsageError(f"precision {opts['precision']} is above MAX_PRECISION = {MAX_PRECISION} digits")
+    if getattr(args, "dmax", 0) > MAX_DMAX:
+        raise UsageError(f"--dmax {args.dmax} is above MAX_DMAX = {MAX_DMAX}")
     if opts["workers"] < 1:
         raise UsageError("workers must be at least 1")
     if opts["seed"] < 0:

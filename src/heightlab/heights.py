@@ -426,7 +426,7 @@ def mahler_height(poly: IntPoly, precision_digits: int = 40) -> BigFloat:
     with workdps(precision_digits + 15):
         lc = abs(poly.leading)
         lead = BigFloat(0) if lc == 1 else BigFloat.rounded(mpmath.log(lc))
-        total = log_plus_sum(lead, roots) * BigFloat(Fraction(1, poly.degree))
+        total = log_plus_sum(lead, roots) / poly.degree
         if total.value < 0:
             # mathematically >= 0; fold the undershoot into the radius
             return total.with_value(0).widened(-total.value)

@@ -41,7 +41,8 @@ import operator
 import random
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import floor, gcd, inf, isqrt, lcm, log2, pi
+from itertools import zip_longest
+from math import floor, gcd, inf, isqrt, log2, pi
 
 import mpmath
 from mpmath import mp, mpc, mpf, workdps
@@ -354,19 +355,6 @@ def _strip(p: list) -> list:
     return p
 
 
-def _divmod_q(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and remainder of num by den over Q, coefficients lowest
-    first; den's last coefficient is nonzero, the remainder is stripped."""
-    r = list(num)
-    dd, ld = len(den) - 1, den[-1]
-    q = [Fraction(0)] * max(len(r) - dd, 0)
-    for k in range(len(q) - 1, -1, -1):
-        c = q[k] = r[k + dd] / ld
-        for i in range(dd + 1):
-            r[k + i] -= c * den[i]
-    return q, _strip(r[:dd])
-
-
 def _prem_primitive(a: list[int], b: list[int]) -> list[int]:
     """The primitive part of the pseudo-remainder of a by b over Z,
     coefficients lowest first; b's last coefficient is nonzero."""
@@ -381,20 +369,26 @@ def _prem_primitive(a: list[int], b: list[int]) -> list[int]:
     return [x // g for x in r]
 
 
-def _poly_gcd_q(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Monic gcd over Q, coefficients lowest first, by a primitive
-    pseudo-remainder sequence over Z."""
-    a, b = (list(_intpoly_of(p).coeffs) for p in (a, b))
+def _gcd_primitive(a: list[int], b: list[int]) -> list[int]:
+    """A primitive gcd of a != 0 and b over Z, coefficients lowest
+    first, by a primitive pseudo-remainder sequence."""
     while b:
         a, b = b, _prem_primitive(a, b)
-    return [Fraction(c, a[-1]) for c in a]
+    g = gcd(*a)
+    return [x // g for x in a]
 
 
-def _intpoly_of(fr: list[Fraction]) -> IntPoly:
-    """The primitive integer polynomial with positive leading
-    coefficient that is a rational multiple of fr."""
-    den = lcm(*(c.denominator for c in fr))
-    return IntPoly([int(c * den) for c in fr]).primitive_positive()
+def _div_exact(num: list[int], den: list[int]) -> list[int]:
+    """num / den for a primitive den that divides num over Q,
+    coefficients lowest first.  The quotient lies in Z[x] (Gauss's
+    lemma), so every step of the long division divides exactly."""
+    r, dd, ld = list(num), len(den) - 1, den[-1]
+    q = [0] * max(len(r) - dd, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + dd] // ld
+        for i, d in enumerate(den):
+            r[k + i] -= c * d
+    return q
 
 
 # Primes q for the modular squarefree test, tried in turn
@@ -419,8 +413,9 @@ def _squarefree_mod(coeffs: tuple, q: int) -> bool:
 
 
 def squarefree_decomposition(p: IntPoly) -> list[tuple[IntPoly, int]]:
-    """Yun's algorithm: [(g_i, m_i)] with p = lc * prod g_i^{m_i}, each
-    g_i squarefree, primitive, with positive leading coefficient.
+    """Yun's algorithm (SYMSAC 1976) over Z: [(g_i, m_i)] with
+    p = lc * prod g_i^{m_i}, each g_i squarefree, primitive, with
+    positive leading coefficient, by increasing m_i.
 
     First an exact modular test: when, for a prime q of
     ``_SQUAREFREE_PRIMES`` that does not divide lc(p), p mod q is coprime
@@ -431,35 +426,31 @@ def squarefree_decomposition(p: IntPoly) -> list[tuple[IntPoly, int]]:
     deg g >= 1, and g~ divides p~ = g~^2 h~ and p~' = g~ (2 g~' h~ + g~ h~'),
     hence their gcd.  A q that divides lc(p) or the discriminant of p
     passes the turn to the next prime, then to Yun's algorithm.
+
+    Yun runs on integer lists: g = gcd(p, p'), w = p / g, y = p' / g,
+    then for m = 1, 2, ...: z = y - w', g_m = gcd(w, z), w <- w / g_m,
+    y <- z / g_m, until w is constant.  Each gcd is the primitive one of
+    a pseudo-remainder sequence, so each quotient is an exact integer
+    long division: a primitive divisor over Q of an integer polynomial
+    divides it over Z (Gauss's lemma).
     """
     if p.degree < 1:
         raise ValueError("need degree >= 1")
     if any(_squarefree_mod(p.coeffs, q) for q in _SQUAREFREE_PRIMES):
         return [(p.primitive_positive(), 1)]
-    fa = [Fraction(c) for c in p.coeffs]
-    fb = [Fraction(c) for c in p.derivative().coeffs]
-    g = _poly_gcd_q(fa, fb)
-    if len(g) - 1 == 0:
+    a, b = list(p.coeffs), list(p.derivative().coeffs)
+    g = _gcd_primitive(a, b)
+    if len(g) == 1:
         return [(p.primitive_positive(), 1)]
-
     out: list[tuple[IntPoly, int]] = []
-    w = _divmod_q(fa, g)[0]
-    y = _divmod_q(fb, g)[0]
-    m = 1
-    while True:
-        wd = [Fraction(i * c) for i, c in enumerate(w)][1:]
-        z = _strip([a - b for a, b in zip(y + [Fraction(0)] * len(wd), wd + [Fraction(0)] * len(y))])
-        if not z:
-            if len(w) > 1:
-                out.append((_intpoly_of(w), m))
-            break
-        g2 = _poly_gcd_q(list(w), list(z))
-        if len(g2) > 1:
-            out.append((_intpoly_of(g2), m))
-        w = _divmod_q(w, g2)[0]
-        y = _divmod_q(z, g2)[0]
-        m += 1
-    return [(g_i, m_i) for (g_i, m_i) in out if g_i.degree >= 1]
+    w, y, m = _div_exact(a, g), _div_exact(b, g), 1
+    while len(w) > 1:
+        z = _strip([c - (i + 1) * d for i, (c, d) in enumerate(zip_longest(y, w[1:], fillvalue=0))])
+        g = _gcd_primitive(w, z)
+        if len(g) > 1:
+            out.append((IntPoly(g).primitive_positive(), m))
+        w, y, m = _div_exact(w, g), _div_exact(z, g), m + 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -610,12 +601,20 @@ class BigFloat:
     10**-dps rounded up, never below the exact 8 * |v| * 10**-dps (nor,
     from 15 digits on, below ``_ulp_slop(v)``).  Denominators of ``/``,
     ``log_abs`` and ``sqrt_pos`` are |value| - radius rounded down.  A
-    midpoint or radius that is not finite raises ValueError.
+    midpoint or radius that is not finite raises ValueError.  A Fraction
+    midpoint is rounded at the working precision, and its ball gets the
+    radius of ``rounded`` unless the rounding is exact.
     """
 
     __slots__ = ("value", "_r", "_mag")
 
     def __init__(self, value, radius=0):
+        slop = _ZERO
+        if isinstance(value, Fraction):  # exact when binary, else a rounded ball
+            v = mpf(value.numerator) / mpf(value.denominator)
+            if Fraction(*to_rational(v._mpf_)) != value:
+                slop = BigFloat.rounded(v)._r
+            value = v
         value, r = mpmath.mpmathify(value), mpmath.mpmathify(radius)._mpf_
         parts = value._mpc_ if isinstance(value, mpc) else (value._mpf_,)
         if not all(t[1] or t == fzero for t in parts):
@@ -623,7 +622,7 @@ class BigFloat:
         if r[0]:
             raise ValueError("radius must be nonnegative")
         # rounded up, never below the radius given; _pair refuses inf and nan
-        self.value, self._r, self._mag = value, _pair(r), _mag(value)
+        self.value, self._r, self._mag = value, _add_up(_pair(r), slop), _mag(value)
 
     @classmethod
     def _made(cls, value, r: tuple, mag: tuple) -> "BigFloat":
@@ -832,12 +831,7 @@ def _tail_below(x_hi: mpf, e: int, k: int, tol: mpf) -> mpf | None:
 
 
 def _as_bigfloat(x) -> BigFloat:
-    if isinstance(x, BigFloat):
-        return x
-    if isinstance(x, Fraction):
-        v = mpf(x.numerator) / mpf(x.denominator)
-        return BigFloat(v) if Fraction(*to_rational(v._mpf_)) == x else BigFloat.rounded(v)
-    return BigFloat(x)
+    return x if isinstance(x, BigFloat) else BigFloat(x)
 
 
 def _norm(z) -> tuple:
@@ -985,16 +979,20 @@ def _fixed_step(coeffs: tuple, s: int):
     once both parts of p(z_i) are within 4n units of 2**-s, where its
     rounding error hides it, or those of its correction within 4 units.
     Beyond the unit circle p is read through r(y) = y^n p(1/y) as in
-    ``_float_step``, at y = 1/x taken at scale 2**(s + 2 log2|x|), fine
-    enough that the Newton ratio, which scales like |x|^2 / r', keeps s
-    fractional bits.  Nothing overflows here, but a direct Horner at
-    |x| > 1 carries integers of about n log2|x| bits: the same steps on
-    H_-4703, whose roots reach 10^93, take four times as long."""
+    ``_float_step``, at y = 1/x taken at scale 2**t, t = s + 2 log2|x|,
+    fine enough that the Newton ratio N, which scales like |x|^2 / r',
+    keeps s fractional bits.  The Aberth sum S = sum 1 / (x - z_j) is
+    taken at scale 2**t too, and N S shifted back by t: at scale 2**s a
+    term with |x - z_j| > 2**s rounds to 0 or -1 units, and the iterate
+    crawls.  Inside the circle t = s.  Nothing overflows here, but a
+    direct Horner at |x| > 1 carries integers of about n log2|x| bits:
+    the same steps on H_-4703, whose roots reach 10^93, take four times
+    as long."""
     n, down, s2 = len(coeffs) - 1, coeffs[::-1], 2 * s
 
     def step(z, i):
         a, b = z[i]
-        q = a * a + b * b
+        q, t = a * a + b * b, s
         if q >> s2:  # |x| > 1: num / den = x r(y) / (n r(y) - y r'(y))
             t = s + q.bit_length() - s2
             ya, yb = (a << (s + t)) // q, (-b << (s + t)) // q
@@ -1008,14 +1006,14 @@ def _fixed_step(coeffs: tuple, s: int):
             if abs(nr) <= 4 * n and abs(ni) <= 4 * n:
                 return None
         nr, ni = _divide_fixed(nr, ni, dr, di, s)
-        sr = si = 0  # sum of 1 / (x - z_j) at scale 2**s
+        sr = si = 0  # sum of 1 / (x - z_j) at scale 2**t
         for j, (c, e) in enumerate(z):
             if j != i:
                 c, e = a - c, b - e
                 d = c * c + e * e
-                sr += (c << s2) // d
-                si -= (e << s2) // d
-        dr, di = (1 << s) - ((nr * sr - ni * si) >> s), -((nr * si + ni * sr) >> s)
+                sr += (c << (s + t)) // d
+                si -= (e << (s + t)) // d
+        dr, di = (1 << s) - ((nr * sr - ni * si) >> t), -((nr * si + ni * sr) >> t)
         cr, ci = _divide_fixed(nr, ni, dr, di, s)
         if abs(cr) <= 4 and abs(ci) <= 4:
             return None
@@ -1214,7 +1212,7 @@ def poly_roots(poly: IntPoly, precision_digits: int = DEFAULT_DIGITS) -> list[Bi
         if factor.degree == 1:
             c0, c1 = factor.coeffs
             with workdps(max(precision_digits + 15, 30)):
-                discs = [_as_bigfloat(Fraction(-c0, c1))]
+                discs = [BigFloat(Fraction(-c0, c1))]
         else:
             discs = _dk_roots(factor, precision_digits)
         out.extend(d for d in discs for _ in range(mult))

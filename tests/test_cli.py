@@ -341,6 +341,53 @@ class TestCMCommands:
         v3 = lines[3].split("≈")[1].split("(")[0].strip()
         assert v1 == v3
 
+    def test_theta_balls_hold_the_theta_nulls(self, capsys, monkeypatch):
+        # the nulls are taken at the certified CM-point ball, so the
+        # rounding of tau is in every radius; the reference sums
+        # w^(m^2), m = j mod 4, at three times the working precision
+        from mpmath import mp, mpc, workdps
+
+        from heightlab import cli
+
+        balls, text = [], cli._ball_text
+        monkeypatch.setattr(cli, "_ball_text", lambda ball, digits: balls.append(ball) or text(ball, digits))
+        for d in (-3, -4, -23, -47, -71, -163, -199, -383, -991):
+            for precision in (16, 24, 40):
+                balls.clear()
+                code, _, _ = run(capsys, "cm", "theta", "-D", str(d), "--precision", str(precision))
+                assert code == 0 and len(balls) == 4
+                with workdps(3 * (precision + 15)):
+                    w = mp.exp(mp.pi * 1j * mpc(-(d % 2), mp.sqrt(-d)) / 8)
+                    for j, ball in enumerate(balls):
+                        truth = mp.fsum(w ** (m * m) for m in range(-60, 61) if m % 4 == j)
+                        assert abs(ball.value - truth) <= ball.radius, (d, precision, j)
+
+    def test_theta_of_a_huge_discriminant_needs_only_the_principal_form(self, capsys):
+        code, out, _ = run(capsys, "cm", "theta", "-D", "-99999999999")
+        assert code == 0
+        assert [line.split(" ")[0] for line in out.splitlines()] == [f"theta_{j}" for j in range(4)]
+
+    @pytest.mark.parametrize(
+        "argv, cap",
+        [
+            (["cm", "faltings", "-D", "-1000000007"], "MAX_DISCRIMINANT"),
+            (["cm", "scan", "--dmax", "100000000000"], "MAX_DMAX"),
+            (["cm", "verify-decay", "--dmax", "100001"], "MAX_DMAX"),
+            (["cm", "faltings", "-D", "-4", "--precision", "100000"], "MAX_PRECISION"),
+        ],
+    )
+    def test_work_caps_exit_2(self, capsys, tmp_path, argv, cap):
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert code == 2 and not out
+        assert cap in err
+
+    def test_defaults_are_within_the_caps(self):
+        from heightlab.cli import HARD_DEFAULTS, MAX_DMAX, MAX_PRECISION, build_parser
+
+        assert HARD_DEFAULTS["precision"] <= MAX_PRECISION
+        for command in ("verify-tf", "verify-decay"):
+            assert build_parser().parse_args(["cm", command]).dmax <= MAX_DMAX
+
     def test_finiteness_zero_bound(self, capsys, tmp_path):
         code, out, _ = run(
             capsys,

@@ -196,6 +196,31 @@ class TestIntPoly:
             p = g * g * h
             assert not any(numcore._squarefree_mod(p.coeffs, q) for q in numcore._SQUAREFREE_PRIMES)
 
+    def test_yun_over_z_on_a_class_polynomial(self):
+        # H_-599^2 (x - 1)^3, degree 53: neither factor survives the
+        # modular test, and both come back primitive, by multiplicity
+        from heightlab.cmlab import hilbert_class_poly
+
+        h, x1 = hilbert_class_poly(-599), IntPoly([-1, 1])
+        p = IntPoly([-6]) * h * h * x1 * x1 * x1
+        assert squarefree_decomposition(p) == [(h, 2), (x1, 3)]
+
+    def test_yun_over_z_matches_sympy_to_degree_55(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = random.Random(18)
+        for _ in range(8):
+            p = IntPoly([rng.choice([1, -2, 6])])
+            for m in range(1, 5):
+                g = IntPoly([rng.randint(-10**9, 10**9) for _ in range(rng.randint(0, 5))] + [rng.randint(1, 99)])
+                for _ in range(m):
+                    p = p * g
+            assert p.degree <= 55
+            mine = {m: q.coeffs for q, m in squarefree_decomposition(p)}
+            _, factors = sympy.sqf_list(sympy.Poly(list(reversed(p.coeffs)), x))
+            theirs = {m: IntPoly(reversed(f.all_coeffs())).primitive_positive().coeffs for f, m in factors}
+            assert mine == {m: c for m, c in theirs.items() if len(c) > 1}, p
+
 
 class TestPolyRoots:
     def test_simple_quadratic(self):
@@ -461,6 +486,15 @@ def test_class_polynomial_certifies_at_the_first_precision(monkeypatch):
     assert [dps for *_, dps, _ in calls] == [80]
 
 
+def test_huge_roots_certify_at_the_first_precision(monkeypatch):
+    # the Aberth sum at |x| > 1 keeps the fractional bits of y = 1/x; at
+    # scale 2**s its terms 1 / (x - z_j), about 10^-200, rounded to 0 or
+    # -1 unit and x^2 - 10^400 needed three precisions
+    calls = _certified_calls(monkeypatch)
+    assert len(poly_roots(IntPoly([-(10**400), 0, 1]), 40)) == 2
+    assert len(calls) == 1
+
+
 class TestBigFloat:
     def test_radius_contains_truth(self):
         rng = random.Random(5)
@@ -478,6 +512,18 @@ class TestBigFloat:
     def test_division_by_zero_disc(self):
         with pytest.raises(PrecisionError):
             BigFloat(1) / BigFloat(mpf(10) ** -30, mpf(10) ** -20)
+
+    def test_fraction_ball_holds_the_fraction(self):
+        # 1/3 is rounded to a binary midpoint, and the ball carries the
+        # rounding; 5/8 and 3 are binary, and exact
+        for dps in (15, 30, 60):
+            with workdps(dps):
+                third = BigFloat(Fraction(1, 3))
+                widened = BigFloat(Fraction(1, 3), mpf(10) ** -dps)
+                assert BigFloat(Fraction(5, 8)).radius == BigFloat(Fraction(3)).radius == 0
+            assert 0 < third.radius < widened.radius
+            with workdps(3 * dps):
+                assert abs(third.value - mpf(1) / 3) <= third.radius
 
     def test_log_and_sqrt(self):
         with workdps(30):
@@ -1237,6 +1283,22 @@ def test_cm_point_kernel_uses_no_iv():
         for fn in found:
             names = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
             assert not {n for n in names if n == "iv" or n.startswith("_iv")}, fn.name
+
+
+def test_squarefree_layer_uses_no_fractions():
+    # Yun's algorithm runs on integer coefficient lists: every gcd is
+    # primitive and every quotient an exact integer long division
+    layer = {
+        "_strip", "_prem_primitive", "_gcd_primitive", "_div_exact", "_squarefree_mod", "squarefree_decomposition",
+    }
+    tree = ast.parse(Path(numcore.__file__).read_text())
+    found = [top for top in tree.body if isinstance(top, ast.FunctionDef) and top.name in layer]
+    assert {fn.name for fn in found} == layer
+    for fn in found:
+        names = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
+        assert "Fraction" not in names, fn.name
+    for gone in ("_divmod_q", "_poly_gcd_q", "_intpoly_of"):
+        assert not hasattr(numcore, gone)
 
 
 def test_root_sweeps_use_no_mpmath_numbers():
