@@ -23,7 +23,7 @@ Input past a work cap exits 2 at once, naming the cap:
 
   MAX_PRECISION     --precision of any command, in digits (10000)
   MAX_DISCRIMINANT  |D| of 'cm faltings' (10**8); enumerating the
-                    reduced forms of D takes about |D|/3 steps
+                    reduced forms of D takes about |D|/6 steps
   MAX_DMAX          --dmax of every 'cm' experiment (10**5)
 
 'cm theta' needs only the principal form, so any D passes there.
@@ -413,7 +413,7 @@ def _cmd_cm_faltings(args, opts) -> int:
     if abs(args.discriminant) > MAX_DISCRIMINANT:
         raise UsageError(
             f"|D| = {abs(args.discriminant)} is above MAX_DISCRIMINANT = {MAX_DISCRIMINANT}: "
-            "enumerating its reduced forms takes about |D|/3 steps"
+            "enumerating its reduced forms takes about |D|/6 steps"
         )
     fh = faltings_height_cm(
         args.discriminant, opts["precision"],

@@ -11,7 +11,8 @@ fundamental domain.  On top of that sit:
   theta_2, theta_3, theta_4 at tau, E4 = (theta_2^8 + theta_3^8 +
   theta_4^8) / 2, Delta = (theta_2 theta_3 theta_4)^8 / 256 and
   j = E4^3 / Delta; Hilbert class polynomials are recovered by rounding
-  certified complex coefficients to integers;
+  the coefficients of an integer product of the j's real factors, all
+  certified by one l1 error bound;
 
 * the stable Faltings height as the class-group average of
   s(tau) = -(1/12) log(|Delta(tau)| (Im tau)^6), an SL2(Z)-invariant
@@ -52,7 +53,6 @@ verdicts can be made precision-robust.
 from __future__ import annotations
 
 import json
-import multiprocessing
 from dataclasses import dataclass
 from bisect import bisect_left
 from fractions import Fraction
@@ -82,6 +82,9 @@ from .numcore import (
     BigFloat,
     IntPoly,
     PrecisionError,
+    _ONE,
+    _SQRT2,
+    _ZERO,
     _add_up,
     _as_bigfloat,
     _div_up,
@@ -89,9 +92,11 @@ from .numcore import (
     _mag,
     _mul_up,
     _norm,
+    _shift,
     _sub_down,
     _tail_below,
     _ten_to_minus_dps,
+    _up,
     _ulp_slop,  # bound for bench/test_bench.py only; just numcore calls it
     certify,
     factorint,
@@ -195,7 +200,9 @@ class ReducedForm:
 def _reduced_forms_cached(d: int) -> tuple:
     out = []
     for a in range(1, isqrt(-d // 3) + 1):
-        for b in range(-a + 1, a + 1):
+        # b^2 = d (mod 4) needs b = d (mod 2)
+        lo = -a + 1
+        for b in range(lo + (lo - d) % 2, a + 1, 2):
             num = b * b - d
             if num % (4 * a):
                 continue
@@ -213,7 +220,8 @@ def _reduced_forms_cached(d: int) -> tuple:
 
 def reduced_forms(d) -> list[ReducedForm]:
     """All reduced forms of discriminant d, sorted by (a, b).  Exact
-    integer enumeration: a <= sqrt(|d|/3)."""
+    integer enumeration: a <= sqrt(|d|/3) and b = d (mod 2), about
+    |d|/6 pairs (a, b)."""
     return list(_reduced_forms_cached(_disc_value(d)))
 
 
@@ -351,35 +359,129 @@ def _tau_ball(form: ReducedForm) -> BigFloat:
     return BigFloat.rounded(tau, 2)
 
 
+def _fixed_part(t: tuple, s: int) -> tuple:
+    """A libmpf number t times 2**s rounded down, and whether that was
+    exact."""
+    sign, man, exp, _ = t
+    v, k = -man if sign else man, exp + s
+    return _shift(v, k), k >= 0 or not v & ((1 << -k) - 1)
+
+
+def _gaussian_part(ball, s: int) -> tuple:
+    """(a, b, rho, m) for a complex ball about j: its midpoint as the
+    Gaussian integer g = (a + bi) / 2**s, each part rounded down, and
+    pairs rho >= |j - g| and m >= |g|."""
+    (a, a_exact), (b, b_exact) = (_fixed_part(t, s) for t in ball.value._mpc_)
+    cut = _ZERO if a_exact and b_exact else (_SQRT2[0], _SQRT2[1] - s)
+    return a, b, _add_up(ball._r, cut), _add_up(ball._mag, cut)
+
+
+def _class_poly_factor(roots: tuple, s: int) -> tuple:
+    """(q, n, delta) for one real factor of ``_class_poly_product``: its
+    coefficients at scale 2**s, lowest first, the leading one 2**s; a
+    pair n >= ||q||_1; and a pair delta bounding the l1 distance from q
+    to the exact factor.  roots is one j ball, whose exact j is real, or
+    the balls of a conjugate pair j, j'; a cut to scale 2**s counts
+    only when it drops a nonzero bit."""
+    one = 1 << s
+    if len(roots) == 1:
+        (ball,) = roots
+        a, exact = _fixed_part(ball.value._mpc_[0], s)
+        delta = ball._r if exact else _add_up(ball._r, _up(1, -s))
+        return [-a, one], _up(one + abs(a), -s), delta
+    (a, b, rho, m), (c, e, rho2, m2) = (_gaussian_part(ball, s) for ball in roots)
+    prod = a * c - b * e
+    p = prod >> s
+    delta = reduce(_add_up, [rho, rho2, _mul_up(m, rho2), _mul_up(m2, rho), _mul_up(rho, rho2)])
+    if prod & (one - 1):
+        delta = _add_up(delta, _up(1, -s))
+    return [p, -(a + c), one], _up(one + abs(a + c) + abs(p), -s), delta
+
+
+def _class_poly_product(groups, s: int) -> IntPoly | None:
+    """The monic integer polynomial prod (x - j) over the exact roots of
+    the ball groups (one ``_class_poly_factor`` each), from a product of
+    integer polynomials at scale 2**s under one l1 error bound; None
+    when a coefficient does not round unambiguously.  Only Gaussian
+    integers and 53-bit pairs are formed (see ``hilbert_class_poly``)."""
+    one, quarter = 1 << s, _up(1, -2)
+    poly, err, norm = [one], _ZERO, _ONE
+    for group in groups:
+        q, n, delta = _class_poly_factor(group, s)
+        top = len(q) - 1
+        acc = [0] * (len(poly) + top)
+        for t, c in enumerate(q[:top]):
+            for k, v in enumerate(poly):
+                acc[k + t] += v * c
+        # each coefficient is cut to scale 2**s rounding down; 2**s poly x^top is exact
+        cut = _up(sum(1 for v in acc if v & (one - 1)), -s)
+        nxt = [v >> s for v in acc]
+        for k, v in enumerate(poly):
+            nxt[k + top] += v
+        err = _add_up(_add_up(_mul_up(err, n), _mul_up(_add_up(norm, err), delta)), cut)
+        norm, poly = _add_up(_mul_up(norm, n), cut), nxt
+    ints = [(v + (one >> 1)) >> s for v in poly]
+    if any(_sub_down(_add_up(_up(abs(v - (k << s)), -s), err), quarter)[0] for v, k in zip(poly, ints)):
+        return None
+    return IntPoly(ints)
+
+
 def hilbert_class_poly(d) -> IntPoly:
     """The monic integer polynomial whose roots are the j-invariants
     of the reduced forms of discriminant d.  Precision escalates until
-    every coefficient disc rounds unambiguously to an integer."""
+    every coefficient rounds unambiguously to an integer.
+
+    As in Enge's floating-point method (The complexity of class
+    polynomial computation via floating point approximations, Math.
+    Comp. 78, 2009), the product runs on integers.  ``_j_at`` gives one
+    ball per reduced form, in order.  A form (a, b, c) whose mirror
+    (a, -b, c) is reduced has the conjugate j' = conj(j), as j(-conj
+    tau) = conj(j(tau)); the pair folds into the real quadratic
+    x^2 - (j + j')x + j j'.  Any other form is equivalent to its mirror,
+    so its j is real and gives a real linear factor.
+
+    Each midpoint becomes a Gaussian integer g at scale 2**s, each part
+    rounded down, with s = mp.prec + 2b + 8 for h of b bits.  For a
+    ball of radius r about the true j, |j - g| <= rho = r + sqrt(2) 2**-s
+    and |g| <= |mid| + sqrt(2) 2**-s (rho = r and |g| <= |mid| where the
+    cut is exact).  A real number x is at least as close to Re z as to
+    z.  So the factor q_i with coefficients Re(g + g') and Re(g g'), the
+    latter cut down to scale 2**s, is within delta_i = rho + rho' +
+    |g| rho' + |g'| rho + rho rho' + 2**-s of x^2 - (j + j')x + j j' in
+    the l1 norm, as j j' - g g' = (j - g) g' + g (j' - g') + (j - g)
+    (j' - g'); a linear factor x - Re g is within r + 2**-s of x - j.
+
+    The running product Q_i = Q_(i-1) q_i + c_i is formed exactly and
+    cut to scale 2**s rounding down: its leading coefficient is exact
+    and ||c_i||_1 <= k_i 2**-s, k_i counting the coefficients the cut
+    changes.  With P_i the exact product of the first i true factors
+    f_i, Q_i - P_i = (Q_(i-1) - P_(i-1)) q_i + P_(i-1) (q_i - f_i) + c_i,
+    and the l1 norm is submultiplicative, so with n_i >= ||q_i||_1,
+    ||P_(i-1)||_1 <= N_(i-1) + E_(i-1) and ||Q_i||_1 <= N_i:
+      E_i = E_(i-1) n_i + (N_(i-1) + E_(i-1)) delta_i + k_i 2**-s,
+      N_i = N_(i-1) n_i + k_i 2**-s,  E_0 = 0, N_0 = 1,
+    in 53-bit pairs rounded up, bound ||Q_h - P_h||_1 and so the error
+    of every coefficient.  A coefficient of P_h = H_d is an integer, so
+    a computed one within 1/4 - E_h of an integer k rounds to k."""
     d = _disc_value(d)
     forms = reduced_forms(d)
     with workdps(30):
         est = mp.pi * mp.sqrt(mpf(-d)) * mp.fsum(mpf(1) / f.a for f in forms)
         dps = int(est / mp.log(10)) + 25
+    # smallest |j| (largest a) first: the running product's coefficients
+    # stay short for longest
+    index = {(f.a, f.b): i for i, f in enumerate(forms)}
+    groups = [
+        (i, index[f.a, -f.b]) if f.b and (f.a, -f.b) in index else (i,)
+        for i, f in reversed(list(enumerate(forms)))
+        if f.b >= 0
+    ]
 
     def attempt(dps):
         with workdps(dps):
-            coeffs = [BigFloat(1)]
-            for f in forms:
-                j = _j_at(_tau_ball(f))
-                # multiply running polynomial by (x - j); lowest first
-                nxt = [BigFloat(0)] * (len(coeffs) + 1)
-                for i, cf in enumerate(coeffs):
-                    nxt[i + 1] = nxt[i + 1] + cf
-                    nxt[i] = nxt[i] - cf * j
-                coeffs = nxt
-            ints = []
-            for cf in coeffs:
-                re, im = cf.value.real, cf.value.imag
-                n = int(mp.nint(re))
-                if abs(im) + cf.radius > mpf("0.25") or abs(re - n) + cf.radius > mpf("0.25"):
-                    return None
-                ints.append(n)
-            return IntPoly(ints)
+            js = [_j_at(_tau_ball(f)) for f in forms]
+            s = mp.prec + 2 * len(forms).bit_length() + 8
+        return _class_poly_product([tuple(js[i] for i in g) for g in groups], s)
 
     return certify(attempt, dps, dps << 7, "class polynomial coefficients")
 
@@ -655,6 +757,10 @@ def _per_discriminant(fn, d_max: int, precision_digits: int, workers: int, chunk
     every mpf bit-exact, so they do not depend on the worker count."""
     args = [(d, precision_digits) for d in fundamental_discriminants(d_max)]
     if workers > 1 and len(args) > 1:
+        # imported here: at the top it adds 8-11 ms (socket, selectors,
+        # pickle) to every import of the package
+        import multiprocessing
+
         with multiprocessing.Pool(workers) as pool:
             return pool.starmap(fn, args, chunksize=chunksize)
     return [fn(*a) for a in args]

@@ -1,13 +1,17 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
+from pathlib import Path
 
 import pytest
 from mpmath import iv, mp, mpc, mpf, workdps
-from mpmath.libmp import mpf_neg, to_rational
+from mpmath.libmp import from_man_exp, mpf_neg, to_rational
 
 from heightlab.cmlab import (
     CMRecord,
@@ -68,6 +72,23 @@ def brute_class_number(d: int) -> int:
             count += 1
         a += 1
     return count
+
+
+def brute_reduced_forms(d: int) -> list:
+    """Independent enumeration of the reduced forms (a, b, c), sorted by
+    (a, b): every b with |b| <= a, the conditions of brute_class_number."""
+    out = []
+    for a in range(1, isqrt(-d // 3) + 2):
+        for b in range(-a, a + 1):
+            num = b * b - d
+            if num % (4 * a) or num // (4 * a) < a:
+                continue
+            c = num // (4 * a)
+            if b < 0 and (a == -b or a == c):
+                continue
+            if gcd(gcd(a, abs(b)), c) == 1:
+                out.append((a, b, c))
+    return sorted(out)
 
 
 def kronecker(a: int, n: int) -> int:
@@ -142,6 +163,14 @@ class TestReducedForms:
             if d % 4 not in (0, 1):
                 continue
             assert class_number(d) == brute_class_number(d), d
+
+    def test_forms_match_brute_force_enumeration(self):
+        # b runs over b = d (mod 2) only; every discriminant, fundamental
+        # or not, from -3 to -5000
+        for d in range(-3, -5001, -1):
+            if d % 4 in (0, 1):
+                got = [(f.a, f.b, f.c) for f in cmlab._reduced_forms_cached(d)]
+                assert got == brute_reduced_forms(d), d
 
     def test_class_number_dirichlet(self):
         # h = |sum a*chi_d(a)| / |d| for fundamental d < -4
@@ -330,6 +359,138 @@ class TestHilbertClassPoly:
     def test_degree_is_class_number(self):
         for d in (-15, -20, -24, -47, -71):
             assert hilbert_class_poly(d).degree == class_number(d)
+
+    def test_coefficients_frozen(self):
+        # SHA-256 of the coefficients as the product of BigFloat linear
+        # factors computed them: the 362 fundamental |d| <= 2000 with
+        # h <= 12, and the two discriminants of the classpoly benchmark
+        small = [d for d in fundamental_discriminants(2000) if class_number(d) <= 12]
+        assert len(small) == 362
+        for ds, digest in (
+            (small, "e3430b1043e5070a825ab8ff04a612950f9e212fe8f0ca3528c000ad56010779"),
+            ([-599, -1832], "397e8d41545e94739c29d12aae67a0138dc74c5f63e52f2012eeae9484427e2b"),
+        ):
+            coeffs = [(d, hilbert_class_poly(d).coeffs) for d in ds]
+            assert hashlib.sha256(repr(coeffs).encode()).hexdigest() == digest, ds[-1]
+
+
+def _dyadic(x: Fraction):
+    """The mpf of a fraction whose denominator is a power of two, exactly."""
+    return mp.make_mpf(from_man_exp(x.numerator, 1 - x.denominator.bit_length()))
+
+
+def _root_ball(x: Fraction, y: Fraction, r: Fraction, rng) -> BigFloat:
+    """A ball of radius r whose midpoint is x + yi moved by a dyadic offset
+    of modulus below r."""
+    if r:
+        u, v = (Fraction(rng.randint(-1024, 1024), 2048) * r for _ in range(2))
+        x, y = x + u, y + v
+    return BigFloat(mp.make_mpc((_dyadic(x)._mpf_, _dyadic(y)._mpf_)), _dyadic(r))
+
+
+def _exact_product(roots) -> list:
+    """The coefficients, lowest first, of the product of x - t over the
+    real roots (t, 0) and of x^2 - 2t x + t^2 + u^2 over the pairs t +- ui."""
+    poly = [Fraction(1)]
+    for t, u in roots:
+        factor = [-t, Fraction(1)] if u == 0 else [t * t + u * u, -2 * t, Fraction(1)]
+        out = [Fraction(0)] * (len(poly) + len(factor) - 1)
+        for i, p in enumerate(poly):
+            for k, q in enumerate(factor):
+                out[i + k] += p * q
+        poly = out
+    return poly
+
+
+def _root_sets(rng, count: int, dyadic: bool):
+    """Seeded conjugation-closed root sets as (roots, ball groups, s): real
+    roots and pairs t +- ui of modulus up to about 57, integers or, when
+    dyadic, with denominators up to 2**(s + 3), given as balls of one
+    radius (0 or a power of two) about midpoints moved inside it, the two
+    balls of a pair moved independently."""
+    for _ in range(count):
+        s = rng.choice((4, 5, 6, 8, 20, 53))
+        r = rng.choice((Fraction(0), Fraction(1, 2 ** rng.randint(2, 14))))
+        roots, groups = [], []
+        for _ in range(rng.randint(1, 6)):
+            den = 2 ** rng.randint(0, s + 3) if dyadic else 1
+            t, u = (Fraction(rng.randint(-40 * den, 40 * den), den) for _ in range(2))
+            if rng.random() < 0.4:
+                u = Fraction(0)
+            roots.append((t, abs(u)))
+            if u:
+                groups.append((_root_ball(t, u, r, rng), _root_ball(t, -u, r, rng)))
+            else:
+                groups.append((_root_ball(t, Fraction(0), r, rng),))
+        yield roots, groups, s
+
+
+class TestClassPolyProduct:
+    def test_integral_product_is_exact_or_none(self):
+        rng, certified = random.Random(1901), 0
+        for roots, groups, s in _root_sets(rng, 400, False):
+            out = cmlab._class_poly_product(groups, s)
+            if out is not None:
+                certified += 1
+                assert list(out.coeffs) == _exact_product(roots), (roots, s)
+        assert certified > 150
+
+    def test_every_coefficient_within_a_quarter(self):
+        # for dyadic roots the exact product need not be integral, but a
+        # returned coefficient is within 1/4 of the exact one
+        rng, certified = random.Random(1902), 0
+        for roots, groups, s in _root_sets(rng, 3000, True):
+            out = cmlab._class_poly_product(groups, s)
+            if out is not None:
+                certified += 1
+                exact = _exact_product(roots)
+                assert len(out.coeffs) == len(exact)
+                assert all(abs(c - e) <= Fraction(1, 4) for c, e in zip(out.coeffs, exact)), (roots, s)
+        assert certified > 40
+
+    def test_cuts_of_the_running_product_are_counted(self):
+        # exact real roots at scale 2**s: no factor has an error, so the
+        # bound is the cuts of the running product alone
+        rng, certified = random.Random(1904), 0
+        for _ in range(500):
+            s = rng.choice((4, 5, 6))
+            roots = [(Fraction(rng.randint(-40 << s, 40 << s), 1 << s), Fraction(0)) for _ in range(rng.randint(2, 4))]
+            out = cmlab._class_poly_product([(_root_ball(t, u, Fraction(0), rng),) for t, u in roots], s)
+            if out is not None:
+                certified += 1
+                assert all(abs(c - e) <= Fraction(1, 4) for c, e in zip(out.coeffs, _exact_product(roots))), roots
+        assert certified > 20
+
+    def test_radius_past_the_margin_returns_none(self):
+        rng = random.Random(1903)
+        for roots, _, s in _root_sets(rng, 100, False):
+            # radius 0 about the exact roots: every cut is exact
+            groups = [
+                tuple(_root_ball(t, v, Fraction(0), rng) for v in ((u, -u) if u else (u,))) for t, u in roots
+            ]
+            assert list(cmlab._class_poly_product(groups, s).coeffs) == _exact_product(roots)
+            i = rng.randrange(len(groups))
+            wide = list(groups)
+            wide[i] = tuple(b.widened(mpf(1) / 4 + mpf(2) ** -20) for b in wide[i])
+            assert cmlab._class_poly_product(wide, s) is None
+
+    def test_j_once_per_form_in_order(self, monkeypatch):
+        # the i-th _j_at ball is the i-th reduced form's, all at one precision
+        seen, j_at = [], cmlab._j_at
+
+        def recording(tau):
+            seen.append((tau.value, mp.dps))
+            return j_at(tau)
+
+        monkeypatch.setattr(cmlab, "_j_at", recording)
+        for d in (-47, -599, -1832):
+            seen.clear()
+            hilbert_class_poly(d)
+            forms = reduced_forms(d)
+            assert len(seen) == len(forms) and len({dps for _, dps in seen}) == 1
+            for f, (tau, dps) in zip(forms, seen):
+                with workdps(dps):
+                    assert cmlab._tau_ball(f).value == tau, (d, f)
 
 
 class TestJHeight:
@@ -676,6 +837,13 @@ class TestScan:
             return [rec.d, rec.class_number] + [(b.value._mpf_, b.radius._mpf_) for b in balls]
 
         assert [bits(r) for r in one] == [bits(r) for r in two]
+
+    def test_import_leaves_multiprocessing_out(self):
+        # the pool module and what it pulls in load only for workers > 1
+        code = "import sys, heightlab; print(sorted({'multiprocessing', 'socket', 'selectors', 'pickle'} & set(sys.modules)))"
+        env = dict(os.environ, PYTHONPATH=str(Path(cmlab.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_csv_digest_frozen(self):
         # SHA-256 of the CSV as computed before the conjugate pairs of

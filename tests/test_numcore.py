@@ -1316,3 +1316,19 @@ def test_root_sweeps_use_no_mpmath_numbers():
     for fn in found:
         names = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
         assert not names & {"mpc", "mpf", "mp", "mpmath", "workdps", "BigFloat"}, fn.name
+
+
+def test_class_poly_product_uses_no_mpmath_numbers():
+    # the class polynomial's product runs on integers and 53-bit pairs;
+    # of the j balls it reads only the midpoint's libmpf parts, the
+    # radius pair and the magnitude pair
+    product = {"_fixed_part", "_gaussian_part", "_class_poly_factor", "_class_poly_product"}
+    tree = ast.parse((Path(numcore.__file__).parent / "cmlab.py").read_text())
+    found = [top for top in tree.body if isinstance(top, ast.FunctionDef) and top.name in product]
+    assert {fn.name for fn in found} == product
+    attributes = set()
+    for fn in found:
+        names = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
+        assert not names & {"mpc", "mpf", "mp", "mpmath", "workdps", "BigFloat"}, fn.name
+        attributes |= {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)}
+    assert attributes == {"value", "_mpc_", "_r", "_mag"}
