@@ -19,13 +19,16 @@ heights are ``BigFloat`` discs.
 
 Degree weights d**gamma are settled here for the whole package:
 ``rational_power`` gives the exact value when it is rational, and
-``_iv_log_weight`` is the one enclosure of gamma * log(d).
+``degree_weight`` is the one enclosure of it, a ``BigFloat``.  Every
+other enclosure in the package is a ``BigFloat`` too; mpmath ``iv``
+is left inside ``LogCombination.interval`` alone.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 from mpmath import iv, mpf, workdps
@@ -66,12 +69,6 @@ def _iv_fraction(q: Fraction):
     return iv.mpf(q.numerator) / iv.mpf(q.denominator)
 
 
-def _iv_log_weight(d: int, gamma: Fraction):
-    """Enclosure of gamma * log(d) at the current iv precision; its iv.exp
-    encloses the degree weight d**gamma."""
-    return _iv_fraction(gamma) * iv.log(iv.mpf(d))
-
-
 def rational_power(d: int, gamma) -> Fraction | None:
     """d**gamma for a positive integer d when that is rational, else None.
     Integer gamma needs no factoring; otherwise d**gamma is rational
@@ -88,12 +85,12 @@ def rational_power(d: int, gamma) -> Fraction | None:
     return out
 
 
+@lru_cache(maxsize=1024)
 def degree_weight(d: int, gamma, precision_digits: int = 40) -> BigFloat:
-    """Ball enclosing d**gamma, from its interval enclosure at
-    precision_digits + 15."""
-    with _iv_workdps(precision_digits + 15):
-        w = iv.exp(_iv_log_weight(d, Fraction(gamma)))
-        return BigFloat.from_bounds(mpf(w.a), mpf(w.b))
+    """Ball enclosing d**gamma, as exp(gamma * log d) at precision_digits
+    + 15.  Balls are immutable, so one is kept per argument triple."""
+    with workdps(precision_digits + 15):
+        return (BigFloat(d).log_abs() * BigFloat(Fraction(gamma))).exp()
 
 
 class LogCombination:
@@ -180,8 +177,12 @@ class LogCombination:
                 acc += _iv_fraction(r) * iv.log(iv.mpf(p))
             return mpf(acc.a), mpf(acc.b)
 
+    def ball(self, dps: int) -> BigFloat:
+        """The ball of ``interval(dps)``."""
+        return BigFloat.from_bounds(*self.interval(dps))
+
     def evaluate(self, precision_digits: int = DEFAULT_DIGITS) -> BigFloat:
-        return BigFloat.from_bounds(*self.interval(precision_digits + 10))
+        return self.ball(precision_digits + 10)
 
     def sign(self, max_dps: int = 1 << 14) -> int:
         """Certified sign in {-1, 0, +1}.

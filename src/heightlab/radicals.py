@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from mpmath import iv, mpf
+from mpmath import workdps
 
 from .heights import (
     EQUAL,
@@ -43,13 +43,11 @@ from .heights import (
     LESS,
     HeightValue,
     LogCombination,
-    _iv_log_weight,
-    _iv_workdps,
+    degree_weight,
     rational_power,
 )
 from .numcore import (
     DEFAULT_DIGITS,
-    BigFloat,
     IntMatrix,
     certify,
     smith_normal_form,
@@ -104,11 +102,6 @@ class RadicalScalar:
     def log_value(self) -> LogCombination:
         """log of the scalar, as an exact combination."""
         return self._log
-
-    def value_interval(self, dps: int):
-        with _iv_workdps(dps):
-            val = iv.exp(iv.mpf(self.log_value().interval(dps)))
-            return mpf(val.a), mpf(val.b)
 
     def __eq__(self, other):
         return isinstance(other, RadicalScalar) and self._log == other._log
@@ -274,12 +267,10 @@ def projective_height_l2(point: RadicalPoint, precision_digits: int = DEFAULT_DI
     (1/2) log(N+1)."""
     nz = [c for c in point.coords if c is not None]
     dps = precision_digits + 12
-    with _iv_workdps(dps):
-        acc = iv.mpf(0)
-        for c in nz:
-            acc += iv.exp(2 * iv.mpf(c.log_value().interval(dps)))
-        total = iv.log(acc) / 2 + iv.mpf(_finite_places(nz).interval(dps))
-        return HeightValue(numeric=BigFloat.from_bounds(mpf(total.a), mpf(total.b)))
+    with workdps(dps + 3):
+        acc = sum((c.log_value().ball(dps) * 2).exp() for c in nz)
+        total = acc.log_abs() / 2 + _finite_places(nz).ball(dps)
+    return HeightValue(numeric=total)
 
 
 def weighted_projective_height(
@@ -297,9 +288,8 @@ def weighted_projective_height(
     if w is not None:
         return HeightValue(exact=base.exact.scale(w))
     dps = precision_digits + 12
-    with _iv_workdps(dps):
-        prod = iv.exp(_iv_log_weight(degree, gamma)) * iv.mpf(base.exact.interval(dps))
-        return HeightValue(numeric=BigFloat.from_bounds(mpf(prod.a), mpf(prod.b)))
+    with workdps(dps + 3):
+        return HeightValue(numeric=degree_weight(degree, gamma, dps) * base.exact.ball(dps))
 
 
 # ---------------------------------------------------------------------------
@@ -325,18 +315,18 @@ class ChainViolationError(AssertionError):
 
 
 def _interval_value(base: int, exponent: Fraction, combinations, k: int, dps: int):
-    """Enclosure (lo, hi) of base^exponent * (prod of the combinations'
-    values)^(1/k), or None when a combination is not certified positive
-    at dps."""
-    with _iv_workdps(dps):
-        s = iv.mpf(0)
+    """Ball of base^exponent * (prod of the combinations' values)^(1/k),
+    or None when a combination is not certified positive at dps."""
+    with workdps(dps + 3):
+        prod = None
         for c in combinations:
-            lo, hi = c.interval(dps)
-            if not lo > 0:
+            ball = c.ball(dps)
+            if not ball.bounds()[0] > 0:
                 return None
-            s += iv.log(iv.mpf([lo, hi]))
-        val = iv.exp(_iv_log_weight(base, exponent) + s / k)
-        return mpf(val.a), mpf(val.b)
+            prod = ball if prod is None else prod * ball
+        if k > 1:
+            prod = (prod.log_abs() / k).exp()
+        return degree_weight(base, exponent, dps) * prod
 
 
 def lemma_chain_check(
@@ -404,15 +394,16 @@ def lemma_chain_check(
     if not structurally_equal:
 
         def attempt(dps):
-            lhs_iv = _interval_value(k_degree, gamma, [h_point], 1, dps)
-            mid_iv = _interval_value(d_prod, gamma, heights, k, dps)
-            if lhs_iv is None or mid_iv is None:
+            lhs = _interval_value(k_degree, gamma, [h_point], 1, dps)
+            mid = _interval_value(d_prod, gamma, heights, k, dps)
+            if lhs is None or mid is None:
                 return None
-            if lhs_iv[1] < mid_iv[0]:
+            (lhs_lo, lhs_hi), (mid_lo, mid_hi) = lhs.bounds(), mid.bounds()
+            if lhs_hi < mid_lo:
                 raise ChainViolationError(
                     f"lhs < middle at point {norm!r}, gamma={gamma}"
                 )
-            return True if lhs_iv[0] > mid_iv[1] else None
+            return True if lhs_lo > mid_hi else None
 
         certify(attempt, max(40, precision_digits), 1 << 13, "chain comparison")
 
@@ -424,11 +415,10 @@ def lemma_chain_check(
         if w is not None:
             return HeightValue(exact=combs[0].scale(w))
         start = precision_digits + 10
-        enc = certify(
+        return HeightValue(numeric=certify(
             lambda dps: _interval_value(base, g, combs, len(combs), dps),
             start, start << 5, "chain report value",
-        )
-        return HeightValue(numeric=BigFloat.from_bounds(*enc))
+        ))
 
     lhs = report_value(k_degree, gamma, [h_point])
     middle = report_value(d_prod, gamma, heights)

@@ -29,10 +29,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 
-from mpmath import iv, mp, mpf
+from mpmath import mp, mpf, workdps
 
-from .heights import LogCombination, _iv_fraction, _iv_log_weight, _iv_workdps, rational_power
-from .numcore import ConstructionError, certify, is_prime, next_prime
+from .heights import LogCombination, degree_weight, rational_power
+from .numcore import BigFloat, ConstructionError, certify, is_prime, next_prime
 from .radicals import RadicalScalar, compositum_degree, radical_degree, radical_height
 
 
@@ -113,15 +113,21 @@ class TowerSpec:
 
     @staticmethod
     def from_json(text: str) -> "TowerSpec":
+        """The spec of ``to_json`` text; a missing field or a value of the
+        wrong JSON type raises ValueError, naming the field if missing."""
         data = json.loads(text)
-        return TowerSpec(
-            gamma=Fraction(data["gamma"]),
-            target_c=Fraction(data["C"]),
-            levels=tuple(
-                TowerLevel(int(lv["p"]), int(lv["q"]), int(lv["d"]))
-                for lv in data["levels"]
-            ),
-        )
+        if not isinstance(data, dict):
+            raise ValueError("a tower spec must be a JSON object")
+        try:
+            gamma, target_c = Fraction(data["gamma"]), Fraction(data["C"])
+            levels = tuple(
+                TowerLevel(int(lv["p"]), int(lv["q"]), int(lv["d"])) for lv in data["levels"]
+            )
+        except KeyError as exc:
+            raise ValueError(f"tower spec lacks the field {exc.args[0]!r}") from None
+        except TypeError as exc:
+            raise ValueError(f"malformed tower spec: {exc}") from None
+        return TowerSpec(gamma=gamma, target_c=target_c, levels=levels)
 
 
 def _bound_combination(spec: TowerSpec, level_index: int) -> LogCombination | None:
@@ -136,23 +142,22 @@ def _bound_combination(spec: TowerSpec, level_index: int) -> LogCombination | No
     ).scale(w / (2 * (lv.d - 1)))
 
 
-def _level_bound_interval(spec: TowerSpec, level_index: int):
-    """Enclosure of the level bound C - log(d_i) / (2 D_i^gamma (d_i - 1))
-    at the current iv precision."""
+def _level_bound_ball(spec: TowerSpec, level_index: int, dps: int) -> BigFloat:
+    """Ball of the level bound C - log(d_i) / (2 D_i^gamma (d_i - 1)),
+    worked at dps + 3 digits."""
     lv = spec.levels[level_index - 1]
-    w = iv.exp(_iv_log_weight(spec.field_degree(level_index), spec.gamma))
-    return _iv_fraction(spec.target_c) - iv.log(iv.mpf(lv.d)) / (2 * w * (lv.d - 1))
+    w = degree_weight(spec.field_degree(level_index), spec.gamma, dps)
+    with workdps(dps + 3):
+        return BigFloat(spec.target_c) - BigFloat(lv.d).log_abs() / (w * (2 * (lv.d - 1)))
 
 
 def remark_bound(spec: TowerSpec, level_index: int, precision_digits: int = 30) -> mpf:
     """Numeric value of the level-i lower bound
     C - log(d_i) / (2 * D_i^gamma * (d_i - 1)): the midpoint of its
-    enclosure at precision_digits + 10."""
+    ball at precision_digits + 10."""
     if not 1 <= level_index <= spec.num_levels:
         raise IndexError("level index out of range")
-    with _iv_workdps(precision_digits + 10):
-        b = _level_bound_interval(spec, level_index)
-        return (mpf(b.a) + mpf(b.b)) / 2
+    return _level_bound_ball(spec, level_index, precision_digits + 10).value
 
 
 MAX_PRIME_DIGITS = 400
@@ -191,20 +196,21 @@ def build_tower(
     for i, d in enumerate(schedule, start=1):
         d_partial *= d
         # exponent of the threshold exp(C * d * D^(-gamma))
-        with _iv_workdps(60):
-            expo = _iv_fraction(target_c) * d * iv.exp(_iv_log_weight(d_partial, -gamma))
-            digits = mpf((expo / iv.log(10)).b)
-            if digits > max_prime_digits:
-                raise ConstructionError(
-                    f"level {i} needs a prime with about {mp.nstr(digits, 4)} "
-                    f"digits (cap {max_prime_digits}); reduce the target C "
-                    "or use a shorter or flatter degree schedule"
-                )
+        with workdps(63):
+            expo = BigFloat(target_c) * d * degree_weight(d_partial, -gamma, 60)
+            digits = (expo / BigFloat(10).log_abs()).bounds()[1]
+        if digits > max_prime_digits:
+            raise ConstructionError(
+                f"level {i} needs a prime with about {mp.nstr(digits, 4)} "
+                f"digits (cap {max_prime_digits}); reduce the target C "
+                "or use a shorter or flatter degree schedule"
+            )
         # precision scaled to the digit count keeps the integer
         # threshold within 1 of exp(C * d * D^(-gamma))
-        with _iv_workdps(int(digits) + 40):
-            expo = _iv_fraction(target_c) * d * iv.exp(_iv_log_weight(d_partial, -gamma))
-            threshold = int(mp.ceil(mpf(iv.exp(expo).b)))
+        dps = int(digits) + 40
+        with workdps(dps + 3):
+            expo = BigFloat(target_c) * d * degree_weight(d_partial, -gamma, dps)
+            threshold = int(mp.ceil(expo.exp().bounds()[1]))
         q = 2
         while q in used:
             q = next_prime(q)
@@ -328,25 +334,27 @@ def certify_level(
 
 
 def _comb_float(hg, h_comb: LogCombination, deg: int, gamma: Fraction) -> float:
-    if hg is not None:
-        lo, hi = hg.interval(30)
-        return float((lo + hi) / 2)
-    with _iv_workdps(30):
-        v = iv.exp(_iv_log_weight(deg, gamma)) * iv.mpf(h_comb.interval(30))
-        return float((mpf(v.a) + mpf(v.b)) / 2)
+    ball = hg.ball(30) if hg is not None else _weighted_ball(h_comb, deg, gamma, 30)
+    return float(ball.value)
+
+
+def _weighted_ball(h_comb: LogCombination, deg: int, gamma: Fraction, dps: int) -> BigFloat:
+    """Ball of deg^gamma * h_comb from enclosures at dps, worked at dps + 3
+    digits."""
+    w = degree_weight(deg, gamma, dps)
+    with workdps(dps + 3):
+        return w * h_comb.ball(dps)
 
 
 def _sign_vs_level_bound(enclose, spec: TowerSpec, level_index: int, precision_digits: int) -> int:
     """Certified sign of x minus the level bound, where ``enclose(dps)``
-    is an iv enclosure of x."""
+    is a ``BigFloat`` ball of x from enclosures at dps: the exact ends
+    of the two balls are compared."""
 
     def attempt(dps):
-        with _iv_workdps(dps):
-            val = enclose(dps)
-            b = _level_bound_interval(spec, level_index)
-            diff_lo = mpf(val.a) - mpf(b.b)
-            diff_hi = mpf(val.b) - mpf(b.a)
-        return 1 if diff_lo > 0 else -1 if diff_hi < 0 else None
+        lo, hi = enclose(dps).bounds()
+        b_lo, b_hi = _level_bound_ball(spec, level_index, dps).bounds()
+        return 1 if lo > b_hi else -1 if hi < b_lo else None
 
     return certify(attempt, max(40, precision_digits), 1 << 13, "level bound comparison")
 
@@ -355,9 +363,7 @@ def _interval_sign_vs_bound(
     hg: LogCombination, spec: TowerSpec, level_index: int, precision_digits: int
 ) -> int:
     """Sign of hg - bound when the bound has no exact form."""
-    return _sign_vs_level_bound(
-        lambda dps: iv.mpf(hg.interval(dps)), spec, level_index, precision_digits
-    )
+    return _sign_vs_level_bound(hg.ball, spec, level_index, precision_digits)
 
 
 def _interval_sign_weighted(
@@ -369,11 +375,9 @@ def _interval_sign_weighted(
     precision_digits: int,
 ) -> int:
     """Sign of deg^gamma * h_comb - bound."""
-
-    def enclose(dps):
-        return iv.exp(_iv_log_weight(deg, gamma)) * iv.mpf(h_comb.interval(dps))
-
-    return _sign_vs_level_bound(enclose, spec, level_index, precision_digits)
+    return _sign_vs_level_bound(
+        lambda dps: _weighted_ball(h_comb, deg, gamma, dps), spec, level_index, precision_digits
+    )
 
 
 def distinct_fields_check(towers) -> bool:

@@ -1,10 +1,13 @@
 import json
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from mpmath import mp, workdps
 
 from heightlab.cli import main
+from heightlab.radicals import RadicalPoint, RadicalScalar, weighted_projective_height
 
 
 def run(capsys, *argv):
@@ -29,7 +32,12 @@ class TestHeightCommand:
         # 2^(-1/3) is irrational, so the weighted height is a ball
         code, out, _ = run(capsys, "height", "rad: 2 ^ 1/2", "--gamma=-1/3")
         assert code == 0
-        assert out.strip() == "≈ 0.2750756409 (radius 7.05e-38)"
+        assert out.strip() == "≈ 0.2750756409 (radius 2.09e-38)"
+        # the ball printed, at the default precision of 24 digits
+        point = RadicalPoint([RadicalScalar.one(), RadicalScalar({2: Fraction(1, 2)})])
+        lo, hi = weighted_projective_height(point, Fraction(-1, 3), 24).numeric.bounds()
+        with workdps(60):
+            assert lo < mp.cbrt(2) ** -1 * mp.log(2) / 2 < hi
 
     @pytest.mark.parametrize(
         "poly, gamma, shown",
@@ -267,6 +275,21 @@ class TestTowerCommands:
         assert code == 2 and out == ""
         assert err.startswith("error: --")
         assert [p.name for p in tmp_path.iterdir()] == ["one.json"]
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ('{"C": "1", "levels": [{"p": "3", "q": "2", "d": 2}]}', "lacks the field 'gamma'"),
+            ('{"gamma": "-1", "C": "1", "levels": [{"p": "3", "d": 2}]}', "lacks the field 'q'"),
+            ('[{"gamma": "-1", "C": "1", "levels": []}]', "must be a JSON object"),
+        ],
+    )
+    def test_certify_malformed_spec_exit_2(self, capsys, tmp_path, text, named):
+        spec = tmp_path / "bad.json"
+        spec.write_text(text)
+        code, out, err = run(capsys, "tower", "certify", str(spec), "--out", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "tower spec" in err and named in err
 
     def test_certify_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run(

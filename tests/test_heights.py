@@ -14,6 +14,7 @@ from heightlab.heights import (
     AlgebraicNumber,
     HeightValue,
     LogCombination,
+    degree_weight,
     height_value_compare,
     mahler_height,
     rational_power,
@@ -289,6 +290,15 @@ class TestWeightedHeight:
         with workdps(60):
             truth = mp.log(2) / 2 / mp.sqrt(2)
             assert abs(h.value - truth) <= h.radius
+
+    @pytest.mark.parametrize("d", [1, 2, 6, 30, 2**61 - 1])
+    def test_degree_weight_encloses_and_is_kept(self, d):
+        for g in TestRationalPower.GAMMAS:
+            w = degree_weight(d, g, 30)
+            with workdps(80):
+                assert abs(w.value - mpf(d) ** (mpf(g.numerator) / g.denominator)) <= w.radius
+            assert w.radius < mpf(10) ** -40 * (abs(w.value) + 1)
+            assert degree_weight(d, g, 30) is w
 
 
 class TestRationalPower:

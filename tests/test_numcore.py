@@ -1247,42 +1247,75 @@ class TestSmithNormalForm:
         self._check([[6], [10], [15]])
 
 
+SOURCES = sorted(Path(numcore.__file__).parent.glob("*.py"))
+
+
+def _top_scopes(path):
+    """(name, node) of each top-level statement of a module; a class
+    gives one scope per method, named Class.method."""
+    for top in ast.parse(path.read_text()).body:
+        if isinstance(top, ast.ClassDef):
+            for fn in top.body:
+                if isinstance(fn, ast.FunctionDef):
+                    yield f"{top.name}.{fn.name}", fn
+        else:
+            yield getattr(top, "name", None), top
+
+
 def test_ulp_slop_called_only_in_numcore():
     # rounding allowances are numcore's alone: every other module gets
     # its balls from BigFloat.rounded, from_bounds or ball arithmetic,
     # the ball operations build theirs from 53-bit magnitude bounds, and
     # root discs are built by ball arithmetic
     callers = set()
-    for path in sorted(Path(numcore.__file__).parent.glob("*.py")):
-        for top in ast.parse(path.read_text()).body:
-            if isinstance(top, ast.ClassDef):
-                scopes = [(f"{top.name}.{fn.name}", fn) for fn in top.body if isinstance(fn, ast.FunctionDef)]
-            else:
-                scopes = [(getattr(top, "name", None), top)]
-            for name, scope in scopes:
-                for node in ast.walk(scope):
-                    if isinstance(node, ast.Call):
-                        f = node.func
-                        called = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                        if called == "_ulp_slop":
-                            callers.add((path.name, name))
+    for path in SOURCES:
+        for name, scope in _top_scopes(path):
+            for node in ast.walk(scope):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    called = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                    if called == "_ulp_slop":
+                        callers.add((path.name, name))
     assert callers == {("numcore.py", "BigFloat.rounded")}
 
 
-def test_cm_point_kernel_uses_no_iv():
-    # the CM-point kernel and log_plus_sum enclose in ball arithmetic and
-    # libmpf directed rounding; mpmath iv is for the exact modules
-    kernel = {
-        "cmlab.py": {"_cm_terms", "_theta_term", "_theta_nulls", "_j_and_delta"},
-        "numcore.py": {"log_plus_sum"},
+def test_iv_only_inside_log_combination_interval():
+    # every enclosure is a BigFloat ball but LogCombination.interval's,
+    # which alone works in mpmath iv, through its two helpers
+    def is_iv(named):
+        return named == "iv" or named.startswith("_iv")
+
+    importers, users = set(), set()
+    for path in SOURCES:
+        for name, scope in _top_scopes(path):
+            for node in ast.walk(scope):
+                if isinstance(node, ast.alias) and is_iv(node.asname or node.name):
+                    importers.add(path.name)
+                elif isinstance(node, ast.Name) and is_iv(node.id) or isinstance(node, ast.Attribute) and is_iv(node.attr):
+                    users.add((path.name, name))
+    assert importers == {"heights.py"}
+    assert users == {
+        ("heights.py", "_iv_workdps"), ("heights.py", "_iv_fraction"), ("heights.py", "LogCombination.interval"),
     }
-    for name, functions in kernel.items():
-        tree = ast.parse((Path(numcore.__file__).parent / name).read_text())
-        found = [top for top in tree.body if isinstance(top, ast.FunctionDef) and top.name in functions]
-        assert {fn.name for fn in found} == functions
-        for fn in found:
-            names = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
-            assert not {n for n in names if n == "iv" or n.startswith("_iv")}, fn.name
+
+
+def test_module_level_imports_are_used():
+    # _ulp_slop stays bound in cmlab and heights, unused, for the
+    # benchmark's check that those names are numcore's function
+    unused = set()
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        bound = {
+            (alias.asname or alias.name).split(".")[0]
+            for top in tree.body
+            if isinstance(top, (ast.Import, ast.ImportFrom)) and getattr(top, "module", None) != "__future__"
+            for alias in top.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused |= {(path.name, name) for name in bound - used}
+    assert unused == {("cmlab.py", "_ulp_slop"), ("heights.py", "_ulp_slop")}
 
 
 def test_squarefree_layer_uses_no_fractions():

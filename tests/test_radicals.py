@@ -55,14 +55,6 @@ class TestRadicalScalar:
         assert a.pow(4).exponents == {2: Fraction(2)}
         assert (a.pow(-1) * a).is_one()
 
-    def test_value_interval(self):
-        a = RadicalScalar({2: Fraction(1, 2), 3: Fraction(-1, 3)})
-        lo, hi = a.value_interval(40)
-        with workdps(60):
-            truth = mp.sqrt(2) / mp.cbrt(3)
-            assert lo <= truth <= hi
-            assert hi - lo < mpf(10) ** -35
-
     def test_log_value(self):
         a = RadicalScalar({5: Fraction(2, 7)})
         assert a.log_value() == LogCombination({5: Fraction(2, 7)})
