@@ -43,7 +43,8 @@ import os
 import sys
 from fractions import Fraction
 
-from mpmath import mp, workdps
+from mpmath import mp, mpc, workdps
+from mpmath.libmp import to_rational, to_str
 
 from .cmlab import (
     Discriminant,
@@ -59,7 +60,7 @@ from .cmlab import (
     verify_theta_faltings,
 )
 from .heights import HeightValue, degree_weight, mahler_height, rational_roots
-from .numcore import BigFloat, ConstructionError, IntPoly, PrecisionError, squarefree_decomposition
+from .numcore import BigFloat, IntPoly, PrecisionError, squarefree_decomposition
 from .radicals import (
     ChainViolationError,
     RadicalPoint,
@@ -232,9 +233,34 @@ def _write_artifacts(out_dir: str, config: dict, label: str, **files) -> None:
     print(f"{label} written to {paths[0]}")
 
 
-def _ball_text(ball, digits: int) -> str:
-    """'≈ value (radius r)', the value to ``digits`` significant digits."""
-    return f"≈ {mp.nstr(ball.value, digits)} (radius {mp.nstr(ball.radius, 3)})"
+def _ball_text(ball) -> str:
+    """'≈ value (radius r)' whose printed disc holds the ball.  The value
+    is printed to as many significant digits as its rounding needs to
+    move it by at most the radius, but to no more than its mantissa
+    holds; the radius printed is the radius plus that move (the sum of
+    the parts' moves for a complex value), rounded up to 3 significant
+    digits."""
+    v, r = ball.value, ball.radius._mpf_
+    parts = v._mpc_ if isinstance(v, mpc) else (v._mpf_,)
+    radius = Fraction(*to_rational(r))
+    cap = max(t[3] for t in parts) * 30103 // 100000 + 2
+    # from below the digits |value| / radius asks for: 0.3 < log10(2)
+    n = min(cap, max(1, (max(t[2] + t[3] for t in parts) - r[2] - r[3]) * 3 // 10 - 1))
+    while True:  # mp.nstr prints each part as to_str does
+        move = sum(abs(Fraction(to_str(t, n)) - Fraction(*to_rational(t))) for t in parts)
+        if move <= radius or n >= cap:
+            return f"≈ {mp.nstr(v, n)} (radius {_round_up_3(radius + move)})"
+        n += 1
+
+
+def _round_up_3(x: Fraction) -> str:
+    """The least decimal m * 10**e at or above x >= 0 with m of 3 digits:
+    e starts where m > 1000 and rises until m <= 1000."""
+    e = (x.numerator.bit_length() - x.denominator.bit_length()) * 30103 // 100000 - 4
+    while (m := -(-x.numerator * 10 ** max(-e, 0) // (x.denominator * 10 ** max(e, 0)))) > 1000:
+        e += 1
+    with workdps(15):  # m * 10**e to 15 digits prints as m to 3
+        return mp.nstr(m * mp.mpf(10) ** e, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +273,7 @@ def _print_height(hv: HeightValue, digits: int) -> None:
     if hv.is_exact:
         print(f"{hv.exact} ≈ {mp.nstr(hv.exact.evaluate(digits).value, 10)}")
     else:
-        print(_ball_text(hv.numeric, 10))
+        print(_ball_text(hv.numeric))
 
 
 def _cmd_height(args, opts) -> int:
@@ -420,7 +446,7 @@ def _cmd_cm_faltings(args, opts) -> int:
         args.discriminant, opts["precision"],
         normalization_offset=args.offset,
     )
-    print(f"faltings_height({args.discriminant}) {_ball_text(fh, min(opts['precision'], 20))}")
+    print(f"faltings_height({args.discriminant}) {_ball_text(fh)}")
     return 0
 
 
@@ -433,7 +459,7 @@ def _cmd_cm_theta(args, opts) -> int:
         tau = _tau_ball(form)
     nulls = theta_null_point(tau, opts["precision"])
     for j, th in enumerate(nulls):
-        print(f"theta_{j} {_ball_text(th, min(opts['precision'], 20))}")
+        print(f"theta_{j} {_ball_text(th)}")
     return 0
 
 
@@ -467,7 +493,7 @@ def _cmd_cm_verify_decay(args, opts) -> int:
     }
     for c in report["checkpoints"]:
         envelope = BigFloat(c["envelope"], c["radius"])
-        print(f"env(|D| >= {c['X_effective']}) {_ball_text(envelope, 10)}")
+        print(f"env(|D| >= {c['X_effective']}) {_ball_text(envelope)}")
     print(f"{'decay confirmed' if report['passed'] else 'decay NOT confirmed'}")
     _write_artifacts(
         opts["out"], config, "report",
@@ -497,7 +523,7 @@ def _cmd_cm_finiteness(args, opts) -> int:
     )
     for q in report["qualifying"]:
         ratio = BigFloat(q["ratio"], q["ratio_radius"])
-        print(f"  D={q['D']} h={q['class_number']} ratio {_ball_text(ratio, 10)}")
+        print(f"  D={q['D']} h={q['class_number']} ratio {_ball_text(ratio)}")
     _write_artifacts(opts["out"], config, "report", json=report)
     return 0
 
@@ -660,19 +686,13 @@ def main(argv=None) -> int:
     try:
         opts = _resolve_options(args)
         return args.func(args, opts)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ConstructionError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ChainViolationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
     except PrecisionError as exc:
         print(f"precision failure: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
+    except (UsageError, ValueError, OSError) as exc:  # ConstructionError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

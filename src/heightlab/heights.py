@@ -39,7 +39,7 @@ from .numcore import (
     IntPoly,
     PrecisionError,
     _ulp_slop,  # bound for bench/test_bench.py only; just numcore calls it
-    certify,
+    certify_order,
     factorint,
     is_prime,
     log_plus_sum,
@@ -192,12 +192,9 @@ class LogCombination:
         """
         if not self.coeffs:
             return (self.const > 0) - (self.const < 0)
-
-        def attempt(dps):
-            lo, hi = self.interval(dps)
-            return 1 if lo > 0 else -1 if hi < 0 else None
-
-        return certify(attempt, 40, max_dps, "sign of a log combination")
+        return certify_order(
+            self.interval, lambda dps: (0, 0), 40, max_dps, "sign of a log combination"
+        )
 
     def compare(self, other: "LogCombination") -> str:
         s = (self - other).sign()
@@ -270,28 +267,19 @@ def height_value_compare(x: HeightValue, y: HeightValue) -> str:
     Exact vs exact is decided symbolically (coefficient identity for
     equality, escalating certified evaluation otherwise).  When a
     numeric disc is involved, its radius is respected as hard
-    uncertainty: overlapping enclosures give "inconclusive".
+    uncertainty: overlapping enclosures give "inconclusive", unless
+    they are the same point.
     """
     if x.is_exact and y.is_exact:
         return x.exact.compare(y.exact)
-
-    def attempt(dps):
-        xlo, xhi = x.bounds(dps)
-        ylo, yhi = y.bounds(dps)
-        if xhi < ylo:
-            return LESS
-        if ylo == yhi and xlo == xhi and xlo == ylo:
-            return EQUAL
-        if xlo > yhi:
-            return GREATER
-        return None
-
     # two discs do not sharpen with precision: one attempt decides
     max_dps = 320 if x.is_exact or y.is_exact else 40
     try:
-        return certify(attempt, 40, max_dps, "height comparison")
+        s = certify_order(x.bounds, y.bounds, 40, max_dps, "height comparison")
     except PrecisionError:
-        return INCONCLUSIVE
+        (xlo, xhi), (ylo, yhi) = x.bounds(40), y.bounds(40)
+        return EQUAL if xlo == xhi == ylo == yhi else INCONCLUSIVE
+    return GREATER if s > 0 else LESS
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,16 @@ estimate).  The CM lab builds its complex discs with it too; the name
 ``cmlab.CDisc`` is kept as an alias only because the benchmark's tracer
 binds it.
 
-Two policies make every numeric decision certified:
+Three policies make every numeric decision certified:
 
 * ``certify(attempt, dps, max_dps, what)`` is the one precision
   escalation: a decision is enclosed at dps and retried at doubled
   precision until it is separated, or a ``PrecisionError`` naming it is
   raised past ``max_dps``;
+
+* ``certify_order(x, y, dps, max_dps, what)`` is the one comparison:
+  the sign of x - y, read from the exact ends of the first pair of
+  enclosures that do not overlap, escalated by ``certify``;
 
 * ``BigFloat.from_bounds(lo, hi)`` is the one conversion of an
   enclosure into a ball, and ``BigFloat.bounds()`` the one reading of
@@ -92,6 +96,20 @@ def certify(attempt, dps: int, max_dps: int, what: str):
             return out
         dps *= 2
     raise PrecisionError(f"{what} not certified within {max_dps} digits")
+
+
+def certify_order(x, y, dps: int, max_dps: int, what: str) -> int:
+    """1 if x > y and -1 if x < y, read from the first enclosures
+    ``x(dps)``, ``y(dps)`` that do not overlap, at the precisions
+    ``certify`` tries.  An enclosure is a pair (lo, hi) with exact ends,
+    or None where it cannot be formed; both are formed at every dps."""
+
+    def attempt(dps):
+        xs, ys = x(dps), y(dps)
+        if xs and ys:
+            return 1 if xs[0] > ys[1] else -1 if xs[1] < ys[0] else None
+
+    return certify(attempt, dps, max_dps, what)
 
 
 # ---------------------------------------------------------------------------

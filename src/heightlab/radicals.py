@@ -21,11 +21,12 @@ The chain checker certifies the two-step comparison
   [K:Q]^g h(P)  >=  (prod_{i in I} d_i^g) (prod_{i in I} h(a_i))^{1/#I}
                 >=  (prod_{i in I} h_{Ng}(a_i))^{1/#I}
 
-for g < 0, I the coordinates of nonzero weighted height: the second
-step is settled by exact rational sign arithmetic, the first by exact
-detection of the (complete) equality pattern plus escalating interval
-separation otherwise.  A genuine violation raises; it is never reported
-as a result.
+for g < 0, I the coordinates of nonzero weighted height.  The second
+step is proved, not tested: the ratio of its sides is (prod d_i)^s with
+s = g (1 - N/#I) >= 0.  The first is decided by exact detection of the
+(complete) equality pattern plus escalating interval separation
+otherwise.  A genuine violation raises; it is never reported as a
+result.
 """
 
 from __future__ import annotations
@@ -33,14 +34,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from mpmath import workdps
 
 from .heights import (
-    EQUAL,
-    GREATER,
-    LESS,
     HeightValue,
     LogCombination,
     degree_weight,
@@ -50,6 +48,7 @@ from .numcore import (
     DEFAULT_DIGITS,
     IntMatrix,
     certify,
+    certify_order,
     smith_normal_form,
 )
 
@@ -314,19 +313,20 @@ class ChainViolationError(AssertionError):
     """The certified comparison found the chain inequality violated."""
 
 
-def _interval_value(base: int, exponent: Fraction, combinations, k: int, dps: int):
-    """Ball of base^exponent * (prod of the combinations' values)^(1/k),
+def _interval_value(base: int, exponent: Fraction, combinations, dps: int):
+    """Ball of base^exponent * (prod of the k combinations' values)^(1/k),
     or None when a combination is not certified positive at dps."""
+    k = len(combinations)
     with workdps(dps + 3):
-        prod = None
+        acc = None
         for c in combinations:
             ball = c.ball(dps)
             if not ball.bounds()[0] > 0:
                 return None
-            prod = ball if prod is None else prod * ball
+            acc = ball if acc is None else acc * ball
         if k > 1:
-            prod = (prod.log_abs() / k).exp()
-        return degree_weight(base, exponent, dps) * prod
+            acc = (acc.log_abs() / k).exp()
+        return degree_weight(base, exponent, dps) * acc
 
 
 def lemma_chain_check(
@@ -345,8 +345,10 @@ def lemma_chain_check(
       rhs    = (prod_{i in I} h_{N*gamma}(a_i))^{1/#I}
 
     and the chain asserts lhs >= middle >= rhs.  Empty I gives verdict
-    "degenerate".  middle >= rhs reduces to the sign of
-    gamma*(1 - N/#I) * sum log d_i, settled by rational arithmetic.
+    "degenerate".  middle >= rhs is proved, not tested: with d_i =
+    [Q(a_i):Q] and h_{N*gamma}(a_i) = d_i^(N*gamma) h(a_i),
+    log(middle/rhs) = gamma*(1 - N/#I) * sum log d_i, where #I <= N and
+    gamma < 0 make the slope gamma*(1 - N/#I) >= 0, and every d_i >= 1.
     lhs >= middle has a complete structural equality criterion
     ([K:Q] = prod d_i, all h(a_i) equal, h(P) equal to them); strict
     cases are separated by escalating certified intervals.  A violation
@@ -366,25 +368,10 @@ def lemma_chain_check(
 
     members = [affine[i] for i in index_set]
     k = len(index_set)
-    degrees = [radical_degree(a) for a in members]
     heights = [radical_height(a).exact for a in members]
     k_degree = compositum_degree([c for c in norm.coords if c is not None])
-    d_prod = 1
-    for d in degrees:
-        d_prod *= d
+    d_prod = prod(radical_degree(a) for a in members)
     h_point = projective_height(norm).exact
-
-    # --- middle >= rhs: exact trichotomy -------------------------------
-    # log(middle/rhs) = gamma * (1 - N/k) * sum log d_i
-    slope = gamma * (1 - Fraction(n, k))
-    if all(d == 1 for d in degrees) or slope == 0:
-        middle_vs_rhs = EQUAL
-    elif slope > 0:
-        middle_vs_rhs = GREATER
-    else:
-        middle_vs_rhs = LESS
-    if middle_vs_rhs is LESS:
-        raise ChainViolationError("middle < rhs (impossible for gamma < 0)")
 
     # --- lhs >= middle: structural equality, else interval separation --
     all_h_equal = all(h == heights[0] for h in heights[1:])
@@ -393,19 +380,17 @@ def lemma_chain_check(
     )
     if not structurally_equal:
 
-        def attempt(dps):
-            lhs = _interval_value(k_degree, gamma, [h_point], 1, dps)
-            mid = _interval_value(d_prod, gamma, heights, k, dps)
-            if lhs is None or mid is None:
-                return None
-            (lhs_lo, lhs_hi), (mid_lo, mid_hi) = lhs.bounds(), mid.bounds()
-            if lhs_hi < mid_lo:
-                raise ChainViolationError(
-                    f"lhs < middle at point {norm!r}, gamma={gamma}"
-                )
-            return True if lhs_lo > mid_hi else None
+        def ends(base, combs):
+            def at(dps):
+                ball = _interval_value(base, gamma, combs, dps)
+                return None if ball is None else ball.bounds()
+            return at
 
-        certify(attempt, max(40, precision_digits), 1 << 13, "chain comparison")
+        if certify_order(
+            ends(k_degree, [h_point]), ends(d_prod, heights),
+            max(40, precision_digits), 1 << 13, "chain comparison",
+        ) < 0:
+            raise ChainViolationError(f"lhs < middle at point {norm!r}, gamma={gamma}")
 
     # --- report values --------------------------------------------------
     def report_value(base: int, g: Fraction, combs) -> HeightValue:
@@ -416,7 +401,7 @@ def lemma_chain_check(
             return HeightValue(exact=combs[0].scale(w))
         start = precision_digits + 10
         return HeightValue(numeric=certify(
-            lambda dps: _interval_value(base, g, combs, len(combs), dps),
+            lambda dps: _interval_value(base, g, combs, dps),
             start, start << 5, "chain report value",
         ))
 
@@ -483,14 +468,10 @@ def _height_below(h: HeightValue, threshold: LogCombination, precision_digits: i
     """Certified strict comparison h < threshold (exact tie excluded)."""
     if h.is_exact:
         return (h.exact - threshold).sign() < 0
-
-    def attempt(dps):
-        tlo, thi = threshold.interval(dps)
-        hlo, hhi = h.bounds(dps)
-        return True if hhi < tlo else False if hlo > thi else None
-
     dps = precision_digits + 10
-    return certify(attempt, dps, dps << 5, "census threshold comparison")
+    return certify_order(
+        h.bounds, threshold.interval, dps, dps << 5, "census threshold comparison"
+    ) < 0
 
 
 def projective_northcott_experiment(

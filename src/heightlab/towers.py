@@ -32,7 +32,7 @@ from itertools import product as iter_product
 from mpmath import mp, mpf, workdps
 
 from .heights import LogCombination, degree_weight, rational_power
-from .numcore import BigFloat, ConstructionError, certify, is_prime, next_prime
+from .numcore import BigFloat, ConstructionError, certify_order, is_prime, next_prime
 from .radicals import RadicalScalar, compositum_degree, radical_degree, radical_height
 
 
@@ -114,20 +114,30 @@ class TowerSpec:
     @staticmethod
     def from_json(text: str) -> "TowerSpec":
         """The spec of ``to_json`` text; a missing field or a value of the
-        wrong JSON type raises ValueError, naming the field if missing."""
+        wrong JSON type raises ValueError, naming the field if missing or
+        if p, q or d is not an integer."""
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("a tower spec must be a JSON object")
         try:
             gamma, target_c = Fraction(data["gamma"]), Fraction(data["C"])
             levels = tuple(
-                TowerLevel(int(lv["p"]), int(lv["q"]), int(lv["d"])) for lv in data["levels"]
+                TowerLevel(*(_spec_int(lv, f) for f in "pqd")) for lv in data["levels"]
             )
         except KeyError as exc:
             raise ValueError(f"tower spec lacks the field {exc.args[0]!r}") from None
         except TypeError as exc:
             raise ValueError(f"malformed tower spec: {exc}") from None
         return TowerSpec(gamma=gamma, target_c=target_c, levels=levels)
+
+
+def _spec_int(level: dict, field: str) -> int:
+    """A level's p, q or d: a JSON integer or a string of decimal digits,
+    never truncated."""
+    v = level[field]
+    if type(v) is int or (isinstance(v, str) and v.isascii() and v.isdigit()):
+        return int(v)
+    raise ValueError(f"tower spec field {field!r} must be an integer, not {v!r}")
 
 
 def _bound_combination(spec: TowerSpec, level_index: int) -> LogCombination | None:
@@ -350,13 +360,11 @@ def _sign_vs_level_bound(enclose, spec: TowerSpec, level_index: int, precision_d
     """Certified sign of x minus the level bound, where ``enclose(dps)``
     is a ``BigFloat`` ball of x from enclosures at dps: the exact ends
     of the two balls are compared."""
-
-    def attempt(dps):
-        lo, hi = enclose(dps).bounds()
-        b_lo, b_hi = _level_bound_ball(spec, level_index, dps).bounds()
-        return 1 if lo > b_hi else -1 if hi < b_lo else None
-
-    return certify(attempt, max(40, precision_digits), 1 << 13, "level bound comparison")
+    return certify_order(
+        lambda dps: enclose(dps).bounds(),
+        lambda dps: _level_bound_ball(spec, level_index, dps).bounds(),
+        max(40, precision_digits), 1 << 13, "level bound comparison",
+    )
 
 
 def _interval_sign_vs_bound(

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 from mpmath import mp, workdps
+from mpmath.libmp import to_rational
 
 from heightlab.cli import main
 from heightlab.radicals import RadicalPoint, RadicalScalar, weighted_projective_height
@@ -32,7 +33,7 @@ class TestHeightCommand:
         # 2^(-1/3) is irrational, so the weighted height is a ball
         code, out, _ = run(capsys, "height", "rad: 2 ^ 1/2", "--gamma=-1/3")
         assert code == 0
-        assert out.strip() == "≈ 0.2750756409 (radius 2.09e-38)"
+        assert out.strip() == "≈ 0.2750756408974121722037997964082030732 (radius 2.19e-38)"
         # the ball printed, at the default precision of 24 digits
         point = RadicalPoint([RadicalScalar.one(), RadicalScalar({2: Fraction(1, 2)})])
         lo, hi = weighted_projective_height(point, Fraction(-1, 3), 24).numeric.bounds()
@@ -51,17 +52,18 @@ class TestHeightCommand:
         ],
     )
     def test_algebraic_with_gamma(self, capsys, poly, gamma, shown):
-        radius = {
-            ("x^2 - 2", "-1/2"): "1.96e-34",
-            ("x^2 - 2", "-1"): "1.39e-34",
-            ("x^2 - 2", "-2/3"): "1.75e-34",
-            ("x^3 - x - 1", "-1/2"): "4.33e-35",
-            ("x^3 - x - 1", "-1"): "2.5e-35",
-            ("x^3 - x - 1", "-2/3"): "3.61e-35",
+        value, radius = {
+            ("x^2 - 2", "-1/2"): ("0.2450645358671367979284754309088083", "2.41e-34"),
+            ("x^2 - 2", "-1"): ("0.1732867951399863273543080303645441", "1.8e-34"),
+            ("x^2 - 2", "-2/3"): ("0.2183276808656893781851840232949565", "2.19e-34"),
+            ("x^3 - x - 1", "-1/2"): ("0.054116883310456733073702687869383", "4.53e-35"),
+            ("x^3 - x - 1", "-1"): ("0.03124439714699576072356119600754203", "2.83e-35"),
+            ("x^3 - x - 1", "-2/3"): ("0.0450622183597686522789518018951549", "3.9e-35"),
         }[poly, gamma]
         code, out, _ = run(capsys, "height", f"alg: {poly}", f"--gamma={gamma}")
         assert code == 0
-        assert out.strip() == f"≈ {shown} (radius {radius})"
+        assert out.strip() == f"≈ {value} (radius {radius})"
+        assert mp.nstr(mp.mpf(value), 10) == shown
 
     def test_unfactorable_radical_exit_2(self, capsys, monkeypatch):
         # two 20-digit primes; a small budget keeps the test fast
@@ -291,6 +293,14 @@ class TestTowerCommands:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "tower spec" in err and named in err
 
+    def test_certify_non_integer_spec_exit_2(self, capsys, tmp_path):
+        # read with int(), this spec would certify the tower (3, 2, 2)
+        spec = tmp_path / "bad.json"
+        spec.write_text('{"gamma": "-1", "C": "1/2", "levels": [{"p": 3.9, "q": "2", "d": 2.7}]}')
+        code, out, err = run(capsys, "tower", "certify", str(spec), "--out", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: tower spec field 'p' must be an integer")
+
     def test_certify_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "tower", "certify", str(tmp_path / "none.json")
@@ -344,10 +354,10 @@ class TestCMCommands:
         # 1/3 and 0.1 are read as exact rationals, not as binary floats
         code, out, _ = run(capsys, "cm", "faltings", "-D", "-4", "--offset", "1/3")
         assert code == 0
-        assert "≈ 0.86067747383116929864 (radius" in out
+        assert "≈ 0.860677473831169298641717722839839945 (radius" in out
         code, out, _ = run(capsys, "cm", "faltings", "-D", "-4", "--offset", "0.1")
         assert code == 0
-        assert "≈ 0.62734414049783596531 (radius" in out
+        assert "≈ 0.6273441404978359653083843895065066118 (radius" in out
 
     def test_faltings_bad_disc_exit_2(self, capsys):
         code, _, err = run(capsys, "cm", "faltings", "-D", "-5")
@@ -373,7 +383,7 @@ class TestCMCommands:
         from heightlab import cli
 
         balls, text = [], cli._ball_text
-        monkeypatch.setattr(cli, "_ball_text", lambda ball, digits: balls.append(ball) or text(ball, digits))
+        monkeypatch.setattr(cli, "_ball_text", lambda ball: balls.append(ball) or text(ball))
         for d in (-3, -4, -23, -47, -71, -163, -199, -383, -991):
             for precision in (16, 24, 40):
                 balls.clear()
@@ -499,6 +509,55 @@ class TestCMCommands:
             assert float(value) == pytest.approx(c["envelope"], rel=1e-9)
             assert float(radius) == pytest.approx(c["radius"], rel=1e-2)
             assert float(radius) > 0
+
+
+def _printed_disc(line: str):
+    """(real, imaginary, radius) of the disc '≈ value (radius r)' ends a
+    line with, as exact rationals."""
+    value, radius = line.split("≈ ", 1)[1].removesuffix(")").split(" (radius ")
+    if value.startswith("("):
+        re, sign, im = value[1:-2].split(" ")
+        return Fraction(re), Fraction(im) * (1 if sign == "+" else -1), Fraction(radius)
+    return Fraction(value), Fraction(0), Fraction(radius)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["height", "rad: 2 ^ 1/2", "--gamma=-1/3"],
+        ["height", "alg: x^3 - x - 1", "--gamma=-2/3"],
+        ["height", "alg: x^2 - 2", "--gamma=-1", "--precision", "100"],
+        ["cm", "faltings", "-D", "-4"],
+        ["cm", "faltings", "-D", "-23", "--offset", "1/3"],
+        ["cm", "theta", "-D", "-4"],
+        ["cm", "theta", "-D", "-71", "--precision", "16"],
+        ["cm", "verify-decay", "--dmax", "400", "--precision", "18"],
+        ["cm", "finiteness", "--dmax", "20", "--cprime", "1/2"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_printed_balls_enclose_the_computed_balls(capsys, monkeypatch, tmp_path, argv):
+    # |printed - value| + radius <= printed radius, exactly; printing
+    # moves the value by at most the radius or, where the digits of its
+    # mantissa do not reach the radius, by at most its last binary place
+    from heightlab import cli
+
+    balls, text = [], cli._ball_text
+    monkeypatch.setattr(cli, "_ball_text", lambda ball: balls.append(ball) or text(ball))
+    code, out, _ = run(capsys, *argv, "--out", str(tmp_path))
+    assert code == 0
+    lines = [line for line in out.splitlines() if "(radius " in line]
+    assert balls and len(lines) == len(balls)
+    for line, ball in zip(lines, balls):
+        re, im, printed = _printed_disc(line)
+        v = ball.value
+        dr = re - Fraction(*to_rational(mp.re(v)._mpf_))
+        di = im - Fraction(*to_rational(mp.im(v)._mpf_))
+        r = Fraction(*to_rational(ball.radius._mpf_))
+        assert printed >= r and dr * dr + di * di <= (printed - r) ** 2, line
+        parts = v._mpc_ if hasattr(v, "_mpc_") else (v._mpf_,)
+        ulp = max((Fraction(2) ** t[2] for t in parts if t[1]), default=0)
+        assert printed <= (r + max(r, ulp)) * Fraction(101, 100), line
 
 
 class TestArtifacts:

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -15,6 +16,7 @@ from heightlab.numcore import (
     IntPoly,
     PrecisionError,
     certify,
+    certify_order,
     factorint,
     is_prime,
     next_prime,
@@ -493,6 +495,25 @@ def test_huge_roots_certify_at_the_first_precision(monkeypatch):
     calls = _certified_calls(monkeypatch)
     assert len(poly_roots(IntPoly([-(10**400), 0, 1]), 40)) == 2
     assert len(calls) == 1
+
+
+def test_iterates_carry_across_precisions(monkeypatch):
+    # the roots of x^7 - 2 (10^6 x - 1)^2 near 10^-6 sit about 10^-9
+    # apart: their discs at 30 digits fail, and the iterates, rescaled
+    # from 2**103 to 2**203, certify at 60
+    poly = IntPoly([-2, 4 * 10**6, -2 * 10**12, 0, 0, 0, 0, 1])
+    calls = _certified_calls(monkeypatch)
+    discs = poly_roots(poly, 5)
+    assert [(dps, found is not None) for *_, dps, found in calls] == [(30, False), (60, True)]
+    assert len(discs) == 7
+    for a, b in itertools.combinations(discs, 2):
+        assert abs(a.value - b.value) > a.radius + b.radius
+    # disjoint discs each holding a root of the 180-digit reference
+    with workdps(180):
+        ref = mp.polyroots(list(reversed(poly.coeffs)), maxsteps=1000, extraprec=600)
+        for disc in discs:
+            assert disc.radius <= mpf(10) ** -5
+            assert min(abs(disc.value - r) for r in ref) <= disc.radius, disc
 
 
 class TestBigFloat:
@@ -1174,6 +1195,41 @@ class TestCertify:
         assert seen == [40, 80, 160, 320]
 
 
+class TestCertifyOrder:
+    def test_sign_of_the_first_separated_pair(self):
+        seen = []
+
+        def x(dps):  # 1 +- 1/dps, not formed at 40
+            seen.append(dps)
+            return None if dps == 40 else (1 - Fraction(1, dps), 1 + Fraction(1, dps))
+
+        def y(dps):
+            return (Fraction(101, 100), Fraction(2))
+
+        # 1 + 1/80 > 1.01 overlaps; 1 + 1/160 < 1.01 does not
+        assert certify_order(x, y, 40, 1000, "probe") == -1
+        assert certify_order(y, x, 40, 1000, "probe") == 1
+        assert seen == [40, 80, 160] * 2
+
+    def test_both_enclosures_are_formed_at_every_precision(self):
+        formed = []
+
+        def enclosure(name, at):
+            def enclose(dps):
+                formed.append((name, dps))
+                return None if dps < at else (0, 1) if name == "x" else (2, 2)
+            return enclose
+
+        assert certify_order(enclosure("x", 160), enclosure("y", 40), 40, 1000, "probe") == -1
+        assert formed == [(n, dps) for dps in (40, 80, 160) for n in "xy"]
+
+    def test_overlap_to_the_ceiling_names_the_decision(self):
+        with pytest.raises(PrecisionError, match=r"widget order .*320 digits"):
+            certify_order(lambda dps: (0, 2), lambda dps: (1, 1), 40, 320, "widget order")
+        with pytest.raises(PrecisionError):
+            certify_order(lambda dps: (1, 1), lambda dps: (1, 1), 40, 320, "a tie")
+
+
 def _det_fraction(rows):
     n = len(rows)
     m = [[Fraction(x) for x in row] for row in rows]
@@ -1277,6 +1333,39 @@ def test_ulp_slop_called_only_in_numcore():
                     if called == "_ulp_slop":
                         callers.add((path.name, name))
     assert callers == {("numcore.py", "BigFloat.rounded")}
+
+
+def _callers(path, called):
+    """The innermost enclosing function of every call of ``called`` in a
+    module, named as ``_top_scopes`` names its scopes."""
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                f = child.func
+                if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == called:
+                    found.add((path.name, where))
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else where)
+
+    for name, scope in _top_scopes(path):
+        visit(scope, name)
+    return found
+
+
+def test_certify_called_only_by_certify_order_and_searches():
+    # a comparison of two enclosures goes through certify_order; certify
+    # is called directly only by it and by the first-success searches
+    callers = set()
+    for path in SOURCES:
+        callers |= _callers(path, "certify")
+    assert callers == {
+        ("numcore.py", "certify_order"),
+        ("numcore.py", "_dk_roots"),
+        ("cmlab.py", "hilbert_class_poly"),
+        ("cmlab.py", "finiteness_demo"),
+        ("radicals.py", "report_value"),
+    }
 
 
 def test_iv_only_inside_log_combination_interval():

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from mpmath import mp, mpf, workdps
@@ -373,6 +374,23 @@ class TestChain:
         # derives from AssertionError so batteries fail loudly
         assert issubclass(ChainViolationError, AssertionError)
 
+    @pytest.mark.parametrize("lhs, raises", [(1, True), (3, False)])
+    def test_lhs_below_middle_raises(self, monkeypatch, lhs, raises):
+        # lhs enclosed at `lhs`, middle at #I = 2: only lhs < middle raises
+        from heightlab import radicals
+        from heightlab.numcore import BigFloat
+
+        def fake(base, exponent, combinations, dps):
+            return BigFloat(lhs if len(combinations) == 1 else 2)
+
+        monkeypatch.setattr(radicals, "_interval_value", fake)
+        pt = RadicalPoint([RadicalScalar.one(), _scalar(p2="1/2"), _scalar(p3="1/3")])
+        if raises:
+            with pytest.raises(ChainViolationError, match="lhs < middle"):
+                lemma_chain_check(pt, Fraction(-1, 2))
+        else:
+            assert lemma_chain_check(pt, Fraction(-1, 2)).verdict == "holds"
+
 
 class TestCensus:
     def test_rational_census_frozen(self):
@@ -413,6 +431,51 @@ class TestCensus:
         for e in census.entries:
             cmp = height_value_compare(e.height, HeightValue(exact=thr))
             assert cmp == "less"
+
+    def test_numeric_threshold_decisions_match_100_digits(self, monkeypatch):
+        # gamma = -1/2 weights the points of degree 2 by the irrational
+        # 2^(-1/2), so their heights are balls and _height_below decides
+        # them by enclosures; every decision, both ways, and every entry
+        # is checked against 100-digit values
+        from heightlab import radicals
+
+        seen, wph, below = [], radicals.weighted_projective_height, radicals._height_below
+
+        def height(pt, gamma, digits):
+            h = wph(pt, gamma, digits)
+            seen.append([pt, h])
+            return h
+
+        def decide(h, threshold, digits):
+            out = below(h, threshold, digits)
+            seen[-1].append(out)
+            return out
+
+        monkeypatch.setattr(radicals, "weighted_projective_height", height)
+        monkeypatch.setattr(radicals, "_height_below", decide)
+        census = projective_northcott_experiment(
+            [_scalar(p2="1/2")], dim=1, gamma=Fraction(-1, 2), threshold=Fraction(1, 2), budget=300
+        )
+
+        def truth(pt):  # [1 : a] or [0 : 1]: [Q(a):Q]^(-1/2) h(a)
+            a = pt.coords[1] if pt.coords[0] is not None else None
+            if a is None:
+                return mpf(0)
+            logs = [mpf(r.numerator) / r.denominator * mp.log(p) for p, r in a.exponents.items()]
+            h = max(mp.fsum(v for v in logs if v > 0), -mp.fsum(v for v in logs if v < 0))
+            return h / mp.sqrt(lcm(*(r.denominator for r in a.exponents.values())))
+
+        assert len(seen) == census.evaluated
+        numeric = [(pt, out) for pt, h, out in seen if not h.is_exact]
+        assert {out for _, out in numeric} == {True, False}
+        with workdps(100):
+            for pt, out in numeric:
+                assert out == (truth(pt) < mpf(1) / 2), pt
+            for e in census.entries:
+                t = truth(e.point)
+                assert t < mpf(1) / 2, e.point
+                if not e.height.is_exact:
+                    assert abs(e.height.numeric.value - t) <= e.height.numeric.radius, e.point
 
     def test_budget_truncation(self):
         census = projective_northcott_experiment(

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -71,6 +72,21 @@ class TestTowerSpec:
         )
         assert spec.gamma == -1
         assert spec.target_c == Fraction(1, 2)
+
+    @pytest.mark.parametrize(
+        "level, field",
+        [
+            ({"p": 3.9, "q": "2", "d": 2}, "p"),
+            ({"p": "3", "q": "2", "d": 2.7}, "d"),
+            ({"p": "3", "q": True, "d": 2}, "q"),
+            ({"p": "3", "q": "2", "d": "2.0"}, "d"),
+        ],
+    )
+    def test_json_refuses_non_integers(self, level, field):
+        # int() would read 3.9 as 3, 2.7 as 2 and true as 1
+        text = json.dumps({"gamma": "-1", "C": "1/2", "levels": [level]})
+        with pytest.raises(ValueError, match=f"field '{field}' must be an integer"):
+            TowerSpec.from_json(text)
 
     def test_json_big_primes_survive(self):
         spec = build_tower([2, 2, 3, 3, 5], gamma=-1, target_c=C_LOG2)
@@ -194,6 +210,41 @@ class TestCertifyLevel:
             certify_level(spec, 1, num_monomials=0)
         with pytest.raises(IndexError):
             certify_level(spec, 2)
+
+
+class TestLevelBoundWithoutExactForm:
+    # gamma = -1/3 and degrees (2, 8): D_2 = 16 and 16^(1/3) is
+    # irrational, so the level-2 bound has no exact form, while the
+    # degree-8 monomials have the rational weight 8^(-1/3) = 1/2; their
+    # signs go through _interval_sign_vs_bound
+    @pytest.mark.parametrize(
+        "spec, signs",
+        [
+            (build_tower([2, 8], gamma=Fraction(-1, 3), target_c=Fraction(1, 2)), {1}),
+            # p_2 = 3: (1/2) h(3^(1/8) / 2^(1/8)) = 0.069 < bound 0.126
+            (TowerSpec(gamma=Fraction(-1, 3), target_c=Fraction(1, 2), levels=((5, 7, 2), (3, 2, 8))), {1, -1}),
+        ],
+        ids=["built", "broken"],
+    )
+    def test_signs_match_100_digit_values(self, monkeypatch, spec, signs):
+        from heightlab import towers
+
+        seen, inner = [], towers._interval_sign_vs_bound
+
+        def recorded(hg, spec, level_index, precision_digits):
+            s = inner(hg, spec, level_index, precision_digits)
+            seen.append((hg, s))
+            return s
+
+        monkeypatch.setattr(towers, "_interval_sign_vs_bound", recorded)
+        cert = certify_level(spec, 2, num_monomials=60)
+        assert {s for _, s in seen} == signs
+        assert cert.passed == (signs == {1})
+        with workdps(100):
+            bound = mpf(1) / 2 - mp.log(8) * mp.cbrt(16) / 14
+            for hg, s in seen:
+                value = mp.fsum(mpf(r.numerator) / r.denominator * mp.log(p) for p, r in hg.coeffs.items())
+                assert hg.const == 0 and s == (1 if value > bound else -1), hg
 
 
 class TestDistinctFields:
