@@ -44,7 +44,7 @@ import sys
 from fractions import Fraction
 
 from mpmath import mp, mpc, workdps
-from mpmath.libmp import to_rational, to_str
+from mpmath.libmp import to_str
 
 from .cmlab import (
     Discriminant,
@@ -60,7 +60,7 @@ from .cmlab import (
     verify_theta_faltings,
 )
 from .heights import HeightValue, degree_weight, mahler_height, rational_roots
-from .numcore import BigFloat, IntPoly, PrecisionError, squarefree_decomposition
+from .numcore import IntPoly, PrecisionError, squarefree_decomposition
 from .radicals import (
     ChainViolationError,
     RadicalPoint,
@@ -233,32 +233,51 @@ def _write_artifacts(out_dir: str, config: dict, label: str, **files) -> None:
     print(f"{label} written to {paths[0]}")
 
 
+def _decimal(text: str) -> tuple:
+    """(D, k) for the decimal D * 10**k that ``to_str`` printed as text."""
+    mantissa, _, exp = text.partition("e")
+    whole, _, frac = mantissa.partition(".")
+    return int(whole + frac), int(exp or 0) - len(frac)
+
+
 def _ball_text(ball) -> str:
     """'≈ value (radius r)' whose printed disc holds the ball.  The value
     is printed to as many significant digits as its rounding needs to
     move it by at most the radius, but to no more than its mantissa
     holds; the radius printed is the radius plus that move (the sum of
     the parts' moves for a complex value), rounded up to 3 significant
-    digits."""
+    digits.  Each part is dyadic and each printed part decimal, so they
+    are compared as integers over one denominator 2**a 10**b: no gcd."""
     v, r = ball.value, ball.radius._mpf_
     parts = v._mpc_ if isinstance(v, mpc) else (v._mpf_,)
-    radius = Fraction(*to_rational(r))
     cap = max(t[3] for t in parts) * 30103 // 100000 + 2
     # from below the digits |value| / radius asks for: 0.3 < log10(2)
     n = min(cap, max(1, (max(t[2] + t[3] for t in parts) - r[2] - r[3]) * 3 // 10 - 1))
+    a = max(0, *(-t[2] for t in (*parts, r)))
     while True:  # mp.nstr prints each part as to_str does
-        move = sum(abs(Fraction(to_str(t, n)) - Fraction(*to_rational(t))) for t in parts)
+        printed = [_decimal(to_str(t, n)) for t in parts]
+        b = max(0, *(-k for _, k in printed))
+        ten_b = 10**b
+        move = sum(
+            abs((d * 10 ** (k + b) << a) - ((-man if sign else man) << (exp + a)) * ten_b)
+            for (d, k), (sign, man, exp, _) in zip(printed, parts)
+        )
+        radius = (r[1] << (r[2] + a)) * ten_b
         if move <= radius or n >= cap:
-            return f"≈ {mp.nstr(v, n)} (radius {_round_up_3(radius + move)})"
+            return f"≈ {mp.nstr(v, n)} (radius {_round_up_3(radius + move, a, b)})"
         n += 1
 
 
-def _round_up_3(x: Fraction) -> str:
-    """The least decimal m * 10**e at or above x >= 0 with m of 3 digits:
-    e starts where m > 1000 and rises until m <= 1000."""
-    e = (x.numerator.bit_length() - x.denominator.bit_length()) * 30103 // 100000 - 4
-    while (m := -(-x.numerator * 10 ** max(-e, 0) // (x.denominator * 10 ** max(e, 0)))) > 1000:
-        e += 1
+def _round_up_3(num: int, a: int, b: int) -> str:
+    """The least decimal m * 10**e at or above x = num / (2**a 10**b) >= 0
+    with m of 3 digits: e starts where m > 1000, and each step up takes
+    m to ceil(m / 10) = ceil(x / 10**(e + 1)) until m <= 1000."""
+    # bits(2**a 10**b) <= a + b log2(10) + 1: e starts no higher than log10 x - 3.7
+    e = (num.bit_length() - a - b * 3321929 // 1000000 - 1) * 30103 // 100000 - 4
+    c = b + e  # m = ceil(num / (2**a 10**c))
+    m = -(-num // (10**c << a)) if c >= 0 else -(-num * 10**-c >> a)
+    while m > 1000:
+        m, e = -(-m // 10), e + 1
     with workdps(15):  # m * 10**e to 15 digits prints as m to 3
         return mp.nstr(m * mp.mpf(10) ** e, 3)
 
@@ -267,13 +286,12 @@ def _round_up_3(x: Fraction) -> str:
 # subcommand handlers (each returns an exit code)
 # ---------------------------------------------------------------------------
 
-def _print_height(hv: HeightValue, digits: int) -> None:
+def _height_text(hv: HeightValue, digits: int) -> str:
     """'exact ≈ value' for an exact height, '≈ value (radius r)' for a
     ball."""
     if hv.is_exact:
-        print(f"{hv.exact} ≈ {mp.nstr(hv.exact.evaluate(digits).value, 10)}")
-    else:
-        print(_ball_text(hv.numeric))
+        return f"{hv.exact} ≈ {mp.nstr(hv.exact.evaluate(digits).value, 10)}"
+    return _ball_text(hv.numeric)
 
 
 def _cmd_height(args, opts) -> int:
@@ -293,7 +311,7 @@ def _cmd_height(args, opts) -> int:
             hv = radical_height(r)
         else:
             hv = weighted_projective_height(RadicalPoint([RadicalScalar.one(), r]), gamma, digits)
-        _print_height(hv, digits)
+        print(_height_text(hv, digits))
         return 0
     poly = parse_int_poly(body)
     if poly.degree < 1:
@@ -313,7 +331,7 @@ def _cmd_height(args, opts) -> int:
     if gamma is not None:
         with workdps(digits + 10):
             mh = mh * degree_weight(poly.degree, gamma, digits)
-    _print_height(HeightValue(numeric=mh), digits)
+    print(_height_text(HeightValue(numeric=mh), digits))
     return 0
 
 
@@ -324,7 +342,7 @@ def _cmd_point_height(args, opts) -> int:
         hv = weighted_projective_height(point, Fraction(args.gamma), digits)
     else:
         hv = projective_height(point)
-    _print_height(hv, digits)
+    print(_height_text(hv, digits))
     return 0
 
 
@@ -333,17 +351,10 @@ def _cmd_lemma_check(args, opts) -> int:
     gamma = Fraction(args.gamma)
     report = lemma_chain_check(point, gamma, opts["precision"])
     digits = opts["precision"]
-
-    def fmt(hv):
-        v = hv.evaluate(digits)
-        with workdps(digits + 10):
-            return mp.nstr(v.value, 10)
-
     print(f"verdict: {report.verdict}")
     print(f"index set: {list(report.index_set)}")
-    print(f"lhs    ≈ {fmt(report.lhs)}")
-    print(f"middle ≈ {fmt(report.middle)}")
-    print(f"rhs    ≈ {fmt(report.rhs)}")
+    for name, hv in (("lhs   ", report.lhs), ("middle", report.middle), ("rhs   ", report.rhs)):
+        print(f"{name} {_height_text(hv, digits)}")
     return 0
 
 
@@ -491,8 +502,7 @@ def _cmd_cm_verify_decay(args, opts) -> int:
         "dmax": args.dmax,
         "precision": opts["precision"],
     }
-    for c in report["checkpoints"]:
-        envelope = BigFloat(c["envelope"], c["radius"])
+    for c, envelope in zip(report["checkpoints"], report.balls):
         print(f"env(|D| >= {c['X_effective']}) {_ball_text(envelope)}")
     print(f"{'decay confirmed' if report['passed'] else 'decay NOT confirmed'}")
     _write_artifacts(
@@ -521,8 +531,7 @@ def _cmd_cm_finiteness(args, opts) -> int:
         f"{report['count']} discriminants with ratio <= {config['cprime']} "
         f"and |D| <= {args.dmax}"
     )
-    for q in report["qualifying"]:
-        ratio = BigFloat(q["ratio"], q["ratio_radius"])
+    for q, ratio in zip(report["qualifying"], report.balls):
         print(f"  D={q['D']} h={q['class_number']} ratio {_ball_text(ratio)}")
     _write_artifacts(opts["out"], config, "report", json=report)
     return 0

@@ -28,7 +28,14 @@ fundamental domain.  On top of that sit:
   The Jacobi theta nulls are theta_1 + theta_3, theta_0 + theta_2 and
   theta_0 - theta_2.  theta_1 and theta_3 have the same terms, so the
   series sums them once.  It stops below the relative tolerance
-  10^-dps |w|, so the small theta_1 ~ w keeps dps digits.  The theta
+  10^-dps |w|, so the small theta_1 ~ w keeps dps digits.  As in
+  Enge's floating-point method, the series runs in fixed point: the
+  nome's midpoint and its powers w^(m^2) are Gaussian integers at scale
+  2**s, each product cut back toward zero (so a conjugate nome gives
+  the conjugate buckets bit for bit), and one integer per running power
+  counts its error in units of 2**-s, with no ball operation per term;
+  the nome's radius enters each bucket once, by a derivative bound
+  summed at the scale of the bucket's first term.  The theta
   term log(||v||_2 / max_j |theta_j|) is (1/2) log(S / N) of the exact
   squared moduli of the bucket midpoints, its ends rounded outward by
   libmpf and widened by the bucket radii in 53-bit pairs: like the rest
@@ -58,18 +65,20 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate
-from math import gcd, isqrt
+from math import gcd, isqrt, sqrt
 from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf, workdps
 from mpmath.libmp import (
     from_man_exp,
+    fone,
     fzero,
     mpf_add,
     mpf_div,
     mpf_log,
     mpf_lt,
     mpf_shift,
+    mpf_sqrt,
     mpf_sub,
     round_ceiling,
     round_floor,
@@ -82,15 +91,19 @@ from .numcore import (
     IntPoly,
     PrecisionError,
     _ONE,
+    _RADIUS_BITS,
     _SQRT2,
     _ZERO,
     _add_up,
     _as_bigfloat,
+    _binary_power,
     _div_up,
     _down,
+    _log2,
     _mag,
     _mul_up,
     _norm,
+    _pair,
     _shift,
     _sub_down,
     _tail_below,
@@ -591,37 +604,133 @@ def _nulls_at(tau: BigFloat) -> tuple:
     return _theta_nulls(_theta_w(tau))
 
 
+def _fixed_toward_zero(t: tuple, s: int) -> int:
+    """A libmpf number t times 2**s truncated toward zero."""
+    sign, man, exp, _ = t
+    v = man << (exp + s) if exp + s >= 0 else man >> -(exp + s)
+    return -v if sign else v
+
+
+def _mul_cut(ar: int, ai: int, br: int, bi: int, s: int) -> tuple:
+    """The Gaussian integer (ar + ai i)(br + bi i) 2**-s, each part
+    truncated toward zero."""
+    u, v = ar * br - ai * bi, ar * bi + ai * br
+    return u >> s if u >= 0 else -(-u >> s), v >> s if v >= 0 else -(-v >> s)
+
+
+def _mul_up_64(p: int, q: int) -> int:
+    """p q at scale 2**64 rounded up, for p, q >= 0 at that scale."""
+    return -(-p * q >> 64)
+
+
+def _slope_sum(m: int, k: int, last: int, gap: int, step: int) -> int:
+    """sum of n x^(n - m^2) over n = m^2, (m + k)^2, ... up to last^2, at
+    scale 2**64 rounded up, from gap = x^(2mk + k^2) and step = x^(2k^2)
+    at that scale rounded up, 0 <= x < 1: the exponent gaps (m + k)^2 -
+    m^2 grow by 2k^2.  Every power is a product rounded up, so an upper
+    bound, and none falls below one unit of the first term, however
+    small x is."""
+    total, p = 0, 1 << 64
+    while m <= last:
+        total += m * m * p
+        p, gap, m = _mul_up_64(p, gap), _mul_up_64(gap, step), m + k
+    return total
+
+
 def _theta_nulls(w: BigFloat):
     """The four buckets theta_j = sum over m = j (mod 4) of w^(m^2),
     m over all integers.  The odd m give theta_1 and theta_3 the same
     terms w, w^9, w^25, ..., so their sum is made once and returned as
     both, each joined with the tail by its own ``widened`` call; an
-    even m adds w^(m^2) twice, for m and for -m.  The series stops once
-    its tail is below 10^-dps |w|: a relative tolerance for theta_1 = w
-    + w^9 + ..., whose relative accuracy j inherits through the Jacobi
-    theta_2 = theta_1 + theta_3."""
-    w_lo, w_hi = w.abs_bounds()
-    if w_hi > Q_MODULUS_CAP:
+    even m adds w^(m^2) twice, for m and for -m.  The series stops at
+    the first M whose tail past M^2 is below 10^-dps |w|_lo, with
+    |w|_lo from ``_min_abs``: a relative tolerance for theta_1 = w + w^9
+    + ..., whose relative accuracy j inherits through the Jacobi theta_2
+    = theta_1 + theta_3.
+
+    The M terms run on Gaussian integers at scale 2**s, s = mp.prec +
+    2 bits(M) + 8 + 4 ceil(log2(1 / |w|_lo)): the last bits keep the
+    relative accuracy of theta_2 ~ 2 w^4 for tiny w (for M = 1, where
+    theta_2 = 0, one ceil(log2(1 / |w|_lo)) keeps that of theta_1 = w,
+    and |w| may be as small as 2**-179000).  The midpoint v of
+    w is cut to that scale, and w^((m+1)^2) = w^(m^2) w^(2m+1), w^(2m+1)
+    = w^(2m-1) w^2 are formed exactly and cut back, every cut toward
+    zero, which commutes with conjugation.  One integer count per
+    running power bounds its distance from the power of v in units u =
+    2**-s: if p, q are within a u and b u of P, Q with |P|, |Q| <= 1
+    (here |v| <= x < 1), then pq - PQ = (p - P) Q + P (q - Q) + (p -
+    P)(q - Q) is within (a + b + ab u) u, and the cut of the exact pq
+    adds less than sqrt(2) u; so the product is within (a + b + 3) u
+    while ab <= 2**s, which is checked.  The first cut costs 2.  A
+    bucket's count is the sum of its terms' counts, each even term
+    twice: the sums themselves are exact.
+
+    The radius r of w enters once per bucket: with x = |v| + r rounded
+    up, |w^n - v^n| <= n x^(n-1) r, summed over the bucket's exponents
+    by ``_slope_sum`` at the scale of its first term, whose power of x
+    is a pair.  Each bucket is a ball with an exact dyadic midpoint and
+    radius count * u + that sum, rounded up, joined by ``widened`` to
+    the tail past M^2, 2 x^((M+1)^2) / (1 - x^(2M+3))."""
+    # x rounded up once to 53 bits from the exact |v|^2: never above the
+    # full-precision |v| + r + guard, and so never a wider tail
+    root = mpf_sqrt(_norm(w.value), mp.prec + 10, round_ceiling)
+    w_lo, w_hi = w._min_abs(), _pair(mpf_add(root, from_man_exp(*w._r), _RADIUS_BITS, round_ceiling))
+    x = mp.make_mpf(from_man_exp(*w_hi))
+    if x > Q_MODULUS_CAP:
         raise PrecisionError("theta series refused: |w| too close to 1")
-    if not w_lo > 0:
+    if not w_lo[0]:
         raise PrecisionError("theta nome not separated from zero")
-    tol = _ten_to_minus_dps(mp.prec, mp.dps) * w_lo
-    buckets = [BigFloat(1), BigFloat(0), BigFloat(0)]
-    w2, w_odd, w_m2 = w * w, w, w
-    for m in range(1, 1 << 20):
-        if m % 2:
-            buckets[1] = buckets[1] + w_m2
-        else:
-            j = m % 4
-            buckets[j] = buckets[j] + w_m2 + w_m2
-        # the exponents left start at (m+1)^2 and grow by 2m+3 or more
-        tail = _tail_below(w_hi, (m + 1) * (m + 1), 2 * m + 3, tol)
+    tol = _ten_to_minus_dps(mp.prec, mp.dps) * mp.make_mpf(from_man_exp(*w_lo))
+    # the tail past M^2 is at least 2 x^((M+1)^2), so no M with
+    # (M+1)^2 log2 x >= 1 + log2 tol stops the series: start just below
+    ratio = (1 + _log2(tol._mpf_)) / _log2(x._mpf_)
+    for last in range(max(1, int(sqrt(max(ratio, 0))) - 2), 1 << 20):
+        # the exponents left start at (M+1)^2 and grow by 2M+3 or more
+        tail = _tail_below(x, (last + 1) * (last + 1), 2 * last + 3, tol)
         if tail is not None:
-            return tuple(b.widened(tail) for b in (*buckets, buckets[1]))
-        # w^((m+1)^2) = w^(m^2) w^(2m+1)
-        w_odd = w_odd * w2
-        w_m2 = w_m2 * w_odd
-    raise PrecisionError("theta series did not converge")
+            break
+    else:
+        raise PrecisionError("theta series did not converge")
+    # w_lo = m 2**e with m of 53 bits: ceil(log2(1 / w_lo)) = -e - 52;
+    # with one term, theta_2 = 0 and theta_1 = w asks for 1 log2(1 / w_lo)
+    s = mp.prec + 2 * last.bit_length() + 8 + (4 if last > 1 else 1) * max(0, -w_lo[1] - 52)
+    re, im = mpc(w.value)._mpc_
+    a, b = _fixed_toward_zero(re, s), _fixed_toward_zero(im, s)
+    sq, odd, power = _mul_cut(a, b, a, b, s), (a, b), (a, b)  # w^2, w^(2m-1), w^(m^2)
+    e_sq, e_odd, e_pow = 7, 2, 2  # their error counts
+    sums_re, sums_im, counts = [0, 0, 0], [0, 0, 0], [0, 0, 0]  # theta_0 less its 1
+    for m in range(1, last + 1):
+        j, times = (1, 1) if m % 2 else (m % 4, 2)
+        sums_re[j] += times * power[0]
+        sums_im[j] += times * power[1]
+        counts[j] += times * e_pow
+        if m == last:
+            break
+        odd = _mul_cut(*odd, *sq, s)
+        power = _mul_cut(*power, *odd, s)
+        e_odd += e_sq + 3
+        e_pow += e_odd + 3
+    if (e_pow * e_pow).bit_length() > s:  # the largest product of two counts taken
+        raise PrecisionError("theta series error count out of range")
+    # x^8, x^32 and x^48 at scale 2**64 rounded up: the gaps and steps of
+    # the buckets, whose first exponents are 16, 1 and 4; x8 starts as x
+    x8 = w_hi[0] << (w_hi[1] + 64) if w_hi[1] >= -64 else -(-w_hi[0] >> -(w_hi[1] + 64))
+    for _ in range(3):
+        x8 = _mul_up_64(x8, x8)
+    x16 = _mul_up_64(x8, x8)
+    x32 = _mul_up_64(x16, x16)
+    shapes = ((4, 4, 2, _mul_up_64(x32, x16), x32), (1, 2, 1, x8, x8), (2, 4, 2, x32, x32))
+    balls = []
+    for j, (first, k, times, gap, step) in enumerate(shapes):
+        if first > last:  # a bucket with no terms is the exact real 1 or 0
+            balls.append(BigFloat(int(j == 0)))
+            continue
+        lead = _binary_power(w_hi, first * first - 1, _mul_up) if first > 1 else _ONE
+        slope = _mul_up(_mul_up(w._r, lead), _up(times * _slope_sum(first, k, last, gap, step), -64))
+        re = from_man_exp(sums_re[j], -s)
+        value = mp.make_mpc((mpf_add(fone, re, 0) if j == 0 else re, from_man_exp(sums_im[j], -s)))
+        balls.append(BigFloat._made(value, _add_up(_up(counts[j], -s), slope), _mag(value)))
+    return tuple(b.widened(tail) for b in (*balls, balls[1]))
 
 
 def _theta_term(nulls) -> BigFloat:
@@ -809,6 +918,18 @@ def records_to_json(records, config: dict | None = None) -> str:
     return json.dumps(payload, sort_keys=True, indent=1)
 
 
+class _Report(dict):
+    """An experiment's JSON-ready report that also holds, as ``balls``,
+    the balls some of its doubles were written from, for printing with
+    every certified digit; they take no part in equality or JSON."""
+
+    __slots__ = ("balls",)
+
+    def __init__(self, items: dict, balls: list):
+        super().__init__(items)
+        self.balls = balls
+
+
 def _ball_max(a: BigFloat, b: BigFloat) -> BigFloat:
     """Ball enclosing max(x, y) for x in a and y in b: the larger
     midpoint with the larger radius (max is 1-Lipschitz)."""
@@ -836,7 +957,8 @@ def verify_decay(
     Computes env(X) = max over |d| >= X of the ratio, at a list of
     checkpoints (default: 100 doubling up to d_max).  env is
     nonincreasing by construction; ``passed`` asserts certified strict
-    decay from the first checkpoint to the last."""
+    decay from the first checkpoint to the last.  The envelope balls
+    the checkpoints' doubles enclose are on ``report.balls``."""
     rows = _per_discriminant(_ratio_row, d_max, precision_digits, workers, chunksize=16)
     if not rows:
         raise ValueError("no fundamental discriminants in range")
@@ -858,13 +980,13 @@ def verify_decay(
         value, radius = e.doubles()
         envelope.append({"X": x, "X_effective": xc, "envelope": value, "radius": radius})
     passed = envs[-1].bounds()[1] < envs[0].bounds()[0]
-    return {
+    return _Report({
         "d_max": d_max,
         "precision_digits": precision_digits,
         "checkpoints": envelope,
         "ratios": [[d, *r.doubles()] for d, _, _, r in rows],
         "passed": bool(passed),
-    }
+    }, envs)
 
 
 def _tf_quotient(r: CMRecord) -> BigFloat:
@@ -922,10 +1044,11 @@ def finiteness_demo(
     Inclusion and exclusion compare the exact ends of each ratio ball
     with c_prime, escalating precision on borderline cases.  Each
     qualifying Faltings height and ratio is written as a double with a
-    radius that encloses its ball (``BigFloat.doubles``)."""
+    radius that encloses its ball (``BigFloat.doubles``); the ratio
+    balls themselves are on ``report.balls``."""
     c_prime = Fraction(c_prime)
     rows = _per_discriminant(_ratio_row, d_max, precision_digits, workers, chunksize=16)
-    qualifying = []
+    qualifying, balls = [], []
 
     def ends(row):
         return [Fraction(*to_rational(e._mpf_)) for e in row[3].bounds()]
@@ -947,10 +1070,11 @@ def finiteness_demo(
             (fv, fr), (rv, rr) = fh.doubles(), ratio.doubles()
             qualifying.append({"D": d, "class_number": h, "faltings_height": fv,
                                "faltings_radius": fr, "ratio": rv, "ratio_radius": rr})
-    return {
+            balls.append(ratio)
+    return _Report({
         "d_max": d_max,
         "c_prime": float(c_prime),
         "qualifying": qualifying,
         "class_number_one": [q["D"] for q in qualifying if q["class_number"] == 1],
         "count": len(qualifying),
-    }
+    }, balls)

@@ -54,6 +54,7 @@ from mpmath.libmp import (
     from_float,
     from_man_exp,
     from_rational,
+    fnan,
     fone,
     fzero,
     mpf_add,
@@ -797,10 +798,10 @@ class BigFloat:
     def widened(self, extra) -> "BigFloat":
         """The same midpoint with radius + extra, rounded up: how a
         truncation tail or other error bound joins a ball."""
-        extra = mpmath.mpmathify(extra)
-        if not extra >= 0:
+        extra = mpmath.mpmathify(extra)._mpf_
+        if extra[0] or extra == fnan:  # negative or nan; +inf fails in _pair
             raise ValueError("a ball can only be widened")
-        r = mpf_add(from_man_exp(*self._r), extra._mpf_, _RADIUS_BITS, round_ceiling)
+        r = mpf_add(from_man_exp(*self._r), extra, _RADIUS_BITS, round_ceiling)
         return BigFloat._made(self.value, _pair(r), self._mag)
 
     def pow_int(self, n: int) -> "BigFloat":
@@ -836,13 +837,20 @@ def _geometric_tail(x, e: int, k: int = 1) -> mpf:
     return mp.make_mpf(from_man_exp(*_div_up(_binary_power(x, e, _mul_up), (gap[0], gap[1] - 1))))
 
 
+def _log2(t: tuple) -> float:
+    """log2 of a positive libmpf number, read as exp + bits + log2(man /
+    2**bits) lest it underflow a double."""
+    _, man, exp, bits = t
+    return exp + bits + log2(man / (1 << bits))
+
+
 def _tail_below(x_hi: mpf, e: int, k: int, tol: mpf) -> mpf | None:
     """``_geometric_tail(x_hi, e, k)`` if below tol, else None.  The tail
     is at least 2 x_hi**e, so it is formed only once log2 of that, read
-    as exp + bits + log2(man / 2**bits) lest it underflow, is below
-    log2(4 tol): a margin of 2 over float errors near (e + |log2 tol|) 2**-52."""
-    (_, xm, xe, xb), (_, tm, te, tb) = x_hi._mpf_, tol._mpf_
-    if xm and tm and 1 + e * (xe + xb + log2(xm / (1 << xb))) >= 2 + te + tb + log2(tm / (1 << tb)):
+    by ``_log2``, is below log2(4 tol): a margin of 2 over float errors
+    near (e + |log2 tol|) 2**-52."""
+    x, t = x_hi._mpf_, tol._mpf_
+    if x[1] and t[1] and 1 + e * _log2(x) >= 2 + _log2(t):
         return None
     tail = _geometric_tail(x_hi, e, k)
     return tail if tail < tol else None

@@ -17,6 +17,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _keep_reports(monkeypatch, name: str) -> list:
+    """The reports the CLI's binding of the experiment ``name`` returns,
+    kept in a list as they are made."""
+    from heightlab import cli
+
+    reports, experiment = [], getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *args, **kwargs: reports.append(experiment(*args, **kwargs)) or reports[-1])
+    return reports
+
+
 class TestHeightCommand:
     def test_radical_exact_output(self, capsys):
         code, out, err = run(capsys, "height", "rad: 3 ^ 1/5")
@@ -456,7 +466,12 @@ class TestCMCommands:
         report = json.loads(Path(out.strip().split(" written to ")[-1]).read_text())
         assert report["c_prime"] == 1 / 3
 
-    def test_finiteness_prints_ratio_balls(self, capsys, tmp_path):
+    def test_finiteness_prints_ratio_balls(self, capsys, monkeypatch, tmp_path):
+        # the printed radius is the computed ball's plus the print's move,
+        # at most as much again, rounded up: not the JSON radius, which
+        # adds the rounding of the midpoint to a double (8.9e-20 for
+        # D = -3, against a ball of radius 1.2e-37)
+        reports = _keep_reports(monkeypatch, "finiteness_demo")
         code, out, _ = run(
             capsys, "cm", "finiteness", "--dmax", "20", "--cprime", "1/2",
             "--out", str(tmp_path),
@@ -465,13 +480,14 @@ class TestCMCommands:
         lines = out.splitlines()
         report = json.loads(Path(lines[-1].split(" written to ")[-1]).read_text())
         assert len(lines) == report["count"] + 2
-        for line, q in zip(lines[1:], report["qualifying"]):
+        assert len(reports[0].balls) == report["count"]
+        for line, q, ratio in zip(lines[1:], report["qualifying"], reports[0].balls):
             # D=-3 h=1 ratio ≈ value (radius r)
             head, ball = line.split(" ≈ ")
             value, radius = ball.removesuffix(")").split(" (radius ")
             assert head == f"  D={q['D']} h={q['class_number']} ratio"
             assert float(value) == pytest.approx(q["ratio"], rel=1e-9)
-            assert float(radius) == pytest.approx(q["ratio_radius"], rel=1e-2)
+            assert ratio.radius <= float(radius) <= 2.02 * ratio.radius
 
     def test_verify_tf_small(self, capsys, tmp_path):
         code, out, _ = run(
@@ -491,7 +507,9 @@ class TestCMCommands:
         assert any(f.endswith(".json") for f in files)
         assert any(f.endswith(".dat") for f in files)
 
-    def test_verify_decay_prints_envelope_radii(self, capsys, tmp_path):
+    def test_verify_decay_prints_envelope_radii(self, capsys, monkeypatch, tmp_path):
+        # as for finiteness: the computed envelope's radius, not the JSON's
+        reports = _keep_reports(monkeypatch, "verify_decay")
         code, out, _ = run(
             capsys, "cm", "verify-decay", "--dmax", "400", "--precision", "18",
             "--out", str(tmp_path),
@@ -501,14 +519,14 @@ class TestCMCommands:
         report = json.loads(Path(lines[-1].split(" written to ")[-1]).read_text())
         checkpoints = report["checkpoints"]
         assert len(lines) == len(checkpoints) + 2
-        for line, c in zip(lines, checkpoints):
+        assert len(reports[0].balls) == len(checkpoints)
+        for line, c, envelope in zip(lines, checkpoints, reports[0].balls):
             # env(|D| >= X) ≈ value (radius r)
             head, ball = line.split(" ≈ ")
             value, radius = ball.removesuffix(")").split(" (radius ")
             assert head == f"env(|D| >= {c['X_effective']})"
             assert float(value) == pytest.approx(c["envelope"], rel=1e-9)
-            assert float(radius) == pytest.approx(c["radius"], rel=1e-2)
-            assert float(radius) > 0
+            assert 0 < envelope.radius <= float(radius) <= 2.02 * envelope.radius
 
 
 def _printed_disc(line: str):
@@ -533,6 +551,7 @@ def _printed_disc(line: str):
         ["cm", "theta", "-D", "-71", "--precision", "16"],
         ["cm", "verify-decay", "--dmax", "400", "--precision", "18"],
         ["cm", "finiteness", "--dmax", "20", "--cprime", "1/2"],
+        ["lemma-check", "--coords", "1,2^1/2,3^1/3", "--gamma=-1/2"],
     ],
     ids=lambda argv: " ".join(argv),
 )

@@ -4,9 +4,10 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, log10
 from pathlib import Path
 
 import pytest
@@ -39,7 +40,7 @@ from heightlab.cmlab import (
 )
 from heightlab import cmlab
 from heightlab.heights import _iv_workdps, mahler_height
-from heightlab.numcore import BigFloat, PrecisionError, _ulp_slop, log_plus_sum
+from heightlab.numcore import BigFloat, PrecisionError, _tail_below, _ulp_slop, log_plus_sum
 
 
 def _exact(x) -> Fraction:
@@ -741,6 +742,125 @@ class TestThetaTerm:
             assert term.radius < 1
 
 
+def _bigfloat_theta_nulls(w: BigFloat) -> tuple:
+    """The four theta buckets as a BigFloat loop sums them: every power
+    and every partial sum a ball operation, the stop rule and the tail
+    those of ``cmlab._theta_nulls`` before it ran on Gaussian integers."""
+    w_lo, w_hi = w.abs_bounds()
+    tol = mpf(10) ** -mp.dps * w_lo
+    buckets = [BigFloat(1), BigFloat(0), BigFloat(0)]
+    w2, w_odd, w_m2 = w * w, w, w
+    for m in range(1, 1 << 20):
+        if m % 2:
+            buckets[1] = buckets[1] + w_m2
+        else:
+            buckets[m % 4] = buckets[m % 4] + w_m2 + w_m2
+        tail = _tail_below(w_hi, (m + 1) * (m + 1), 2 * m + 3, tol)
+        if tail is not None:
+            return tuple(b.widened(tail) for b in (*buckets, buckets[1]))
+        w_odd = w_odd * w2
+        w_m2 = w_m2 * w_odd
+
+
+def _kernel_points() -> list:
+    """The exact points tau of the kernel tests: the CM points of the
+    forms with b >= 0 of the fundamental |d| <= 400, of -599 and of
+    -1832, and seeded tau with |Re tau| <= 1/2 and Im tau from 0.3
+    (|w| ~ 0.79) to 30 (|w| ~ 6e-11), doubles and so exact."""
+    forms = _forms_up_to(400) + [f for d in (-599, -1832) for f in reduced_forms(d) if f.b >= 0]
+    rng = random.Random(22)
+    ims = [0.3, 30.0] + [10 ** rng.uniform(log10(0.3), log10(30)) for _ in range(38)]
+    return forms + [(rng.uniform(-0.5, 0.5), y) for y in ims]
+
+
+def _tau_ball_of(point) -> BigFloat:
+    """The tau ball of a point at the working precision."""
+    if isinstance(point, ReducedForm):
+        return cmlab._tau_ball(point)
+    return BigFloat(mpc(*point))
+
+
+@lru_cache(maxsize=None)
+def _jtheta_buckets(point) -> tuple:
+    """b0..b3 at the point from mpmath jtheta at the nome q = w^4 =
+    exp(pi i tau), at 750 digits, three times the largest precision
+    tested: theta_2 = b1 + b3 with b1 = b3, theta_3,4 = b0 +- b2."""
+    with workdps(750):
+        tau = point.tau(750) if isinstance(point, ReducedForm) else mpc(*point)
+        q = mp.exp(1j * mp.pi * tau)
+        t2, t3, t4 = (mp.jtheta(k, 0, q) for k in (2, 3, 4))
+        return (t3 + t4) / 2, t2 / 2, (t3 - t4) / 2, t2 / 2
+
+
+def _counted(fn, name: str, counts: Counter):
+    def counting(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    return counting
+
+
+class TestFixedPointThetaKernel:
+    """``_theta_nulls`` on Gaussian integers under one integer error count."""
+
+    @pytest.mark.parametrize("dps", [15, 39, 250])
+    def test_buckets_enclose_jtheta(self, dps):
+        # and keep dps - 4 digits of max(|w|, |b_j|): the bits
+        # 4 log2(1 / |w|) over the working precision keep the error count
+        # below 10^-dps |w| as w shrinks to 6e-11
+        for point in _kernel_points():
+            with workdps(dps):
+                w = cmlab._theta_w(_tau_ball_of(point))
+                buckets = cmlab._theta_nulls(w)
+            with workdps(750):
+                for j, (ball, want) in enumerate(zip(buckets, _jtheta_buckets(point))):
+                    assert abs(ball.value - want) <= ball.radius, (point, dps, j)
+                    assert ball.radius <= mpf(10) ** (4 - dps) * max(abs(w.value), abs(want)), (point, dps, j)
+
+    @pytest.mark.parametrize("dps", [15, 39, 250])
+    def test_radius_of_tau_carried_over(self, dps):
+        # a tau ball of radius r whose midpoint sits 0.9 r from tau holds
+        # the buckets at tau: the radius of w enters each bucket
+        rng = random.Random(dps)
+        points = [f for d in (-23, -71, -1832) for f in reduced_forms(d) if f.b >= 0] + [(0.25, 0.3), (-0.4, 12.0)]
+        for point, r in ((p, mpf(10) ** -k) for p in points for k in (dps // 3, dps - 5)):
+            with workdps(dps + 20):
+                tau = point.tau(dps + 20) if isinstance(point, ReducedForm) else mpc(*point)
+                mid = tau + 9 * r / 10 * mp.expjpi(rng.uniform(-1, 1))
+            with workdps(dps):
+                buckets = cmlab._theta_nulls(cmlab._theta_w(BigFloat(mid, r)))
+            with workdps(750):
+                for j, (ball, want) in enumerate(zip(buckets, _jtheta_buckets(point))):
+                    assert abs(ball.value - want) <= ball.radius, (point, dps, j)
+
+    @pytest.mark.parametrize("dps", [15, 39, 250])
+    def test_no_wider_than_the_ball_loop(self, dps):
+        for point in _kernel_points():
+            with workdps(dps):
+                w = cmlab._theta_w(_tau_ball_of(point))
+                new, old = cmlab._theta_nulls(w), _bigfloat_theta_nulls(w)
+            for j, (a, b) in enumerate(zip(new, old)):
+                assert a.radius <= b.radius, (point, dps, j)
+
+    def test_no_ball_per_term(self, monkeypatch):
+        # BigFloat calls inside the kernel do not grow with its term
+        # count: 12 at 39 digits and at 250 for the same form
+        counts = Counter()
+        for name, attr in list(vars(BigFloat).items()):
+            if isinstance(attr, classmethod):
+                monkeypatch.setattr(BigFloat, name, classmethod(_counted(attr.__func__, name, counts)))
+            elif callable(attr):
+                monkeypatch.setattr(BigFloat, name, _counted(attr, name, counts))
+        seen = []
+        for dps in (39, 250):
+            with workdps(dps):
+                w = cmlab._theta_w(cmlab._tau_ball(ReducedForm(1, 1, 1)))
+                counts.clear()
+                cmlab._theta_nulls(w)
+            seen.append(sum(counts.values()))
+        assert seen[0] == seen[1] <= 12, seen
+
+
 class TestCMRecord:
     def test_record_consistency(self):
         rec = cm_record(-23, 24)
@@ -822,6 +942,28 @@ class TestCMRecord:
                 assert (mine.value._mpf_, mine.radius._mpf_) == (want.value._mpf_, want.radius._mpf_), d
 
 
+# error_radius of each cm_scan(400, 24) row before the fixed-point theta
+# kernel, as the CSV prints it
+_SCAN_400_RADII = (
+    "2.03e-37 3.64e-36 3.42e-36 3.22e-36 3.16e-36 3.41e-36 2.59e-36 3.44e-36 "
+    "3.31e-36 3.03e-36 3.21e-36 3.38e-36 3.7e-36 3.06e-36 2.89e-36 3.49e-36 "
+    "3.46e-36 3.17e-36 3.71e-36 3.33e-36 3.4e-36 3.17e-36 3.32e-36 3.75e-36 "
+    "3.41e-36 3.39e-36 4.22e-36 3.59e-36 3.12e-36 4.16e-36 4.01e-36 3.47e-36 "
+    "4.06e-36 3.45e-36 3.84e-36 4.19e-36 3.72e-36 4.29e-36 3.53e-36 3.21e-36 "
+    "3.5e-36 3.57e-36 4.48e-36 3.69e-36 3.74e-36 4.18e-36 3.46e-36 3.78e-36 "
+    "3.86e-36 3.45e-36 3.98e-36 3.91e-36 3.84e-36 4.13e-36 3.58e-36 3.54e-36 "
+    "3.92e-36 3.78e-36 4.21e-36 4.2e-36 3.78e-36 4.28e-36 4.07e-36 3.81e-36 "
+    "3.74e-36 4.24e-36 3.65e-36 3.85e-36 4.01e-36 3.8e-36 4.3e-36 3.89e-36 "
+    "3.96e-36 4.62e-36 4.1e-36 3.77e-36 3.95e-36 3.77e-36 4.22e-36 3.88e-36 "
+    "4.76e-36 4.33e-36 4.01e-36 3.5e-36 4.43e-36 3.99e-36 3.85e-36 4.03e-36 "
+    "4.36e-36 3.68e-36 4.0e-36 4.15e-36 4.82e-36 4.06e-36 4.3e-36 3.89e-36 "
+    "4.09e-36 4.87e-36 3.81e-36 4.99e-36 3.8e-36 4.37e-36 4.08e-36 3.84e-36 "
+    "4.75e-36 3.73e-36 5.84e-36 4.17e-36 4.37e-36 3.78e-36 4.28e-36 5.17e-36 "
+    "4.34e-36 4.05e-36 3.98e-36 4.6e-36 3.52e-36 4.79e-36 4.1e-36 4.69e-36 "
+    "4.07e-36 4.92e-36"
+).split()
+
+
 class TestScan:
     def test_sorted_and_complete(self):
         recs = cm_scan(60, 20)
@@ -846,12 +988,19 @@ class TestScan:
         assert out.stdout.strip() == "[]"
 
     def test_csv_digest_frozen(self):
-        # SHA-256 of the CSV as computed before the conjugate pairs of
-        # forms shared their terms: a faster kernel must leave it alone
+        # SHA-256 of the CSV's value columns (all but error_radius) as
+        # computed before the fixed-point theta kernel, which left them
+        # alone; its radii may only shrink, row by row, from the ones it
+        # replaced (_SCAN_400_RADII)
         text = records_to_csv(cm_scan(400, 24))
-        assert hashlib.sha256(text.encode()).hexdigest() == (
-            "a63fd3f01ad2f1c4a8def4fd6bae4311df318d11ad9fbbaddb592902fbbb0fbd"
+        rows = [line.split(",") for line in text.strip().split("\n")[2:]]
+        values = "\n".join(",".join(row[:-1]) for row in rows)
+        assert hashlib.sha256(values.encode()).hexdigest() == (
+            "46fbfa46bed3d0d4319be4b7478439f3e362e258fa2d8b60b21c10aba871f58f"
         )
+        assert len(rows) == len(_SCAN_400_RADII)
+        for row, before in zip(rows, _SCAN_400_RADII):
+            assert float(row[-1]) <= float(before), row[0]
 
     def test_cdisc_is_the_one_ball_type(self):
         assert cmlab.CDisc is BigFloat
