@@ -26,6 +26,13 @@ Input past a work cap exits 2 at once, naming the cap:
   MAX_DISCRIMINANT  |D| of 'cm faltings' (10**8); enumerating the
                     reduced forms of D takes about |D|/6 steps
   MAX_DMAX          --dmax of every 'cm' experiment (10**5)
+  MAX_WORK          the work of 'cm faltings' (10**6 units), estimated
+                    once its reduced forms are counted and before the
+                    first series: h(D) * (1 + (p / 300)^2) at p digits
+                    of precision.  One unit is about a millisecond on
+                    a 2-vCPU host: one form costs 0.5 ms at 24 digits,
+                    6 ms at 1000 and 0.56 s at 10000, quadratic in p
+                    from a few hundred digits on.
 
 'cm theta' needs only the principal form, so any D passes there.
 
@@ -44,12 +51,22 @@ import sys
 from fractions import Fraction
 
 from mpmath import mp, mpc, workdps
-from mpmath.libmp import to_str
+from mpmath.libmp import (
+    ften,
+    from_man_exp,
+    mpf_mul,
+    mpf_pow_int,
+    round_ceiling,
+    round_floor,
+    to_int,
+    to_str,
+)
 
 from .cmlab import (
     Discriminant,
     ReducedForm,
     _tau_ball,
+    class_number,
     cm_scan,
     faltings_height_cm,
     finiteness_demo,
@@ -88,6 +105,13 @@ CONFIG_KEYS = set(HARD_DEFAULTS)
 MAX_PRECISION = 10_000
 MAX_DISCRIMINANT = 10**8
 MAX_DMAX = 10**5
+MAX_WORK = 10**6
+
+
+def faltings_work(h: int, precision: int) -> int:
+    """The work estimate of 'cm faltings' for h forms at precision
+    digits (see the module docstring), rounded up."""
+    return -(-h * (300**2 + precision**2) // 300**2)
 
 
 class UsageError(Exception):
@@ -271,15 +295,35 @@ def _ball_text(ball) -> str:
 def _round_up_3(num: int, a: int, b: int) -> str:
     """The least decimal m * 10**e at or above x = num / (2**a 10**b) >= 0
     with m of 3 digits: e starts where m > 1000, and each step up takes
-    m to ceil(m / 10) = ceil(x / 10**(e + 1)) until m <= 1000."""
+    m to ceil(m / 10) = ceil(x / 10**(e + 1)) until m <= 1000.  That
+    decimal grows with x, so it is first found for the two ends of a
+    bracket of x / 10**e by 64-bit libmpf quotients rounded down and up;
+    only when the ends give different decimals is the quotient formed
+    exactly, which for a radius near 10**-200000 builds a 200000-digit
+    power of ten."""
     # bits(2**a 10**b) <= a + b log2(10) + 1: e starts no higher than log10 x - 3.7
     e = (num.bit_length() - a - b * 3321929 // 1000000 - 1) * 30103 // 100000 - 4
     c = b + e  # m = ceil(num / (2**a 10**c))
-    m = -(-num // (10**c << a)) if c >= 0 else -(-num * 10**-c >> a)
-    while m > 1000:
-        m, e = -(-m // 10), e + 1
+    k = max(num.bit_length() - 64, 0)
+    top = num >> k  # num / 2**k lies in [top, top + 1], and is top when no bit drops
+    ends = {
+        _three_digits(to_int(mpf_mul(from_man_exp(n, k - a), mpf_pow_int(ften, -c, 64, rnd), 64, rnd), round_ceiling), e)
+        for n, rnd in ((top, round_floor), (top + (top << k != num), round_ceiling))
+    }
+    if len(ends) == 1:
+        m, e = ends.pop()
+    else:
+        m, e = _three_digits(-(-num // (10**c << a)) if c >= 0 else -(-num * 10**-c >> a), e)
     with workdps(15):  # m * 10**e to 15 digits prints as m to 3
         return mp.nstr(m * mp.mpf(10) ** e, 3)
+
+
+def _three_digits(m: int, e: int) -> tuple:
+    """(ceil(m / 10**k), e + k) for the least k >= 0 that leaves at most
+    1000."""
+    while m > 1000:
+        m, e = -(-m // 10), e + 1
+    return m, e
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +496,12 @@ def _cmd_cm_faltings(args, opts) -> int:
         raise UsageError(
             f"|D| = {abs(args.discriminant)} is above MAX_DISCRIMINANT = {MAX_DISCRIMINANT}: "
             "enumerating its reduced forms takes about |D|/6 steps"
+        )
+    work = faltings_work(class_number(args.discriminant), opts["precision"])
+    if work > MAX_WORK:
+        raise UsageError(
+            f"the work of 'cm faltings -D {args.discriminant} --precision {opts['precision']}', "
+            f"about {work} units, is above MAX_WORK = {MAX_WORK}"
         )
     fh = faltings_height_cm(
         args.discriminant, opts["precision"],

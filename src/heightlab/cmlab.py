@@ -10,9 +10,11 @@ fundamental domain.  On top of that sit:
 * j-invariants from one theta series: with the Jacobi theta nulls
   theta_2, theta_3, theta_4 at tau, E4 = (theta_2^8 + theta_3^8 +
   theta_4^8) / 2, Delta = (theta_2 theta_3 theta_4)^8 / 256 and
-  j = E4^3 / Delta; Hilbert class polynomials are recovered by rounding
-  the coefficients of an integer product of the j's real factors, all
-  certified by one l1 error bound;
+  j = E4^3 / Delta: the eighth powers, E4 and Delta on Gaussian
+  integers, each with its own exponent and integer error count, and j
+  by one ball division; Hilbert class polynomials are recovered by
+  rounding the coefficients of an integer product of the j's real
+  factors, all certified by one l1 error bound;
 
 * the stable Faltings height as the class-group average of
   s(tau) = -(1/12) log(|Delta(tau)| (Im tau)^6), an SL2(Z)-invariant
@@ -60,6 +62,7 @@ verdicts can be made precision-robust.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from bisect import bisect_left
 from fractions import Fraction
@@ -283,7 +286,8 @@ def _eta_product(q: BigFloat) -> BigFloat:
 
 def _eisenstein_e4(eighths) -> BigFloat:
     """E4 = (theta_2^8 + theta_3^8 + theta_4^8) / 2 from the eighth
-    powers of the Jacobi theta nulls."""
+    powers of the Jacobi theta nulls, ``BigFloat``s or, in
+    ``_j_and_delta``, ``_GaussBall``s."""
     t2, t3, t4 = eighths
     return (t2 + t3 + t4) / 2
 
@@ -324,18 +328,142 @@ def modular_discriminant(tau, precision_digits: int = DEFAULT_DIGITS) -> BigFloa
         return q * _eta_product(q).pow_int(24)
 
 
+def _modulus_up(re: int, im: int) -> int:
+    """An integer at or above |re + im i|: the ceiling square root of the
+    exact norm, or past 62 bits of the larger part, of the norm of both
+    parts cut to that scale and rounded up in modulus (2**-59 relative
+    at most above |re + im i|)."""
+    k = max(abs(re).bit_length(), abs(im).bit_length()) - 62
+    if k > 0:
+        a, b = (abs(re) >> k) + 1, (abs(im) >> k) + 1
+        return isqrt(a * a + b * b) + 1 << k
+    n = re * re + im * im
+    root = isqrt(n)
+    return root + (root * root != n)
+
+
+class _GaussBall:
+    """A complex ball on Gaussian integers: the midpoint (re + im i) 2**exp
+    and an integer err, in units of 2**exp, bounding its distance from
+    the exact quantity.  Each quantity keeps its own exponent.  + and -
+    are exact; * keeps ``bits`` bits of the larger part, truncating both
+    parts toward zero; / takes a power of two, exactly.  Operands share
+    ``bits``.  ``mag`` >= |re + im i| is ``_modulus_up``, made when
+    first read.  See ``_j_and_delta`` for the error bounds."""
+
+    __slots__ = ("re", "im", "exp", "err", "bits", "_modulus")
+
+    def __init__(self, re: int, im: int, exp: int, err: int, bits: int):
+        self.re, self.im, self.exp, self.err, self.bits, self._modulus = re, im, exp, err, bits, None
+
+    @property
+    def mag(self) -> int:
+        if self._modulus is None:
+            self._modulus = _modulus_up(self.re, self.im)
+        return self._modulus
+
+    @classmethod
+    def of(cls, ball, bits: int) -> "_GaussBall":
+        """A ball with a dyadic midpoint, its midpoint and radius pair
+        read exactly at the lowest exponent of the three."""
+        parts = getattr(ball.value, "_mpc_", None) or (ball.value._mpf_, fzero)
+        m, e = ball._r
+        exp = min([e] + [t[2] for t in parts if t[1]])
+        re, im = ((-t[1] if t[0] else t[1]) << (t[2] - exp) if t[1] else 0 for t in parts)
+        return cls(re, im, exp, m << (e - exp), bits)
+
+    def __add__(self, other: "_GaussBall") -> "_GaussBall":
+        exp = min(self.exp, other.exp)
+        a, b = self.exp - exp, other.exp - exp
+        return _GaussBall(
+            (self.re << a) + (other.re << b), (self.im << a) + (other.im << b), exp,
+            (self.err << a) + (other.err << b), self.bits,
+        )
+
+    def __neg__(self) -> "_GaussBall":
+        return _GaussBall(-self.re, -self.im, self.exp, self.err, self.bits)
+
+    def __sub__(self, other: "_GaussBall") -> "_GaussBall":
+        return self + -other
+
+    def __mul__(self, other: "_GaussBall") -> "_GaussBall":
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if other is self:
+            re, im = (a + b) * (a - b), (a * b) << 1
+            err = ((self.mag << 1) + self.err) * self.err
+        else:
+            re, im = a * c - b * d, a * d + b * c
+            err = self.mag * other.err + other.mag * self.err + self.err * other.err
+        exp = self.exp + other.exp
+        k = max(abs(re).bit_length(), abs(im).bit_length()) - self.bits
+        if k > 0:
+            re = re >> k if re >= 0 else -(-re >> k)
+            im = im >> k if im >= 0 else -(-im >> k)
+            err, exp = (err >> k) + 3, exp + k
+        return _GaussBall(re, im, exp, err, self.bits)
+
+    def __truediv__(self, n: int) -> "_GaussBall":
+        k = n.bit_length() - 1
+        if n != 1 << k:
+            raise ValueError("a Gaussian ball divides only by a power of two")
+        return _GaussBall(self.re, self.im, self.exp - k, self.err, self.bits)
+
+
 def _j_and_delta(nulls) -> tuple[BigFloat, BigFloat]:
     """(j, Delta) from the four theta buckets b0..b3: the Jacobi theta
     nulls are theta_2 = b1 + b3, theta_3 = b0 + b2, theta_4 = b0 - b2,
-    Delta = (theta_2 theta_3 theta_4)^8 / 256 and j = E4^3 / Delta."""
-    b0, b1, b2, b3 = nulls
-    eighths = [(b1 + b3).pow_int(8), (b0 + b2).pow_int(8), (b0 - b2).pow_int(8)]
+    Delta = (theta_2 theta_3 theta_4)^8 / 256 and j = E4^3 / Delta.
+
+    All but the last division runs on ``_GaussBall``s: X = x 2**e with x
+    a Gaussian integer, each quantity with its own exponent e and one
+    integer count E, |X* - X| <= E 2**e for the exact quantity X*.  One
+    global scale would not do: theta_2 ~ 2 w and Delta ~ q shrink to
+    about e^-134 on the classpoly forms, where theta_3 ~ 1.
+    - A bucket's midpoint is an exact dyadic and its radius a pair m 2**f:
+      both are read exactly at the lowest exponent of the three, so E = m
+      2**(f - e).
+    - Sums, differences and the divisions by 2 and 256 are exact: the
+      counts, brought to the lower exponent, add, and a division moves e
+      and keeps E.
+    - A product of X = x 2**e and Y = y 2**f: X*Y* - XY = (X* - X) Y + X
+      (Y* - Y) + (X* - X)(Y* - Y), so it is within (|x| F + |y| E + E F)
+      2**(e + f); a square within (2 |x| + E) E 2**(2e).  |x| and |y|
+      are read off the midpoints' norms by ``_modulus_up``, never from
+      bounds on the parts: near rho, where j = 0, |E4| lies far below
+      (|t2| + |t3| + |t4|) / 2, and a bound read that way made j balls
+      wider than the ball formula's on 107 of the 453 forms with Im tau
+      < 1.05 of |d| <= 2000.
+    - The exact product is cut by k bits to mp.prec + 8 bits of its larger
+      part, each part toward zero, which moves it by less than sqrt(2)
+      units of the new scale 2**(e + f + k); the count becomes floor(count
+      / 2**k) + 1 for the division, + 2 for the cut.  Truncation toward
+      zero commutes with conjugation, so the mirror form's CM point
+      -conj(tau) gives the conjugate balls bit for bit.
+    The products are ((theta^2)^2)^2 for each eighth power, their product
+    for 256 Delta, and E4 (E4 E4).  E4^3 and Delta have exact dyadic
+    midpoints, so they become ``BigFloat``s exactly, with radius E 2**e
+    rounded up; j is their one ball division, which adds its own error
+    bound and allowance.  A cut adds 3 units of 2**-(mp.prec + 7) |v| at
+    most, where a ``BigFloat`` step adds 8 |v| 10**-dps, 57 to 113 units
+    of 2**-mp.prec: on the cm_scan(2000, 24) and classpoly forms no j or
+    Delta ball is wider than the ball formula's, and the median j radius
+    is 0.44-0.46 times as wide."""
+    b0, b1, b2, b3 = (_GaussBall.of(ball, mp.prec + 8) for ball in nulls)
+    eighths = [_binary_power(t, 8, operator.mul) for t in (b1 + b3, b0 + b2, b0 - b2)]
     delta = eighths[0] * eighths[1] * eighths[2] / 256
-    return _eisenstein_e4(eighths).pow_int(3) / delta, delta
+    e4 = _eisenstein_e4(eighths)
+    balls = []
+    for x in (e4 * (e4 * e4), delta):
+        value = mp.make_mpc((from_man_exp(x.re, x.exp), from_man_exp(x.im, x.exp)))
+        balls.append(BigFloat._made(value, _up(x.err, x.exp), _mag(value)))
+    num, den = balls
+    return num / den, den
 
 
 def _j_at(tau: BigFloat) -> BigFloat:
-    """j(tau) from one theta series in the nome w of tau."""
+    """j(tau) from one theta series in the nome w of tau: its buckets on
+    Gaussian integers (``_theta_nulls``), then E4^3 and Delta in fixed
+    point and one ball division (``_j_and_delta``)."""
     return _j_and_delta(_nulls_at(tau))[0]
 
 
@@ -835,9 +963,10 @@ def cm_record(d, precision_digits: int = 24) -> CMRecord:
     conjugate pair of reduced forms gives j, s(tau) and the theta term
     (``_class_averages`` shares it across the pair), so the j and theta
     heights are the balls of ``j_height`` and ``theta_height_estimate``
-    bit for bit; the Faltings height takes Delta from the theta nulls
-    instead of the pentagonal series of ``faltings_height_cm``, which
-    it agrees with to the radii."""
+    bit for bit; the Faltings height takes Delta from the theta nulls,
+    the fixed-point ball j is made from (``_j_and_delta``), instead of
+    the pentagonal series of ``faltings_height_cm``, which it agrees
+    with to the radii."""
     d = _disc_value(d)
     h = class_number(d)
     jh, s_avg, th = _class_averages(

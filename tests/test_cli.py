@@ -1,5 +1,6 @@
 import json
 import os
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -424,6 +425,20 @@ class TestCMCommands:
         assert code == 2 and not out
         assert cap in err
 
+    def test_faltings_work_budget(self, capsys, tmp_path):
+        # h(-1000031) = 928 forms: at 10000 digits 928 * 1112.1 units are
+        # above MAX_WORK = 10**6 (about 8 minutes of series), at 24 digits
+        # 931 units are not; -99999999 at 10000 digits is 7.8 million
+        from heightlab.cli import MAX_WORK, faltings_work
+
+        assert faltings_work(928, 10000) > MAX_WORK >= faltings_work(928, 9000)
+        assert faltings_work(6976, 10000) > MAX_WORK
+        code, out, err = run(capsys, "cm", "faltings", "-D", "-1000031", "--precision", "10000", "--out", str(tmp_path))
+        assert code == 2 and not out
+        assert "MAX_WORK" in err and str(faltings_work(928, 10000)) in err
+        code, out, _ = run(capsys, "cm", "faltings", "-D", "-1000031", "--out", str(tmp_path))
+        assert code == 0 and out.startswith("faltings_height(-1000031) ≈ ")
+
     def test_defaults_are_within_the_caps(self):
         from heightlab.cli import HARD_DEFAULTS, MAX_DMAX, MAX_PRECISION, build_parser
 
@@ -577,6 +592,36 @@ def test_printed_balls_enclose_the_computed_balls(capsys, monkeypatch, tmp_path,
         parts = v._mpc_ if hasattr(v, "_mpc_") else (v._mpf_,)
         ulp = max((Fraction(2) ** t[2] for t in parts if t[1]), default=0)
         assert printed <= (r + max(r, ulp)) * Fraction(101, 100), line
+
+
+def _round_up_3_exact(num: int, a: int, b: int) -> str:
+    """The least 3-digit decimal at or above num / (2**a 10**b) from the
+    exact integer quotient alone."""
+    e = (num.bit_length() - a - b * 3321929 // 1000000 - 1) * 30103 // 100000 - 4
+    c = b + e
+    m = -(-num // (10**c << a)) if c >= 0 else -(-num * 10**-c >> a)
+    while m > 1000:
+        m, e = -(-m // 10), e + 1
+    with workdps(15):
+        return mp.nstr(m * mp.mpf(10) ** e, 3)
+
+
+def test_round_up_3_agrees_with_the_exact_quotient():
+    # radii from 1e-215727 to 1e300, as dyadics over powers of ten, and
+    # ones at or next to a 3-digit decimal, where the 64-bit bracket
+    # straddles and the exact quotient decides
+    from heightlab.cli import _round_up_3
+
+    rng = random.Random(2302)
+    cases = [(0, 0, 0), (1, 716626, 0), (12345 << 40, 716626, 0), (3, 0, 215727), (10**300, 0, 0), (1000, 0, 0), (1001, 0, 0)]
+    for _ in range(600):
+        a, b = rng.choice((0, rng.randint(0, 4000), rng.randint(700000, 717000))), rng.randint(0, 600)
+        num = rng.getrandbits(rng.randint(1, 3000))
+        if rng.random() < 0.4:
+            num = max((rng.randint(1, 1000) * 10 ** rng.randint(0, 300) << a) * 10**b + rng.randint(-1, 1), 0)
+        cases.append((num, a, b))
+    for num, a, b in cases:
+        assert _round_up_3(num, a, b) == _round_up_3_exact(num, a, b), (num, a, b)
 
 
 class TestArtifacts:

@@ -521,6 +521,16 @@ class TestJHeight:
             direct, via_poly = j_height(d, 30), mahler_height(hilbert_class_poly(d), 30)
             assert abs(direct.value - via_poly.value) <= direct.radius + via_poly.radius, d
 
+    def test_mahler_route_overlaps_up_to_2000(self):
+        # every fundamental 500 < |d| <= 2000 with 2 <= h <= 12: the class
+        # polynomial's Mahler height, from root discs alone, is an
+        # independent route to the j balls
+        ds = [d for d in fundamental_discriminants(2000) if d < -500 and 2 <= class_number(d) <= 12]
+        assert len(ds) == 228
+        for d in ds:
+            direct, via_poly = j_height(d, 30), mahler_height(hilbert_class_poly(d), 30)
+            assert abs(direct.value - via_poly.value) <= direct.radius + via_poly.radius, d
+
 
 class TestSInvariant:
     def test_sl2_invariance(self):
@@ -859,6 +869,114 @@ class TestFixedPointThetaKernel:
                 cmlab._theta_nulls(w)
             seen.append(sum(counts.values()))
         assert seen[0] == seen[1] <= 12, seen
+
+
+def _bigfloat_j_and_delta(nulls) -> tuple:
+    """(j, Delta) as the ball formula made them before ``_j_and_delta``
+    ran on Gaussian integers: every sum, power, product and quotient a
+    BigFloat operation."""
+    b0, b1, b2, b3 = nulls
+    eighths = [(b1 + b3).pow_int(8), (b0 + b2).pow_int(8), (b0 - b2).pow_int(8)]
+    delta = eighths[0] * eighths[1] * eighths[2] / 256
+    return cmlab._eisenstein_e4(eighths).pow_int(3) / delta, delta
+
+
+def _im_tau_of(f: ReducedForm) -> float:
+    return (-f.discriminant) ** 0.5 / (2 * f.a)
+
+
+@lru_cache(maxsize=None)
+def _j_kernel_balls() -> tuple:
+    """(form, dps, new (j, Delta), ball formula's (j, Delta), whether b0 is
+    real) for a seeded 200 of the cm_scan(2000, 24) forms with b >= 0
+    and every such form with Im tau < 1.05 (near rho and i), at 39
+    digits, and for every form of -599 and -1832 at the precision
+    hilbert_class_poly works at for them (206 and 259 digits)."""
+    forms = _forms_up_to(2000)
+    picked = set(random.Random(23).sample(forms, 200)) | {f for f in forms if _im_tau_of(f) < 1.05}
+    cases = [(f, 39) for f in forms if f in picked]
+    cases += [(f, dps) for d, dps in ((-599, 206), (-1832, 259)) for f in reduced_forms(d)]
+    out = []
+    for f, dps in cases:
+        with workdps(dps):
+            nulls = cmlab._nulls_at(cmlab._tau_ball(f))
+            out.append((f, dps, cmlab._j_and_delta(nulls), _bigfloat_j_and_delta(nulls), isinstance(nulls[0].value, mpf)))
+    return tuple(out)
+
+
+def _random_gauss_ball(rng, exact: bool):
+    """A _GaussBall and an exact point (as Fractions) at distance at most
+    its radius: on a positive real midpoint with the point at +radius,
+    where the product bounds are attained, or anywhere on a grid inside
+    the disc."""
+    bits, exp = rng.choice((8, 20, 64)), rng.randint(-80, 20)
+    err = rng.choice((0, 1, 3, rng.getrandbits(rng.randint(1, 12)), rng.getrandbits(30)))
+    if exact:
+        x = rng.getrandbits(rng.randint(1, 70))
+        return cmlab._GaussBall(x, 0, exp, err, bits), (Fraction(x + err) * Fraction(2) ** exp, Fraction(0))
+    x, y = (rng.randint(-(1 << 70), 1 << 70) >> rng.randint(0, 70) for _ in range(2))
+    u, v = (Fraction(rng.randint(-1000, 1000), 1415) * err for _ in range(2))  # |u + vi| < err
+    scale = Fraction(2) ** exp
+    return cmlab._GaussBall(x, y, exp, err, bits), ((x + u) * scale, (y + v) * scale)
+
+
+def _within(ball, point) -> bool:
+    re, im = (t - c * Fraction(2) ** ball.exp for t, c in zip(point, (ball.re, ball.im)))
+    return re * re + im * im <= (ball.err * Fraction(2) ** ball.exp) ** 2
+
+
+class TestFixedPointJKernel:
+    """``_j_and_delta``: eighth powers, E4 and Delta on Gaussian integers
+    and one ball division."""
+
+    def test_j_and_delta_enclose_mpmath_at_three_times_the_precision(self):
+        reals = 0
+        for f, dps, (j, delta), _, real in _j_kernel_balls():
+            with workdps(3 * dps):
+                tau = f.tau(3 * dps)
+                assert abs(j.value - 1728 * mp.kleinj(tau)) <= j.radius, (f, dps)
+                assert abs(delta.value - mp.eta(tau) ** 24) <= delta.radius, (f, dps)
+            reals += real
+        # the one-term series (b0 = 1, b2 = 0 exactly, Im tau >= 7.7 at 39 digits) is among them
+        assert reals > 10
+
+    def test_no_wider_than_the_ball_formula(self):
+        for f, dps, new, old, _ in _j_kernel_balls():
+            for a, b in zip(new, old):
+                assert a.radius <= b.radius, (f, dps)
+                assert abs(a.value - b.value) <= a.radius + b.radius, (f, dps)
+
+    def test_gauss_ball_arithmetic_holds_its_points(self):
+        # sums, squares, products and quotients by 2**k keep every point
+        # of the operands' discs, also where the product bounds are met
+        rng = random.Random(2301)
+        for i in range(3000):
+            exact = i % 2 == 0
+            (x, p), (y, q) = _random_gauss_ball(rng, exact), _random_gauss_ball(rng, exact)
+            (pr, pi), (qr, qi) = p, q
+            assert _within(x + y, (pr + qr, pi + qi)) and _within(x - y, (pr - qr, pi - qi))
+            assert _within(x * y, (pr * qr - pi * qi, pr * qi + pi * qr)), (x.re, x.im, x.err, y.re, y.im, y.err)
+            assert _within(x * x, (pr * pr - pi * pi, 2 * pr * pi)), (x.re, x.im, x.err)
+            assert _within(x / 256, (pr / 256, pi / 256))
+
+    def test_one_ball_division(self, monkeypatch):
+        # BigFloat calls in one _j_and_delta: E4^3 and Delta made as
+        # balls, then one division (with its _min_abs, _op and _made);
+        # the same 6 at 39 digits and at 250
+        counts = Counter()
+        for name, attr in list(vars(BigFloat).items()):
+            if isinstance(attr, classmethod):
+                monkeypatch.setattr(BigFloat, name, classmethod(_counted(attr.__func__, name, counts)))
+            elif callable(attr):
+                monkeypatch.setattr(BigFloat, name, _counted(attr, name, counts))
+        seen = []
+        for dps in (39, 250):
+            with workdps(dps):
+                nulls = cmlab._nulls_at(cmlab._tau_ball(ReducedForm(1, 1, 1)))
+                counts.clear()
+                cmlab._j_and_delta(nulls)
+            seen.append(dict(counts))
+        assert seen[0] == seen[1] == {"_made": 3, "__truediv__": 1, "_min_abs": 1, "_op": 1}, seen
 
 
 class TestCMRecord:

@@ -1454,3 +1454,17 @@ def test_class_poly_product_uses_no_mpmath_numbers():
         assert not names & {"mpc", "mpf", "mp", "mpmath", "workdps", "BigFloat"}, fn.name
         attributes |= {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)}
     assert attributes == {"value", "_mpc_", "_r", "_mag"}
+
+
+def test_fixed_point_j_kernel_uses_no_mpmath_numbers():
+    # the eighth powers, E4 and Delta run on Gaussian integers with
+    # integer error counts; of a theta bucket _GaussBall.of reads only the
+    # midpoint's libmpf parts and the radius pair, and only _j_and_delta
+    # itself makes balls
+    tree = ast.parse((Path(numcore.__file__).parent / "cmlab.py").read_text())
+    found = {top.name: top for top in tree.body if isinstance(top, (ast.FunctionDef, ast.ClassDef))}
+    for name in ("_modulus_up", "_GaussBall"):
+        names = {node.id for node in ast.walk(found[name]) if isinstance(node, ast.Name)}
+        assert not names & {"mpc", "mpf", "mp", "mpmath", "workdps", "BigFloat", "_mag"}, name
+        attributes = {node.attr for node in ast.walk(found[name]) if isinstance(node, ast.Attribute)}
+        assert not attributes & {"radius", "_mag", "abs_bounds", "_min_abs", "_op", "_made", "pow_int", "widened"}, name
