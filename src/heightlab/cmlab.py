@@ -37,22 +37,29 @@ fundamental domain.  On top of that sit:
   the conjugate buckets bit for bit), and one integer per running power
   counts its error in units of 2**-s, with no ball operation per term;
   the nome's radius enters each bucket once, by a derivative bound
-  summed at the scale of the bucket's first term.  The theta
-  term log(||v||_2 / max_j |theta_j|) is (1/2) log(S / N) of the exact
-  squared moduli of the bucket midpoints, its ends rounded outward by
-  libmpf and widened by the bucket radii in 53-bit pairs: like the rest
-  of this module, the CM-point kernel uses no mpmath ``iv``.
+  summed at the scale of the bucket's first term, and the series tail
+  joins the same integer count.  The theta term log(||v||_2 / max_j
+  |theta_j|) is (1/2) log(S / N) of the exact integer norms of the
+  bucket midpoints, its ends rounded outward by libmpf and widened by
+  quotients of the integer counts: like the rest of this module, the
+  CM-point kernel uses no mpmath ``iv``.
 
 ``cm_record`` sums the theta series once per pair of conjugate reduced
-forms (a, +-b, c) and reads all three heights off it: j as above,
-s(tau) from that same Delta, and the theta term from the four buckets.
-The constant balls (pi, 2 pi i, pi i / 4, -(1/2) log 2) are built once
-per working precision.  The standalone ``s_invariant``,
+forms (a, +-b, c) and reads all three heights off it: log|j| from
+the exact norms of E4^3 and Delta above, s(tau) from that of Delta,
+and the theta term from the four buckets.  From the nome to the three
+class averages the work runs on integers: each term is an integer
+interval at one scale, a column sums exactly, each conjugate pair with
+weight 2, and each average is one ``BigFloat`` made after one division
+by h.  A j ball, for ``hilbert_class_poly``
+and ``j_invariant``, is the one division of E4^3 by Delta.  The
+constant balls (pi, 2 pi i, pi i / 4, -(1/2) log 2) are built once per
+working precision.  The standalone ``s_invariant``,
 ``faltings_height_cm`` and ``modular_discriminant`` take Delta from the
 pentagonal series of prod (1 - q^n), q = exp(2 pi i tau), which stops
 below 10^-(dps - 5): alone, s(tau) costs half as much that way as
-through the theta nulls.  Both series bound their tails in 53-bit
-arithmetic rounded up and add them with ``BigFloat.widened``.
+through the theta nulls.  That series bounds its tail in 53-bit
+arithmetic rounded up and adds it with ``BigFloat.widened``.
 
 All floating results are BigFloat discs (midpoint plus radius that
 includes both truncation tails and rounding slop), so experiment
@@ -73,16 +80,15 @@ from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf, workdps
 from mpmath.libmp import (
+    from_int,
     from_man_exp,
     fone,
     fzero,
     mpf_add,
     mpf_div,
     mpf_log,
-    mpf_lt,
-    mpf_shift,
+    mpf_neg,
     mpf_sqrt,
-    mpf_sub,
     round_ceiling,
     round_floor,
     to_rational,
@@ -115,7 +121,6 @@ from .numcore import (
     _ulp_slop,  # bound for bench/test_bench.py only; just numcore calls it
     certify,
     factorint,
-    log_plus_sum,
 )
 
 # |q| cap for the q-series; beyond this, convergence certification is
@@ -211,32 +216,91 @@ class ReducedForm:
             return mpc(-self.b, mp.sqrt(-self.discriminant)) / (2 * self.a)
 
 
+def _sqrt_mod_prime(d: int, p: int) -> int | None:
+    """A square root of d modulo an odd prime p that does not divide d,
+    by Tonelli-Shanks, or None when d is not a square mod p."""
+    if pow(d, (p - 1) // 2, p) != 1:
+        return None
+    if p % 4 == 3:
+        return pow(d, (p + 1) // 4, p)
+    q, m = p - 1, 0
+    while not q & 1:
+        q, m = q >> 1, m + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) == 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(d, q, p), pow(d, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def _square_roots_mod(d: int, p: int, k: int, memo: dict) -> list:
+    """The x in [0, p**k) with x^2 = d (mod p**k), p prime.  For odd p
+    not dividing d, the roots mod p lift uniquely by Newton's step; for
+    p = 2 or p | d, each root mod p**(k-1) is tried with its p lifts."""
+    key = (p, k)
+    if key not in memo:
+        if k == 1:
+            if p == 2 or d % p == 0:
+                roots = [d % p]
+            else:
+                r = _sqrt_mod_prime(d % p, p)
+                roots = [] if r is None else sorted({r, p - r})
+        else:
+            q = p ** (k - 1)
+            pk = q * p
+            prev = _square_roots_mod(d, p, k - 1, memo)
+            if p != 2 and d % p:
+                roots = [(r - (r * r - d) * pow(2 * r, -1, pk)) % pk for r in prev]
+            else:
+                roots = [x for r in prev for x in range(r, pk, q) if (x * x - d) % pk == 0]
+        memo[key] = roots
+    return memo[key]
+
+
 @lru_cache(maxsize=4096)
 def _reduced_forms_cached(d: int) -> tuple:
-    out = []
-    for a in range(1, isqrt(-d // 3) + 1):
-        # b^2 = d (mod 4) needs b = d (mod 2)
-        lo = -a + 1
-        for b in range(lo + (lo - d) % 2, a + 1, 2):
-            num = b * b - d
-            if num % (4 * a):
-                continue
-            c = num // (4 * a)
-            if c < a:
-                continue
-            if a == c and b < 0:
-                continue
-            if gcd(gcd(a, b), c) != 1:
-                continue
-            out.append(ReducedForm(a, b, c))
-    out.sort(key=lambda f: (f.a, f.b))
+    """The reduced forms of d, by (a, b), from the square roots of d: for
+    each a <= sqrt(|d| / 3), c = (b^2 - d) / (4a) is an integer iff b^2
+    = d (mod 4a).  The roots mod each prime power of 4a (a factored by a
+    smallest-prime-factor sieve) are combined by the Chinese remainder
+    theorem; with b, b + 2a is a root too, so the roots fall into
+    classes mod 2a, each met once by -a < b <= a."""
+    top = isqrt(-d // 3)
+    spf = list(range(top + 1))
+    for p in range(2, isqrt(top) + 1):
+        if spf[p] == p:
+            for n in range(p * p, top + 1, p):
+                if spf[n] == n:
+                    spf[n] = p
+    memo, out = {}, []
+    for a in range(1, top + 1):
+        powers, n = {2: 2}, a
+        while n > 1:
+            p = spf[n]
+            powers[p] = powers.get(p, 0) + 1
+            n //= p
+        xs, mod = [0], 1
+        for p, k in powers.items():
+            q, roots = p**k, _square_roots_mod(d, p, k, memo)
+            inv = pow(mod, -1, q)
+            xs = [x + mod * ((r - x) * inv % q) for x in xs for r in roots]
+            mod *= q
+        for b in sorted({x % (2 * a) - 2 * a if x % (2 * a) > a else x % (2 * a) for x in xs}):
+            c = (b * b - d) // (4 * a)
+            if c >= a and not (a == c and b < 0) and gcd(gcd(a, b), c) == 1:
+                out.append(ReducedForm(a, b, c))
     return tuple(out)
 
 
 def reduced_forms(d) -> list[ReducedForm]:
-    """All reduced forms of discriminant d, sorted by (a, b).  Exact
-    integer enumeration: a <= sqrt(|d|/3) and b = d (mod 2), about
-    |d|/6 pairs (a, b)."""
+    """All reduced forms of discriminant d, sorted by (a, b): for each a
+    <= sqrt(|d| / 3), only the b with b^2 = d (mod 4a)."""
     return list(_reduced_forms_cached(_disc_value(d)))
 
 
@@ -287,7 +351,7 @@ def _eta_product(q: BigFloat) -> BigFloat:
 def _eisenstein_e4(eighths) -> BigFloat:
     """E4 = (theta_2^8 + theta_3^8 + theta_4^8) / 2 from the eighth
     powers of the Jacobi theta nulls, ``BigFloat``s or, in
-    ``_j_and_delta``, ``_GaussBall``s."""
+    ``_e4_cubed_and_delta``, ``_GaussBall``s."""
     t2, t3, t4 = eighths
     return (t2 + t3 + t4) / 2
 
@@ -328,6 +392,11 @@ def modular_discriminant(tau, precision_digits: int = DEFAULT_DIGITS) -> BigFloa
         return q * _eta_product(q).pow_int(24)
 
 
+def _ceil_sqrt(n: int) -> int:
+    root = isqrt(n)
+    return root + (root * root != n)
+
+
 def _modulus_up(re: int, im: int) -> int:
     """An integer at or above |re + im i|: the ceiling square root of the
     exact norm, or past 62 bits of the larger part, of the norm of both
@@ -337,9 +406,7 @@ def _modulus_up(re: int, im: int) -> int:
     if k > 0:
         a, b = (abs(re) >> k) + 1, (abs(im) >> k) + 1
         return isqrt(a * a + b * b) + 1 << k
-    n = re * re + im * im
-    root = isqrt(n)
-    return root + (root * root != n)
+    return _ceil_sqrt(re * re + im * im)
 
 
 class _GaussBall:
@@ -349,7 +416,7 @@ class _GaussBall:
     are exact; * keeps ``bits`` bits of the larger part, truncating both
     parts toward zero; / takes a power of two, exactly.  Operands share
     ``bits``.  ``mag`` >= |re + im i| is ``_modulus_up``, made when
-    first read.  See ``_j_and_delta`` for the error bounds."""
+    first read.  See ``_e4_cubed_and_delta`` for the error bounds."""
 
     __slots__ = ("re", "im", "exp", "err", "bits", "_modulus")
 
@@ -361,16 +428,6 @@ class _GaussBall:
         if self._modulus is None:
             self._modulus = _modulus_up(self.re, self.im)
         return self._modulus
-
-    @classmethod
-    def of(cls, ball, bits: int) -> "_GaussBall":
-        """A ball with a dyadic midpoint, its midpoint and radius pair
-        read exactly at the lowest exponent of the three."""
-        parts = getattr(ball.value, "_mpc_", None) or (ball.value._mpf_, fzero)
-        m, e = ball._r
-        exp = min([e] + [t[2] for t in parts if t[1]])
-        re, im = ((-t[1] if t[0] else t[1]) << (t[2] - exp) if t[1] else 0 for t in parts)
-        return cls(re, im, exp, m << (e - exp), bits)
 
     def __add__(self, other: "_GaussBall") -> "_GaussBall":
         exp = min(self.exp, other.exp)
@@ -409,19 +466,40 @@ class _GaussBall:
         return _GaussBall(self.re, self.im, self.exp - k, self.err, self.bits)
 
 
-def _j_and_delta(nulls) -> tuple[BigFloat, BigFloat]:
-    """(j, Delta) from the four theta buckets b0..b3: the Jacobi theta
-    nulls are theta_2 = b1 + b3, theta_3 = b0 + b2, theta_4 = b0 - b2,
-    Delta = (theta_2 theta_3 theta_4)^8 / 256 and j = E4^3 / Delta.
+def _dyadic(m: int, e: int) -> tuple:
+    """m 2**e as a libmpf number, exactly: the trailing zeros of m, which
+    libmpf strips a few bits at a time, are dropped first."""
+    t = (m & -m).bit_length() - 1
+    return from_man_exp(m >> t, e + t) if m else fzero
 
-    All but the last division runs on ``_GaussBall``s: X = x 2**e with x
+
+def _ball_of(x: _GaussBall, real: bool = False) -> BigFloat:
+    """The ``BigFloat`` of a Gaussian ball: its exact dyadic midpoint, a
+    complex value unless real is asked for and the imaginary part is 0,
+    and its count as a radius pair rounded up."""
+    re = _dyadic(x.re, x.exp)
+    value = mp.make_mpf(re) if real and not x.im else mp.make_mpc((re, _dyadic(x.im, x.exp)))
+    return BigFloat._made(value, _up(x.err, x.exp), _mag(value))
+
+
+def _units_up(pair: tuple, exp: int) -> int:
+    """A pair (m, e) in units of 2**exp, rounded up."""
+    m, e = pair
+    return m << (e - exp) if e >= exp else -(-m >> (exp - e))
+
+
+def _e4_cubed_and_delta(nulls) -> tuple[_GaussBall, _GaussBall]:
+    """(E4^3, Delta) from the four theta buckets b0..b3 of
+    ``_theta_nulls``: the Jacobi theta nulls are theta_2 = b1 + b3,
+    theta_3 = b0 + b2, theta_4 = b0 - b2, Delta = (theta_2 theta_3
+    theta_4)^8 / 256, and j = E4^3 / Delta.
+
+    It runs on ``_GaussBall``s: X = x 2**e with x
     a Gaussian integer, each quantity with its own exponent e and one
     integer count E, |X* - X| <= E 2**e for the exact quantity X*.  One
     global scale would not do: theta_2 ~ 2 w and Delta ~ q shrink to
     about e^-134 on the classpoly forms, where theta_3 ~ 1.
-    - A bucket's midpoint is an exact dyadic and its radius a pair m 2**f:
-      both are read exactly at the lowest exponent of the three, so E = m
-      2**(f - e).
+    - The buckets come as such balls, with the bits mp.prec + 8.
     - Sums, differences and the divisions by 2 and 256 are exact: the
       counts, brought to the lower exponent, add, and a division moves e
       and keeps E.
@@ -440,31 +518,27 @@ def _j_and_delta(nulls) -> tuple[BigFloat, BigFloat]:
       zero commutes with conjugation, so the mirror form's CM point
       -conj(tau) gives the conjugate balls bit for bit.
     The products are ((theta^2)^2)^2 for each eighth power, their product
-    for 256 Delta, and E4 (E4 E4).  E4^3 and Delta have exact dyadic
-    midpoints, so they become ``BigFloat``s exactly, with radius E 2**e
-    rounded up; j is their one ball division, which adds its own error
-    bound and allowance.  A cut adds 3 units of 2**-(mp.prec + 7) |v| at
-    most, where a ``BigFloat`` step adds 8 |v| 10**-dps, 57 to 113 units
-    of 2**-mp.prec: on the cm_scan(2000, 24) and classpoly forms no j or
-    Delta ball is wider than the ball formula's, and the median j radius
-    is 0.44-0.46 times as wide."""
-    b0, b1, b2, b3 = (_GaussBall.of(ball, mp.prec + 8) for ball in nulls)
+    for 256 Delta, and E4 (E4 E4).  A cut adds 3 units of
+    2**-(mp.prec + 7) |v| at most, where a ``BigFloat`` step adds 8 |v|
+    10**-dps, 57 to 113 units of 2**-mp.prec."""
+    b0, b1, b2, b3 = nulls
     eighths = [_binary_power(t, 8, operator.mul) for t in (b1 + b3, b0 + b2, b0 - b2)]
     delta = eighths[0] * eighths[1] * eighths[2] / 256
     e4 = _eisenstein_e4(eighths)
-    balls = []
-    for x in (e4 * (e4 * e4), delta):
-        value = mp.make_mpc((from_man_exp(x.re, x.exp), from_man_exp(x.im, x.exp)))
-        balls.append(BigFloat._made(value, _up(x.err, x.exp), _mag(value)))
-    num, den = balls
-    return num / den, den
+    return e4 * (e4 * e4), delta
 
 
 def _j_at(tau: BigFloat) -> BigFloat:
     """j(tau) from one theta series in the nome w of tau: its buckets on
     Gaussian integers (``_theta_nulls``), then E4^3 and Delta in fixed
-    point and one ball division (``_j_and_delta``)."""
-    return _j_and_delta(_nulls_at(tau))[0]
+    point (``_e4_cubed_and_delta``) and one ball division.  E4^3 and
+    Delta have exact dyadic midpoints, so they become ``BigFloat``s
+    exactly, with radius E 2**e rounded up (``_ball_of``); the division
+    adds its own error bound and allowance.  On the cm_scan(2000, 24)
+    and classpoly forms no j ball is wider than the ball formula's, and
+    the median j radius is 0.44-0.46 times as wide."""
+    num, den = _e4_cubed_and_delta(_theta_nulls(_theta_w(tau)))
+    return _ball_of(num) / _ball_of(den)
 
 
 def _reduce_to_fundamental_domain(tau: mpc) -> mpc:
@@ -630,37 +704,93 @@ def hilbert_class_poly(d) -> IntPoly:
 # heights
 # ---------------------------------------------------------------------------
 
-def _class_averages(d, precision_digits: int, terms, totals) -> tuple:
-    """Class-group averages at precision_digits + 15 digits.  terms(tau)
-    gives a tuple of per-form terms at the CM point ball tau of each of
-    the h reduced forms of d, in order; the i-th average is
-    (1/h) * totals[i](i-th terms, zero ball), where each fold is ``sum``
-    or another with its arguments.  A form (a, -b, c), b > 0, has the
-    CM point -conj(tau) of (a, b, c) and reuses its term tuple, so a
-    fold may read a term only through quantities invariant under
-    tau -> -conj(tau): here |j| (``_log_plus_total``) and the real s(tau)
-    and theta term (``sum``)."""
+def _class_averages(d, precision_digits: int, terms) -> tuple:
+    """Class-group averages at precision_digits + 15 digits.
+    terms(tau, scale) gives, at the CM point ball tau of a reduced form
+    of d, a tuple of integer intervals (lo, hi), each term in [lo, hi]
+    2**-scale, scale = mp.prec + 64, so that a term's outward rounding
+    to the unit costs 2**-64 of its working precision; the i-th average
+    is that of the i-th terms over the h reduced forms.
+
+    A form (a, -b, c), b > 0, has the CM point -conj(tau) of (a, b, c):
+    its ball is the conjugate one bit for bit, and so are its nome and
+    theta buckets.  The terms read only |j|, the real s(tau) and the
+    theta term, which are invariant under tau -> -conj(tau), so the
+    mirror's terms are the pair's, bit for bit, and each conjugate pair
+    is evaluated and folded once, with weight 2.  A column's ends sum
+    exactly, and the average of h forms lies in [floor(lo / h),
+    ceil(hi / h)] 2**-scale: one ``from_bounds``, whose midpoint is
+    exact and whose radius is rounded up."""
     forms = reduced_forms(d)
+    keys = {(f.a, f.b) for f in forms}
     with workdps(precision_digits + 15):
-        mirrored = {(f.a, f.b): terms(_tau_ball(f)) for f in forms if f.b >= 0}
-        columns = zip(*(mirrored[f.a, abs(f.b)] for f in forms))
-        return tuple(total(col, BigFloat(0, 0)) / len(forms) for total, col in zip(totals, columns))
+        scale = mp.prec + 64
+        rows = [
+            (2 if f.b and (f.a, -f.b) in keys else 1, terms(_tau_ball(f), scale))
+            for f in forms if f.b >= 0
+        ]
+        h = len(forms)
+        return tuple(
+            BigFloat.from_bounds(*(mp.make_mpf(from_man_exp(end, -scale)) for end in (lo // h, -(-hi // h))))
+            for lo, hi in _fold_columns(rows)
+        )
 
 
-def _class_average(d, precision_digits: int, term, total=sum) -> BigFloat:
-    """The one class-group average of term(tau), folded by total."""
-    return _class_averages(d, precision_digits, lambda tau: (term(tau),), (total,))[0]
+def _fold_columns(rows) -> list:
+    """The column sums (sum of w lo, sum of w hi) of rows (w, terms),
+    each term an integer interval (lo, hi)."""
+    return [
+        (sum(w * t[0] for w, t in col), sum(w * t[1] for w, t in col))
+        for col in zip(*([(w, t) for t in row] for w, row in rows))
+    ]
 
 
-def _log_plus_total(js, zero: BigFloat) -> BigFloat:
-    return log_plus_sum(zero, js)
+def _class_average(d, precision_digits: int, term) -> BigFloat:
+    """The one class-group average of term(tau, scale)."""
+    return _class_averages(d, precision_digits, lambda tau, scale: (term(tau, scale),))[0]
+
+
+def _ball_bounds(ball: BigFloat, scale: int) -> tuple:
+    """The exact ends of a real ball as integers at scale 2**-scale,
+    rounded outward."""
+    return _fixed_bounds(*(end._mpf_ for end in ball.bounds()), scale)
+
+
+def _log_plus_term(num: _GaussBall, den: _GaussBall, scale: int) -> tuple:
+    """log max(1, |j|) for j = num / den, the ``_e4_cubed_and_delta``
+    balls E4^3 = x 2**e and Delta = y 2**f with counts E and F, as
+    integers (lo, hi) with the term in [lo, hi] 2**-scale.  With n and N
+    the exact norms of x and y, |E4^3| <= (ceil(sqrt(n)) + E) 2**e and
+    |Delta| >= (floor(sqrt(N)) - F) 2**f = M 2**f; where the first is at
+    most the second, |j| <= 1 and the term is 0.  Otherwise log|j| is
+    (1/2) log(n 4**e / (N 4**f)) at the midpoints, rounded outward by
+    libmpf, and the counts move log|E4^3| by at most E / (m - E), m =
+    floor(sqrt(n)), and log|Delta| by at most F / M, each quotient
+    rounded up to the unit; the ends clamp at 0, as log max(1, t) =
+    max(0, log t).  PrecisionError when M or m - E is not positive
+    there."""
+    n, big_n = num.re * num.re + num.im * num.im, den.re * den.re + den.im * den.im
+    m, big_m = isqrt(n), isqrt(big_n) - den.err
+    if big_m <= 0:
+        raise PrecisionError("Delta not separated from zero")
+    k = num.exp - den.exp
+    if _ceil_sqrt(n) + num.err << max(k, 0) <= big_m << max(-k, 0):
+        return 0, 0
+    if m <= num.err:
+        raise PrecisionError("E4 not separated from zero")
+    lo, hi = _log_bounds(from_man_exp(n, 2 * num.exp), from_man_exp(big_n, 2 * den.exp), scale - 1)
+    spread = -(-(num.err << scale) // (m - num.err)) - (-(den.err << scale) // big_m)
+    return max(0, lo - spread), max(0, hi + spread)
 
 
 def j_height(d, precision_digits: int = 24) -> BigFloat:
     """Weil height of the j-invariant of discriminant d: the class
     polynomial is monic with algebraic-integer roots, so the height is
     the average of log max(1, |j|) over the reduced forms."""
-    return _class_average(d, precision_digits, _j_at, _log_plus_total)
+    return _class_average(
+        d, precision_digits,
+        lambda tau, scale: _log_plus_term(*_e4_cubed_and_delta(_theta_nulls(_theta_w(tau))), scale),
+    )
 
 
 def s_invariant(tau, precision_digits: int = DEFAULT_DIGITS) -> BigFloat:
@@ -702,7 +832,7 @@ def faltings_height_cm(d, precision_digits: int = 24, normalization_offset=None)
     normalization offset (default -(1/2) log 2; see the module
     docstring).  A Fraction offset is enclosed with its rounding
     radius; ints, floats and balls are taken as they are."""
-    avg = _class_average(d, precision_digits, _s_at)
+    avg = _class_average(d, precision_digits, lambda tau, scale: _ball_bounds(_s_at(tau), scale))
     with workdps(precision_digits + 15):
         return _normalized(avg, normalization_offset)
 
@@ -728,8 +858,10 @@ def _theta_w(tau: BigFloat) -> BigFloat:
 
 
 def _nulls_at(tau: BigFloat) -> tuple:
-    """The four theta buckets at a tau ball: one theta series."""
-    return _theta_nulls(_theta_w(tau))
+    """The four theta buckets at a tau ball, from one theta series, as
+    ``BigFloat``s: complex, but for a bucket with no terms, the real 1 or
+    0 (with the tail as its radius)."""
+    return tuple(_ball_of(b, not b.im and b.re in (0, 1 << -b.exp)) for b in _theta_nulls(_theta_w(tau)))
 
 
 def _fixed_toward_zero(t: tuple, s: int) -> int:
@@ -765,12 +897,12 @@ def _slope_sum(m: int, k: int, last: int, gap: int, step: int) -> int:
     return total
 
 
-def _theta_nulls(w: BigFloat):
+def _theta_nulls(w: BigFloat) -> tuple:
     """The four buckets theta_j = sum over m = j (mod 4) of w^(m^2),
-    m over all integers.  The odd m give theta_1 and theta_3 the same
-    terms w, w^9, w^25, ..., so their sum is made once and returned as
-    both, each joined with the tail by its own ``widened`` call; an
-    even m adds w^(m^2) twice, for m and for -m.  The series stops at
+    m over all integers, as ``_GaussBall``s of one exponent.  The odd m
+    give theta_1 and theta_3 the same terms w, w^9, w^25, ..., so their
+    sum is made once and returned as both; an even m adds w^(m^2)
+    twice, for m and for -m.  The series stops at
     the first M whose tail past M^2 is below 10^-dps |w|_lo, with
     |w|_lo from ``_min_abs``: a relative tolerance for theta_1 = w + w^9
     + ..., whose relative accuracy j inherits through the Jacobi theta_2
@@ -796,9 +928,20 @@ def _theta_nulls(w: BigFloat):
     The radius r of w enters once per bucket: with x = |v| + r rounded
     up, |w^n - v^n| <= n x^(n-1) r, summed over the bucket's exponents
     by ``_slope_sum`` at the scale of its first term, whose power of x
-    is a pair.  Each bucket is a ball with an exact dyadic midpoint and
-    radius count * u + that sum, rounded up, joined by ``widened`` to
-    the tail past M^2, 2 x^((M+1)^2) / (1 - x^(2M+3))."""
+    is a pair.  The terms past M^2 have moduli at most x^n, n from
+    (M+1)^2 on with gaps of 2M+3 or more, and a bucket holds each at
+    most twice: the tail 2 x^((M+1)^2) / (1 - x^(2M+3)), a pair, bounds
+    what each bucket leaves out.  So a bucket is within count * u +
+    slope + tail of its exact value, and all three join one integer
+    count in units of 2**exp, exp = -s - g, with g >= 0 the largest -s -
+    f over the slope and tail pairs m 2**f: the series count times 2**g
+    and each pair m 2**(f - exp), all exact.  A radius pair made from
+    that sum, rounded up once, is never wider than the sum rounded up
+    step by step.  g passes the precision only for M = 1 and a tiny
+    nome, where the tail x^4 lies about 3 log2(1 / x) bits below u.  The
+    midpoints, 1 + the sums for theta_0, are exact at 2**-s and so at
+    2**exp; an empty bucket (theta_0 for M < 4, theta_2 for M < 2) is 1
+    or 0 with the tail as its count."""
     # x rounded up once to 53 bits from the exact |v|^2: never above the
     # full-precision |v| + r + guard, and so never a wider tail
     root = mpf_sqrt(_norm(w.value), mp.prec + 10, round_ceiling)
@@ -848,66 +991,83 @@ def _theta_nulls(w: BigFloat):
     x16 = _mul_up_64(x8, x8)
     x32 = _mul_up_64(x16, x16)
     shapes = ((4, 4, 2, _mul_up_64(x32, x16), x32), (1, 2, 1, x8, x8), (2, 4, 2, x32, x32))
-    balls = []
-    for j, (first, k, times, gap, step) in enumerate(shapes):
-        if first > last:  # a bucket with no terms is the exact real 1 or 0
-            balls.append(BigFloat(int(j == 0)))
-            continue
-        lead = _binary_power(w_hi, first * first - 1, _mul_up) if first > 1 else _ONE
-        slope = _mul_up(_mul_up(w._r, lead), _up(times * _slope_sum(first, k, last, gap, step), -64))
-        re = from_man_exp(sums_re[j], -s)
-        value = mp.make_mpc((mpf_add(fone, re, 0) if j == 0 else re, from_man_exp(sums_im[j], -s)))
-        balls.append(BigFloat._made(value, _add_up(_up(counts[j], -s), slope), _mag(value)))
-    return tuple(b.widened(tail) for b in (*balls, balls[1]))
-
-
-def _theta_term(nulls) -> BigFloat:
-    """log(||v||_2 / max_j |theta_j|) for the theta null vector v, given
-    as its four buckets, clamped below at 0 (||v||_2 >= max_j |theta_j|).
-
-    At the midpoints it is (1/2) log(S / N), with S = sum_j |theta_j|^2
-    and N = max_j |theta_j|^2 exact; S / N and its log are rounded
-    outward at the working precision by libmpf's directed rounding, as
-    mpmath ``iv`` rounds them.  Both ends then widen by what the radii
-    r_j carry in, in 53-bit pairs rounded up: S moves by at most E = sum
-    r_j (2 |theta_j| + r_j), so (1/2) log S by E / (2 (S - E)); the
-    maximum M = |theta_k| moves by at most r, the largest r_j of the
-    buckets whose |theta_j| + r_j can reach |theta_k| - r_k, so log M by
-    r / (M - r).  PrecisionError when S - E or M - r is not positive."""
-    norms = [_norm(th.value) for th in nulls]
-    k = 0
-    for j in (1, 2, 3):
-        if mpf_lt(norms[k], norms[j]):
-            k = j
-    m_lo, r = _mag(nulls[k].value, round_floor), nulls[k]._r
-    reach = _sub_down(m_lo, r)
-    for th in nulls:
-        # r_j counts unless |theta_j| + r_j < |theta_k| - r_k
-        if _sub_down(th._r, r)[0] and not _sub_down(reach, _add_up(th._mag, th._r))[0]:
-            r = th._r
-    m_gap = _sub_down(m_lo, r)
-    if not m_gap[0]:
-        raise PrecisionError("theta maximum not separated from zero")
-    total = reduce(mpf_add, norms)
-    # E = sum r_j (2 |theta_j| + r_j); the pair (m, e + 1) is 2 (m, e)
-    err = reduce(_add_up, [_mul_up(th._r, _add_up((th._mag[0], th._mag[1] + 1), th._r)) for th in nulls])
-    s_gap = _sub_down(_down(total[1], total[2]), err)
-    if not s_gap[0]:
-        raise PrecisionError("theta norm not separated from zero")
-    spread = from_man_exp(*_add_up(_div_up(err, (s_gap[0], s_gap[1] + 1)), _div_up(r, m_gap)))
-    lo, hi = (
-        mpf_shift(mpf_log(mpf_div(total, norms[k], mp.prec, rnd), mp.prec, rnd), -1)
-        for rnd in (round_floor, round_ceiling)
+    slopes = [
+        _mul_up(
+            _mul_up(w._r, _binary_power(w_hi, first * first - 1, _mul_up) if first > 1 else _ONE),
+            _up(times * _slope_sum(first, k, last, gap, step), -64),
+        )
+        if first <= last else _ZERO  # a bucket with no terms has no slope
+        for first, k, times, gap, step in shapes
+    ]
+    tail = tail._mpf_[1:3]
+    g = max([0] + [-s - e for m, e in (tail, *slopes) if m])
+    exp, bits = -s - g, mp.prec + 8
+    sums_re[0] += 1 << s
+    b0, b1, b2 = (
+        _GaussBall(re << g, im << g, exp, (count << g) + _units_up(slope, exp) + _units_up(tail, exp), bits)
+        for re, im, count, slope in zip(sums_re, sums_im, counts, slopes)
     )
-    lo, hi = mpf_sub(lo, spread), mpf_add(hi, spread)
-    return BigFloat.from_bounds(mp.make_mpf(fzero if lo[0] else lo), mp.make_mpf(hi))
+    return b0, b1, b2, b1
+
+
+def _fixed_bounds(lo: tuple, hi: tuple, scale: int) -> tuple:
+    """libmpf numbers lo <= hi as integers at scale 2**-scale, lo rounded
+    down and hi up."""
+    return _fixed_part(lo, scale)[0], -_fixed_part(mpf_neg(hi), scale)[0]
+
+
+def _log_bounds(num: tuple, den: tuple, scale: int) -> tuple:
+    """log(num / den) of positive libmpf numbers, the quotient and then
+    its log rounded outward by libmpf at the working precision, as mpmath
+    ``iv`` rounds them, then to integers at scale 2**-scale."""
+    return _fixed_bounds(*(
+        mpf_log(mpf_div(num, den, mp.prec, rnd), mp.prec, rnd) for rnd in (round_floor, round_ceiling)
+    ), scale)
+
+
+def _theta_term(nulls, scale: int) -> tuple:
+    """log(||v||_2 / max_j |theta_j|) for the theta null vector v, given
+    as its four ``_theta_nulls`` buckets, as integers (lo, hi) with the
+    term in [lo, hi] 2**-scale and lo >= 0 (||v||_2 >= max_j |theta_j|).
+
+    The buckets share one exponent e, so their midpoints' squared
+    moduli n_j are exact integers in units of 2**(2e), and their radii
+    the integer counts r_j in units of 2**e.  At the midpoints the term
+    is (1/2) log(S / N), S = sum_j n_j and N = n_k the largest; S / N
+    and its log are rounded outward by libmpf at the working precision,
+    as mpmath ``iv`` rounds them.  The radii move sum_j |theta_j|^2 by
+    at most E = sum_j r_j (2 |theta_j| + r_j), with |theta_j| <=
+    ceil(sqrt(n_j)), so (1/2) log S by at most E / (2 (S - E)); the
+    maximum M = |theta_k| >= floor(sqrt(N)) moves by at most r, the
+    largest r_j of the buckets whose |theta_j| + r_j can reach |theta_k|
+    - r_k, so log M by at most r / (M - r).  Both ends widen by these two
+    quotients, each rounded up to the unit 2**-scale.  PrecisionError
+    when S - E or M - r is not positive."""
+    norms = [b.re * b.re + b.im * b.im for b in nulls]
+    k = max(range(4), key=norms.__getitem__)
+    tops = [_ceil_sqrt(n) for n in norms]
+    m_lo, r = isqrt(norms[k]), nulls[k].err
+    reach = m_lo - r
+    for b, top in zip(nulls, tops):
+        # r_j counts unless |theta_j| + r_j < |theta_k| - r_k
+        if b.err > r and top + b.err >= reach:
+            r = b.err
+    if m_lo <= r:
+        raise PrecisionError("theta maximum not separated from zero")
+    total = sum(norms)
+    err = sum(b.err * (2 * top + b.err) for b, top in zip(nulls, tops))
+    if total <= err:
+        raise PrecisionError("theta norm not separated from zero")
+    spread = -(-(err << scale) // (2 * (total - err))) - (-(r << scale) // (m_lo - r))
+    lo, hi = _log_bounds(from_int(total), from_int(norms[k]), scale - 1)
+    return max(0, lo - spread), hi + spread
 
 
 def theta_height_estimate(d, precision_digits: int = 24) -> BigFloat:
     """Archimedean height estimate of the theta null orbit: the
     class-group average of log(||v||_2 / max_j |theta_j|), where v is
     the theta null vector.  Nonnegative by construction."""
-    return _class_average(d, precision_digits, lambda tau: _theta_term(_nulls_at(tau)))
+    return _class_average(d, precision_digits, lambda tau, scale: _theta_term(_theta_nulls(_theta_w(tau)), scale))
 
 
 # ---------------------------------------------------------------------------
@@ -948,30 +1108,52 @@ def _abs_bf(x: BigFloat) -> BigFloat:
     return x.with_value(abs(x.value))
 
 
-def _cm_terms(tau: BigFloat) -> tuple:
-    """(j, s(tau), theta term) at one CM point from one theta series:
-    s(tau) = -(1/12) log|Delta| - (1/2) log Im tau with the Delta that j
-    is built from."""
-    nulls = _nulls_at(tau)
-    j, delta = _j_and_delta(nulls)
-    s = -(delta.log_abs() / 12) - _im_tau(tau).log_abs() / 2
-    return j, s, _theta_term(nulls)
+def _s_term(delta: _GaussBall, tau, scale: int) -> tuple:
+    """s(tau) = -(1/24) log(N(Delta) (Im tau)^12), for the
+    ``_e4_cubed_and_delta`` ball Delta at the CM point ball tau, as
+    integers (lo, hi) with s(tau) in [lo, hi] 2**-scale.
+
+    N(Delta) = n 4**e is the exact norm of Delta's midpoint x 2**e and y
+    = Im of tau's midpoint is exact, so N(Delta) y^12 is an exact
+    product, whose log is rounded outward by libmpf, then to integers at
+    2**-scale, where the quotient by 24 rounds each end outward again.
+    |Delta| >= floor(sqrt(n)) 2**e = m 2**e, and Delta's count E moves
+    log|Delta| by at most E / (m - E); tau's radius r moves Im tau by at
+    most r, so log Im tau by at most r / (y - r), y - r rounded down.
+    s(tau) = -(1/12) log|Delta| - (1/2) log Im tau, so the ends widen by
+    E / (12 (m - E)) + r / (2 (y - r)), each quotient rounded up to the
+    unit.  PrecisionError when m - E or y - r is not positive."""
+    y = tau.value._mpc_[1]
+    y_gap = _sub_down(_down(y[1], y[2]), tau._r)
+    n = delta.re * delta.re + delta.im * delta.im
+    m, e = isqrt(n), delta.err
+    if y[0] or not y_gap[0] or m <= e:
+        raise PrecisionError("Delta or Im tau not separated from zero")
+    lo, hi = _log_bounds(from_man_exp(n * y[1] ** 12, 2 * delta.exp + 12 * y[2]), fone, scale)
+    spread = -(-(e << scale) // (12 * (m - e))) + _units_up(_div_up(tau._r, (y_gap[0], y_gap[1] + 1)), -scale)
+    return -hi // 24 - spread, -(lo // 24) + spread
+
+
+def _cm_terms(tau: BigFloat, scale: int) -> tuple:
+    """(log max(1, |j|), s(tau), theta term) at one CM point from one
+    theta series, each as integers (lo, hi) at scale 2**-scale: log|j|
+    and s(tau) from the same E4^3 and Delta, with no ball made."""
+    nulls = _theta_nulls(_theta_w(tau))
+    num, den = _e4_cubed_and_delta(nulls)
+    return _log_plus_term(num, den, scale), _s_term(den, tau, scale), _theta_term(nulls, scale)
 
 
 def cm_record(d, precision_digits: int = 24) -> CMRecord:
     """The full record for one discriminant.  One theta series per
     conjugate pair of reduced forms gives j, s(tau) and the theta term
-    (``_class_averages`` shares it across the pair), so the j and theta
+    (``_class_averages`` folds the pair once), so the j and theta
     heights are the balls of ``j_height`` and ``theta_height_estimate``
-    bit for bit; the Faltings height takes Delta from the theta nulls,
-    the fixed-point ball j is made from (``_j_and_delta``), instead of
-    the pentagonal series of ``faltings_height_cm``, which it agrees
-    with to the radii."""
+    bit for bit; the Faltings height takes Delta from the theta nulls
+    (``_e4_cubed_and_delta``) instead of the pentagonal series of
+    ``faltings_height_cm``, which it agrees with to the radii."""
     d = _disc_value(d)
     h = class_number(d)
-    jh, s_avg, th = _class_averages(
-        d, precision_digits, _cm_terms, (_log_plus_total, sum, sum)
-    )
+    jh, s_avg, th = _class_averages(d, precision_digits, _cm_terms)
     with workdps(precision_digits + 15):
         fh = _normalized(s_avg, None)
         residual = _abs_bf(_clamp_one(th) - _clamp_one(fh) / 2)

@@ -543,9 +543,10 @@ def _mag(v, rnd=round_ceiling) -> tuple:
     round_ceiling adds."""
     up = rnd == round_ceiling
     to = _up if up else _down
-    if isinstance(v, mpc):
+    kind = type(v)
+    if kind is mpc:
         (_, ma, ea, ba), (_, mb, eb, bb) = v._mpc_
-    elif isinstance(v, tuple):
+    elif kind is tuple:
         ma, mb, ea = abs(v[0]), abs(v[1]), v[2]
         ba, bb, eb = ma.bit_length(), mb.bit_length(), ea
     else:
@@ -561,12 +562,21 @@ def _mag(v, rnd=round_ceiling) -> tuple:
     if bb > 64:
         top = mb >> (bb - 64)
         mb, eb = top + (up and top << (bb - 64) != mb), eb + bb - 64
-    e = min(ea, eb)
-    n = (ma << (ea - e)) ** 2 + (mb << (eb - e)) ** 2
-    k = max(0, 110 - n.bit_length()) // 2
-    n <<= 2 * k
+    if ea < eb:
+        n, e = ma * ma + (mb << (eb - ea)) ** 2, ea
+    else:
+        n, e = (ma << (ea - eb)) ** 2 + mb * mb, eb
+    k = (110 - n.bit_length()) >> 1
+    if k > 0:
+        n, e = n << 2 * k, e - k
     root = isqrt(n)
-    return to(root + (up and root * root != n), e - k)
+    if up:
+        root += root * root != n
+    # the root has 55 bits or more: its pair is its top 53, rounded as
+    # _up or _down would round it
+    c = root.bit_length() - _RADIUS_BITS
+    m = -(-root >> c) if up else root >> c
+    return (m >> 1, e + c + 1) if m >> _RADIUS_BITS else (m, e + c)
 
 
 def _add_up(a: tuple, b: tuple) -> tuple:

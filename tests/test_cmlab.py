@@ -6,7 +6,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd, isqrt, log10
 from pathlib import Path
 
@@ -40,7 +40,7 @@ from heightlab.cmlab import (
 )
 from heightlab import cmlab
 from heightlab.heights import _iv_workdps, mahler_height
-from heightlab.numcore import BigFloat, PrecisionError, _tail_below, _ulp_slop, log_plus_sum
+from heightlab.numcore import BigFloat, PrecisionError, _tail_below, _ulp_slop
 
 
 def _exact(x) -> Fraction:
@@ -173,6 +173,27 @@ class TestReducedForms:
                 got = [(f.a, f.b, f.c) for f in cmlab._reduced_forms_cached(d)]
                 assert got == brute_reduced_forms(d), d
 
+    def test_forms_from_square_roots_match_the_parity_enumeration(self):
+        # the forms as they were enumerated before the square roots: every
+        # b = d (mod 2) with -a < b <= a for each a <= sqrt(|d| / 3);
+        # every discriminant from -3 to -20000
+        def enumerated(d):
+            out = []
+            for a in range(1, isqrt(-d // 3) + 1):
+                four_a, lo = 4 * a, -a + 1
+                for b in range(lo + (lo - d) % 2, a + 1, 2):
+                    c, rest = divmod(b * b - d, four_a)
+                    if not rest and c >= a and not (a == c and b < 0) and gcd(gcd(a, b), c) == 1:
+                        out.append((a, b, c))
+            return out
+
+        for d in range(-3, -20001, -1):
+            if d % 4 in (0, 1):
+                assert [(f.a, f.b, f.c) for f in cmlab._reduced_forms_cached(d)] == enumerated(d), d
+
+    def test_class_number_of_a_large_discriminant(self):
+        assert class_number(-99999999) == 6976
+
     def test_class_number_dirichlet(self):
         # h = |sum a*chi_d(a)| / |d| for fundamental d < -4
         for d in (-7, -11, -15, -19, -20, -23, -31, -43, -47, -67, -163):
@@ -265,7 +286,7 @@ class TestThetaKernel:
     def test_e4_overlaps_sigma3_series(self, dps):
         for f in reduced_forms(-23) + reduced_forms(-47) + reduced_forms(-163):
             with workdps(dps):
-                b0, b1, b2, b3 = cmlab._theta_nulls(cmlab._theta_w(cmlab._tau_ball(f)))
+                b0, b1, b2, b3 = cmlab._nulls_at(cmlab._tau_ball(f))
                 e4 = cmlab._eisenstein_e4([(b1 + b3).pow_int(8), (b0 + b2).pow_int(8), (b0 - b2).pow_int(8)])
             ref = _sigma3_e4(f.tau(2 * dps), 2 * dps)
             with workdps(2 * dps):
@@ -273,7 +294,8 @@ class TestThetaKernel:
 
     def test_tails_join_radii_rounded_up(self, monkeypatch):
         # at 15 digits a nearest-rounded radius + tail falls below the
-        # exact sum about half of the time
+        # exact sum about half of the time; the theta series instead adds
+        # the tail that stopped it to each bucket's integer count
         widened, seen = BigFloat.widened, []
 
         def spy(ball, extra):
@@ -286,12 +308,14 @@ class TestThetaKernel:
         returned = []
         with workdps(15):
             for i in range(375):
-                tau = BigFloat.rounded(mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 3)))
+                tau = BigFloat.rounded(mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 3 if i < 300 else 40)))
                 if i < 300:
                     returned.append(cmlab._eta_product(cmlab._q_from_tau(tau)))
-                else:
-                    returned.extend(cmlab._theta_nulls(cmlab._theta_w(tau)))
-        assert len(returned) == len(seen) == 600
+                    continue
+                for bucket, slope, tail, stop in _bucket_parts(cmlab._theta_w(tau)):
+                    assert _worth(tail) == _exact(stop)
+                    assert bucket.err * Fraction(2) ** bucket.exp >= _worth(slope) + _worth(tail)
+        assert len(returned) == len(seen) == 300
         for ball, (radius, tail, out) in zip(returned, seen):
             assert ball is out
             assert _exact(ball.radius) >= _exact(radius) + _exact(tail)
@@ -705,15 +729,29 @@ def _forms_up_to(bound: int):
     return [f for d in fundamental_discriminants(bound) for f in reduced_forms(d) if f.b >= 0]
 
 
+def _interval_ball(interval, scale: int) -> BigFloat:
+    """The ball of an integer interval (lo, hi) at scale 2**-scale."""
+    return BigFloat.from_bounds(*(mp.make_mpf(from_man_exp(v, -scale)) for v in interval))
+
+
+def _gauss(value, radius, bits: int = 60):
+    """A _GaussBall of exponent -bits about value, rounded to nearest,
+    whose count is the radius rounded up."""
+    with workdps(40):
+        v, r = mpc(value), mpf(radius)
+        re, im = (int(mp.nint(t * 2**bits)) for t in (v.real, v.imag))
+        return cmlab._GaussBall(re, im, -bits, int(mp.ceil(r * 2**bits)), 100)
+
+
 class TestThetaTerm:
-    """The theta term from the exact norms of the bucket midpoints."""
+    """The theta term from the exact integer norms of the bucket midpoints."""
 
     @staticmethod
     def _terms(dps: int, forms):
         for f in forms:
             with workdps(dps):
-                nulls = cmlab._nulls_at(cmlab._tau_ball(f))
-                yield f, nulls, cmlab._theta_term(nulls)
+                buckets, scale = cmlab._theta_nulls(cmlab._theta_w(cmlab._tau_ball(f))), mp.prec + 64
+                yield f, [cmlab._ball_of(b) for b in buckets], _interval_ball(cmlab._theta_term(buckets, scale), scale)
 
     @pytest.mark.parametrize("dps", [15, 39, 100])
     def test_encloses_150_digit_reference(self, dps):
@@ -733,20 +771,20 @@ class TestThetaTerm:
             assert lo <= term.value <= hi, (f, dps)
 
     def test_radii_hiding_the_maximum_raise(self):
+        small, zero = _gauss(mpc("0.2", "0.1"), 0), _gauss(0, 0)
+        for nulls in (
+            # theta_0's own disc reaches 0
+            (_gauss(1, "1.5"), small, zero, small),
+            # theta_1's disc reaches past theta_0 - r_0 with r_1 > |theta_0|
+            (_gauss(1, "0.1"), _gauss(mpc("0.5"), "1.2"), zero, small),
+            # M - r > 0, but S - E = 1.13 - 0.9 (2 + 0.9) < 0
+            (_gauss(1, "0.9"), small, zero, small),
+        ):
+            with pytest.raises(PrecisionError):
+                cmlab._theta_term(nulls, 100)
+        # a wide disc that cannot reach |theta_0| - r_0 does not count
         with workdps(30):
-            small = BigFloat(mpc("0.2", "0.1"))
-            for nulls in (
-                # theta_0's own disc reaches 0
-                (BigFloat(1, "1.5"), small, BigFloat(0), small),
-                # theta_1's disc reaches past theta_0 - r_0 with r_1 > |theta_0|
-                (BigFloat(1, "0.1"), BigFloat(mpc("0.5"), "1.2"), BigFloat(0), small),
-                # M - r > 0, but S - E = 1.13 - 0.9 (2 + 0.9) < 0
-                (BigFloat(1, "0.9"), small, BigFloat(0), small),
-            ):
-                with pytest.raises(PrecisionError):
-                    cmlab._theta_term(nulls)
-            # a wide disc that cannot reach |theta_0| - r_0 does not count
-            term = cmlab._theta_term((BigFloat(1, "0.1"), BigFloat(mpc("0.2"), "0.5"), BigFloat(0), small))
+            term = _interval_ball(cmlab._theta_term((_gauss(1, "0.1"), _gauss(mpc("0.2"), "0.5"), zero, small), 100), 100)
             exact = mp.log(mp.sqrt(1 + mpf("0.04") + mpf("0.05")))
             assert abs(term.value - exact) <= term.radius
             assert term.radius < 1
@@ -770,6 +808,29 @@ def _bigfloat_theta_nulls(w: BigFloat) -> tuple:
             return tuple(b.widened(tail) for b in (*buckets, buckets[1]))
         w_odd = w_odd * w2
         w_m2 = w_m2 * w_odd
+
+
+def _worth(pair) -> Fraction:
+    """The exact value m 2**e of a pair (m, e)."""
+    return Fraction(pair[0]) * Fraction(2) ** pair[1]
+
+
+def _bucket_parts(w) -> list:
+    """(bucket, slope pair, tail pair, stopping tail) for each of the four
+    buckets of _theta_nulls(w): the pairs it brings to the unit of the
+    bucket's count (slope, then tail, for b0, b1 and b2; b3 is b1), and
+    the last tail _tail_below returned, which stopped the series."""
+    pairs, tails = [], []
+    units, tail_below = cmlab._units_up, cmlab._tail_below
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cmlab, "_units_up", lambda pair, exp: pairs.append(pair) or units(pair, exp))
+        patch.setattr(cmlab, "_tail_below", lambda *args: tails.append(tail_below(*args)) or tails[-1])
+        buckets = cmlab._theta_nulls(w)
+    return [(b, pairs[2 * i], pairs[2 * i + 1], tails[-1]) for b, i in zip(buckets, (0, 1, 2, 1))]
+
+
+def _public(buckets) -> list:
+    return [cmlab._ball_of(b) for b in buckets]
 
 
 def _kernel_points() -> list:
@@ -821,7 +882,7 @@ class TestFixedPointThetaKernel:
         for point in _kernel_points():
             with workdps(dps):
                 w = cmlab._theta_w(_tau_ball_of(point))
-                buckets = cmlab._theta_nulls(w)
+                buckets = _public(cmlab._theta_nulls(w))
             with workdps(750):
                 for j, (ball, want) in enumerate(zip(buckets, _jtheta_buckets(point))):
                     assert abs(ball.value - want) <= ball.radius, (point, dps, j)
@@ -838,7 +899,7 @@ class TestFixedPointThetaKernel:
                 tau = point.tau(dps + 20) if isinstance(point, ReducedForm) else mpc(*point)
                 mid = tau + 9 * r / 10 * mp.expjpi(rng.uniform(-1, 1))
             with workdps(dps):
-                buckets = cmlab._theta_nulls(cmlab._theta_w(BigFloat(mid, r)))
+                buckets = _public(cmlab._theta_nulls(cmlab._theta_w(BigFloat(mid, r))))
             with workdps(750):
                 for j, (ball, want) in enumerate(zip(buckets, _jtheta_buckets(point))):
                     assert abs(ball.value - want) <= ball.radius, (point, dps, j)
@@ -848,13 +909,14 @@ class TestFixedPointThetaKernel:
         for point in _kernel_points():
             with workdps(dps):
                 w = cmlab._theta_w(_tau_ball_of(point))
-                new, old = cmlab._theta_nulls(w), _bigfloat_theta_nulls(w)
+                new, old = _public(cmlab._theta_nulls(w)), _bigfloat_theta_nulls(w)
             for j, (a, b) in enumerate(zip(new, old)):
                 assert a.radius <= b.radius, (point, dps, j)
 
     def test_no_ball_per_term(self, monkeypatch):
         # BigFloat calls inside the kernel do not grow with its term
-        # count: 12 at 39 digits and at 250 for the same form
+        # count: one, the nome's _min_abs, at 39 digits and at 250 for the
+        # same form; tails and slopes join the buckets' integer counts
         counts = Counter()
         for name, attr in list(vars(BigFloat).items()):
             if isinstance(attr, classmethod):
@@ -868,11 +930,11 @@ class TestFixedPointThetaKernel:
                 counts.clear()
                 cmlab._theta_nulls(w)
             seen.append(sum(counts.values()))
-        assert seen[0] == seen[1] <= 12, seen
+        assert seen[0] == seen[1] == 1, seen
 
 
 def _bigfloat_j_and_delta(nulls) -> tuple:
-    """(j, Delta) as the ball formula made them before ``_j_and_delta``
+    """(j, Delta) as the ball formula made them before the kernel
     ran on Gaussian integers: every sum, power, product and quotient a
     BigFloat operation."""
     b0, b1, b2, b3 = nulls
@@ -885,13 +947,69 @@ def _im_tau_of(f: ReducedForm) -> float:
     return (-f.discriminant) ** 0.5 / (2 * f.a)
 
 
+def _gauss_ball_of_bucket(ball: BigFloat, bits: int):
+    """A BigFloat bucket as a _GaussBall, its midpoint and radius pair
+    read exactly at the lowest exponent of the three, as the j kernel
+    read the buckets before they came as Gaussian balls."""
+    parts = getattr(ball.value, "_mpc_", None) or (ball.value._mpf_, (0, 0, 0, 0))
+    m, e = ball._r
+    exp = min([e] + [t[2] for t in parts if t[1]])
+    re, im = ((-t[1] if t[0] else t[1]) << (t[2] - exp) if t[1] else 0 for t in parts)
+    return cmlab._GaussBall(re, im, exp, m << (e - exp), bits)
+
+
+def _j_and_delta_of_buckets(nulls) -> tuple:
+    """(j, Delta) from BigFloat buckets as the Gaussian-integer kernel
+    made them before the buckets came as Gaussian balls."""
+    b0, b1, b2, b3 = (_gauss_ball_of_bucket(ball, mp.prec + 8) for ball in nulls)
+    eighths = [cmlab._binary_power(t, 8, lambda x, y: x * y) for t in (b1 + b3, b0 + b2, b0 - b2)]
+    delta = eighths[0] * eighths[1] * eighths[2] / 256
+    e4 = (eighths[0] + eighths[1] + eighths[2]) / 2
+    den = cmlab._ball_of(delta)
+    return cmlab._ball_of(e4 * (e4 * e4)) / den, den
+
+
+def _theta_term_of_buckets(nulls) -> BigFloat:
+    """The theta term as it was made from BigFloat buckets: the same
+    outward log of the exact norms' quotient, widened by E / (2 (S - E))
+    + r / (M - r) in 53-bit pairs from the radius and magnitude pairs."""
+    from mpmath.libmp import mpf_add, mpf_div, mpf_log, mpf_lt, mpf_shift, mpf_sub, round_ceiling, round_floor
+    from heightlab.numcore import _add_up, _div_up, _down, _mag, _mul_up, _norm, _sub_down
+
+    norms = [_norm(th.value) for th in nulls]
+    k = 0
+    for i in (1, 2, 3):
+        if mpf_lt(norms[k], norms[i]):
+            k = i
+    m_lo, r = _mag(nulls[k].value, round_floor), nulls[k]._r
+    reach = _sub_down(m_lo, r)
+    for th in nulls:
+        if _sub_down(th._r, r)[0] and not _sub_down(reach, _add_up(th._mag, th._r))[0]:
+            r = th._r
+    m_gap, total = _sub_down(m_lo, r), reduce(mpf_add, norms)
+    err = reduce(_add_up, [_mul_up(th._r, _add_up((th._mag[0], th._mag[1] + 1), th._r)) for th in nulls])
+    s_gap = _sub_down(_down(total[1], total[2]), err)
+    spread = from_man_exp(*_add_up(_div_up(err, (s_gap[0], s_gap[1] + 1)), _div_up(r, m_gap)))
+    lo, hi = (
+        mpf_shift(mpf_log(mpf_div(total, norms[k], mp.prec, rnd), mp.prec, rnd), -1)
+        for rnd in (round_floor, round_ceiling)
+    )
+    lo, hi = mpf_sub(lo, spread), mpf_add(hi, spread)
+    return BigFloat.from_bounds(mp.make_mpf((0, 0, 0, 0) if lo[0] else lo), mp.make_mpf(hi))
+
+
 @lru_cache(maxsize=None)
-def _j_kernel_balls() -> tuple:
-    """(form, dps, new (j, Delta), ball formula's (j, Delta), whether b0 is
-    real) for a seeded 200 of the cm_scan(2000, 24) forms with b >= 0
-    and every such form with Im tau < 1.05 (near rho and i), at 39
-    digits, and for every form of -599 and -1832 at the precision
-    hilbert_class_poly works at for them (206 and 259 digits)."""
+def _kernel_cases() -> tuple:
+    """The kernel's balls and intervals, those of the kernel whose buckets
+    were BigFloats joined to their tails by ``widened`` (restated), and
+    the ball formula's (j, Delta), for a seeded 200 of the
+    cm_scan(2000, 24) forms with b >= 0 and every such form with Im tau
+    < 1.05 (near rho and i), at 39 digits, and for every form of -599
+    and -1832 at the precision hilbert_class_poly works at for them (206
+    and 259 digits).  Each case is a dict; a BigFloat bucket's radius was
+    count u + slope, then + tail, each sum rounded up."""
+    from heightlab.numcore import _add_up, _up
+
     forms = _forms_up_to(2000)
     picked = set(random.Random(23).sample(forms, 200)) | {f for f in forms if _im_tau_of(f) < 1.05}
     cases = [(f, 39) for f in forms if f in picked]
@@ -899,8 +1017,26 @@ def _j_kernel_balls() -> tuple:
     out = []
     for f, dps in cases:
         with workdps(dps):
-            nulls = cmlab._nulls_at(cmlab._tau_ball(f))
-            out.append((f, dps, cmlab._j_and_delta(nulls), _bigfloat_j_and_delta(nulls), isinstance(nulls[0].value, mpf)))
+            tau, scale = cmlab._tau_ball(f), mp.prec + 64
+            parts = _bucket_parts(cmlab._theta_w(tau))
+            buckets = [b for b, _, _, _ in parts]
+            nulls = _public(buckets)
+            num, delta = cmlab._e4_cubed_and_delta(buckets)
+            j = cmlab._ball_of(num) / cmlab._ball_of(delta)
+            ball_j, ball_delta = _j_and_delta_of_buckets(nulls)
+            out.append({
+                "form": f, "dps": dps, "scale": scale, "buckets": buckets, "nulls": nulls,
+                "j": j, "delta": cmlab._ball_of(delta),
+                "s": cmlab._s_term(delta, tau, scale), "theta": cmlab._theta_term(buckets, scale),
+                "ball_radii": [
+                    _worth(_add_up(_add_up(_up(b.err - cmlab._units_up(sl, b.exp) - cmlab._units_up(tl, b.exp), b.exp), sl), tl))
+                    for b, sl, tl, _ in parts
+                ],
+                "ball_j": ball_j, "ball_delta": ball_delta,
+                "ball_s": -(ball_delta.log_abs() / 12) - cmlab._im_tau(tau).log_abs() / 2,
+                "ball_theta": _theta_term_of_buckets(nulls),
+                "formula": _bigfloat_j_and_delta(nulls),
+            })
     return tuple(out)
 
 
@@ -926,25 +1062,26 @@ def _within(ball, point) -> bool:
 
 
 class TestFixedPointJKernel:
-    """``_j_and_delta``: eighth powers, E4 and Delta on Gaussian integers
-    and one ball division."""
+    """``_e4_cubed_and_delta``: eighth powers, E4 and Delta on Gaussian
+    integers, and j by one ball division."""
 
     def test_j_and_delta_enclose_mpmath_at_three_times_the_precision(self):
-        reals = 0
-        for f, dps, (j, delta), _, real in _j_kernel_balls():
+        short = 0
+        for case in _kernel_cases():
+            f, dps, j, delta, b0 = case["form"], case["dps"], case["j"], case["delta"], case["buckets"][0]
             with workdps(3 * dps):
                 tau = f.tau(3 * dps)
                 assert abs(j.value - 1728 * mp.kleinj(tau)) <= j.radius, (f, dps)
                 assert abs(delta.value - mp.eta(tau) ** 24) <= delta.radius, (f, dps)
-            reals += real
-        # the one-term series (b0 = 1, b2 = 0 exactly, Im tau >= 7.7 at 39 digits) is among them
-        assert reals > 10
+            short += b0.im == 0 and b0.re == 1 << -b0.exp
+        # series too short to reach theta_0 (b0 = 1 exactly, Im tau >= 7.7 at 39 digits) are among them
+        assert short > 10
 
     def test_no_wider_than_the_ball_formula(self):
-        for f, dps, new, old, _ in _j_kernel_balls():
-            for a, b in zip(new, old):
-                assert a.radius <= b.radius, (f, dps)
-                assert abs(a.value - b.value) <= a.radius + b.radius, (f, dps)
+        for case in _kernel_cases():
+            for a, b in zip((case["j"], case["delta"]), case["formula"]):
+                assert a.radius <= b.radius, (case["form"], case["dps"])
+                assert abs(a.value - b.value) <= a.radius + b.radius, (case["form"], case["dps"])
 
     def test_gauss_ball_arithmetic_holds_its_points(self):
         # sums, squares, products and quotients by 2**k keep every point
@@ -960,9 +1097,12 @@ class TestFixedPointJKernel:
             assert _within(x / 256, (pr / 256, pi / 256))
 
     def test_one_ball_division(self, monkeypatch):
-        # BigFloat calls in one _j_and_delta: E4^3 and Delta made as
-        # balls, then one division (with its _min_abs, _op and _made);
-        # the same 6 at 39 digits and at 250
+        # BigFloat calls in one _cm_terms: the nome (a product and an exp,
+        # each with its _op and _made) and its _min_abs in the series;
+        # none per bucket, for j, s(tau) or the theta term, or for the
+        # fold: 7 (55 before the terms ran on integers).  j itself is
+        # one ball division of E4^3 and Delta made as balls, with its
+        # _min_abs, _op and _made.  The same at 39 digits and at 250
         counts = Counter()
         for name, attr in list(vars(BigFloat).items()):
             if isinstance(attr, classmethod):
@@ -972,11 +1112,88 @@ class TestFixedPointJKernel:
         seen = []
         for dps in (39, 250):
             with workdps(dps):
-                nulls = cmlab._nulls_at(cmlab._tau_ball(ReducedForm(1, 1, 1)))
-                counts.clear()
-                cmlab._j_and_delta(nulls)
-            seen.append(dict(counts))
-        assert seen[0] == seen[1] == {"_made": 3, "__truediv__": 1, "_min_abs": 1, "_op": 1}, seen
+                tau = cmlab._tau_ball(ReducedForm(1, 1, 6))
+                cmlab._constants()  # built once per precision, not per form
+                for kernel in (lambda: cmlab._cm_terms(tau, mp.prec + 64), lambda: cmlab._j_at(tau)):
+                    counts.clear()
+                    kernel()
+                    seen.append(dict(counts))
+        nome = {"__mul__": 1, "exp": 1, "_op": 2, "_made": 2, "_min_abs": 1}
+        j = {"__mul__": 1, "exp": 1, "_op": 3, "_made": 5, "_min_abs": 2, "__truediv__": 1}
+        assert seen == [nome, j, nome, j], seen
+
+
+def _within_interval(interval, scale: int, x) -> bool:
+    lo, hi = (Fraction(v, 2**scale) for v in interval)
+    return lo <= _exact(x) <= hi
+
+
+def _half_width(interval, scale: int) -> Fraction:
+    return Fraction(interval[1] - interval[0], 2 ** (scale + 1))
+
+
+def _reference_terms(tau) -> tuple:
+    """The buckets b0..b3 from mpmath jtheta, s(tau) from eta and the
+    theta term from those buckets, at the ambient precision."""
+    q = mp.exp(1j * mp.pi * tau)
+    t2, t3, t4 = (mp.jtheta(k, 0, q) for k in (2, 3, 4))
+    buckets = ((t3 + t4) / 2, t2 / 2, (t3 - t4) / 2, t2 / 2)
+    mags = [abs(b) for b in buckets]
+    s = -2 * mp.log(abs(mp.eta(tau))) - mp.log(tau.imag) / 2
+    return buckets, s, mp.log(mp.sqrt(mp.fsum(m * m for m in mags)) / max(mags))
+
+
+class TestIntegerTerms:
+    """The theta buckets as Gaussian balls, and s(tau), the theta term and
+    log max(1, |j|) as integer intervals from them."""
+
+    def test_terms_enclose_mpmath_at_three_times_the_precision(self):
+        for case in _kernel_cases():
+            f, dps, scale = case["form"], case["dps"], case["scale"]
+            with workdps(3 * dps):
+                buckets, s, theta = _reference_terms(f.tau(3 * dps))
+                for ball, want in zip(case["nulls"], buckets):
+                    assert abs(ball.value - want) <= ball.radius, (f, dps)
+            assert _within_interval(case["s"], scale, s), (f, dps)
+            assert _within_interval(case["theta"], scale, theta), (f, dps)
+
+    def test_no_wider_than_the_kernel_of_ball_buckets(self):
+        # buckets, j, Delta, s(tau) and theta term against the kernel
+        # whose buckets were BigFloats joined to their tails by widened
+        for case in _kernel_cases():
+            where = (case["form"], case["dps"])
+            for ball, radius in zip(case["nulls"], case["ball_radii"]):
+                assert _exact(ball.radius) <= radius, where
+            for new, old in ((case["j"], case["ball_j"]), (case["delta"], case["ball_delta"])):
+                assert new.radius <= old.radius and abs(new.value - old.value) <= new.radius + old.radius, where
+            for name in ("s", "theta"):
+                old = case["ball_" + name]
+                assert _half_width(case[name], case["scale"]) <= _exact(old.radius), (name, where)
+                lo, hi = (Fraction(v, 2 ** case["scale"]) for v in case[name])
+                assert lo <= _exact(old.bounds()[1]) and _exact(old.bounds()[0]) <= hi, (name, where)
+
+    @pytest.mark.parametrize("dps", [39, 206])
+    def test_terms_hold_a_displaced_cm_point(self, dps):
+        # a tau ball of radius r whose midpoint sits 0.9 r from the CM
+        # point, straight up or down or at a seeded angle: the counts of
+        # the buckets and of Delta, and the radius of Im tau, carry the
+        # displacement into each term
+        rng = random.Random(dps)
+        forms = [f for d in (-3, -4, -23, -71, -163, -1832) for f in reduced_forms(d) if f.b >= 0]
+        for f in forms:
+            for k, turn in ((dps // 3, 0.5), (dps // 3, -0.5), (dps - 5, rng.uniform(-1, 1))):
+                with workdps(dps + 20):
+                    r = mpf(10) ** -k
+                    mid = f.tau(dps + 20) + 9 * r / 10 * mp.expjpi(turn)
+                with workdps(dps):
+                    tau, scale = BigFloat(mid, r), mp.prec + 64
+                    log_j, s, theta = cmlab._cm_terms(tau, scale)
+                with workdps(3 * dps):
+                    point = f.tau(3 * dps)
+                    _, s_ref, theta_ref = _reference_terms(point)
+                    log_j_ref = mp.log(max(1, abs(1728 * mp.kleinj(point))))
+                for interval, want in ((log_j, log_j_ref), (s, s_ref), (theta, theta_ref)):
+                    assert _within_interval(interval, scale, want), (f, k, turn)
 
 
 class TestCMRecord:
@@ -1024,9 +1241,9 @@ class TestCMRecord:
                 assert lo <= self._faltings_reference(d) <= hi, d
 
     def test_mirror_forms_give_the_same_terms(self):
-        # (a, -b, c) has the CM point -conj(tau) of (a, b, c): its s(tau)
-        # and theta term are the same balls bit for bit, and its j the
-        # conjugate ball, so the class averages share one term tuple
+        # (a, -b, c) has the CM point -conj(tau) of (a, b, c): its terms
+        # are the same intervals bit for bit, and its j the conjugate
+        # ball, so the class averages fold each pair once
         pairs = 0
         for d in fundamental_discriminants(300):
             forms = set(reduced_forms(d))
@@ -1036,28 +1253,37 @@ class TestCMRecord:
                 mirror = ReducedForm(f.a, -f.b, f.c)
                 assert mirror in forms
                 with workdps(39):
-                    j, s, t = cmlab._cm_terms(cmlab._tau_ball(f))
-                    jm, sm, tm = cmlab._cm_terms(cmlab._tau_ball(mirror))
-                for x, y in ((s, sm), (t, tm)):
-                    assert (x.value._mpf_, x.radius._mpf_) == (y.value._mpf_, y.radius._mpf_), f
+                    tau, tau_m = cmlab._tau_ball(f), cmlab._tau_ball(mirror)
+                    assert cmlab._cm_terms(tau, mp.prec + 64) == cmlab._cm_terms(tau_m, mp.prec + 64), f
+                    j, jm = cmlab._j_at(tau), cmlab._j_at(tau_m)
                 re, im = j.value._mpc_
                 assert jm.value._mpc_ == (re, mpf_neg(im)) and jm.radius == j.radius, f
                 pairs += 1
         assert pairs > 100
 
     def test_record_is_the_per_form_average(self):
-        # every form evaluates its own terms here; cm_record shares one
-        # tuple per conjugate pair and must give the same balls
+        # every form evaluates its own terms here, each with weight 1;
+        # cm_record folds each conjugate pair once with weight 2 and must
+        # give the same balls
         for d in (-23, -47, -71, -84, -95, -119, -260, -299):
             rec, forms = cm_record(d, 24), reduced_forms(d)
             with workdps(39):
-                js, ss, ts = zip(*(cmlab._cm_terms(cmlab._tau_ball(f)) for f in forms))
-                zero, h = BigFloat(0, 0), len(forms)
-                jh = log_plus_sum(zero, js) / h
-                fh = sum(ss, zero) / h + BigFloat.rounded(-mp.log(2) / 2)
-                th = sum(ts, zero) / h
+                scale, h = mp.prec + 64, len(forms)
+                columns = zip(*(cmlab._cm_terms(cmlab._tau_ball(f), scale) for f in forms))
+                jh, sh, th = (
+                    BigFloat.from_bounds(*(mp.make_mpf(from_man_exp(v, -scale)) for v in (lo // h, -(-hi // h))))
+                    for lo, hi in ((sum(t[0] for t in col), sum(t[1] for t in col)) for col in columns)
+                )
+                fh = sh + BigFloat.rounded(-mp.log(2) / 2)
             for mine, want in ((rec.j_height, jh), (rec.faltings_height, fh), (rec.theta_height_est, th)):
                 assert (mine.value._mpf_, mine.radius._mpf_) == (want.value._mpf_, want.radius._mpf_), d
+
+    def test_faltings_overlaps_the_pentagonal_series_to_500(self):
+        # s(tau) from the theta nulls' Delta against the standalone
+        # faltings_height_cm, which takes Delta from prod (1 - q^n)
+        for d in fundamental_discriminants(500):
+            fh, alone = cm_record(d, 24).faltings_height, faltings_height_cm(d, 24)
+            assert abs(fh.value - alone.value) <= fh.radius + alone.radius, d
 
 
 # error_radius of each cm_scan(400, 24) row before the fixed-point theta

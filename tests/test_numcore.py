@@ -932,6 +932,69 @@ class TestComplexMagnitude:
             assert down >= worth(numcore._mag(v, round_floor)), (a, b, e)
 
 
+def _mag_before(v, rnd) -> tuple:
+    """``numcore._mag`` as it was written before its body was reordered
+    for speed; it must give the same pair for every input."""
+    from math import isqrt
+
+    from mpmath.libmp import round_ceiling
+
+    up = rnd == round_ceiling
+    to = numcore._up if up else numcore._down
+    if isinstance(v, mpc):
+        (_, ma, ea, ba), (_, mb, eb, bb) = v._mpc_
+    elif isinstance(v, tuple):
+        ma, mb, ea = abs(v[0]), abs(v[1]), v[2]
+        ba, bb, eb = ma.bit_length(), mb.bit_length(), ea
+    else:
+        return to(v._mpf_[1], v._mpf_[2])
+    if not (ma and mb):
+        return to(ma, ea) if ma else to(mb, eb)
+    if abs(ea + ba - eb - bb) > 2 * 53 + 8:
+        big = to(ma, ea) if ea + ba > eb + bb else to(mb, eb)
+        return numcore._up(big[0] + 1, big[1]) if up else big
+    if ba > 64:
+        top = ma >> (ba - 64)
+        ma, ea = top + (up and top << (ba - 64) != ma), ea + ba - 64
+    if bb > 64:
+        top = mb >> (bb - 64)
+        mb, eb = top + (up and top << (bb - 64) != mb), eb + bb - 64
+    e = min(ea, eb)
+    n = (ma << (ea - e)) ** 2 + (mb << (eb - e)) ** 2
+    k = max(0, 110 - n.bit_length()) // 2
+    n <<= 2 * k
+    root = isqrt(n)
+    return to(root + (up and root * root != n), e - k)
+
+
+def test_mag_gives_the_pairs_of_its_former_body():
+    # seeded mpf, mpc and Gaussian-integer inputs: zero parts, exponent
+    # gaps from 0 to 300 between the parts' leading bits, mantissas of
+    # 1 to 1000 bits, both roundings
+    from mpmath.libmp import round_ceiling, round_floor
+
+    rng = random.Random(2401)
+    seen = 0
+    for i in range(30000):
+        bits = rng.choice((1, 2, 53, 63, 64, 65, 130, 1000))
+
+        def part():
+            return 0 if rng.random() < 0.1 else rng.getrandbits(bits) * rng.choice((-1, 1)) | 1
+
+        a, b = part(), part()
+        ea = rng.randint(-400, 100)
+        eb = ea + rng.choice((1, -1)) * rng.randint(0, 300)
+        v = (
+            mp.make_mpc((from_man_exp(a, ea), from_man_exp(b, eb))),
+            (a, b << rng.randint(0, 3), ea),
+            mp.make_mpf(from_man_exp(a, ea)),
+        )[i % 3]
+        for rnd in (round_ceiling, round_floor):
+            assert numcore._mag(v, rnd) == _mag_before(v, rnd), (v, rnd)
+            seen += 1
+    assert seen == 60000
+
+
 def _libmpf_radius_formulas():
     """The radius of each ball operation as libmpf computed it before
     radii became integer pairs: every step at 53 bits, round_ceiling."""
@@ -1458,12 +1521,14 @@ def test_class_poly_product_uses_no_mpmath_numbers():
 
 def test_fixed_point_j_kernel_uses_no_mpmath_numbers():
     # the eighth powers, E4 and Delta run on Gaussian integers with
-    # integer error counts; of a theta bucket _GaussBall.of reads only the
-    # midpoint's libmpf parts and the radius pair, and only _j_and_delta
-    # itself makes balls
+    # integer error counts, and so do the theta term, s(tau) (which reads
+    # the libmpf parts and radius pair of the tau ball) and the column
+    # sums of the class averages; balls are made only by _ball_of, for
+    # j's division and the public buckets, and by _class_averages
     tree = ast.parse((Path(numcore.__file__).parent / "cmlab.py").read_text())
     found = {top.name: top for top in tree.body if isinstance(top, (ast.FunctionDef, ast.ClassDef))}
-    for name in ("_modulus_up", "_GaussBall"):
+    assert "of" not in {node.name for node in ast.walk(found["_GaussBall"]) if isinstance(node, ast.FunctionDef)}
+    for name in ("_modulus_up", "_GaussBall", "_units_up", "_ceil_sqrt", "_theta_term", "_s_term", "_fold_columns"):
         names = {node.id for node in ast.walk(found[name]) if isinstance(node, ast.Name)}
         assert not names & {"mpc", "mpf", "mp", "mpmath", "workdps", "BigFloat", "_mag"}, name
         attributes = {node.attr for node in ast.walk(found[name]) if isinstance(node, ast.Attribute)}
