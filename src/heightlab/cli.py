@@ -23,16 +23,18 @@ error, 3 precision failure.
 Input past a work cap exits 2 at once, naming the cap:
 
   MAX_PRECISION     --precision of any command, in digits (10000)
-  MAX_DISCRIMINANT  |D| of 'cm faltings' (10**8); enumerating the
-                    reduced forms of D takes about |D|/6 steps
+  MAX_DISCRIMINANT  |D| of 'cm faltings' (10**8); the reduced forms
+                    of D come from square roots of D and a sieve of
+                    sqrt(|D| / 3) entries
   MAX_DMAX          --dmax of every 'cm' experiment (10**5)
   MAX_WORK          the work of 'cm faltings' (10**6 units), estimated
                     once its reduced forms are counted and before the
                     first series: h(D) * (1 + (p / 300)^2) at p digits
                     of precision.  One unit is about a millisecond on
-                    a 2-vCPU host: one form costs 0.5 ms at 24 digits,
-                    6 ms at 1000 and 0.56 s at 10000, quadratic in p
-                    from a few hundred digits on.
+                    a 2-vCPU host: one form costs 0.2-0.5 ms at 24
+                    digits, 4-13 ms at 1000 and 0.4-1.3 s at 10000 (the
+                    most at D = -3), quadratic in p from a few hundred
+                    digits on.
 
 'cm theta' needs only the principal form, so any D passes there.
 
@@ -100,8 +102,8 @@ HARD_DEFAULTS = {
 CONFIG_KEYS = set(HARD_DEFAULTS)
 
 # Work caps (see the module docstring): past them a command exits 2 at
-# once instead of running for hours.  A scan to X enumerates reduced
-# forms for about X^2 / 20 steps in all, besides h(D) series per D.
+# once instead of running for hours.  A scan to X sieves sqrt(|D| / 3)
+# entries for the reduced forms of each D, besides its theta series.
 MAX_PRECISION = 10_000
 MAX_DISCRIMINANT = 10**8
 MAX_DMAX = 10**5
@@ -495,7 +497,7 @@ def _cmd_cm_faltings(args, opts) -> int:
     if abs(args.discriminant) > MAX_DISCRIMINANT:
         raise UsageError(
             f"|D| = {abs(args.discriminant)} is above MAX_DISCRIMINANT = {MAX_DISCRIMINANT}: "
-            "enumerating its reduced forms takes about |D|/6 steps"
+            "its reduced forms need a sieve of sqrt(|D|/3) entries"
         )
     work = faltings_work(class_number(args.discriminant), opts["precision"])
     if work > MAX_WORK:

@@ -51,15 +51,12 @@ and the theta term from the four buckets.  From the nome to the three
 class averages the work runs on integers: each term is an integer
 interval at one scale, a column sums exactly, each conjugate pair with
 weight 2, and each average is one ``BigFloat`` made after one division
-by h.  A j ball, for ``hilbert_class_poly``
-and ``j_invariant``, is the one division of E4^3 by Delta.  The
-constant balls (pi, 2 pi i, pi i / 4, -(1/2) log 2) are built once per
-working precision.  The standalone ``s_invariant``,
-``faltings_height_cm`` and ``modular_discriminant`` take Delta from the
-pentagonal series of prod (1 - q^n), q = exp(2 pi i tau), which stops
-below 10^-(dps - 5): alone, s(tau) costs half as much that way as
-through the theta nulls.  That series bounds its tail in 53-bit
-arithmetic rounded up and adds it with ``BigFloat.widened``.
+by h.  A j ball is the one division of E4^3 by Delta.  This series is
+the only one behind every CM quantity: ``faltings_height_cm`` is the
+s(tau) column of ``cm_record`` bit for bit, and ``j_invariant``,
+``s_invariant`` and ``modular_discriminant`` read the buckets at g tau
+after one certified reduction, whose moves are ball operations, so g
+tau encloses the image of the whole tau ball.
 
 All floating results are BigFloat discs (midpoint plus radius that
 includes both truncation tails and rounding slop), so experiment
@@ -123,8 +120,8 @@ from .numcore import (
     factorint,
 )
 
-# |q| cap for the q-series; beyond this, convergence certification is
-# refused rather than silently degraded
+# cap on the theta nome |w| (and |q| of the test-only pentagonal series);
+# beyond it, convergence certification is refused, not degraded
 Q_MODULUS_CAP = mpf("0.9995")
 
 
@@ -329,7 +326,10 @@ def fundamental_discriminants(bound: int) -> list[int]:
 def _eta_product(q: BigFloat) -> BigFloat:
     """f(q) = prod_{n>=1} (1 - q^n), summed as the pentagonal-number
     series sum_k (-1)^k q^(k(3k-1)/2) with a certified geometric tail
-    bound.  Requires |q| below the convergence cap."""
+    bound.  Requires |q| below the convergence cap.  Nothing in the
+    package calls it: the benchmark's tracer (bench/tracer.py) binds it
+    as a counter, and the tests use it as a series independent of the
+    theta nulls."""
     q_hi = q.abs_bounds()[1]
     if q_hi > Q_MODULUS_CAP:
         raise PrecisionError(
@@ -357,8 +357,6 @@ def _eisenstein_e4(eighths) -> BigFloat:
 
 
 class _Constants(NamedTuple):
-    pi: BigFloat
-    two_pi_i: BigFloat
     pi_i_4: BigFloat
     minus_half_log_2: BigFloat
 
@@ -367,8 +365,7 @@ class _Constants(NamedTuple):
 def _constants_at(prec: int, dps: int) -> _Constants:
     """The constant balls as ``BigFloat.rounded`` makes them at the
     ambient precision, which the key (mp.prec, mp.dps) names."""
-    values = (mp.pi, mpc(0, 2) * mp.pi, mpc(0, 1) * mp.pi / 4, -mp.log(2) / 2)
-    return _Constants(*map(BigFloat.rounded, values))
+    return _Constants(*map(BigFloat.rounded, (mpc(0, 1) * mp.pi / 4, -mp.log(2) / 2)))
 
 
 def _constants() -> _Constants:
@@ -377,19 +374,16 @@ def _constants() -> _Constants:
     return _constants_at(mp.prec, mp.dps)
 
 
-def _q_from_tau(tau: BigFloat) -> BigFloat:
-    return (_constants().two_pi_i * tau).exp()
-
-
 def modular_discriminant(tau, precision_digits: int = DEFAULT_DIGITS) -> BigFloat:
-    """Delta(tau) = q prod (1 - q^n)^24, q = exp(2 pi i tau), as a
-    certified complex disc."""
+    """Delta(tau) = Delta(g tau) / (c tau + d)^12, as a certified complex
+    disc, for the g = (a b; c d) of ``_to_fundamental_domain`` and
+    Delta(g tau) from the theta buckets; for c = 0, g = +-T^n and the
+    factor is 1."""
     with workdps(precision_digits + 15):
         t = _as_bigfloat(tau)
-        if not t.value.imag > 0:
-            raise ValueError("tau must lie in the upper half plane")
-        q = _q_from_tau(t)
-        return q * _eta_product(q).pow_int(24)
+        gt, (c, d) = _to_fundamental_domain(t)
+        delta = _ball_of(_delta_at(gt))
+        return delta / (t * c + d).pow_int(12) if c else delta
 
 
 def _ceil_sqrt(n: int) -> int:
@@ -541,29 +535,35 @@ def _j_at(tau: BigFloat) -> BigFloat:
     return _ball_of(num) / _ball_of(den)
 
 
-def _reduce_to_fundamental_domain(tau: mpc) -> mpc:
-    """Apply T/S moves until |Re| <= 1/2 and |tau| >= 1 (within one
-    ulp)."""
-    if not tau.imag > 0:
-        raise ValueError("tau must lie in the upper half plane")
+def _delta_at(tau: BigFloat) -> _GaussBall:
+    """Delta at a tau ball, from its theta buckets."""
+    return _e4_cubed_and_delta(_theta_nulls(_theta_w(tau)))[1]
+
+
+def _to_fundamental_domain(t: BigFloat) -> tuple:
+    """(g t, (c, d)) for a tau ball t and g = (a b; c d) in SL2(Z), by T
+    and S moves chosen from the midpoint until |Re| <= 1/2 and |g t| >= 1
+    (within one ulp), each a ball operation (t - n, -1/t), so g t
+    encloses g's image of all of t."""
+    _im_tau(t)
+    a, b, c, d = 1, 0, 0, 1
     for _ in range(100000):
-        n = int(mp.floor(tau.real + mpf("0.5")))
+        n = int(mp.floor(t.value.real + mpf("0.5")))
         if n:
-            tau = tau - n
-        if abs(tau) < 1 - mpf(10) ** (-mp.dps + 2):
-            tau = -1 / tau
+            t, a, b = t - n, a - n * c, b - n * d
+        if abs(t.value) < 1 - mpf(10) ** (-mp.dps + 2):
+            t, a, b, c, d = BigFloat(-1) / t, -c, -d, a, b
             continue
-        return tau
+        return t, (c, d)
     raise PrecisionError("fundamental domain reduction did not terminate")
 
 
 def j_invariant(tau, precision_digits: int = DEFAULT_DIGITS) -> BigFloat:
-    """j(tau) = E4(tau)^3 / Delta(tau), computed after moving tau to
-    the fundamental domain (j is SL2(Z)-invariant, and there the theta
-    series converges fastest)."""
+    """j(tau) = E4^3 / Delta at the g tau of ``_to_fundamental_domain``:
+    j is SL2(Z)-invariant, and there the theta series converges
+    fastest."""
     with workdps(precision_digits + 15):
-        t = _reduce_to_fundamental_domain(mpc(tau))
-        return _j_at(BigFloat(t))
+        return _j_at(_to_fundamental_domain(_as_bigfloat(tau))[0])
 
 
 def _tau_ball(form: ReducedForm) -> BigFloat:
@@ -719,8 +719,7 @@ def _class_averages(d, precision_digits: int, terms) -> tuple:
     mirror's terms are the pair's, bit for bit, and each conjugate pair
     is evaluated and folded once, with weight 2.  A column's ends sum
     exactly, and the average of h forms lies in [floor(lo / h),
-    ceil(hi / h)] 2**-scale: one ``from_bounds``, whose midpoint is
-    exact and whose radius is rounded up."""
+    ceil(hi / h)] 2**-scale: one ``_interval_ball``."""
     forms = reduced_forms(d)
     keys = {(f.a, f.b) for f in forms}
     with workdps(precision_digits + 15):
@@ -730,10 +729,13 @@ def _class_averages(d, precision_digits: int, terms) -> tuple:
             for f in forms if f.b >= 0
         ]
         h = len(forms)
-        return tuple(
-            BigFloat.from_bounds(*(mp.make_mpf(from_man_exp(end, -scale)) for end in (lo // h, -(-hi // h))))
-            for lo, hi in _fold_columns(rows)
-        )
+        return tuple(_interval_ball(lo // h, -(-hi // h), scale) for lo, hi in _fold_columns(rows))
+
+
+def _interval_ball(lo: int, hi: int, scale: int) -> BigFloat:
+    """The ball of [lo, hi] 2**-scale for integers lo <= hi: its midpoint
+    exact, its radius rounded up."""
+    return BigFloat.from_bounds(*(mp.make_mpf(from_man_exp(end, -scale)) for end in (lo, hi)))
 
 
 def _fold_columns(rows) -> list:
@@ -748,12 +750,6 @@ def _fold_columns(rows) -> list:
 def _class_average(d, precision_digits: int, term) -> BigFloat:
     """The one class-group average of term(tau, scale)."""
     return _class_averages(d, precision_digits, lambda tau, scale: (term(tau, scale),))[0]
-
-
-def _ball_bounds(ball: BigFloat, scale: int) -> tuple:
-    """The exact ends of a real ball as integers at scale 2**-scale,
-    rounded outward."""
-    return _fixed_bounds(*(end._mpf_ for end in ball.bounds()), scale)
 
 
 def _log_plus_term(num: _GaussBall, den: _GaussBall, scale: int) -> tuple:
@@ -794,13 +790,11 @@ def j_height(d, precision_digits: int = 24) -> BigFloat:
 
 
 def s_invariant(tau, precision_digits: int = DEFAULT_DIGITS) -> BigFloat:
-    """s(tau) = -(1/12) log(|Delta(tau)| (Im tau)^6)
-             = pi Im(tau)/6 - 2 log|f(q)| - (1/2) log Im(tau),
-    an SL2(Z)-invariant function computed directly from the eta
-    product (no reduction applied, so invariance is testable)."""
+    """s(tau) = -(1/12) log(|Delta(tau)| (Im tau)^6), an SL2(Z)-invariant
+    function: ``_s_term`` at the g tau of ``_to_fundamental_domain``."""
     with workdps(precision_digits + 15):
-        t = _as_bigfloat(tau)
-        return _s_at(t)
+        t, scale = _to_fundamental_domain(_as_bigfloat(tau))[0], mp.prec + 64
+        return _interval_ball(*_s_term(_delta_at(t), t, scale), scale)
 
 
 def _im_tau(t: BigFloat) -> BigFloat:
@@ -810,13 +804,6 @@ def _im_tau(t: BigFloat) -> BigFloat:
     if not y.bounds()[0] > 0:
         raise ValueError("tau must lie in the upper half plane")
     return y
-
-
-def _s_at(t: BigFloat) -> BigFloat:
-    y = _im_tau(t)
-    q = _q_from_tau(t)
-    log_f = _eta_product(q).log_abs()
-    return _constants().pi * y / 6 - log_f * 2 - y.log_abs() / 2
 
 
 def _normalized(avg: BigFloat, offset) -> BigFloat:
@@ -831,8 +818,9 @@ def faltings_height_cm(d, precision_digits: int = 24, normalization_offset=None)
     order of discriminant d: the class-group average of s(tau) plus a
     normalization offset (default -(1/2) log 2; see the module
     docstring).  A Fraction offset is enclosed with its rounding
-    radius; ints, floats and balls are taken as they are."""
-    avg = _class_average(d, precision_digits, lambda tau, scale: _ball_bounds(_s_at(tau), scale))
+    radius; ints, floats and balls are taken as they are.  The average
+    is the s(tau) column of ``cm_record``, bit for bit."""
+    avg = _class_average(d, precision_digits, lambda tau, scale: _s_term(_delta_at(tau), tau, scale))
     with workdps(precision_digits + 15):
         return _normalized(avg, normalization_offset)
 
@@ -1110,7 +1098,7 @@ def _abs_bf(x: BigFloat) -> BigFloat:
 
 def _s_term(delta: _GaussBall, tau, scale: int) -> tuple:
     """s(tau) = -(1/24) log(N(Delta) (Im tau)^12), for the
-    ``_e4_cubed_and_delta`` ball Delta at the CM point ball tau, as
+    ``_e4_cubed_and_delta`` ball Delta at the tau ball tau, as
     integers (lo, hi) with s(tau) in [lo, hi] 2**-scale.
 
     N(Delta) = n 4**e is the exact norm of Delta's midpoint x 2**e and y
@@ -1147,10 +1135,8 @@ def cm_record(d, precision_digits: int = 24) -> CMRecord:
     """The full record for one discriminant.  One theta series per
     conjugate pair of reduced forms gives j, s(tau) and the theta term
     (``_class_averages`` folds the pair once), so the j and theta
-    heights are the balls of ``j_height`` and ``theta_height_estimate``
-    bit for bit; the Faltings height takes Delta from the theta nulls
-    (``_e4_cubed_and_delta``) instead of the pentagonal series of
-    ``faltings_height_cm``, which it agrees with to the radii."""
+    heights are the balls of ``j_height``, ``faltings_height_cm`` and
+    ``theta_height_estimate`` bit for bit."""
     d = _disc_value(d)
     h = class_number(d)
     jh, s_avg, th = _class_averages(d, precision_digits, _cm_terms)
@@ -1269,10 +1255,8 @@ def verify_decay(
     checkpoints (default: 100 doubling up to d_max).  env is
     nonincreasing by construction; ``passed`` asserts certified strict
     decay from the first checkpoint to the last.  The envelope balls
-    the checkpoints' doubles enclose are on ``report.balls``."""
-    rows = _per_discriminant(_ratio_row, d_max, precision_digits, workers, chunksize=16)
-    if not rows:
-        raise ValueError("no fundamental discriminants in range")
+    the checkpoints' doubles enclose are on ``report.balls``.  An empty
+    checkpoint list raises ValueError before the scan."""
     if checkpoints is None:
         checkpoints = [100]
         while checkpoints[-1] * 2 < d_max:
@@ -1280,6 +1264,11 @@ def verify_decay(
         if checkpoints[-1] != d_max:
             checkpoints.append(d_max)
     checkpoints = sorted(set(int(x) for x in checkpoints))
+    if not checkpoints:
+        raise ValueError("no checkpoints")
+    rows = _per_discriminant(_ratio_row, d_max, precision_digits, workers, chunksize=16)
+    if not rows:
+        raise ValueError("no fundamental discriminants in range")
     abs_ds = [-d for d, _, _, _ in rows]
     # suffix[i]: the maximum of the ratios from row i on
     suffix = list(accumulate((row[3] for row in reversed(rows)), _ball_max))[::-1]

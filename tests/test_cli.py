@@ -365,7 +365,7 @@ class TestCMCommands:
         # 1/3 and 0.1 are read as exact rationals, not as binary floats
         code, out, _ = run(capsys, "cm", "faltings", "-D", "-4", "--offset", "1/3")
         assert code == 0
-        assert "≈ 0.860677473831169298641717722839839945 (radius" in out
+        assert "≈ 0.8606774738311692986417177228398399451 (radius" in out
         code, out, _ = run(capsys, "cm", "faltings", "-D", "-4", "--offset", "0.1")
         assert code == 0
         assert "≈ 0.6273441404978359653083843895065066118 (radius" in out

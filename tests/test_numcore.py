@@ -1451,6 +1451,18 @@ def test_iv_only_inside_log_combination_interval():
     }
 
 
+def test_no_source_uses_the_pentagonal_series():
+    # the theta nulls are the one series behind every CM quantity;
+    # _eta_product stays only for the benchmark's counter and the tests
+    users = set()
+    for path in SOURCES:
+        for name, scope in _top_scopes(path):
+            for node in ast.walk(scope):
+                if isinstance(node, ast.Name) and node.id == "_eta_product" or isinstance(node, ast.Attribute) and node.attr == "_eta_product":
+                    users.add((path.name, name))
+    assert users == set()
+
+
 def test_module_level_imports_are_used():
     # _ulp_slop stays bound in cmlab and heights, unused, for the
     # benchmark's check that those names are numcore's function
