@@ -29,12 +29,14 @@ Input past a work cap exits 2 at once, naming the cap:
   MAX_DMAX          --dmax of every 'cm' experiment (10**5)
   MAX_WORK          the work of 'cm faltings' (10**6 units), estimated
                     once its reduced forms are counted and before the
-                    first series: h(D) * (1 + (p / 300)^2) at p digits
+                    first series: h(D) * (1 + (p / 275)^2) at p digits
                     of precision.  One unit is about a millisecond on
-                    a 2-vCPU host: one form costs 0.2-0.5 ms at 24
-                    digits, 4-13 ms at 1000 and 0.4-1.3 s at 10000 (the
-                    most at D = -3), quadratic in p from a few hundred
-                    digits on.
+                    a 2-vCPU host: one form costs 0.1-0.6 ms at 24
+                    digits, 4-11 ms at 1000 and 0.35-0.85 s at 10000
+                    (the most at D = -3, whose nome is complex),
+                    quadratic in p from a few hundred digits on; the
+                    1323 units of a form at 10000 digits leave room
+                    for a host that runs 1.5 times slower.
 
 'cm theta' needs only the principal form, so any D passes there.
 
@@ -113,7 +115,7 @@ MAX_WORK = 10**6
 def faltings_work(h: int, precision: int) -> int:
     """The work estimate of 'cm faltings' for h forms at precision
     digits (see the module docstring), rounded up."""
-    return -(-h * (300**2 + precision**2) // 300**2)
+    return -(-h * (275**2 + precision**2) // 275**2)
 
 
 class UsageError(Exception):

@@ -47,16 +47,27 @@ fundamental domain.  On top of that sit:
 ``cm_record`` sums the theta series once per pair of conjugate reduced
 forms (a, +-b, c) and reads all three heights off it: log|j| from
 the exact norms of E4^3 and Delta above, s(tau) from that of Delta,
-and the theta term from the four buckets.  From the nome to the three
-class averages the work runs on integers: each term is an integer
-interval at one scale, a column sums exactly, each conjugate pair with
-weight 2, and each average is one ``BigFloat`` made after one division
-by h.  A j ball is the one division of E4^3 by Delta.  This series is
-the only one behind every CM quantity: ``faltings_height_cm`` is the
-s(tau) column of ``cm_record`` bit for bit, and ``j_invariant``,
+and the theta term from the four buckets.  Its nome comes from exact
+data, with no tau ball (``_cm_nome``): w = exp(-pi sqrt|d| / (8a))
+e^(-i pi b / (8a)), the modulus between two libmpf chains rounded down
+and up, the angle's cos and sin from one libmpf cos_sin_pi per reduced
+fraction b / (8a) and precision, each part of w between the products
+of its ends.  Its radius is about 2**-16 of a unit in the last place
+of the working precision, where a tau ball and its nome in ball
+arithmetic give about 100 units, which set almost every bucket's error
+count.  s(tau) takes (Im tau)^12 = |d|^6 / (2a)^12 exactly.  From the
+nome to the three class averages the work runs on integers: each term
+is an integer interval at one scale, a column sums exactly, each
+conjugate pair with weight 2, and each average is one ``BigFloat``
+made after one division by h.  A j ball is the one division of E4^3 by
+Delta.  This series is the only one behind every CM quantity:
+``j_height``, ``faltings_height_cm`` and ``theta_height_estimate`` are
+the columns of ``cm_record`` bit for bit, and ``j_invariant``,
 ``s_invariant`` and ``modular_discriminant`` read the buckets at g tau
 after one certified reduction, whose moves are ball operations, so g
-tau encloses the image of the whole tau ball.
+tau encloses the image of the whole tau ball, and take the nome exp(pi
+i tau / 4) of that ball in ball arithmetic; ``hilbert_class_poly``
+takes it at each form's tau ball.
 
 All floating results are BigFloat discs (midpoint plus radius that
 includes both truncation tails and rounding slop), so experiment
@@ -79,12 +90,14 @@ from mpmath import mp, mpc, mpf, workdps
 from mpmath.libmp import (
     from_int,
     from_man_exp,
-    fone,
     fzero,
     mpf_add,
+    mpf_cos_sin_pi,
     mpf_div,
+    mpf_exp,
     mpf_log,
     mpf_neg,
+    mpf_pi,
     mpf_sqrt,
     round_ceiling,
     round_floor,
@@ -382,7 +395,7 @@ def modular_discriminant(tau, precision_digits: int = DEFAULT_DIGITS) -> BigFloa
     with workdps(precision_digits + 15):
         t = _as_bigfloat(tau)
         gt, (c, d) = _to_fundamental_domain(t)
-        delta = _ball_of(_delta_at(gt))
+        delta = _ball_of(_delta_at(_theta_w(gt)))
         return delta / (t * c + d).pow_int(12) if c else delta
 
 
@@ -535,9 +548,9 @@ def _j_at(tau: BigFloat) -> BigFloat:
     return _ball_of(num) / _ball_of(den)
 
 
-def _delta_at(tau: BigFloat) -> _GaussBall:
-    """Delta at a tau ball, from its theta buckets."""
-    return _e4_cubed_and_delta(_theta_nulls(_theta_w(tau)))[1]
+def _delta_at(w: BigFloat) -> _GaussBall:
+    """Delta from the theta buckets at the nome w."""
+    return _e4_cubed_and_delta(_theta_nulls(w))[1]
 
 
 def _to_fundamental_domain(t: BigFloat) -> tuple:
@@ -566,11 +579,102 @@ def j_invariant(tau, precision_digits: int = DEFAULT_DIGITS) -> BigFloat:
         return _j_at(_to_fundamental_domain(_as_bigfloat(tau))[0])
 
 
+def _half_ulp(t: tuple) -> tuple:
+    """Half a unit in the last place of a libmpf number t at mp.prec
+    bits, as a pair: the most that rounding to nearest moved t (0 for
+    t = 0).  It is read off t's own exponent, so it holds also where
+    the exact value lay in the binade below."""
+    return _up(1, t[2] + t[3] - mp.prec - 1) if t[1] else _ZERO
+
+
 def _tau_ball(form: ReducedForm) -> BigFloat:
-    """CM point of a form, at ambient precision, as a disc."""
-    # two roundings (sqrt, then division), each within an ulp of Im tau <= |tau|
-    tau = mpc(-form.b, mp.sqrt(-form.discriminant)) / (2 * form.a)
-    return BigFloat.rounded(tau, 2)
+    """CM point (-b + i s) / (2a), s = sqrt|d|, of a form at ambient
+    precision, as a disc whose radius sums the errors of its correctly
+    rounded steps: Re tau is one division, within half an ulp of its
+    result; Im tau divides s, itself within half an ulp, by 2a, and
+    rounds once more.  That is under 1.75 ulps of |tau| >= 1."""
+    s = mp.sqrt(-form.discriminant)
+    tau = mpc(-form.b, s) / (2 * form.a)
+    re, im = tau._mpc_
+    s_err = _div_up(_half_ulp(s._mpf_), _up(2 * form.a, 0))
+    return BigFloat._made(tau, _add_up(_add_up(_half_ulp(re), s_err), _half_ulp(im)), _mag(tau))
+
+
+@lru_cache(maxsize=1024)
+def _cos_sin_pi_ends(num: int, den: int, k: int) -> tuple:
+    """Integers (c_lo, c_hi, s_lo, s_hi) with cos(pi x) in [c_lo, c_hi]
+    2**-k and sin(pi x) in [s_lo, s_hi] 2**-k, for the reduced fraction
+    x = num / den in [0, 1/8], from one libmpf cos_sin_pi at k bits; x =
+    0 gives 1 and 0 exactly.  Keyed on the fraction and k, so the ends
+    of one precision never serve another.
+
+    Let u = 2**-k.  x rounded down to k bits, x', lies within ulp(x') <=
+    u / 4 below x (x' <= 1/8), and cos falls and sin rises on [0, pi/8]
+    with slopes below pi, so cos(pi x) is within 0.8 u below cos(pi x')
+    and sin(pi x) within 0.8 u above sin(pi x').  cos(pi x') in [0.92,
+    1) and sin(pi x') < 1/2 are rounded down to c, an integer C in units
+    of u, and s, within an ulp (at most u) below them; s is cut down to
+    the unit, to S.  cos_sin_pi rounds a value computed with 32 or more
+    guard bits over k - 20 for x <= 1/8, so either may sit a few units
+    of its last guard bit, far below u / 8, on the wrong side.  So
+    cos(pi x) lies in [C - 1, C + 2] u and sin(pi x) in [S - 1, S + 3]
+    u."""
+    if not num:
+        return 1 << k, 1 << k, 0, 0
+    c, s = mpf_cos_sin_pi(mpf_div(from_int(num), from_int(den), k, round_floor), k, round_floor)
+    big_c, big_s = _fixed_part(c, k)[0], _fixed_part(s, k)[0]
+    return big_c - 1, big_c + 2, big_s - 1, big_s + 3
+
+
+def _cm_nome(form: ReducedForm) -> BigFloat:
+    """The theta nome w = exp(pi i tau / 4) of a form's CM point tau =
+    (-b + i sqrt|d|) / (2a), from exact data, with no tau ball: w =
+    exp(-x) e^(-i pi b / (8a)), x = pi sqrt|d| / (8a).
+
+    The modulus.  At p = mp.prec + 20 + bits(sqrt|d| / a) bits (an
+    error of x moves exp(-x) by that error relative, so x keeps its
+    integer part's bits as guard), pi lies in [P, P + 1) 2**e for
+    libmpf's pi rounded down, and sqrt|d| in [S, S + 1) 2**-p for S the
+    integer square root of |d| 4**p, so x lies in [lo, hi] 2**(e - p),
+    lo = floor(P S / (8a)) and hi = ceil((P + 1)(S + 1) / (8a)).
+    libmpf's exp(-hi 2**(e - p)) rounded down is R 2**f, R of p bits,
+    within one unit 2**f below the exact value; exp rounds a value
+    computed with 14 guard bits, so a wrong-side rounding moves it by far
+    less than a unit.  So exp(-hi 2**(e - p)) lies in [R - 1, R + 2]
+    2**f, and exp(-x) in [R - 1, R_hi] 2**f, R_hi = R + 2 + ceil(2 (R +
+    2) delta) for delta = (hi - lo) 2**(e - p) <= 1, as exp(delta) <= 1
+    + 2 delta.
+
+    The angle.  For |b| <= a the angle pi |b| / (8a) lies in [0, pi/8]:
+    ``_cos_sin_pi_ends`` of the reduced fraction |b| / (8a) at k =
+    mp.prec + 20 bits.
+
+    Each part of w, |Re w| = exp(-x) cos and |Im w| = exp(-x) sin, lies
+    between the exact integer products of its lower ends and of its
+    upper ends, at scale 2**(f - k) (a lower end of sin may be -1,
+    which keeps the product a lower bound).  The midpoint is the exact
+    middle of each part's ends, Im negated for b > 0; the radius, the
+    sum of the two half-widths, is within 2**-(mp.prec + 16) |w| or so.
+    The magnitude bound R_hi (1 + 2**(4 - k)) 2**f, rounded up, holds:
+    (c_hi^2 + s_hi^2) 4**-k <= 1 + 2**(4 - k).
+
+    The mirror (a, -b, c) makes the same steps and negates the other
+    imaginary part, so its nome is the conjugate one bit for bit."""
+    a, b, n = form.a, abs(form.b), -form.discriminant
+    p, k = mp.prec + 20 + (isqrt(n) // a).bit_length(), mp.prec + 20
+    _, pi, e, _ = mpf_pi(p, round_floor)
+    root = isqrt(n << 2 * p)
+    lo, hi = pi * root // (8 * a), -(-(pi + 1) * (root + 1) // (8 * a))
+    _, man, f, bc = mpf_exp(from_man_exp(-hi, e - p), p, round_floor)
+    r, f = man << (p - bc), f - (p - bc)
+    r_lo, r_hi = r - 1, r + 2 + (-(-(r + 2) * (hi - lo) >> (p - e - 1)))
+    g = gcd(b, 8 * a)
+    c_lo, c_hi, s_lo, s_hi = _cos_sin_pi_ends(b // g, 8 * a // g, k)
+    re_lo, re_hi, im_lo, im_hi = r_lo * c_lo, r_hi * c_hi, r_lo * s_lo, r_hi * s_hi
+    re, im = from_man_exp(re_lo + re_hi, f - k - 1), from_man_exp(im_lo + im_hi, f - k - 1)
+    value = mp.make_mpc((re, mpf_neg(im) if form.b > 0 else im))
+    radius = _up(re_hi - re_lo + im_hi - im_lo, f - k - 1)
+    return BigFloat._made(value, radius, _up(r_hi + (r_hi >> (k - 4)) + 1, f))
 
 
 def _fixed_part(t: tuple, s: int) -> tuple:
@@ -706,15 +810,15 @@ def hilbert_class_poly(d) -> IntPoly:
 
 def _class_averages(d, precision_digits: int, terms) -> tuple:
     """Class-group averages at precision_digits + 15 digits.
-    terms(tau, scale) gives, at the CM point ball tau of a reduced form
-    of d, a tuple of integer intervals (lo, hi), each term in [lo, hi]
+    terms(form, scale) gives, at the CM point of a reduced form of d, a
+    tuple of integer intervals (lo, hi), each term in [lo, hi]
     2**-scale, scale = mp.prec + 64, so that a term's outward rounding
     to the unit costs 2**-64 of its working precision; the i-th average
     is that of the i-th terms over the h reduced forms.
 
     A form (a, -b, c), b > 0, has the CM point -conj(tau) of (a, b, c):
-    its ball is the conjugate one bit for bit, and so are its nome and
-    theta buckets.  The terms read only |j|, the real s(tau) and the
+    its nome (``_cm_nome``) is the conjugate one bit for bit, and so are
+    its theta buckets.  The terms read only |j|, the real s(tau) and the
     theta term, which are invariant under tau -> -conj(tau), so the
     mirror's terms are the pair's, bit for bit, and each conjugate pair
     is evaluated and folded once, with weight 2.  A column's ends sum
@@ -725,7 +829,7 @@ def _class_averages(d, precision_digits: int, terms) -> tuple:
     with workdps(precision_digits + 15):
         scale = mp.prec + 64
         rows = [
-            (2 if f.b and (f.a, -f.b) in keys else 1, terms(_tau_ball(f), scale))
+            (2 if f.b and (f.a, -f.b) in keys else 1, terms(f, scale))
             for f in forms if f.b >= 0
         ]
         h = len(forms)
@@ -748,8 +852,8 @@ def _fold_columns(rows) -> list:
 
 
 def _class_average(d, precision_digits: int, term) -> BigFloat:
-    """The one class-group average of term(tau, scale)."""
-    return _class_averages(d, precision_digits, lambda tau, scale: (term(tau, scale),))[0]
+    """The one class-group average of term(form, scale)."""
+    return _class_averages(d, precision_digits, lambda f, scale: (term(f, scale),))[0]
 
 
 def _log_plus_term(num: _GaussBall, den: _GaussBall, scale: int) -> tuple:
@@ -785,16 +889,26 @@ def j_height(d, precision_digits: int = 24) -> BigFloat:
     the average of log max(1, |j|) over the reduced forms."""
     return _class_average(
         d, precision_digits,
-        lambda tau, scale: _log_plus_term(*_e4_cubed_and_delta(_theta_nulls(_theta_w(tau))), scale),
+        lambda f, scale: _log_plus_term(*_e4_cubed_and_delta(_theta_nulls(_cm_nome(f))), scale),
     )
 
 
 def s_invariant(tau, precision_digits: int = DEFAULT_DIGITS) -> BigFloat:
     """s(tau) = -(1/12) log(|Delta(tau)| (Im tau)^6), an SL2(Z)-invariant
-    function: ``_s_term`` at the g tau of ``_to_fundamental_domain``."""
+    function: ``_s_term`` at the g tau of ``_to_fundamental_domain``.
+    Its midpoint's imaginary part y is exact, and the radius r of g tau
+    moves Im tau by at most r, so log Im tau by at most r / (y - r), y -
+    r rounded down: s(tau) widens by r / (2 (y - r)), rounded up to the
+    unit.  PrecisionError when y - r is not positive."""
     with workdps(precision_digits + 15):
         t, scale = _to_fundamental_domain(_as_bigfloat(tau))[0], mp.prec + 64
-        return _interval_ball(*_s_term(_delta_at(t), t, scale), scale)
+        y = t.value._mpc_[1]
+        y_gap = _sub_down(_down(y[1], y[2]), t._r)
+        if y[0] or not y_gap[0]:
+            raise PrecisionError("Im tau not separated from zero")
+        widen = _units_up(_div_up(t._r, (y_gap[0], y_gap[1] + 1)), -scale)
+        s = _s_term(_delta_at(_theta_w(t)), Fraction(*to_rational(y)) ** 12, widen, scale)
+        return _interval_ball(*s, scale)
 
 
 def _im_tau(t: BigFloat) -> BigFloat:
@@ -820,7 +934,9 @@ def faltings_height_cm(d, precision_digits: int = 24, normalization_offset=None)
     docstring).  A Fraction offset is enclosed with its rounding
     radius; ints, floats and balls are taken as they are.  The average
     is the s(tau) column of ``cm_record``, bit for bit."""
-    avg = _class_average(d, precision_digits, lambda tau, scale: _s_term(_delta_at(tau), tau, scale))
+    avg = _class_average(
+        d, precision_digits, lambda f, scale: _s_term(_delta_at(_cm_nome(f)), _im_tau_12(f), 0, scale),
+    )
     with workdps(precision_digits + 15):
         return _normalized(avg, normalization_offset)
 
@@ -900,9 +1016,10 @@ def _theta_nulls(w: BigFloat) -> tuple:
     2 bits(M) + 8 + 4 ceil(log2(1 / |w|_lo)): the last bits keep the
     relative accuracy of theta_2 ~ 2 w^4 for tiny w (for M = 1, where
     theta_2 = 0, one ceil(log2(1 / |w|_lo)) keeps that of theta_1 = w,
-    and |w| may be as small as 2**-179000).  The midpoint v of
-    w is cut to that scale, and w^((m+1)^2) = w^(m^2) w^(2m+1), w^(2m+1)
-    = w^(2m-1) w^2 are formed exactly and cut back, every cut toward
+    and |w| may be as small as 2**-179000).  The midpoint v of w, as it
+    is (``_cm_nome``'s has more bits than mp.prec), is cut to that
+    scale, and w^((m+1)^2) = w^(m^2) w^(2m+1), w^(2m+1) = w^(2m-1) w^2
+    are formed exactly and cut back, every cut toward
     zero, which commutes with conjugation.  One integer count per
     running power bounds its distance from the power of v in units u =
     2**-s: if p, q are within a u and b u of P, Q with |P|, |Q| <= 1
@@ -913,10 +1030,11 @@ def _theta_nulls(w: BigFloat) -> tuple:
     bucket's count is the sum of its terms' counts, each even term
     twice: the sums themselves are exact.
 
-    The radius r of w enters once per bucket: with x = |v| + r rounded
-    up, |w^n - v^n| <= n x^(n-1) r, summed over the bucket's exponents
-    by ``_slope_sum`` at the scale of its first term, whose power of x
-    is a pair.  The terms past M^2 have moduli at most x^n, n from
+    The radius r of w (from ``_theta_w``, or from ``_cm_nome``, where it
+    is far below the series count) enters once per bucket: with x = |v|
+    + r rounded up, |w^n - v^n| <= n x^(n-1) r, summed over the
+    bucket's exponents by ``_slope_sum`` at the scale of its first term,
+    whose power of x is a pair.  The terms past M^2 have moduli at most x^n, n from
     (M+1)^2 on with gaps of 2M+3 or more, and a bucket holds each at
     most twice: the tail 2 x^((M+1)^2) / (1 - x^(2M+3)), a pair, bounds
     what each bucket leaves out.  So a bucket is within count * u +
@@ -953,7 +1071,8 @@ def _theta_nulls(w: BigFloat) -> tuple:
     # w_lo = m 2**e with m of 53 bits: ceil(log2(1 / w_lo)) = -e - 52;
     # with one term, theta_2 = 0 and theta_1 = w asks for 1 log2(1 / w_lo)
     s = mp.prec + 2 * last.bit_length() + 8 + (4 if last > 1 else 1) * max(0, -w_lo[1] - 52)
-    re, im = mpc(w.value)._mpc_
+    # the midpoint as it is: mpc() would round a longer one to mp.prec
+    re, im = w.value._mpc_
     a, b = _fixed_toward_zero(re, s), _fixed_toward_zero(im, s)
     sq, odd, power = _mul_cut(a, b, a, b, s), (a, b), (a, b)  # w^2, w^(2m-1), w^(m^2)
     e_sq, e_odd, e_pow = 7, 2, 2  # their error counts
@@ -1055,7 +1174,7 @@ def theta_height_estimate(d, precision_digits: int = 24) -> BigFloat:
     """Archimedean height estimate of the theta null orbit: the
     class-group average of log(||v||_2 / max_j |theta_j|), where v is
     the theta null vector.  Nonnegative by construction."""
-    return _class_average(d, precision_digits, lambda tau, scale: _theta_term(_theta_nulls(_theta_w(tau)), scale))
+    return _class_average(d, precision_digits, lambda f, scale: _theta_term(_theta_nulls(_cm_nome(f)), scale))
 
 
 # ---------------------------------------------------------------------------
@@ -1096,39 +1215,46 @@ def _abs_bf(x: BigFloat) -> BigFloat:
     return x.with_value(abs(x.value))
 
 
-def _s_term(delta: _GaussBall, tau, scale: int) -> tuple:
+def _s_term(delta: _GaussBall, y12: Fraction, widen: int, scale: int) -> tuple:
     """s(tau) = -(1/24) log(N(Delta) (Im tau)^12), for the
-    ``_e4_cubed_and_delta`` ball Delta at the tau ball tau, as
-    integers (lo, hi) with s(tau) in [lo, hi] 2**-scale.
+    ``_e4_cubed_and_delta`` ball Delta and y12 = y^12, an exact
+    rational, as integers (lo, hi) with s(tau) in [lo, hi] 2**-scale,
+    each end then moved out by widen, a bound in units of 2**-scale on
+    |log Im tau - log y| / 2 that the caller gives: 0 at a CM point,
+    where y12 = |d|^6 / (2a)^12 is (Im tau)^12 itself, and r / (2 (y -
+    r)) in ``s_invariant``, y the exact imaginary part of a tau ball's
+    midpoint and r its radius.
 
-    N(Delta) = n 4**e is the exact norm of Delta's midpoint x 2**e and y
-    = Im of tau's midpoint is exact, so N(Delta) y^12 is an exact
-    product, whose log is rounded outward by libmpf, then to integers at
-    2**-scale, where the quotient by 24 rounds each end outward again.
-    |Delta| >= floor(sqrt(n)) 2**e = m 2**e, and Delta's count E moves
-    log|Delta| by at most E / (m - E); tau's radius r moves Im tau by at
-    most r, so log Im tau by at most r / (y - r), y - r rounded down.
-    s(tau) = -(1/12) log|Delta| - (1/2) log Im tau, so the ends widen by
-    E / (12 (m - E)) + r / (2 (y - r)), each quotient rounded up to the
-    unit.  PrecisionError when m - E or y - r is not positive."""
-    y = tau.value._mpc_[1]
-    y_gap = _sub_down(_down(y[1], y[2]), tau._r)
+    N(Delta) = n 4**e is the exact norm of Delta's midpoint x 2**e, so
+    N(Delta) y12 is an exact quotient of integers, whose log is rounded
+    outward by libmpf, then to integers at 2**-scale, where the quotient
+    by 24 rounds each end outward again.  |Delta| >= floor(sqrt(n)) 2**e
+    = m 2**e, and Delta's count E moves log|Delta| by at most E / (m -
+    E); s(tau) = -(1/12) log|Delta| - (1/2) log Im tau, so the ends
+    widen by E / (12 (m - E)), rounded up to the unit, and by widen.
+    PrecisionError when m - E is not positive."""
     n = delta.re * delta.re + delta.im * delta.im
     m, e = isqrt(n), delta.err
-    if y[0] or not y_gap[0] or m <= e:
-        raise PrecisionError("Delta or Im tau not separated from zero")
-    lo, hi = _log_bounds(from_man_exp(n * y[1] ** 12, 2 * delta.exp + 12 * y[2]), fone, scale)
-    spread = -(-(e << scale) // (12 * (m - e))) + _units_up(_div_up(tau._r, (y_gap[0], y_gap[1] + 1)), -scale)
+    if m <= e:
+        raise PrecisionError("Delta not separated from zero")
+    lo, hi = _log_bounds(from_man_exp(n * y12.numerator, 2 * delta.exp), from_int(y12.denominator), scale)
+    spread = -(-(e << scale) // (12 * (m - e))) + widen
     return -hi // 24 - spread, -(lo // 24) + spread
 
 
-def _cm_terms(tau: BigFloat, scale: int) -> tuple:
-    """(log max(1, |j|), s(tau), theta term) at one CM point from one
-    theta series, each as integers (lo, hi) at scale 2**-scale: log|j|
-    and s(tau) from the same E4^3 and Delta, with no ball made."""
-    nulls = _theta_nulls(_theta_w(tau))
+def _im_tau_12(form: ReducedForm) -> Fraction:
+    """(Im tau)^12 = |d|^6 / (2a)^12 at a form's CM point, exactly."""
+    return Fraction(form.discriminant ** 6, (2 * form.a) ** 12)
+
+
+def _cm_terms(form: ReducedForm, scale: int) -> tuple:
+    """(log max(1, |j|), s(tau), theta term) at a form's CM point from
+    one theta series in its exact-data nome (``_cm_nome``), each as
+    integers (lo, hi) at scale 2**-scale: log|j| and s(tau) from the
+    same E4^3 and Delta, s(tau) with the exact (Im tau)^12."""
+    nulls = _theta_nulls(_cm_nome(form))
     num, den = _e4_cubed_and_delta(nulls)
-    return _log_plus_term(num, den, scale), _s_term(den, tau, scale), _theta_term(nulls, scale)
+    return _log_plus_term(num, den, scale), _s_term(den, _im_tau_12(form), 0, scale), _theta_term(nulls, scale)
 
 
 def cm_record(d, precision_digits: int = 24) -> CMRecord:

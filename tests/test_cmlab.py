@@ -39,8 +39,8 @@ from heightlab.cmlab import (
     verify_theta_faltings,
 )
 from heightlab import cmlab
-from heightlab.heights import _iv_workdps, mahler_height
-from heightlab.numcore import BigFloat, PrecisionError, _tail_below, _ulp_slop
+from heightlab.heights import LogCombination, _iv_workdps, mahler_height
+from heightlab.numcore import BigFloat, PrecisionError, _tail_below, _ulp_slop, factorint
 
 
 def _exact(x) -> Fraction:
@@ -349,16 +349,20 @@ class TestConstantBalls:
 
     @pytest.mark.parametrize("dps", [24, 40])
     def test_tau_balls_enclose_cm_points(self, dps):
+        # the radius sums the errors of the two correctly rounded steps:
+        # at most 2 ulps of |tau| (it was 2 _ulp_slop(tau), 16 |tau|
+        # 10^-dps, about 87 times the error)
         for d in range(-3, -501, -1):
             if d % 4 not in (0, 1):
                 continue
             for f in reduced_forms(d):
                 with workdps(dps):
-                    tau = cmlab._tau_ball(f)
+                    tau, prec = cmlab._tau_ball(f), mp.prec
                     assert tau.radius <= 4 * _ulp_slop(tau.value)
                 with workdps(120):
                     exact = mpc(-f.b, mp.sqrt(-d)) / (2 * f.a)
                     assert abs(tau.value - exact) <= tau.radius
+                    assert tau.radius <= 2 * mpf(2) ** (mp.mag(abs(tau.value)) - prec), f
 
     def test_nomes_enclose_their_values(self):
         for f in reduced_forms(-56) + reduced_forms(-163):
@@ -370,6 +374,50 @@ class TestConstantBalls:
                 assert abs(q.value - mp.exp(2j * mp.pi * exact)) <= q.radius
                 assert abs(w.value - mp.exp(1j * mp.pi * exact / 4)) <= w.radius
 
+
+    @pytest.mark.parametrize("dps", [15, 39, 250])
+    def test_cm_nome_encloses_three_times_the_precision(self, dps):
+        # a seeded sample of the forms of |d| <= 2000 with b = 0, b = a,
+        # dyadic and non-dyadic b / (8a), and the a = 1 forms of
+        # -99999999, where |w| is about 2**-5666: each nome holds the
+        # exact one, within 2**-(prec + 8) |w|
+        forms = [f for n in range(3, 2001) if -n % 4 in (0, 1) for f in reduced_forms(-n)]
+        kinds = {
+            "b = 0": [f for f in forms if f.b == 0],
+            "b = a": [f for f in forms if f.b == f.a],
+            "dyadic": [f for f in forms if 0 < f.b < f.a and (t := 8 * f.a // gcd(f.b, 8 * f.a)) & (t - 1) == 0],
+            "non-dyadic": [f for f in forms if 0 < abs(f.b) < f.a and (t := 8 * f.a // gcd(f.b, 8 * f.a)) & (t - 1)],
+        }
+        rng = random.Random(26)
+        sample = [f for group in kinds.values() for f in rng.sample(group, 40)]
+        sample += [f for f in reduced_forms(-99999999) if f.a == 1]
+        assert all(len(group) >= 40 for group in kinds.values()) and sample[-1].a == 1
+        for f in sample:
+            with workdps(dps):
+                w, prec = cmlab._cm_nome(f), mp.prec
+            with workdps(3 * dps):
+                exact = mp.exp(1j * mp.pi * f.tau(3 * dps) / 4)
+                assert abs(w.value - exact) <= w.radius, (f, dps)
+                assert w.radius <= mpf(2) ** -(prec + 8) * abs(exact), (f, dps)
+
+    def test_angle_cache_keeps_precisions_apart(self):
+        # the cos and sin ends are cached by fraction and precision: a
+        # nome made with a warm cache is bit for bit the one made cold,
+        # whatever precision filled the cache before
+        forms = [ReducedForm(3, 1, 7), ReducedForm(5, 3, 7), ReducedForm(2, 1, 3)]
+
+        def nomes(dps):
+            with workdps(dps):
+                return [(w.value._mpc_, w._r) for w in map(cmlab._cm_nome, forms)]
+
+        cold = {}
+        for dps in (15, 39, 100):
+            cmlab._cos_sin_pi_ends.cache_clear()
+            cold[dps] = nomes(dps)
+        cmlab._cos_sin_pi_ends.cache_clear()
+        for dps in (100, 15, 39, 15, 100):
+            assert nomes(dps) == cold[dps], dps
+        assert cmlab._cos_sin_pi_ends.cache_info().currsize == 3 * len(forms)
 
     @pytest.mark.parametrize("dps", [15, 39, 250])
     def test_cached_constants_are_the_rounded_balls(self, dps):
@@ -599,6 +647,37 @@ class TestChowlaSelberg:
             truth = mp.gamma(mpf(1) / 4) ** 24 / (2**24 * mp.pi**18)
             assert lo <= truth <= hi
             assert abs(abs(delta.value) - truth) < mpf(10) ** -30
+
+
+def _kronecker_at_prime(d: int, p: int) -> int:
+    """The Kronecker symbol (d / p) at a prime p."""
+    if p == 2:
+        return 0 if d % 2 == 0 else (1 if d % 8 in (1, 7) else -1)
+    r = pow(d, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
+
+
+class TestOrders:
+    @pytest.mark.parametrize("big_d, f", [
+        (-4, 2), (-3, 2), (-3, 3), (-4, 3), (-7, 2), (-3, 6), (-15, 2), (-20, 3), (-7, 3), (-4, 5),
+    ])
+    def test_conductor_formula(self, big_d, f):
+        # Nakkajima-Taguchi (J. reine angew. Math. 419, 1991): for the
+        # order of conductor f in O_K, h(O_f) - h(O_K) = (1/2) log f -
+        # (1/2) sum over p^k || f of e_p log p, e_p = (1 - chi(p))(1 -
+        # p^-k) / ((p - chi(p))(1 - 1/p)), chi = (D / .); the first test of
+        # the CM kernel on non-maximal orders
+        coeffs = {}
+        for p, k in factorint(f).items():
+            chi = _kronecker_at_prime(big_d, p)
+            e_p = (1 - chi) * (1 - Fraction(1, p**k)) / ((p - chi) * (1 - Fraction(1, p)))
+            coeffs[p] = Fraction(k, 2) - e_p / 2
+        lo, hi = LogCombination(coeffs).interval(60)
+        with workdps(45):
+            diff = faltings_height_cm(big_d * f * f, 30) - faltings_height_cm(big_d, 30)
+        d_lo, d_hi = diff.bounds()
+        assert d_lo <= lo <= hi <= d_hi, (big_d, f)
+        assert diff.radius < mpf(10) ** -30
 
 
 def _reduced_exactly(tau: mpc) -> tuple:
@@ -980,6 +1059,28 @@ class TestFixedPointThetaKernel:
             for j, (a, b) in enumerate(zip(new, old)):
                 assert a.radius <= b.radius, (point, dps, j)
 
+    @pytest.mark.parametrize("dps", [15, 39])
+    def test_reads_the_whole_midpoint(self, dps):
+        # a nome of radius 0 whose midpoint carries 3 dps digits, past the
+        # working precision: the buckets hold those of that midpoint, which
+        # the kernel cuts to its own scale and never rounds to mp.prec
+        from heightlab.numcore import _ZERO, _mag
+
+        for f in [f for d in (-3, -4, -23, -1832) for f in reduced_forms(d)]:
+            with workdps(3 * dps):
+                v = mp.exp(1j * mp.pi * f.tau(3 * dps) / 4)
+            with workdps(dps):
+                buckets = _public(cmlab._theta_nulls(BigFloat._made(v, _ZERO, _mag(v))))
+            with workdps(3 * dps + 20):
+                powers = {m: v ** (m * m) for m in range(1, 120)}
+                want = (
+                    1 + 2 * mp.fsum(powers[m] for m in range(4, 120, 4)),
+                    mp.fsum(powers[m] for m in range(1, 120, 2)),
+                    2 * mp.fsum(powers[m] for m in range(2, 120, 4)),
+                )
+                for j, (ball, ref) in enumerate(zip(buckets, want)):
+                    assert abs(ball.value - ref) <= ball.radius, (f, dps, j)
+
     def test_no_ball_per_term(self, monkeypatch):
         # BigFloat calls inside the kernel do not grow with its term
         # count: one, the nome's _min_abs, at 39 digits and at 250 for the
@@ -1073,8 +1174,10 @@ def _kernel_cases() -> tuple:
     cm_scan(2000, 24) forms with b >= 0 and every such form with Im tau
     < 1.05 (near rho and i), at 39 digits, and for every form of -599
     and -1832 at the precision hilbert_class_poly works at for them (206
-    and 259 digits).  Each case is a dict; a BigFloat bucket's radius was
-    count u + slope, then + tail, each sum rounded up."""
+    and 259 digits), all from the nome ``_cm_nome`` makes, as cm_record
+    does.  Each case is a dict; a BigFloat bucket's radius was count u +
+    slope, then + tail, each sum rounded up; the ball formula's s(tau)
+    takes Im tau from the tau ball."""
     from heightlab.numcore import _add_up, _up
 
     forms = _forms_up_to(2000)
@@ -1085,7 +1188,7 @@ def _kernel_cases() -> tuple:
     for f, dps in cases:
         with workdps(dps):
             tau, scale = cmlab._tau_ball(f), mp.prec + 64
-            parts = _bucket_parts(cmlab._theta_w(tau))
+            parts = _bucket_parts(cmlab._cm_nome(f))
             buckets = [b for b, _, _, _ in parts]
             nulls = _public(buckets)
             num, delta = cmlab._e4_cubed_and_delta(buckets)
@@ -1094,7 +1197,7 @@ def _kernel_cases() -> tuple:
             out.append({
                 "form": f, "dps": dps, "scale": scale, "buckets": buckets, "nulls": nulls,
                 "j": j, "delta": cmlab._ball_of(delta),
-                "s": cmlab._s_term(delta, tau, scale), "theta": cmlab._theta_term(buckets, scale),
+                "s": cmlab._s_term(delta, cmlab._im_tau_12(f), 0, scale), "theta": cmlab._theta_term(buckets, scale),
                 "ball_radii": [
                     _worth(_add_up(_add_up(_up(b.err - cmlab._units_up(sl, b.exp) - cmlab._units_up(tl, b.exp), b.exp), sl), tl))
                     for b, sl, tl, _ in parts
@@ -1164,12 +1267,13 @@ class TestFixedPointJKernel:
             assert _within(x / 256, (pr / 256, pi / 256))
 
     def test_one_ball_division(self, monkeypatch):
-        # BigFloat calls in one _cm_terms: the nome (a product and an exp,
-        # each with its _op and _made) and its _min_abs in the series;
-        # none per bucket, for j, s(tau) or the theta term, or for the
-        # fold: 7 (55 before the terms ran on integers).  j itself is
-        # one ball division of E4^3 and Delta made as balls, with its
-        # _min_abs, _op and _made.  The same at 39 digits and at 250
+        # BigFloat calls in one _cm_terms: the nome, made once from
+        # exact data, and its _min_abs in the series; none per bucket,
+        # for j, s(tau) or the theta term, or for the fold: 2 (7 with a
+        # tau ball and its nome, 55 before the terms ran on integers).
+        # j itself, on the tau route, is one ball division of E4^3 and
+        # Delta made as balls, with its _min_abs, _op and _made.  The
+        # same at 39 digits and at 250
         counts = Counter()
         for name, attr in list(vars(BigFloat).items()):
             if isinstance(attr, classmethod):
@@ -1179,13 +1283,14 @@ class TestFixedPointJKernel:
         seen = []
         for dps in (39, 250):
             with workdps(dps):
-                tau = cmlab._tau_ball(ReducedForm(1, 1, 6))
+                form = ReducedForm(1, 1, 6)
+                tau = cmlab._tau_ball(form)
                 cmlab._constants()  # built once per precision, not per form
-                for kernel in (lambda: cmlab._cm_terms(tau, mp.prec + 64), lambda: cmlab._j_at(tau)):
+                for kernel in (lambda: cmlab._cm_terms(form, mp.prec + 64), lambda: cmlab._j_at(tau)):
                     counts.clear()
                     kernel()
                     seen.append(dict(counts))
-        nome = {"__mul__": 1, "exp": 1, "_op": 2, "_made": 2, "_min_abs": 1}
+        nome = {"_made": 1, "_min_abs": 1}
         j = {"__mul__": 1, "exp": 1, "_op": 3, "_made": 5, "_min_abs": 2, "__truediv__": 1}
         assert seen == [nome, j, nome, j], seen
 
@@ -1242,8 +1347,9 @@ class TestIntegerTerms:
     @pytest.mark.parametrize("dps", [39, 206])
     def test_terms_hold_a_displaced_cm_point(self, dps):
         # a tau ball of radius r whose midpoint sits 0.9 r from the CM
-        # point, straight up or down or at a seeded angle: the counts of
-        # the buckets and of Delta, and the radius of Im tau, carry the
+        # point, straight up or down or at a seeded angle, on the tau
+        # route (the buckets at _theta_w, s_invariant): the counts of the
+        # buckets and of Delta, and the radius of Im tau, carry the
         # displacement into each term
         rng = random.Random(dps)
         forms = [f for d in (-3, -4, -23, -71, -163, -1832) for f in reduced_forms(d) if f.b >= 0]
@@ -1254,12 +1360,16 @@ class TestIntegerTerms:
                     mid = f.tau(dps + 20) + 9 * r / 10 * mp.expjpi(turn)
                 with workdps(dps):
                     tau, scale = BigFloat(mid, r), mp.prec + 64
-                    log_j, s, theta = cmlab._cm_terms(tau, scale)
+                    nulls = cmlab._theta_nulls(cmlab._theta_w(tau))
+                    log_j = cmlab._log_plus_term(*cmlab._e4_cubed_and_delta(nulls), scale)
+                    theta = cmlab._theta_term(nulls, scale)
+                s = s_invariant(tau, dps - 15)
                 with workdps(3 * dps):
                     point = f.tau(3 * dps)
                     _, s_ref, theta_ref = _reference_terms(point)
                     log_j_ref = mp.log(max(1, abs(1728 * mp.kleinj(point))))
-                for interval, want in ((log_j, log_j_ref), (s, s_ref), (theta, theta_ref)):
+                    assert s.bounds()[0] <= s_ref <= s.bounds()[1], (f, k, turn)
+                for interval, want in ((log_j, log_j_ref), (theta, theta_ref)):
                     assert _within_interval(interval, scale, want), (f, k, turn)
 
 
@@ -1319,11 +1429,14 @@ class TestCMRecord:
                 mirror = ReducedForm(f.a, -f.b, f.c)
                 assert mirror in forms
                 with workdps(39):
+                    assert cmlab._cm_terms(f, mp.prec + 64) == cmlab._cm_terms(mirror, mp.prec + 64), f
+                    w, wm = cmlab._cm_nome(f), cmlab._cm_nome(mirror)
                     tau, tau_m = cmlab._tau_ball(f), cmlab._tau_ball(mirror)
-                    assert cmlab._cm_terms(tau, mp.prec + 64) == cmlab._cm_terms(tau_m, mp.prec + 64), f
                     j, jm = cmlab._j_at(tau), cmlab._j_at(tau_m)
-                re, im = j.value._mpc_
-                assert jm.value._mpc_ == (re, mpf_neg(im)) and jm.radius == j.radius, f
+                # the nome and j of the mirror are the conjugate balls
+                for ball, conj in ((w, wm), (j, jm)):
+                    re, im = ball.value._mpc_
+                    assert conj.value._mpc_ == (re, mpf_neg(im)) and conj._r == ball._r, f
                 pairs += 1
         assert pairs > 100
 
@@ -1335,7 +1448,7 @@ class TestCMRecord:
             rec, forms = cm_record(d, 24), reduced_forms(d)
             with workdps(39):
                 scale, h = mp.prec + 64, len(forms)
-                columns = zip(*(cmlab._cm_terms(cmlab._tau_ball(f), scale) for f in forms))
+                columns = zip(*(cmlab._cm_terms(f, scale) for f in forms))
                 jh, sh, th = (
                     BigFloat.from_bounds(*(mp.make_mpf(from_man_exp(v, -scale)) for v in (lo // h, -(-hi // h))))
                     for lo, hi in ((sum(t[0] for t in col), sum(t[1] for t in col)) for col in columns)
