@@ -44,30 +44,28 @@ fundamental domain.  On top of that sit:
   quotients of the integer counts: like the rest of this module, the
   CM-point kernel uses no mpmath ``iv``.
 
+Each kind of point has one source for its nome, which the theta layer
+takes.  A reduced form's comes from exact data (``_cm_nome``): w =
+exp(-pi sqrt|d| / (8a)) e^(-i pi b / (8a)), each part between integer
+products of directed ends of the modulus (libmpf exp and pi) and of
+the angle's cos and sin (one libmpf cos_sin_pi per reduced fraction
+b / (8a) and precision).  Its radius is about 2**-16 of a unit in the
+last place, where a tau ball's nome in ball arithmetic has about 100.
+A user's tau reaches the series only through ``_theta_w``, that nome
+in ball arithmetic: at ``theta_null_point``, and at g tau after one
+certified reduction, whose moves are ball operations, at
+``j_invariant``, ``s_invariant`` and ``modular_discriminant``.
+
 ``cm_record`` sums the theta series once per pair of conjugate reduced
-forms (a, +-b, c) and reads all three heights off it: log|j| from
-the exact norms of E4^3 and Delta above, s(tau) from that of Delta,
-and the theta term from the four buckets.  Its nome comes from exact
-data, with no tau ball (``_cm_nome``): w = exp(-pi sqrt|d| / (8a))
-e^(-i pi b / (8a)), the modulus between two libmpf chains rounded down
-and up, the angle's cos and sin from one libmpf cos_sin_pi per reduced
-fraction b / (8a) and precision, each part of w between the products
-of its ends.  Its radius is about 2**-16 of a unit in the last place
-of the working precision, where a tau ball and its nome in ball
-arithmetic give about 100 units, which set almost every bucket's error
-count.  s(tau) takes (Im tau)^12 = |d|^6 / (2a)^12 exactly.  From the
-nome to the three class averages the work runs on integers: each term
-is an integer interval at one scale, a column sums exactly, each
-conjugate pair with weight 2, and each average is one ``BigFloat``
-made after one division by h.  A j ball is the one division of E4^3 by
-Delta.  This series is the only one behind every CM quantity:
-``j_height``, ``faltings_height_cm`` and ``theta_height_estimate`` are
-the columns of ``cm_record`` bit for bit, and ``j_invariant``,
-``s_invariant`` and ``modular_discriminant`` read the buckets at g tau
-after one certified reduction, whose moves are ball operations, so g
-tau encloses the image of the whole tau ball, and take the nome exp(pi
-i tau / 4) of that ball in ball arithmetic; ``hilbert_class_poly``
-takes it at each form's tau ball.
+forms (a, +-b, c) and reads all three heights off it: log|j| from the
+exact norms of E4^3 and Delta above, s(tau) from that of Delta and the
+exact (Im tau)^12 = |d|^6 / (2a)^12, and the theta term from the four
+buckets.  From the nome to the three class averages the work runs on
+integers: each term is an integer interval at one scale, a column sums
+exactly, each conjugate pair with weight 2, and each average is one
+``BigFloat`` made after one division by h.  ``j_height``,
+``faltings_height_cm`` and ``theta_height_estimate`` are its columns
+bit for bit; ``hilbert_class_poly`` takes one j ball per form.
 
 All floating results are BigFloat discs (midpoint plus radius that
 includes both truncation tails and rounding slop), so experiment
@@ -535,16 +533,16 @@ def _e4_cubed_and_delta(nulls) -> tuple[_GaussBall, _GaussBall]:
     return e4 * (e4 * e4), delta
 
 
-def _j_at(tau: BigFloat) -> BigFloat:
-    """j(tau) from one theta series in the nome w of tau: its buckets on
-    Gaussian integers (``_theta_nulls``), then E4^3 and Delta in fixed
-    point (``_e4_cubed_and_delta``) and one ball division.  E4^3 and
+def _j_at(w: BigFloat) -> BigFloat:
+    """j from one theta series in the nome w: its buckets on Gaussian
+    integers (``_theta_nulls``), then E4^3 and Delta in fixed point
+    (``_e4_cubed_and_delta``) and one ball division.  E4^3 and
     Delta have exact dyadic midpoints, so they become ``BigFloat``s
     exactly, with radius E 2**e rounded up (``_ball_of``); the division
-    adds its own error bound and allowance.  On the cm_scan(2000, 24)
-    and classpoly forms no j ball is wider than the ball formula's, and
-    the median j radius is 0.44-0.46 times as wide."""
-    num, den = _e4_cubed_and_delta(_theta_nulls(_theta_w(tau)))
+    adds its own error bound and allowance.  On the nomes of all forms
+    of the fundamental |d| <= 2000 at 39 digits and of -599 and -1832,
+    no j ball is wider than the ball formula's: 0.0097 times in median."""
+    num, den = _e4_cubed_and_delta(_theta_nulls(w))
     return _ball_of(num) / _ball_of(den)
 
 
@@ -576,28 +574,7 @@ def j_invariant(tau, precision_digits: int = DEFAULT_DIGITS) -> BigFloat:
     j is SL2(Z)-invariant, and there the theta series converges
     fastest."""
     with workdps(precision_digits + 15):
-        return _j_at(_to_fundamental_domain(_as_bigfloat(tau))[0])
-
-
-def _half_ulp(t: tuple) -> tuple:
-    """Half a unit in the last place of a libmpf number t at mp.prec
-    bits, as a pair: the most that rounding to nearest moved t (0 for
-    t = 0).  It is read off t's own exponent, so it holds also where
-    the exact value lay in the binade below."""
-    return _up(1, t[2] + t[3] - mp.prec - 1) if t[1] else _ZERO
-
-
-def _tau_ball(form: ReducedForm) -> BigFloat:
-    """CM point (-b + i s) / (2a), s = sqrt|d|, of a form at ambient
-    precision, as a disc whose radius sums the errors of its correctly
-    rounded steps: Re tau is one division, within half an ulp of its
-    result; Im tau divides s, itself within half an ulp, by 2a, and
-    rounds once more.  That is under 1.75 ulps of |tau| >= 1."""
-    s = mp.sqrt(-form.discriminant)
-    tau = mpc(-form.b, s) / (2 * form.a)
-    re, im = tau._mpc_
-    s_err = _div_up(_half_ulp(s._mpf_), _up(2 * form.a, 0))
-    return BigFloat._made(tau, _add_up(_add_up(_half_ulp(re), s_err), _half_ulp(im)), _mag(tau))
+        return _j_at(_theta_w(_to_fundamental_domain(_as_bigfloat(tau))[0]))
 
 
 @lru_cache(maxsize=1024)
@@ -752,11 +729,11 @@ def hilbert_class_poly(d) -> IntPoly:
     As in Enge's floating-point method (The complexity of class
     polynomial computation via floating point approximations, Math.
     Comp. 78, 2009), the product runs on integers.  ``_j_at`` gives one
-    ball per reduced form, in order.  A form (a, b, c) whose mirror
-    (a, -b, c) is reduced has the conjugate j' = conj(j), as j(-conj
-    tau) = conj(j(tau)); the pair folds into the real quadratic
-    x^2 - (j + j')x + j j'.  Any other form is equivalent to its mirror,
-    so its j is real and gives a real linear factor.
+    ball per reduced form, in order, from its ``_cm_nome``.  A form (a,
+    b, c) whose mirror (a, -b, c) is reduced has the conjugate j' =
+    conj(j), as j(-conj tau) = conj(j(tau)); the pair folds into the
+    real quadratic x^2 - (j + j')x + j j'.  Any other form is equivalent
+    to its mirror, so its j is real and gives a real linear factor.
 
     Each midpoint becomes a Gaussian integer g at scale 2**s, each part
     rounded down, with s = mp.prec + 2b + 8 for h of b bits.  For a
@@ -797,7 +774,7 @@ def hilbert_class_poly(d) -> IntPoly:
 
     def attempt(dps):
         with workdps(dps):
-            js = [_j_at(_tau_ball(f)) for f in forms]
+            js = [_j_at(_cm_nome(f)) for f in forms]
             s = mp.prec + 2 * len(forms).bit_length() + 8
         return _class_poly_product([tuple(js[i] for i in g) for g in groups], s)
 
@@ -953,7 +930,7 @@ def theta_null_point(tau, precision_digits: int = DEFAULT_DIGITS):
     with workdps(precision_digits + 15):
         t = _as_bigfloat(tau)
         _im_tau(t)
-        return _nulls_at(t)
+        return _nulls_at(_theta_w(t))
 
 
 def _theta_w(tau: BigFloat) -> BigFloat:
@@ -961,11 +938,11 @@ def _theta_w(tau: BigFloat) -> BigFloat:
     return (_constants().pi_i_4 * tau).exp()
 
 
-def _nulls_at(tau: BigFloat) -> tuple:
-    """The four theta buckets at a tau ball, from one theta series, as
+def _nulls_at(w: BigFloat) -> tuple:
+    """The four theta buckets at the nome w, from one theta series, as
     ``BigFloat``s: complex, but for a bucket with no terms, the real 1 or
     0 (with the tail as its radius)."""
-    return tuple(_ball_of(b, not b.im and b.re in (0, 1 << -b.exp)) for b in _theta_nulls(_theta_w(tau)))
+    return tuple(_ball_of(b, not b.im and b.re in (0, 1 << -b.exp)) for b in _theta_nulls(w))
 
 
 def _fixed_toward_zero(t: tuple, s: int) -> int:
@@ -1030,8 +1007,8 @@ def _theta_nulls(w: BigFloat) -> tuple:
     bucket's count is the sum of its terms' counts, each even term
     twice: the sums themselves are exact.
 
-    The radius r of w (from ``_theta_w``, or from ``_cm_nome``, where it
-    is far below the series count) enters once per bucket: with x = |v|
+    The radius r of w (``_cm_nome``'s lies far below the series count,
+    ``_theta_w``'s need not) enters once per bucket: with x = |v|
     + r rounded up, |w^n - v^n| <= n x^(n-1) r, summed over the
     bucket's exponents by ``_slope_sum`` at the scale of its first term,
     whose power of x is a pair.  The terms past M^2 have moduli at most x^n, n from
@@ -1473,6 +1450,7 @@ def finiteness_demo(
     radius that encloses its ball (``BigFloat.doubles``); the ratio
     balls themselves are on ``report.balls``."""
     c_prime = Fraction(c_prime)
+    c_double = float(c_prime)  # OverflowError past the doubles, before any series
     rows = _per_discriminant(_ratio_row, d_max, precision_digits, workers, chunksize=16)
     qualifying, balls = [], []
 
@@ -1499,7 +1477,7 @@ def finiteness_demo(
             balls.append(ratio)
     return _Report({
         "d_max": d_max,
-        "c_prime": float(c_prime),
+        "c_prime": c_double,
         "qualifying": qualifying,
         "class_number_one": [q["D"] for q in qualifying if q["class_number"] == 1],
         "count": len(qualifying),

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -387,9 +388,10 @@ class TestCMCommands:
         assert v1 == v3
 
     def test_theta_balls_hold_the_theta_nulls(self, capsys, monkeypatch):
-        # the nulls are taken at the certified CM-point ball, so the
-        # rounding of tau is in every radius; the reference sums
-        # w^(m^2), m = j mod 4, at three times the working precision
+        # the nulls are taken at the principal form's nome from exact
+        # data (_cm_nome), whose radius is in every bucket's; the
+        # reference sums w^(m^2), m = j mod 4, at three times the
+        # working precision
         from mpmath import mp, mpc, workdps
 
         from heightlab import cli
@@ -419,6 +421,8 @@ class TestCMCommands:
             (["cm", "scan", "--dmax", "100000000000"], "MAX_DMAX"),
             (["cm", "verify-decay", "--dmax", "100001"], "MAX_DMAX"),
             (["cm", "faltings", "-D", "-4", "--precision", "100000"], "MAX_PRECISION"),
+            (["height", "alg: x^1001 - 2"], "MAX_DEGREE"),
+            (["height", "alg: 3*x^2 + x^0001001"], "MAX_DEGREE"),
         ],
     )
     def test_work_caps_exit_2(self, capsys, tmp_path, argv, cap):
@@ -490,6 +494,14 @@ class TestCMCommands:
         report = json.loads(Path(out.strip().split(" written to ")[-1]).read_text())
         assert report["c_prime"] == 1 / 3
 
+    @pytest.mark.parametrize("cprime", ["1e400", "1" + "0" * 400])
+    def test_finiteness_bound_past_the_doubles_exits_2(self, capsys, tmp_path, cprime):
+        # a bound that is no finite double cannot name its artifact
+        # (cprime is written as a double): usage error, nothing written
+        code, out, err = run(capsys, "cm", "finiteness", "--dmax", "20", "--cprime", cprime, "--out", str(tmp_path))
+        assert code == 2 and not out and not os.listdir(tmp_path)
+        assert "--cprime" in err and "not finite as a double" in err
+
     def test_finiteness_prints_ratio_balls(self, capsys, monkeypatch, tmp_path):
         # the printed radius is the computed ball's plus the print's move,
         # at most as much again, rounded up: not the JSON radius, which
@@ -555,12 +567,14 @@ class TestCMCommands:
 
 def _printed_disc(line: str):
     """(real, imaginary, radius) of the disc '≈ value (radius r)' ends a
-    line with, as exact rationals."""
+    line with, as exact rationals.  Each decimal is read through Decimal,
+    as Fraction(str) refuses more than 4300 digits."""
     value, radius = line.split("≈ ", 1)[1].removesuffix(")").split(" (radius ")
+    exact = lambda text: Fraction(Decimal(text))
     if value.startswith("("):
         re, sign, im = value[1:-2].split(" ")
-        return Fraction(re), Fraction(im) * (1 if sign == "+" else -1), Fraction(radius)
-    return Fraction(value), Fraction(0), Fraction(radius)
+        return exact(re), exact(im) * (1 if sign == "+" else -1), exact(radius)
+    return exact(value), Fraction(0), exact(radius)
 
 
 @pytest.mark.parametrize(
@@ -571,8 +585,11 @@ def _printed_disc(line: str):
         ["height", "alg: x^2 - 2", "--gamma=-1", "--precision", "100"],
         ["cm", "faltings", "-D", "-4"],
         ["cm", "faltings", "-D", "-23", "--offset", "1/3"],
+        # past the 4300 digits Python reads into an int at once
+        ["cm", "faltings", "-D", "-4", "--precision", "5000"],
         ["cm", "theta", "-D", "-4"],
         ["cm", "theta", "-D", "-71", "--precision", "16"],
+        ["cm", "theta", "-D", "-3", "--precision", "4400"],
         ["cm", "verify-decay", "--dmax", "400", "--precision", "18"],
         ["cm", "finiteness", "--dmax", "20", "--cprime", "1/2"],
         ["lemma-check", "--coords", "1,2^1/2,3^1/3", "--gamma=-1/2"],

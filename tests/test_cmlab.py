@@ -40,7 +40,7 @@ from heightlab.cmlab import (
 )
 from heightlab import cmlab
 from heightlab.heights import LogCombination, _iv_workdps, mahler_height
-from heightlab.numcore import BigFloat, PrecisionError, _tail_below, _ulp_slop, factorint
+from heightlab.numcore import BigFloat, PrecisionError, _tail_below, factorint
 
 
 def _exact(x) -> Fraction:
@@ -239,10 +239,16 @@ def _forms_to_500_and_599():
 
 @lru_cache(maxsize=None)
 def _j_balls(dps: int) -> tuple:
-    """(form, _j_at ball) for every reduced form with |d| <= 500 and
-    d = -599, at dps digits."""
+    """(form, _j_at ball of its nome) for every reduced form with
+    |d| <= 500 and d = -599, at dps digits."""
     with workdps(dps):
-        return tuple((f, cmlab._j_at(cmlab._tau_ball(f))) for f in _forms_to_500_and_599())
+        return tuple((f, cmlab._j_at(cmlab._cm_nome(f))) for f in _forms_to_500_and_599())
+
+
+def _cm_tau_ball(f: ReducedForm) -> BigFloat:
+    """The CM point of a form as a tau ball at the working precision: two
+    roundings (sqrt, then division), each within an ulp of Im tau <= |tau|."""
+    return BigFloat.rounded(mpc(-f.b, mp.sqrt(-f.discriminant)) / (2 * f.a), 2)
 
 
 def _sigma3_e4(tau, dps: int):
@@ -299,7 +305,7 @@ class TestThetaKernel:
     def test_e4_overlaps_sigma3_series(self, dps):
         for f in reduced_forms(-23) + reduced_forms(-47) + reduced_forms(-163):
             with workdps(dps):
-                b0, b1, b2, b3 = cmlab._nulls_at(cmlab._tau_ball(f))
+                b0, b1, b2, b3 = cmlab._nulls_at(cmlab._cm_nome(f))
                 e4 = cmlab._eisenstein_e4([(b1 + b3).pow_int(8), (b0 + b2).pow_int(8), (b0 - b2).pow_int(8)])
             ref = _sigma3_e4(f.tau(2 * dps), 2 * dps)
             with workdps(2 * dps):
@@ -347,27 +353,10 @@ class TestConstantBalls:
             for ball, exact in ((pi, mp.pi), (two_pi_i, 2j * mp.pi), (pi_i_4, 1j * mp.pi / 4)):
                 assert abs(ball.value - exact) <= ball.radius
 
-    @pytest.mark.parametrize("dps", [24, 40])
-    def test_tau_balls_enclose_cm_points(self, dps):
-        # the radius sums the errors of the two correctly rounded steps:
-        # at most 2 ulps of |tau| (it was 2 _ulp_slop(tau), 16 |tau|
-        # 10^-dps, about 87 times the error)
-        for d in range(-3, -501, -1):
-            if d % 4 not in (0, 1):
-                continue
-            for f in reduced_forms(d):
-                with workdps(dps):
-                    tau, prec = cmlab._tau_ball(f), mp.prec
-                    assert tau.radius <= 4 * _ulp_slop(tau.value)
-                with workdps(120):
-                    exact = mpc(-f.b, mp.sqrt(-d)) / (2 * f.a)
-                    assert abs(tau.value - exact) <= tau.radius
-                    assert tau.radius <= 2 * mpf(2) ** (mp.mag(abs(tau.value)) - prec), f
-
     def test_nomes_enclose_their_values(self):
         for f in reduced_forms(-56) + reduced_forms(-163):
             with workdps(30):
-                tau = cmlab._tau_ball(f)
+                tau = _cm_tau_ball(f)
                 q, w = _q_ball(tau), cmlab._theta_w(tau)
             with workdps(120):
                 exact = mpc(-f.b, mp.sqrt(-f.discriminant)) / (2 * f.a)
@@ -562,12 +551,13 @@ class TestClassPolyProduct:
             assert cmlab._class_poly_product(wide, s) is None
 
     def test_j_once_per_form_in_order(self, monkeypatch):
-        # the i-th _j_at ball is the i-th reduced form's, all at one precision
+        # the i-th _j_at ball is the i-th reduced form's, all at one
+        # precision, from the form's own nome bit for bit
         seen, j_at = [], cmlab._j_at
 
-        def recording(tau):
-            seen.append((tau.value, mp.dps))
-            return j_at(tau)
+        def recording(w):
+            seen.append((w, mp.dps))
+            return j_at(w)
 
         monkeypatch.setattr(cmlab, "_j_at", recording)
         for d in (-47, -599, -1832):
@@ -575,9 +565,10 @@ class TestClassPolyProduct:
             hilbert_class_poly(d)
             forms = reduced_forms(d)
             assert len(seen) == len(forms) and len({dps for _, dps in seen}) == 1
-            for f, (tau, dps) in zip(forms, seen):
+            for f, (w, dps) in zip(forms, seen):
                 with workdps(dps):
-                    assert cmlab._tau_ball(f).value == tau, (d, f)
+                    nome = cmlab._cm_nome(f)
+                assert (w.value._mpc_, w._r) == (nome.value._mpc_, nome._r), (d, f)
 
 
 class TestJHeight:
@@ -896,7 +887,7 @@ class TestThetaTerm:
     def _terms(dps: int, forms):
         for f in forms:
             with workdps(dps):
-                buckets, scale = cmlab._theta_nulls(cmlab._theta_w(cmlab._tau_ball(f))), mp.prec + 64
+                buckets, scale = cmlab._theta_nulls(cmlab._theta_w(_cm_tau_ball(f))), mp.prec + 64
                 yield f, [cmlab._ball_of(b) for b in buckets], _interval_ball(cmlab._theta_term(buckets, scale), scale)
 
     @pytest.mark.parametrize("dps", [15, 39, 100])
@@ -993,7 +984,7 @@ def _kernel_points() -> list:
 def _tau_ball_of(point) -> BigFloat:
     """The tau ball of a point at the working precision."""
     if isinstance(point, ReducedForm):
-        return cmlab._tau_ball(point)
+        return _cm_tau_ball(point)
     return BigFloat(mpc(*point))
 
 
@@ -1094,7 +1085,7 @@ class TestFixedPointThetaKernel:
         seen = []
         for dps in (39, 250):
             with workdps(dps):
-                w = cmlab._theta_w(cmlab._tau_ball(ReducedForm(1, 1, 1)))
+                w = cmlab._theta_w(_cm_tau_ball(ReducedForm(1, 1, 1)))
                 counts.clear()
                 cmlab._theta_nulls(w)
             seen.append(sum(counts.values()))
@@ -1187,7 +1178,7 @@ def _kernel_cases() -> tuple:
     out = []
     for f, dps in cases:
         with workdps(dps):
-            tau, scale = cmlab._tau_ball(f), mp.prec + 64
+            tau, scale = _cm_tau_ball(f), mp.prec + 64
             parts = _bucket_parts(cmlab._cm_nome(f))
             buckets = [b for b, _, _, _ in parts]
             nulls = _public(buckets)
@@ -1271,9 +1262,10 @@ class TestFixedPointJKernel:
         # exact data, and its _min_abs in the series; none per bucket,
         # for j, s(tau) or the theta term, or for the fold: 2 (7 with a
         # tau ball and its nome, 55 before the terms ran on integers).
-        # j itself, on the tau route, is one ball division of E4^3 and
-        # Delta made as balls, with its _min_abs, _op and _made.  The
-        # same at 39 digits and at 250
+        # _j_at, given the nome, makes E4^3 and Delta as balls (2
+        # _made) and divides them once (its _op, _made and the divisor's
+        # _min_abs), besides the series' _min_abs: 7.  The same at 39
+        # digits and at 250
         counts = Counter()
         for name, attr in list(vars(BigFloat).items()):
             if isinstance(attr, classmethod):
@@ -1284,14 +1276,13 @@ class TestFixedPointJKernel:
         for dps in (39, 250):
             with workdps(dps):
                 form = ReducedForm(1, 1, 6)
-                tau = cmlab._tau_ball(form)
-                cmlab._constants()  # built once per precision, not per form
-                for kernel in (lambda: cmlab._cm_terms(form, mp.prec + 64), lambda: cmlab._j_at(tau)):
+                w = cmlab._cm_nome(form)
+                for kernel in (lambda: cmlab._cm_terms(form, mp.prec + 64), lambda: cmlab._j_at(w)):
                     counts.clear()
                     kernel()
                     seen.append(dict(counts))
         nome = {"_made": 1, "_min_abs": 1}
-        j = {"__mul__": 1, "exp": 1, "_op": 3, "_made": 5, "_min_abs": 2, "__truediv__": 1}
+        j = {"_op": 1, "_made": 3, "_min_abs": 2, "__truediv__": 1}
         assert seen == [nome, j, nome, j], seen
 
 
@@ -1431,8 +1422,7 @@ class TestCMRecord:
                 with workdps(39):
                     assert cmlab._cm_terms(f, mp.prec + 64) == cmlab._cm_terms(mirror, mp.prec + 64), f
                     w, wm = cmlab._cm_nome(f), cmlab._cm_nome(mirror)
-                    tau, tau_m = cmlab._tau_ball(f), cmlab._tau_ball(mirror)
-                    j, jm = cmlab._j_at(tau), cmlab._j_at(tau_m)
+                    j, jm = cmlab._j_at(w), cmlab._j_at(wm)
                 # the nome and j of the mirror are the conjugate balls
                 for ball, conj in ((w, wm), (j, jm)):
                     re, im = ball.value._mpc_
@@ -1466,7 +1456,7 @@ class TestCMRecord:
             assert (fh.value._mpf_, fh.radius._mpf_) == (alone.value._mpf_, alone.radius._mpf_), d
             forms = reduced_forms(d)
             with workdps(39):
-                total = sum((_pentagonal_s(cmlab._tau_ball(f)) for f in forms), BigFloat(0))
+                total = sum((_pentagonal_s(_cm_tau_ball(f)) for f in forms), BigFloat(0))
                 pentagonal = total / len(forms) + BigFloat.rounded(-mp.log(2) / 2)
             assert abs(fh.value - pentagonal.value) <= fh.radius + pentagonal.radius, d
 
@@ -1718,6 +1708,14 @@ class TestFinitenessDemo:
             _, _, fh, ratio = rows[q["D"]]
             assert _encloses((q["faltings_height"], q["faltings_radius"]), fh)
             assert _encloses((q["ratio"], q["ratio_radius"]), ratio)
+
+    def test_bound_past_the_doubles_refused_before_any_series(self, monkeypatch):
+        # 10^400 is finite as a Fraction but not as a double, which the
+        # report writes; it is refused before the first discriminant
+        monkeypatch.setattr(cmlab, "_ratio_row", lambda *args: pytest.fail("a series ran"))
+        for c_prime in (Fraction(10) ** 400, -Fraction(10) ** 400):
+            with pytest.raises(OverflowError):
+                finiteness_demo(20, c_prime, 20)
 
     def test_unseparated_ratio_raises(self, monkeypatch):
         monkeypatch.setattr(

@@ -75,7 +75,7 @@ def test_cm_counters_count_the_j_kernel(monkeypatch):
     # reached any other way would read 0 calls on a traced run
     counts = _count_cm_kernels(monkeypatch)
     with workdps(40):
-        cmlab._j_at(cmlab._tau_ball(cmlab.reduced_forms(-23)[1]))
+        cmlab._j_at(cmlab._cm_nome(cmlab.reduced_forms(-23)[1]))
     assert counts == {"_theta_nulls": 1, "_eisenstein_e4": 1}
 
 
