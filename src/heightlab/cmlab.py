@@ -65,7 +65,9 @@ integers: each term is an integer interval at one scale, a column sums
 exactly, each conjugate pair with weight 2, and each average is one
 ``BigFloat`` made after one division by h.  ``j_height``,
 ``faltings_height_cm`` and ``theta_height_estimate`` are its columns
-bit for bit; ``hilbert_class_poly`` takes one j ball per form.
+bit for bit.  ``hilbert_class_poly`` also sums one series per pair of
+conjugate forms, the mirror's buckets being the conjugates bit for
+bit, and takes one j ball per form from them.
 
 All floating results are BigFloat discs (midpoint plus radius that
 includes both truncation tails and rounding slop), so experiment
@@ -93,12 +95,14 @@ from mpmath.libmp import (
     mpf_cos_sin_pi,
     mpf_div,
     mpf_exp,
+    mpf_gt,
     mpf_log,
+    mpf_mul,
     mpf_neg,
     mpf_pi,
-    mpf_sqrt,
     round_ceiling,
     round_floor,
+    round_nearest,
     to_rational,
 )
 
@@ -119,7 +123,6 @@ from .numcore import (
     _log2,
     _mag,
     _mul_up,
-    _norm,
     _pair,
     _shift,
     _sub_down,
@@ -393,7 +396,7 @@ def modular_discriminant(tau, precision_digits: int = DEFAULT_DIGITS) -> BigFloa
     with workdps(precision_digits + 15):
         t = _as_bigfloat(tau)
         gt, (c, d) = _to_fundamental_domain(t)
-        delta = _ball_of(_delta_at(_theta_w(gt)))
+        delta = _ball_of(_e4_cubed_and_delta(_theta_nulls(_theta_w(gt)))[1])
         return delta / (t * c + d).pow_int(12) if c else delta
 
 
@@ -533,22 +536,17 @@ def _e4_cubed_and_delta(nulls) -> tuple[_GaussBall, _GaussBall]:
     return e4 * (e4 * e4), delta
 
 
-def _j_at(w: BigFloat) -> BigFloat:
-    """j from one theta series in the nome w: its buckets on Gaussian
-    integers (``_theta_nulls``), then E4^3 and Delta in fixed point
-    (``_e4_cubed_and_delta``) and one ball division.  E4^3 and
-    Delta have exact dyadic midpoints, so they become ``BigFloat``s
-    exactly, with radius E 2**e rounded up (``_ball_of``); the division
-    adds its own error bound and allowance.  On the nomes of all forms
-    of the fundamental |d| <= 2000 at 39 digits and of -599 and -1832,
-    no j ball is wider than the ball formula's: 0.0097 times in median."""
-    num, den = _e4_cubed_and_delta(_theta_nulls(w))
+def _j_at(nulls) -> BigFloat:
+    """j from the four theta buckets of one series (``_theta_nulls``):
+    E4^3 and Delta in fixed point (``_e4_cubed_and_delta``), then one
+    ball division.  E4^3 and Delta have exact dyadic midpoints, so they
+    become ``BigFloat``s exactly, with radius E 2**e rounded up
+    (``_ball_of``); the division adds its own error bound and allowance.
+    On the ``_cm_nome`` buckets of all forms of the fundamental |d| <=
+    2000 at 39 digits and of -599 and -1832, no j ball is wider than the
+    ball formula's: 0.0097 times in median."""
+    num, den = _e4_cubed_and_delta(nulls)
     return _ball_of(num) / _ball_of(den)
-
-
-def _delta_at(w: BigFloat) -> _GaussBall:
-    """Delta from the theta buckets at the nome w."""
-    return _e4_cubed_and_delta(_theta_nulls(w))[1]
 
 
 def _to_fundamental_domain(t: BigFloat) -> tuple:
@@ -574,7 +572,7 @@ def j_invariant(tau, precision_digits: int = DEFAULT_DIGITS) -> BigFloat:
     j is SL2(Z)-invariant, and there the theta series converges
     fastest."""
     with workdps(precision_digits + 15):
-        return _j_at(_theta_w(_to_fundamental_domain(_as_bigfloat(tau))[0]))
+        return _j_at(_theta_nulls(_theta_w(_to_fundamental_domain(_as_bigfloat(tau))[0])))
 
 
 @lru_cache(maxsize=1024)
@@ -729,11 +727,16 @@ def hilbert_class_poly(d) -> IntPoly:
     As in Enge's floating-point method (The complexity of class
     polynomial computation via floating point approximations, Math.
     Comp. 78, 2009), the product runs on integers.  ``_j_at`` gives one
-    ball per reduced form, in order, from its ``_cm_nome``.  A form (a,
-    b, c) whose mirror (a, -b, c) is reduced has the conjugate j' =
-    conj(j), as j(-conj tau) = conj(j(tau)); the pair folds into the
-    real quadratic x^2 - (j + j')x + j j'.  Any other form is equivalent
-    to its mirror, so its j is real and gives a real linear factor.
+    ball per reduced form, in order, from the theta buckets of its
+    ``_cm_nome``.  A form (a, b, c) whose mirror (a, -b, c) is reduced
+    has the conjugate j' = conj(j), as j(-conj tau) = conj(j(tau)); the
+    pair folds into the real quadratic x^2 - (j + j')x + j j'.  Any
+    other form is equivalent to its mirror, so its j is real and gives a
+    real linear factor.  The series runs once per pair, on the form
+    with b > 0: ``_cm_nome`` gives the mirror the conjugate nome, and
+    every cut in ``_theta_nulls`` truncates toward zero, which commutes
+    with conjugation, so the mirror's buckets are the conjugates bit for
+    bit.
 
     Each midpoint becomes a Gaussian integer g at scale 2**s, each part
     rounded down, with s = mp.prec + 2b + 8 for h of b bits.  For a
@@ -774,7 +777,13 @@ def hilbert_class_poly(d) -> IntPoly:
 
     def attempt(dps):
         with workdps(dps):
-            js = [_j_at(_cm_nome(f)) for f in forms]
+            nulls = {(f.a, f.b): _theta_nulls(_cm_nome(f)) for f in forms if f.b >= 0}
+            js = [
+                _j_at(nulls[f.a, f.b] if f.b >= 0 else tuple(
+                    _GaussBall(b.re, -b.im, b.exp, b.err, b.bits) for b in nulls[f.a, -f.b]
+                ))
+                for f in forms
+            ]
             s = mp.prec + 2 * len(forms).bit_length() + 8
         return _class_poly_product([tuple(js[i] for i in g) for g in groups], s)
 
@@ -884,7 +893,8 @@ def s_invariant(tau, precision_digits: int = DEFAULT_DIGITS) -> BigFloat:
         if y[0] or not y_gap[0]:
             raise PrecisionError("Im tau not separated from zero")
         widen = _units_up(_div_up(t._r, (y_gap[0], y_gap[1] + 1)), -scale)
-        s = _s_term(_delta_at(_theta_w(t)), Fraction(*to_rational(y)) ** 12, widen, scale)
+        delta = _e4_cubed_and_delta(_theta_nulls(_theta_w(t)))[1]
+        s = _s_term(delta, Fraction(*to_rational(y)) ** 12, widen, scale)
         return _interval_ball(*s, scale)
 
 
@@ -912,7 +922,8 @@ def faltings_height_cm(d, precision_digits: int = 24, normalization_offset=None)
     radius; ints, floats and balls are taken as they are.  The average
     is the s(tau) column of ``cm_record``, bit for bit."""
     avg = _class_average(
-        d, precision_digits, lambda f, scale: _s_term(_delta_at(_cm_nome(f)), _im_tau_12(f), 0, scale),
+        d, precision_digits,
+        lambda f, scale: _s_term(_e4_cubed_and_delta(_theta_nulls(_cm_nome(f)))[1], _im_tau_12(f), 0, scale),
     )
     with workdps(precision_digits + 15):
         return _normalized(avg, normalization_offset)
@@ -943,6 +954,25 @@ def _nulls_at(w: BigFloat) -> tuple:
     ``BigFloat``s: complex, but for a bucket with no terms, the real 1 or
     0 (with the tail as its radius)."""
     return tuple(_ball_of(b, not b.im and b.re in (0, 1 << -b.exp)) for b in _theta_nulls(w))
+
+
+def _abs_up(parts: tuple, p: int) -> tuple:
+    """|re + im i| of libmpf parts rounded up to p bits, as libmpf's
+    sqrt of the exact norm rounds it with round_ceiling.  The exact norm
+    n 4**e is cut by 2t bits to 2p - 1 or 2p bits, whose integer square
+    root r has p bits; the p-bit ceiling is r 2**(t + e) when the cut
+    drops nothing and r^2 is what is left, else (r + 1) 2**(t + e)."""
+    parts = [(man, exp) for _, man, exp, _ in parts if man]
+    if not parts:
+        return fzero
+    e = min(exp for _, exp in parts)
+    n = sum((man << exp - e) ** 2 for man, exp in parts)
+    t = (n.bit_length() - 2 * p + 1) >> 1
+    cut = n >> 2 * t if t > 0 else n << -2 * t
+    r = isqrt(cut)
+    if r * r != cut or t > 0 and n & ((1 << 2 * t) - 1):
+        r += 1
+    return from_man_exp(r, t + e)
 
 
 def _fixed_toward_zero(t: tuple, s: int) -> int:
@@ -1025,16 +1055,18 @@ def _theta_nulls(w: BigFloat) -> tuple:
     midpoints, 1 + the sums for theta_0, are exact at 2**-s and so at
     2**exp; an empty bucket (theta_0 for M < 4, theta_2 for M < 2) is 1
     or 0 with the tail as its count."""
-    # x rounded up once to 53 bits from the exact |v|^2: never above the
+    # x rounded up once to 53 bits from |v| rounded up: never above the
     # full-precision |v| + r + guard, and so never a wider tail
-    root = mpf_sqrt(_norm(w.value), mp.prec + 10, round_ceiling)
+    root = _abs_up(w.value._mpc_, mp.prec + 10)
     w_lo, w_hi = w._min_abs(), _pair(mpf_add(root, from_man_exp(*w._r), _RADIUS_BITS, round_ceiling))
     x = mp.make_mpf(from_man_exp(*w_hi))
-    if x > Q_MODULUS_CAP:
+    if mpf_gt(x._mpf_, Q_MODULUS_CAP._mpf_):
         raise PrecisionError("theta series refused: |w| too close to 1")
     if not w_lo[0]:
         raise PrecisionError("theta nome not separated from zero")
-    tol = _ten_to_minus_dps(mp.prec, mp.dps) * mp.make_mpf(from_man_exp(*w_lo))
+    # the mpf product: at mp.prec, rounded to nearest
+    ten = _ten_to_minus_dps(mp.prec, mp.dps)._mpf_
+    tol = mp.make_mpf(mpf_mul(ten, from_man_exp(*w_lo), mp.prec, round_nearest))
     # the tail past M^2 is at least 2 x^((M+1)^2), so no M with
     # (M+1)^2 log2 x >= 1 + log2 tol stops the series: start just below
     ratio = (1 + _log2(tol._mpf_)) / _log2(x._mpf_)

@@ -239,10 +239,10 @@ def _forms_to_500_and_599():
 
 @lru_cache(maxsize=None)
 def _j_balls(dps: int) -> tuple:
-    """(form, _j_at ball of its nome) for every reduced form with
-    |d| <= 500 and d = -599, at dps digits."""
+    """(form, _j_at ball of its nome's buckets) for every reduced form
+    with |d| <= 500 and d = -599, at dps digits."""
     with workdps(dps):
-        return tuple((f, cmlab._j_at(cmlab._cm_nome(f))) for f in _forms_to_500_and_599())
+        return tuple((f, cmlab._j_at(cmlab._theta_nulls(cmlab._cm_nome(f)))) for f in _forms_to_500_and_599())
 
 
 def _cm_tau_ball(f: ReducedForm) -> BigFloat:
@@ -552,12 +552,13 @@ class TestClassPolyProduct:
 
     def test_j_once_per_form_in_order(self, monkeypatch):
         # the i-th _j_at ball is the i-th reduced form's, all at one
-        # precision, from the form's own nome bit for bit
+        # precision, from the buckets of the form's own nome bit for bit,
+        # also where a mirror takes its pair's conjugated buckets
         seen, j_at = [], cmlab._j_at
 
-        def recording(w):
-            seen.append((w, mp.dps))
-            return j_at(w)
+        def recording(nulls):
+            seen.append((nulls, mp.dps))
+            return j_at(nulls)
 
         monkeypatch.setattr(cmlab, "_j_at", recording)
         for d in (-47, -599, -1832):
@@ -565,10 +566,21 @@ class TestClassPolyProduct:
             hilbert_class_poly(d)
             forms = reduced_forms(d)
             assert len(seen) == len(forms) and len({dps for _, dps in seen}) == 1
-            for f, (w, dps) in zip(forms, seen):
+            for f, (nulls, dps) in zip(forms, seen):
                 with workdps(dps):
-                    nome = cmlab._cm_nome(f)
-                assert (w.value._mpc_, w._r) == (nome.value._mpc_, nome._r), (d, f)
+                    want = cmlab._theta_nulls(cmlab._cm_nome(f))
+                assert _bucket_fields(nulls) == _bucket_fields(want), (d, f)
+
+    @pytest.mark.parametrize("d, series, js", [(-599, 13, 25), (-1832, 14, 26)])
+    def test_one_theta_series_per_conjugate_pair(self, monkeypatch, d, series, js):
+        # 24 of the 25 forms of -599 and 24 of the 26 of -1832 lie in
+        # conjugate pairs: one series per pair and per real form, and
+        # still one j ball per form
+        counts = Counter()
+        monkeypatch.setattr(cmlab, "_theta_nulls", _counted(cmlab._theta_nulls, "_theta_nulls", counts))
+        monkeypatch.setattr(cmlab, "_j_at", _counted(cmlab._j_at, "_j_at", counts))
+        hilbert_class_poly(d)
+        assert counts == {"_theta_nulls": series, "_j_at": js}
 
 
 class TestJHeight:
@@ -966,6 +978,11 @@ def _bucket_parts(w) -> list:
     return [(b, pairs[2 * i], pairs[2 * i + 1], tails[-1]) for b, i in zip(buckets, (0, 1, 2, 1))]
 
 
+def _bucket_fields(buckets) -> list:
+    """The fields (re, im, exp, err, bits) of each of four buckets."""
+    return [(b.re, b.im, b.exp, b.err, b.bits) for b in buckets]
+
+
 def _public(buckets) -> list:
     return [cmlab._ball_of(b) for b in buckets]
 
@@ -1262,10 +1279,10 @@ class TestFixedPointJKernel:
         # exact data, and its _min_abs in the series; none per bucket,
         # for j, s(tau) or the theta term, or for the fold: 2 (7 with a
         # tau ball and its nome, 55 before the terms ran on integers).
-        # _j_at, given the nome, makes E4^3 and Delta as balls (2
-        # _made) and divides them once (its _op, _made and the divisor's
-        # _min_abs), besides the series' _min_abs: 7.  The same at 39
-        # digits and at 250
+        # _j_at, given the nome's buckets, makes E4^3 and Delta as balls
+        # (2 _made) and divides them once (its _op, _made and the
+        # divisor's _min_abs), besides the series' _min_abs: 7.  The same
+        # at 39 digits and at 250
         counts = Counter()
         for name, attr in list(vars(BigFloat).items()):
             if isinstance(attr, classmethod):
@@ -1277,7 +1294,8 @@ class TestFixedPointJKernel:
             with workdps(dps):
                 form = ReducedForm(1, 1, 6)
                 w = cmlab._cm_nome(form)
-                for kernel in (lambda: cmlab._cm_terms(form, mp.prec + 64), lambda: cmlab._j_at(w)):
+                kernels = (lambda: cmlab._cm_terms(form, mp.prec + 64), lambda: cmlab._j_at(cmlab._theta_nulls(w)))
+                for kernel in kernels:
                     counts.clear()
                     kernel()
                     seen.append(dict(counts))
@@ -1409,25 +1427,32 @@ class TestCMRecord:
 
     def test_mirror_forms_give_the_same_terms(self):
         # (a, -b, c) has the CM point -conj(tau) of (a, b, c): its terms
-        # are the same intervals bit for bit, and its j the conjugate
-        # ball, so the class averages fold each pair once
+        # are the same intervals bit for bit, its buckets the conjugate
+        # ones field by field and its j the conjugate ball, so the class
+        # averages fold each pair once and hilbert_class_poly sums one
+        # series per pair; at 39 digits, and for -599 and -1832 at the
+        # precision hilbert_class_poly works at for them
+        cases = [(f, 39) for d in fundamental_discriminants(300) for f in reduced_forms(d)]
+        cases += [(f, dps) for d, dps in ((-599, 206), (-1832, 259)) for f in reduced_forms(d)]
         pairs = 0
-        for d in fundamental_discriminants(300):
-            forms = set(reduced_forms(d))
-            for f in forms:
-                if f.b <= 0 or f.b == f.a or f.a == f.c:
-                    continue  # no mirror among the reduced forms
-                mirror = ReducedForm(f.a, -f.b, f.c)
-                assert mirror in forms
-                with workdps(39):
+        for f, dps in cases:
+            if f.b <= 0 or f.b == f.a or f.a == f.c:
+                continue  # no mirror among the reduced forms
+            mirror = ReducedForm(f.a, -f.b, f.c)
+            assert mirror in reduced_forms(f.discriminant)
+            with workdps(dps):
+                if dps == 39:
                     assert cmlab._cm_terms(f, mp.prec + 64) == cmlab._cm_terms(mirror, mp.prec + 64), f
-                    w, wm = cmlab._cm_nome(f), cmlab._cm_nome(mirror)
-                    j, jm = cmlab._j_at(w), cmlab._j_at(wm)
-                # the nome and j of the mirror are the conjugate balls
-                for ball, conj in ((w, wm), (j, jm)):
-                    re, im = ball.value._mpc_
-                    assert conj.value._mpc_ == (re, mpf_neg(im)) and conj._r == ball._r, f
-                pairs += 1
+                w, wm = cmlab._cm_nome(f), cmlab._cm_nome(mirror)
+                nulls, mirror_nulls = cmlab._theta_nulls(w), cmlab._theta_nulls(wm)
+                j, jm = cmlab._j_at(nulls), cmlab._j_at(mirror_nulls)
+            conjugates = [(re, -im, *rest) for re, im, *rest in _bucket_fields(nulls)]
+            assert _bucket_fields(mirror_nulls) == conjugates, f
+            # the nome and j of the mirror are the conjugate balls
+            for ball, conj in ((w, wm), (j, jm)):
+                re, im = ball.value._mpc_
+                assert conj.value._mpc_ == (re, mpf_neg(im)) and conj._r == ball._r, f
+            pairs += 1
         assert pairs > 100
 
     def test_record_is_the_per_form_average(self):

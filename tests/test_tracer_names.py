@@ -75,7 +75,7 @@ def test_cm_counters_count_the_j_kernel(monkeypatch):
     # reached any other way would read 0 calls on a traced run
     counts = _count_cm_kernels(monkeypatch)
     with workdps(40):
-        cmlab._j_at(cmlab._cm_nome(cmlab.reduced_forms(-23)[1]))
+        cmlab._j_at(cmlab._theta_nulls(cmlab._cm_nome(cmlab.reduced_forms(-23)[1])))
     assert counts == {"_theta_nulls": 1, "_eisenstein_e4": 1}
 
 
@@ -86,6 +86,14 @@ def test_cm_record_sums_one_theta_series_per_form(monkeypatch):
     counts = _count_cm_kernels(monkeypatch)
     cmlab.cm_record(-23, 24)
     assert counts == {"_theta_nulls": 2, "_eisenstein_e4": 2}
+
+
+def test_class_poly_sums_one_theta_series_per_pair(monkeypatch):
+    # h(-23) = 3: the conjugate pair (2, +-1, 3) shares the series of
+    # (2, 1, 3), but each form still gets its own j, so E4 three times
+    counts = _count_cm_kernels(monkeypatch)
+    cmlab.hilbert_class_poly(-23)
+    assert counts == {"_theta_nulls": 2, "_eisenstein_e4": 3}
 
 
 def test_root_isolation_opens_the_module_workdps(monkeypatch):
