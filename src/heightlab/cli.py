@@ -544,10 +544,7 @@ def _cmd_cm_verify_tf(args, opts) -> int:
         "dmax": args.dmax,
         "precision": opts["precision"],
     }
-    print(
-        f"fitted constant {report['fitted_constant']:.6f} "
-        f"(radius {report['fitted_radius']:.2e}, argmax D={report['argmax_d']})"
-    )
+    print(f"fitted constant (argmax D={report['argmax_d']}) {_ball_text(report.balls[0])}")
     _write_artifacts(
         opts["out"], config, "report",
         json={k: v for k, v in report.items() if k != "records"},

@@ -38,11 +38,13 @@ fundamental domain.  On top of that sit:
   counts its error in units of 2**-s, with no ball operation per term;
   the nome's radius enters each bucket once, by a derivative bound
   summed at the scale of the bucket's first term, and the series tail
-  joins the same integer count.  The theta term log(||v||_2 / max_j
-  |theta_j|) is (1/2) log(S / N) of the exact integer norms of the
-  bucket midpoints, its ends rounded outward by libmpf and widened by
-  quotients of the integer counts: like the rest of this module, the
-  CM-point kernel uses no mpmath ``iv``.
+  joins the same integer count; the tail and its tolerance are 53-bit
+  pairs.  The theta term log(||v||_2 / max_j |theta_j|) is (1/2) log(S /
+  N) of the exact integer norms of the bucket midpoints.  Like log|j|
+  and s(tau), it hands exact integers to one log (``_log_bounds``), whose
+  ends libmpf rounds outward, and widens them by one rule, a count over
+  a lower bound rounded up (``_log_spread``): the CM-point kernel uses
+  no mpmath ``iv``.
 
 Each kind of point has one source for its nome, which the theta layer
 takes.  A reduced form's comes from exact data (``_cm_nome``): w =
@@ -91,18 +93,18 @@ from mpmath.libmp import (
     from_int,
     from_man_exp,
     fzero,
-    mpf_add,
     mpf_cos_sin_pi,
     mpf_div,
     mpf_exp,
-    mpf_gt,
     mpf_log,
     mpf_mul,
     mpf_neg,
     mpf_pi,
+    mpf_shift,
     round_ceiling,
     round_floor,
     round_nearest,
+    to_int,
     to_rational,
 )
 
@@ -112,7 +114,6 @@ from .numcore import (
     IntPoly,
     PrecisionError,
     _ONE,
-    _RADIUS_BITS,
     _SQRT2,
     _ZERO,
     _add_up,
@@ -137,6 +138,7 @@ from .numcore import (
 # cap on the theta nome |w| (and |q| of the test-only pentagonal series);
 # beyond it, convergence certification is refused, not degraded
 Q_MODULUS_CAP = mpf("0.9995")
+_CAP = _down(*Q_MODULUS_CAP._mpf_[1:3])  # the cap as a pair, rounded down
 
 
 # The benchmark's tracer (bench/tracer.py, bench/test_bench.py) binds the
@@ -350,15 +352,15 @@ def _eta_product(q: BigFloat) -> BigFloat:
             "q-series refused: |q| too close to 1 (is Im tau positive "
             "and not tiny?)"
         )
-    tol = mpf(10) ** (-(mp.dps - 5))
+    q_up, tol = _pair(q_hi._mpf_), _pair((mpf(10) ** (-(mp.dps - 5)))._mpf_)
     total = BigFloat(1)
     for k in range(1, 10001):
         t = q.pow_int(k * (3 * k - 1) // 2) + q.pow_int(k * (3 * k + 1) // 2)
         total = total + (-t if k % 2 else t)
         # the exponents left are distinct, from (k+1)(3k+2)/2 on
-        tail = _tail_below(q_hi, (k + 1) * (3 * k + 2) // 2, 1, tol)
+        tail = _tail_below(q_up, (k + 1) * (3 * k + 2) // 2, 1, tol)
         if tail is not None:
-            return total.widened(tail)
+            return total.widened(mp.make_mpf(from_man_exp(*tail)))
     raise PrecisionError("pentagonal series did not converge")
 
 
@@ -856,16 +858,13 @@ def _log_plus_term(num: _GaussBall, den: _GaussBall, scale: int) -> tuple:
     max(0, log t).  PrecisionError when M or m - E is not positive
     there."""
     n, big_n = num.re * num.re + num.im * num.im, den.re * den.re + den.im * den.im
-    m, big_m = isqrt(n), isqrt(big_n) - den.err
-    if big_m <= 0:
-        raise PrecisionError("Delta not separated from zero")
+    big_m = isqrt(big_n) - den.err
+    spread = _log_spread(den.err, big_m, scale, "Delta")
     k = num.exp - den.exp
     if _ceil_sqrt(n) + num.err << max(k, 0) <= big_m << max(-k, 0):
         return 0, 0
-    if m <= num.err:
-        raise PrecisionError("E4 not separated from zero")
-    lo, hi = _log_bounds(from_man_exp(n, 2 * num.exp), from_man_exp(big_n, 2 * den.exp), scale - 1)
-    spread = -(-(num.err << scale) // (m - num.err)) - (-(den.err << scale) // big_m)
+    spread += _log_spread(num.err, isqrt(n) - num.err, scale, "E4")
+    lo, hi = _log_bounds(n, 2 * k, big_n, scale - 1)
     return max(0, lo - spread), max(0, hi + spread)
 
 
@@ -956,15 +955,16 @@ def _nulls_at(w: BigFloat) -> tuple:
     return tuple(_ball_of(b, not b.im and b.re in (0, 1 << -b.exp)) for b in _theta_nulls(w))
 
 
-def _abs_up(parts: tuple, p: int) -> tuple:
+def _abs_up(parts: tuple, radius: tuple, p: int) -> tuple:
     """|re + im i| of libmpf parts rounded up to p bits, as libmpf's
-    sqrt of the exact norm rounds it with round_ceiling.  The exact norm
-    n 4**e is cut by 2t bits to 2p - 1 or 2p bits, whose integer square
-    root r has p bits; the p-bit ceiling is r 2**(t + e) when the cut
-    drops nothing and r^2 is what is left, else (r + 1) 2**(t + e)."""
+    sqrt of the exact norm rounds it with round_ceiling, plus the radius
+    pair, exactly, and that sum rounded up once to a pair.  The exact
+    norm n 4**e is cut by 2t bits to 2p - 1 or 2p bits, whose integer
+    square root r has p bits; the p-bit ceiling is r 2**(t + e) when the
+    cut drops nothing and r^2 is what is left, else (r + 1) 2**(t + e)."""
     parts = [(man, exp) for _, man, exp, _ in parts if man]
     if not parts:
-        return fzero
+        return radius
     e = min(exp for _, exp in parts)
     n = sum((man << exp - e) ** 2 for man, exp in parts)
     t = (n.bit_length() - 2 * p + 1) >> 1
@@ -972,7 +972,8 @@ def _abs_up(parts: tuple, p: int) -> tuple:
     r = isqrt(cut)
     if r * r != cut or t > 0 and n & ((1 << 2 * t) - 1):
         r += 1
-    return from_man_exp(r, t + e)
+    (m, f), low = radius, min(t + e, radius[1])
+    return _up((r << t + e - low) + (m << f - low), low)
 
 
 def _fixed_toward_zero(t: tuple, s: int) -> int:
@@ -1017,7 +1018,9 @@ def _theta_nulls(w: BigFloat) -> tuple:
     the first M whose tail past M^2 is below 10^-dps |w|_lo, with
     |w|_lo from ``_min_abs``: a relative tolerance for theta_1 = w + w^9
     + ..., whose relative accuracy j inherits through the Jacobi theta_2
-    = theta_1 + theta_3.
+    = theta_1 + theta_3.  The tolerance is libmpf's product at mp.prec,
+    rounded to nearest, then up to a pair; the tail is a pair too, so it
+    lies below the one iff it lies below the other.
 
     The M terms run on Gaussian integers at scale 2**s, s = mp.prec +
     2 bits(M) + 8 + 4 ceil(log2(1 / |w|_lo)): the last bits keep the
@@ -1038,38 +1041,36 @@ def _theta_nulls(w: BigFloat) -> tuple:
     twice: the sums themselves are exact.
 
     The radius r of w (``_cm_nome``'s lies far below the series count,
-    ``_theta_w``'s need not) enters once per bucket: with x = |v|
-    + r rounded up, |w^n - v^n| <= n x^(n-1) r, summed over the
-    bucket's exponents by ``_slope_sum`` at the scale of its first term,
-    whose power of x is a pair.  The terms past M^2 have moduli at most x^n, n from
-    (M+1)^2 on with gaps of 2M+3 or more, and a bucket holds each at
-    most twice: the tail 2 x^((M+1)^2) / (1 - x^(2M+3)), a pair, bounds
-    what each bucket leaves out.  So a bucket is within count * u +
-    slope + tail of its exact value, and all three join one integer
-    count in units of 2**exp, exp = -s - g, with g >= 0 the largest -s -
-    f over the slope and tail pairs m 2**f: the series count times 2**g
-    and each pair m 2**(f - exp), all exact.  A radius pair made from
+    ``_theta_w``'s need not) enters once per bucket: with x the pair of
+    |v| + r rounded up (``_abs_up``), |w^n - v^n| <= n x^(n-1) r, summed
+    over the bucket's exponents by ``_slope_sum`` at the scale of its
+    first term, whose power of x is a pair.  The terms past M^2 have
+    moduli at most x^n, n from (M+1)^2 on with gaps of 2M+3 or more, and
+    a bucket holds each at most twice: the tail 2 x^((M+1)^2) / (1 -
+    x^(2M+3)), a pair (``_tail_below``), bounds what each bucket leaves
+    out.  So a bucket is within count * u + slope + tail of its exact
+    value, and all three join one integer count in units of 2**exp, exp
+    = -s - g, with g >= 0 the largest -s - f over the slope and tail
+    pairs m 2**f (the tail's trailing zeros dropped): the series count
+    times 2**g and each pair m 2**(f - exp), all exact.  A radius pair made from
     that sum, rounded up once, is never wider than the sum rounded up
     step by step.  g passes the precision only for M = 1 and a tiny
     nome, where the tail x^4 lies about 3 log2(1 / x) bits below u.  The
     midpoints, 1 + the sums for theta_0, are exact at 2**-s and so at
     2**exp; an empty bucket (theta_0 for M < 4, theta_2 for M < 2) is 1
     or 0 with the tail as its count."""
-    # x rounded up once to 53 bits from |v| rounded up: never above the
-    # full-precision |v| + r + guard, and so never a wider tail
-    root = _abs_up(w.value._mpc_, mp.prec + 10)
-    w_lo, w_hi = w._min_abs(), _pair(mpf_add(root, from_man_exp(*w._r), _RADIUS_BITS, round_ceiling))
-    x = mp.make_mpf(from_man_exp(*w_hi))
-    if mpf_gt(x._mpf_, Q_MODULUS_CAP._mpf_):
+    # x = |v| + r rounded up once to a pair from |v| rounded up: never
+    # above the full-precision |v| + r + guard, and so never a wider tail
+    w_lo, x = w._min_abs(), _abs_up(w.value._mpc_, w._r, mp.prec + 10)
+    if _sub_down(x, _CAP)[0]:
         raise PrecisionError("theta series refused: |w| too close to 1")
     if not w_lo[0]:
         raise PrecisionError("theta nome not separated from zero")
-    # the mpf product: at mp.prec, rounded to nearest
-    ten = _ten_to_minus_dps(mp.prec, mp.dps)._mpf_
-    tol = mp.make_mpf(mpf_mul(ten, from_man_exp(*w_lo), mp.prec, round_nearest))
+    # the libmpf product at mp.prec, rounded to nearest, then up to a pair
+    tol = _pair(mpf_mul(_ten_to_minus_dps(mp.prec, mp.dps)._mpf_, from_man_exp(*w_lo), mp.prec, round_nearest))
     # the tail past M^2 is at least 2 x^((M+1)^2), so no M with
     # (M+1)^2 log2 x >= 1 + log2 tol stops the series: start just below
-    ratio = (1 + _log2(tol._mpf_)) / _log2(x._mpf_)
+    ratio = (1 + _log2(tol)) / _log2(x)
     for last in range(max(1, int(sqrt(max(ratio, 0))) - 2), 1 << 20):
         # the exponents left start at (M+1)^2 and grow by 2M+3 or more
         tail = _tail_below(x, (last + 1) * (last + 1), 2 * last + 3, tol)
@@ -1101,7 +1102,7 @@ def _theta_nulls(w: BigFloat) -> tuple:
         raise PrecisionError("theta series error count out of range")
     # x^8, x^32 and x^48 at scale 2**64 rounded up: the gaps and steps of
     # the buckets, whose first exponents are 16, 1 and 4; x8 starts as x
-    x8 = w_hi[0] << (w_hi[1] + 64) if w_hi[1] >= -64 else -(-w_hi[0] >> -(w_hi[1] + 64))
+    x8 = x[0] << (x[1] + 64) if x[1] >= -64 else -(-x[0] >> -(x[1] + 64))
     for _ in range(3):
         x8 = _mul_up_64(x8, x8)
     x16 = _mul_up_64(x8, x8)
@@ -1109,13 +1110,14 @@ def _theta_nulls(w: BigFloat) -> tuple:
     shapes = ((4, 4, 2, _mul_up_64(x32, x16), x32), (1, 2, 1, x8, x8), (2, 4, 2, x32, x32))
     slopes = [
         _mul_up(
-            _mul_up(w._r, _binary_power(w_hi, first * first - 1, _mul_up) if first > 1 else _ONE),
+            _mul_up(w._r, _binary_power(x, first * first - 1, _mul_up) if first > 1 else _ONE),
             _up(times * _slope_sum(first, k, last, gap, step), -64),
         )
         if first <= last else _ZERO  # a bucket with no terms has no slope
         for first, k, times, gap, step in shapes
     ]
-    tail = tail._mpf_[1:3]
+    zeros = (tail[0] & -tail[0]).bit_length() - 1  # dropped as libmpf did: g reads the exponent
+    tail = tail[0] >> zeros, tail[1] + zeros
     g = max([0] + [-s - e for m, e in (tail, *slopes) if m])
     exp, bits = -s - g, mp.prec + 8
     sums_re[0] += 1 << s
@@ -1126,19 +1128,26 @@ def _theta_nulls(w: BigFloat) -> tuple:
     return b0, b1, b2, b1
 
 
-def _fixed_bounds(lo: tuple, hi: tuple, scale: int) -> tuple:
-    """libmpf numbers lo <= hi as integers at scale 2**-scale, lo rounded
-    down and hi up."""
-    return _fixed_part(lo, scale)[0], -_fixed_part(mpf_neg(hi), scale)[0]
+def _log_bounds(num: int, shift: int, den: int, scale: int) -> tuple:
+    """log(num 2**shift / den) for positive integers num and den as
+    integers (lo, hi), the log in [lo, hi] 2**-scale: the CM terms' one
+    log.  libmpf rounds the exact quotient and then its log outward at
+    the working precision, as mpmath ``iv`` does, and the ends go out to
+    the unit."""
+    n, d = from_man_exp(num, shift), from_int(den)
+    return tuple(
+        to_int(mpf_shift(mpf_log(mpf_div(n, d, mp.prec, rnd), mp.prec, rnd), scale), rnd)
+        for rnd in (round_floor, round_ceiling)
+    )
 
 
-def _log_bounds(num: tuple, den: tuple, scale: int) -> tuple:
-    """log(num / den) of positive libmpf numbers, the quotient and then
-    its log rounded outward by libmpf at the working precision, as mpmath
-    ``iv`` rounds them, then to integers at scale 2**-scale."""
-    return _fixed_bounds(*(
-        mpf_log(mpf_div(num, den, mp.prec, rnd), mp.prec, rnd) for rnd in (round_floor, round_ceiling)
-    ), scale)
+def _log_spread(err: int, low: int, scale: int, what: str) -> int:
+    """ceil(err 2**scale / low): how far an error err moves a log, in
+    units of 2**-scale, where low bounds the quantity below.
+    PrecisionError when low is not positive."""
+    if low <= 0:
+        raise PrecisionError(f"{what} not separated from zero")
+    return -(-(err << scale) // low)
 
 
 def _theta_term(nulls, scale: int) -> tuple:
@@ -1168,14 +1177,11 @@ def _theta_term(nulls, scale: int) -> tuple:
         # r_j counts unless |theta_j| + r_j < |theta_k| - r_k
         if b.err > r and top + b.err >= reach:
             r = b.err
-    if m_lo <= r:
-        raise PrecisionError("theta maximum not separated from zero")
+    spread = _log_spread(r, m_lo - r, scale, "theta maximum")
     total = sum(norms)
     err = sum(b.err * (2 * top + b.err) for b, top in zip(nulls, tops))
-    if total <= err:
-        raise PrecisionError("theta norm not separated from zero")
-    spread = -(-(err << scale) // (2 * (total - err))) - (-(r << scale) // (m_lo - r))
-    lo, hi = _log_bounds(from_int(total), from_int(norms[k]), scale - 1)
+    spread += _log_spread(err, 2 * (total - err), scale, "theta norm")
+    lo, hi = _log_bounds(total, 0, norms[k], scale - 1)
     return max(0, lo - spread), hi + spread
 
 
@@ -1243,11 +1249,8 @@ def _s_term(delta: _GaussBall, y12: Fraction, widen: int, scale: int) -> tuple:
     widen by E / (12 (m - E)), rounded up to the unit, and by widen.
     PrecisionError when m - E is not positive."""
     n = delta.re * delta.re + delta.im * delta.im
-    m, e = isqrt(n), delta.err
-    if m <= e:
-        raise PrecisionError("Delta not separated from zero")
-    lo, hi = _log_bounds(from_man_exp(n * y12.numerator, 2 * delta.exp), from_int(y12.denominator), scale)
-    spread = -(-(e << scale) // (12 * (m - e))) + widen
+    spread = _log_spread(delta.err, 12 * (isqrt(n) - delta.err), scale, "Delta") + widen
+    lo, hi = _log_bounds(n * y12.numerator, 2 * delta.exp, y12.denominator, scale)
     return -hi // 24 - spread, -(lo // 24) + spread
 
 
@@ -1447,9 +1450,9 @@ def verify_theta_faltings(
     For every fundamental |d| <= d_max, the residual
     |max(1, theta est) - (1/2) max(1, Faltings)| is measured against
     log(min(theta est, Faltings) + 2); the fitted constant is the
-    maximum of those quotients, reported as a disc so reruns at higher
-    precision can be checked for consistency.  The experiment has no
-    verdict: a fit that cannot be certified raises PrecisionError."""
+    maximum of those quotients, reported as a disc (its ball on
+    ``report.balls``) so reruns at higher precision can be checked for
+    consistency.  No verdict: an uncertified fit raises PrecisionError."""
     records = cm_scan(d_max, precision_digits, workers)
     if not records:
         raise ValueError("no fundamental discriminants in range")
@@ -1459,7 +1462,7 @@ def verify_theta_faltings(
     # the first d whose quotient has the largest midpoint
     argmax_d = max(per_d, key=lambda dq: dq[1].value)[0]
     fitted, fitted_radius = c_fit.doubles()
-    return {
+    return _Report({
         "d_max": d_max,
         "precision_digits": precision_digits,
         "fitted_constant": fitted,
@@ -1467,7 +1470,7 @@ def verify_theta_faltings(
         "argmax_d": argmax_d,
         "quotients": [[d, *q.doubles()] for d, q in per_d],
         "records": records,
-    }
+    }, [c_fit])
 
 
 def finiteness_demo(

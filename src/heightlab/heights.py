@@ -50,6 +50,7 @@ LESS = "less"
 EQUAL = "equal"
 GREATER = "greater"
 INCONCLUSIVE = "inconclusive"
+SIGN_MAX_DPS = 1 << 14  # the most digits LogCombination.sign escalates to
 
 
 @contextmanager
@@ -184,7 +185,7 @@ class LogCombination:
     def evaluate(self, precision_digits: int = DEFAULT_DIGITS) -> BigFloat:
         return self.ball(precision_digits + 10)
 
-    def sign(self, max_dps: int = 1 << 14) -> int:
+    def sign(self) -> int:
         """Certified sign in {-1, 0, +1}.
 
         Zero only via coefficient identity; otherwise interval
@@ -193,7 +194,7 @@ class LogCombination:
         if not self.coeffs:
             return (self.const > 0) - (self.const < 0)
         return certify_order(
-            self.interval, lambda dps: (0, 0), 40, max_dps, "sign of a log combination"
+            self.interval, lambda dps: (0, 0), 40, SIGN_MAX_DPS, "sign of a log combination"
         )
 
     def compare(self, other: "LogCombination") -> str:

@@ -836,34 +836,33 @@ def _binary_power(x, n: int, mul):
     return out
 
 
-def _geometric_tail(x, e: int, k: int = 1) -> mpf:
-    """2 x**e / (1 - x**k) rounded up to _RADIUS_BITS, for 0 <= x < 1
+def _geometric_tail(x: tuple, e: int, k: int = 1) -> tuple:
+    """2 x**e / (1 - x**k) as a pair rounded up, for a pair 0 <= x < 1
     and e, k >= 1: a bound of a series tail of terms of modulus at most
     2 x**n whose exponents n start at e and grow by at least k."""
-    x = _pair(mpmath.mpmathify(x)._mpf_)
     gap = _sub_down(_ONE, _binary_power(x, k, _mul_up))
     if not gap[0]:
         raise ValueError("geometric tail needs a ratio below 1")
-    return mp.make_mpf(from_man_exp(*_div_up(_binary_power(x, e, _mul_up), (gap[0], gap[1] - 1))))
+    return _div_up(_binary_power(x, e, _mul_up), (gap[0], gap[1] - 1))
 
 
 def _log2(t: tuple) -> float:
-    """log2 of a positive libmpf number, read as exp + bits + log2(man /
+    """log2 of a positive pair (m, e), read as e + bits + log2(m /
     2**bits) lest it underflow a double."""
-    _, man, exp, bits = t
-    return exp + bits + log2(man / (1 << bits))
+    m, e = t
+    bits = m.bit_length()
+    return e + bits + log2(m / (1 << bits))
 
 
-def _tail_below(x_hi: mpf, e: int, k: int, tol: mpf) -> mpf | None:
-    """``_geometric_tail(x_hi, e, k)`` if below tol, else None.  The tail
-    is at least 2 x_hi**e, so it is formed only once log2 of that, read
-    by ``_log2``, is below log2(4 tol): a margin of 2 over float errors
-    near (e + |log2 tol|) 2**-52."""
-    x, t = x_hi._mpf_, tol._mpf_
-    if x[1] and t[1] and 1 + e * _log2(x) >= 2 + _log2(t):
+def _tail_below(x: tuple, e: int, k: int, tol: tuple) -> tuple | None:
+    """``_geometric_tail(x, e, k)`` if below tol, else None, for pairs x
+    and tol.  The tail is at least 2 x**e, so it is formed only once
+    log2 of that, read by ``_log2``, is below log2(4 tol): a margin of 2
+    over float errors near (e + |log2 tol|) 2**-52."""
+    if x[0] and tol[0] and 1 + e * _log2(x) >= 2 + _log2(tol):
         return None
-    tail = _geometric_tail(x_hi, e, k)
-    return tail if tail < tol else None
+    tail = _geometric_tail(x, e, k)
+    return tail if _sub_down(tol, tail)[0] else None
 
 
 def _as_bigfloat(x) -> BigFloat:

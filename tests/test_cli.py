@@ -590,6 +590,7 @@ def _printed_disc(line: str):
         ["cm", "theta", "-D", "-4"],
         ["cm", "theta", "-D", "-71", "--precision", "16"],
         ["cm", "theta", "-D", "-3", "--precision", "4400"],
+        ["cm", "verify-tf", "--dmax", "60", "--precision", "18"],
         ["cm", "verify-decay", "--dmax", "400", "--precision", "18"],
         ["cm", "finiteness", "--dmax", "20", "--cprime", "1/2"],
         ["lemma-check", "--coords", "1,2^1/2,3^1/3", "--gamma=-1/2"],

@@ -40,7 +40,7 @@ from heightlab.cmlab import (
 )
 from heightlab import cmlab
 from heightlab.heights import LogCombination, _iv_workdps, mahler_height
-from heightlab.numcore import BigFloat, PrecisionError, _tail_below, factorint
+from heightlab.numcore import BigFloat, PrecisionError, _pair, _tail_below, factorint
 
 
 def _exact(x) -> Fraction:
@@ -332,7 +332,7 @@ class TestThetaKernel:
                     returned.append(cmlab._eta_product(_q_ball(tau)))
                     continue
                 for bucket, slope, tail, stop in _bucket_parts(cmlab._theta_w(tau)):
-                    assert _worth(tail) == _exact(stop)
+                    assert _worth(tail) == _worth(stop)
                     assert bucket.err * Fraction(2) ** bucket.exp >= _worth(slope) + _worth(tail)
         assert len(returned) == len(seen) == 300
         for ball, (radius, tail, out) in zip(returned, seen):
@@ -944,7 +944,7 @@ def _bigfloat_theta_nulls(w: BigFloat) -> tuple:
     and every partial sum a ball operation, the stop rule and the tail
     those of ``cmlab._theta_nulls`` before it ran on Gaussian integers."""
     w_lo, w_hi = w.abs_bounds()
-    tol = mpf(10) ** -mp.dps * w_lo
+    x, tol = _pair(w_hi._mpf_), _pair((mpf(10) ** -mp.dps * w_lo)._mpf_)
     buckets = [BigFloat(1), BigFloat(0), BigFloat(0)]
     w2, w_odd, w_m2 = w * w, w, w
     for m in range(1, 1 << 20):
@@ -952,9 +952,9 @@ def _bigfloat_theta_nulls(w: BigFloat) -> tuple:
             buckets[1] = buckets[1] + w_m2
         else:
             buckets[m % 4] = buckets[m % 4] + w_m2 + w_m2
-        tail = _tail_below(w_hi, (m + 1) * (m + 1), 2 * m + 3, tol)
+        tail = _tail_below(x, (m + 1) * (m + 1), 2 * m + 3, tol)
         if tail is not None:
-            return tuple(b.widened(tail) for b in (*buckets, buckets[1]))
+            return tuple(b.widened(mp.make_mpf(from_man_exp(*tail))) for b in (*buckets, buckets[1]))
         w_odd = w_odd * w2
         w_m2 = w_m2 * w_odd
 
@@ -1327,6 +1327,25 @@ def _reference_terms(tau) -> tuple:
 class TestIntegerTerms:
     """The theta buckets as Gaussian balls, and s(tau), the theta term and
     log max(1, |j|) as integer intervals from them."""
+
+    def test_buckets_and_terms_frozen(self):
+        # SHA-256 of the bucket fields of every reduced form of the
+        # fundamental |d| <= 400 at 39 digits and of the b >= 0 forms of
+        # -599 and -1832 at 206 and 259 digits, and of the term intervals
+        # of the 39-digit forms, as the kernel computed them when its log
+        # bounds and series tail still passed through libmpf numbers
+        nulls, terms = hashlib.sha256(), hashlib.sha256()
+        with workdps(39):
+            for f in (f for d in fundamental_discriminants(400) for f in reduced_forms(d)):
+                nulls.update(repr(_bucket_fields(cmlab._theta_nulls(cmlab._cm_nome(f)))).encode())
+                terms.update(repr(cmlab._cm_terms(f, mp.prec + 64)).encode())
+        for d, dps in ((-599, 206), (-1832, 259)):
+            with workdps(dps):
+                for f in reduced_forms(d):
+                    if f.b >= 0:
+                        nulls.update(repr(_bucket_fields(cmlab._theta_nulls(cmlab._cm_nome(f)))).encode())
+        assert nulls.hexdigest() == "fe43ebb08b912300d03383466a80cc084b53210e9db3af8d6801b1c497584bef"
+        assert terms.hexdigest() == "b1076dc1aadedef4944ff0ec8b0867c5751d4ccb972ffd9219e214b8f8ef47ac"
 
     def test_terms_enclose_mpmath_at_three_times_the_precision(self):
         for case in _kernel_cases():

@@ -636,11 +636,11 @@ class TestBigFloat:
             with workdps(rng.choice((15, 39, 250))):
                 x = mpf(rng.random()) * mpf("0.9995")
             e, k = rng.randint(1, 400), rng.randint(1, 40)
-            tail = numcore._geometric_tail(x, e, k)
+            tail = numcore._geometric_tail(numcore._pair(x._mpf_), e, k)
             q = _exact(x)
-            assert _exact(tail) >= 2 * q**e / (1 - q**k)
+            assert _worth(tail) >= 2 * q**e / (1 - q**k)
         with pytest.raises(ValueError):
-            numcore._geometric_tail(1, 3)
+            numcore._geometric_tail(numcore._ONE, 3)
 
     def test_tail_below_skips_only_tails_at_or_above_tol(self):
         rng = random.Random(14)
@@ -655,9 +655,9 @@ class TestBigFloat:
             cases.append((x, max(1, edge + rng.randint(-3, 3)), rng.randint(1, 40), tol))
         skipped = 0
         for x, e, k, tol in cases:
-            exact = numcore._geometric_tail(x, e, k)
-            got = numcore._tail_below(x, e, k, tol)
-            assert got == (exact if exact < tol else None), (x, e, k, tol)
+            exact = numcore._geometric_tail(numcore._pair(x._mpf_), e, k)
+            got = numcore._tail_below(numcore._pair(x._mpf_), e, k, numcore._pair(tol._mpf_))
+            assert got == (exact if _worth(exact) < _exact(tol) else None), (x, e, k, tol)
             skipped += got is None
         assert 0 < skipped < len(cases)
 
@@ -742,6 +742,11 @@ class TestBigFloat:
 
 def _exact(x) -> Fraction:
     return Fraction(*to_rational(x._mpf_))
+
+
+def _worth(pair) -> Fraction:
+    """The exact value m 2**e of a pair (m, e)."""
+    return Fraction(pair[0]) * Fraction(2) ** pair[1]
 
 
 def _random_ball(rng, complex_value, radii):
@@ -1536,12 +1541,30 @@ def test_fixed_point_j_kernel_uses_no_mpmath_numbers():
     # integer error counts, and so do the theta term, s(tau) (which reads
     # the libmpf parts and radius pair of the tau ball) and the column
     # sums of the class averages; balls are made only by _ball_of, for
-    # j's division and the public buckets, and by _class_averages
+    # j's division and the public buckets, and by _class_averages.  The
+    # three log terms hand integers to _log_bounds, which holds the one
+    # libmpf log, and form no libmpf number themselves
     tree = ast.parse((Path(numcore.__file__).parent / "cmlab.py").read_text())
     found = {top.name: top for top in tree.body if isinstance(top, (ast.FunctionDef, ast.ClassDef))}
     assert "of" not in {node.name for node in ast.walk(found["_GaussBall"]) if isinstance(node, ast.FunctionDef)}
-    for name in ("_modulus_up", "_GaussBall", "_units_up", "_ceil_sqrt", "_theta_term", "_s_term", "_fold_columns"):
+    terms = ("_log_plus_term", "_theta_term", "_s_term")
+    for name in ("_modulus_up", "_GaussBall", "_units_up", "_ceil_sqrt", *terms, "_fold_columns"):
         names = {node.id for node in ast.walk(found[name]) if isinstance(node, ast.Name)}
         assert not names & {"mpc", "mpf", "mp", "mpmath", "workdps", "BigFloat", "_mag"}, name
         attributes = {node.attr for node in ast.walk(found[name]) if isinstance(node, ast.Attribute)}
         assert not attributes & {"radius", "_mag", "abs_bounds", "_min_abs", "_op", "_made", "pow_int", "widened"}, name
+        if name in terms:
+            assert not {n for n in names if n.startswith("mpf_") or n in ("from_man_exp", "from_int")}, name
+    logs = [fn.name for fn in found.values() if "mpf_log" in {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}]
+    assert logs == ["_log_bounds"]
+
+
+def test_tail_helpers_run_on_pairs():
+    # the geometric tail, the tail test and their log2 take and return
+    # 53-bit pairs and floats: no mpmath number is formed or read
+    tree = ast.parse(Path(numcore.__file__).read_text())
+    found = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
+    for name in ("_geometric_tail", "_tail_below", "_log2"):
+        names = {node.id for node in ast.walk(found[name]) if isinstance(node, ast.Name)}
+        assert not names & {"mpf", "mp", "mpmath"}, name
+        assert "_mpf_" not in {node.attr for node in ast.walk(found[name]) if isinstance(node, ast.Attribute)}, name
