@@ -36,7 +36,14 @@ Input past a work cap exits 2 at once, naming the cap:
                     (the most at D = -3, whose nome is complex),
                     quadratic in p from a few hundred digits on; the
                     1323 units of a form at 10000 digits leave room
-                    for a host that runs 1.5 times slower.
+                    for a host that runs 1.5 times slower.  'cm scan',
+                    'verify-tf', 'verify-decay' and 'finiteness' are
+                    charged (p / 275)^2 per form, MAX_DMAX bounding
+                    the rest, before any form is built: for at most
+                    the number of triples |b| <= a <= c with 4ac - b^2
+                    <= dmax, 593 at dmax 200 (784k units at 10000
+                    digits), 17090 at 2000 and 5640393 at 10**5 (43k
+                    units at 24 digits).
   MAX_DEGREE        the degree of a 'height alg:' polynomial (1000),
                     checked on each exponent as it is parsed, before
                     the coefficient list is built: x^1000 - 2 takes
@@ -122,6 +129,21 @@ def faltings_work(h: int, precision: int) -> int:
     """The work estimate of 'cm faltings' for h forms at precision
     digits (see the module docstring), rounded up."""
     return -(-h * (275**2 + precision**2) // 275**2)
+
+
+def scan_work(dmax: int, precision: int) -> int:
+    """The precision part of ``faltings_work``, (p / 275)^2 per form,
+    rounded up, for a scan over the fundamental |D| <= dmax, whose
+    reduced forms are among the triples |b| <= a <= c with 4ac - b^2 <=
+    dmax: counted per (a, |b|), c from a to (dmax + b^2) / (4a)."""
+    forms, a = 0, 1
+    while 3 * a * a <= dmax:
+        for b in range(a + 1):
+            n = (dmax + b * b) // (4 * a) - a + 1
+            if n > 0:
+                forms += n if b == 0 else 2 * n
+        a += 1
+    return -(-forms * precision**2 // 275**2)
 
 
 class UsageError(Exception):
@@ -440,6 +462,8 @@ def _cmd_tower_gen(args, opts) -> int:
 def _cmd_tower_certify(args, opts) -> int:
     with open(args.spec) as fh:
         spec = TowerSpec.from_json(fh.read())
+    if not spec.num_levels:
+        raise UsageError("the spec has no levels to certify")
     if args.level is not None and not 1 <= args.level <= spec.num_levels:
         raise UsageError(f"--level must be between 1 and {spec.num_levels}")
     if args.monomials < 1:
@@ -746,6 +770,11 @@ def _resolve_options(args) -> dict:
         raise UsageError(f"precision {opts['precision']} is above MAX_PRECISION = {MAX_PRECISION} digits")
     if getattr(args, "dmax", 0) > MAX_DMAX:
         raise UsageError(f"--dmax {args.dmax} is above MAX_DMAX = {MAX_DMAX}")
+    if hasattr(args, "dmax") and (work := scan_work(args.dmax, opts["precision"])) > MAX_WORK:
+        raise UsageError(
+            f"the work of --dmax {args.dmax} at --precision {opts['precision']}, "
+            f"about {work} units, is above MAX_WORK = {MAX_WORK}"
+        )
     if opts["workers"] < 1:
         raise UsageError("workers must be at least 1")
     if opts["seed"] < 0:

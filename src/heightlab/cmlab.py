@@ -46,17 +46,20 @@ fundamental domain.  On top of that sit:
   a lower bound rounded up (``_log_spread``): the CM-point kernel uses
   no mpmath ``iv``.
 
-Each kind of point has one source for its nome, which the theta layer
-takes.  A reduced form's comes from exact data (``_cm_nome``): w =
-exp(-pi sqrt|d| / (8a)) e^(-i pi b / (8a)), each part between integer
-products of directed ends of the modulus (libmpf exp and pi) and of
-the angle's cos and sin (one libmpf cos_sin_pi per reduced fraction
-b / (8a) and precision).  Its radius is about 2**-16 of a unit in the
-last place, where a tau ball's nome in ball arithmetic has about 100.
-A user's tau reaches the series only through ``_theta_w``, that nome
-in ball arithmetic: at ``theta_null_point``, and at g tau after one
+Each kind of point has one source for its nome, a ``_GaussBall`` like
+everything the theta layer computes from it.  A reduced form's comes
+from exact data (``_cm_nome``): w = exp(-pi sqrt|d| / (8a)) e^(-i pi b
+/ (8a)), each part between integer products of directed ends of the
+modulus (libmpf exp and pi) and of the angle's cos and sin (one libmpf
+cos_sin_pi per reduced fraction b / (8a) and precision).  Its radius
+is about 2**-16 of a unit in the last place, where a tau ball's nome
+in ball arithmetic has about 100.  A user's tau enters the kernel only
+through ``_theta_w``, that nome in ball arithmetic converted exactly to
+a Gaussian ball: at ``theta_null_point``, and at g tau after one
 certified reduction, whose moves are ball operations, at
-``j_invariant``, ``s_invariant`` and ``modular_discriminant``.
+``j_invariant``, ``s_invariant`` and ``modular_discriminant``.  That
+conversion is the one place a ``BigFloat`` enters the kernel, and
+``_ball_of`` the one place a result leaves it as one.
 
 ``cm_record`` sums the theta series once per pair of conjugate reduced
 forms (a, +-b, c) and reads all three heights off it: log|j| from the
@@ -86,7 +89,6 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate
 from math import gcd, isqrt, sqrt
-from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf, workdps
 from mpmath.libmp import (
@@ -98,7 +100,6 @@ from mpmath.libmp import (
     mpf_exp,
     mpf_log,
     mpf_mul,
-    mpf_neg,
     mpf_pi,
     mpf_shift,
     round_ceiling,
@@ -372,24 +373,6 @@ def _eisenstein_e4(eighths) -> BigFloat:
     return (t2 + t3 + t4) / 2
 
 
-class _Constants(NamedTuple):
-    pi_i_4: BigFloat
-    minus_half_log_2: BigFloat
-
-
-@lru_cache(maxsize=64)
-def _constants_at(prec: int, dps: int) -> _Constants:
-    """The constant balls as ``BigFloat.rounded`` makes them at the
-    ambient precision, which the key (mp.prec, mp.dps) names."""
-    return _Constants(*map(BigFloat.rounded, (mpc(0, 1) * mp.pi / 4, -mp.log(2) / 2)))
-
-
-def _constants() -> _Constants:
-    """The constant balls at the working precision, built once per
-    precision and bit for bit the same each time."""
-    return _constants_at(mp.prec, mp.dps)
-
-
 def modular_discriminant(tau, precision_digits: int = DEFAULT_DIGITS) -> BigFloat:
     """Delta(tau) = Delta(g tau) / (c tau + d)^12, as a certified complex
     disc, for the g = (a b; c d) of ``_to_fundamental_domain`` and
@@ -405,6 +388,13 @@ def modular_discriminant(tau, precision_digits: int = DEFAULT_DIGITS) -> BigFloa
 def _ceil_sqrt(n: int) -> int:
     root = isqrt(n)
     return root + (root * root != n)
+
+
+def _toward_zero(v: int, k: int) -> int:
+    """v 2**k truncated toward zero, which commutes with negation."""
+    if k >= 0:
+        return v << k
+    return v >> -k if v >= 0 else -(-v >> -k)
 
 
 def _modulus_up(re: int, im: int) -> int:
@@ -464,9 +454,7 @@ class _GaussBall:
         exp = self.exp + other.exp
         k = max(abs(re).bit_length(), abs(im).bit_length()) - self.bits
         if k > 0:
-            re = re >> k if re >= 0 else -(-re >> k)
-            im = im >> k if im >= 0 else -(-im >> k)
-            err, exp = (err >> k) + 3, exp + k
+            re, im, err, exp = _toward_zero(re, -k), _toward_zero(im, -k), (err >> k) + 3, exp + k
         return _GaussBall(re, im, exp, err, self.bits)
 
     def __truediv__(self, n: int) -> "_GaussBall":
@@ -603,7 +591,7 @@ def _cos_sin_pi_ends(num: int, den: int, k: int) -> tuple:
     return big_c - 1, big_c + 2, big_s - 1, big_s + 3
 
 
-def _cm_nome(form: ReducedForm) -> BigFloat:
+def _cm_nome(form: ReducedForm) -> _GaussBall:
     """The theta nome w = exp(pi i tau / 4) of a form's CM point tau =
     (-b + i sqrt|d|) / (2a), from exact data, with no tau ball: w =
     exp(-x) e^(-i pi b / (8a)), x = pi sqrt|d| / (8a).
@@ -629,11 +617,11 @@ def _cm_nome(form: ReducedForm) -> BigFloat:
     Each part of w, |Re w| = exp(-x) cos and |Im w| = exp(-x) sin, lies
     between the exact integer products of its lower ends and of its
     upper ends, at scale 2**(f - k) (a lower end of sin may be -1,
-    which keeps the product a lower bound).  The midpoint is the exact
-    middle of each part's ends, Im negated for b > 0; the radius, the
-    sum of the two half-widths, is within 2**-(mp.prec + 16) |w| or so.
-    The magnitude bound R_hi (1 + 2**(4 - k)) 2**f, rounded up, holds:
-    (c_hi^2 + s_hi^2) 4**-k <= 1 + 2**(4 - k).
+    which keeps the product a lower bound).  The nome is the
+    ``_GaussBall`` at 2**(f - k - 1) whose midpoint is the exact middle
+    of each part's ends, Im negated for b > 0, and whose count is the
+    sum of the two widths there, the two half-widths: within
+    2**-(mp.prec + 16) |w| or so.
 
     The mirror (a, -b, c) makes the same steps and negates the other
     imaginary part, so its nome is the conjugate one bit for bit."""
@@ -648,10 +636,10 @@ def _cm_nome(form: ReducedForm) -> BigFloat:
     g = gcd(b, 8 * a)
     c_lo, c_hi, s_lo, s_hi = _cos_sin_pi_ends(b // g, 8 * a // g, k)
     re_lo, re_hi, im_lo, im_hi = r_lo * c_lo, r_hi * c_hi, r_lo * s_lo, r_hi * s_hi
-    re, im = from_man_exp(re_lo + re_hi, f - k - 1), from_man_exp(im_lo + im_hi, f - k - 1)
-    value = mp.make_mpc((re, mpf_neg(im) if form.b > 0 else im))
-    radius = _up(re_hi - re_lo + im_hi - im_lo, f - k - 1)
-    return BigFloat._made(value, radius, _up(r_hi + (r_hi >> (k - 4)) + 1, f))
+    im = im_lo + im_hi
+    return _GaussBall(
+        re_lo + re_hi, -im if form.b > 0 else im, f - k - 1, re_hi - re_lo + im_hi - im_lo, mp.prec + 8
+    )
 
 
 def _fixed_part(t: tuple, s: int) -> tuple:
@@ -730,15 +718,15 @@ def hilbert_class_poly(d) -> IntPoly:
     polynomial computation via floating point approximations, Math.
     Comp. 78, 2009), the product runs on integers.  ``_j_at`` gives one
     ball per reduced form, in order, from the theta buckets of its
-    ``_cm_nome``.  A form (a, b, c) whose mirror (a, -b, c) is reduced
-    has the conjugate j' = conj(j), as j(-conj tau) = conj(j(tau)); the
-    pair folds into the real quadratic x^2 - (j + j')x + j j'.  Any
-    other form is equivalent to its mirror, so its j is real and gives a
-    real linear factor.  The series runs once per pair, on the form
-    with b > 0: ``_cm_nome`` gives the mirror the conjugate nome, and
-    every cut in ``_theta_nulls`` truncates toward zero, which commutes
-    with conjugation, so the mirror's buckets are the conjugates bit for
-    bit.
+    ``_cm_nome``.  A form (a, b, c) whose mirror (a, -b, c) is reduced,
+    that is 0 < |b| < a < c, has the conjugate j' = conj(j), as
+    j(-conj tau) = conj(j(tau)); the pair folds into the real quadratic
+    x^2 - (j + j')x + j j'.  Any other form is equivalent to its mirror,
+    so its j is real and gives a real linear factor.  The series runs
+    once per pair, on the form with b > 0: ``_cm_nome`` gives the mirror
+    the conjugate nome, and every cut in ``_theta_nulls`` truncates
+    toward zero, which commutes with conjugation, so the mirror's
+    buckets are the conjugates bit for bit.
 
     Each midpoint becomes a Gaussian integer g at scale 2**s, each part
     rounded down, with s = mp.prec + 2b + 8 for h of b bits.  For a
@@ -768,26 +756,24 @@ def hilbert_class_poly(d) -> IntPoly:
     with workdps(30):
         est = mp.pi * mp.sqrt(mpf(-d)) * mp.fsum(mpf(1) / f.a for f in forms)
         dps = int(est / mp.log(10)) + 25
-    # smallest |j| (largest a) first: the running product's coefficients
-    # stay short for longest
-    index = {(f.a, f.b): i for i, f in enumerate(forms)}
-    groups = [
-        (i, index[f.a, -f.b]) if f.b and (f.a, -f.b) in index else (i,)
-        for i, f in reversed(list(enumerate(forms)))
-        if f.b >= 0
-    ]
 
     def attempt(dps):
         with workdps(dps):
             nulls = {(f.a, f.b): _theta_nulls(_cm_nome(f)) for f in forms if f.b >= 0}
-            js = [
-                _j_at(nulls[f.a, f.b] if f.b >= 0 else tuple(
+            js = {
+                (f.a, f.b): _j_at(nulls[f.a, f.b] if f.b >= 0 else tuple(
                     _GaussBall(b.re, -b.im, b.exp, b.err, b.bits) for b in nulls[f.a, -f.b]
                 ))
                 for f in forms
-            ]
+            }
             s = mp.prec + 2 * len(forms).bit_length() + 8
-        return _class_poly_product([tuple(js[i] for i in g) for g in groups], s)
+        # smallest |j| (largest a) first: the running product's
+        # coefficients stay short for longest
+        groups = [
+            (js[f.a, f.b], js[f.a, -f.b]) if 0 < f.b < f.a < f.c else (js[f.a, f.b],)
+            for f in reversed(forms) if f.b >= 0
+        ]
+        return _class_poly_product(groups, s)
 
     return certify(attempt, dps, dps << 7, "class polynomial coefficients")
 
@@ -804,22 +790,19 @@ def _class_averages(d, precision_digits: int, terms) -> tuple:
     to the unit costs 2**-64 of its working precision; the i-th average
     is that of the i-th terms over the h reduced forms.
 
-    A form (a, -b, c), b > 0, has the CM point -conj(tau) of (a, b, c):
-    its nome (``_cm_nome``) is the conjugate one bit for bit, and so are
-    its theta buckets.  The terms read only |j|, the real s(tau) and the
-    theta term, which are invariant under tau -> -conj(tau), so the
-    mirror's terms are the pair's, bit for bit, and each conjugate pair
-    is evaluated and folded once, with weight 2.  A column's ends sum
+    A form (a, -b, c), b > 0, reduced when 0 < b < a < c, has the CM
+    point -conj(tau) of (a, b, c): its nome (``_cm_nome``) is the
+    conjugate one bit for bit, and so are its theta buckets.  The terms
+    read only |j|, the real s(tau) and the theta term, which are
+    invariant under tau -> -conj(tau), so the mirror's terms are the
+    pair's, bit for bit, and each conjugate pair is evaluated and folded
+    once, with weight 2.  A column's ends sum
     exactly, and the average of h forms lies in [floor(lo / h),
     ceil(hi / h)] 2**-scale: one ``_interval_ball``."""
     forms = reduced_forms(d)
-    keys = {(f.a, f.b) for f in forms}
     with workdps(precision_digits + 15):
         scale = mp.prec + 64
-        rows = [
-            (2 if f.b and (f.a, -f.b) in keys else 1, terms(f, scale))
-            for f in forms if f.b >= 0
-        ]
+        rows = [(2 if 0 < f.b < f.a < f.c else 1, terms(f, scale)) for f in forms if f.b >= 0]
         h = len(forms)
         return tuple(_interval_ball(lo // h, -(-hi // h), scale) for lo, hi in _fold_columns(rows))
 
@@ -906,10 +889,18 @@ def _im_tau(t: BigFloat) -> BigFloat:
     return y
 
 
+@lru_cache(maxsize=64)
+def _minus_half_log_2(prec: int, dps: int) -> BigFloat:
+    """The ball of -(1/2) log 2 as ``BigFloat.rounded`` makes it at the
+    ambient precision, which the key (mp.prec, mp.dps) names: built once
+    per precision and bit for bit the same each time."""
+    return BigFloat.rounded(-mp.log(2) / 2)
+
+
 def _normalized(avg: BigFloat, offset) -> BigFloat:
     """avg plus the normalization offset of ``faltings_height_cm``."""
     if offset is None:
-        return avg + _constants().minus_half_log_2
+        return avg + _minus_half_log_2(mp.prec, mp.dps)
     return avg + _as_bigfloat(offset)
 
 
@@ -943,51 +934,48 @@ def theta_null_point(tau, precision_digits: int = DEFAULT_DIGITS):
         return _nulls_at(_theta_w(t))
 
 
-def _theta_w(tau: BigFloat) -> BigFloat:
-    """The theta nome w = exp(pi i tau / 4) of a tau ball."""
-    return (_constants().pi_i_4 * tau).exp()
+def _theta_w(tau: BigFloat) -> _GaussBall:
+    """The theta nome w = exp(pi i tau / 4) of a tau ball, in ball
+    arithmetic with pi i / 4 rounded once, as a ``_GaussBall`` exactly:
+    both parts and the radius pair at their lowest exponent, a zero part
+    with mantissa 0.  The one place a ``BigFloat`` enters the kernel."""
+    w = (BigFloat.rounded(mpc(0, 1) * mp.pi / 4) * tau).exp()
+    parts = [(-man if sign else man, exp) for sign, man, exp, _ in w.value._mpc_] + [w._r]
+    low = min((e for m, e in parts if m), default=0)
+    re, im, err = (m << e - low if m else 0 for m, e in parts)
+    return _GaussBall(re, im, low, err, mp.prec + 8)
 
 
-def _nulls_at(w: BigFloat) -> tuple:
+def _nulls_at(w: _GaussBall) -> tuple:
     """The four theta buckets at the nome w, from one theta series, as
     ``BigFloat``s: complex, but for a bucket with no terms, the real 1 or
     0 (with the tail as its radius)."""
     return tuple(_ball_of(b, not b.im and b.re in (0, 1 << -b.exp)) for b in _theta_nulls(w))
 
 
-def _abs_up(parts: tuple, radius: tuple, p: int) -> tuple:
-    """|re + im i| of libmpf parts rounded up to p bits, as libmpf's
-    sqrt of the exact norm rounds it with round_ceiling, plus the radius
-    pair, exactly, and that sum rounded up once to a pair.  The exact
-    norm n 4**e is cut by 2t bits to 2p - 1 or 2p bits, whose integer
-    square root r has p bits; the p-bit ceiling is r 2**(t + e) when the
-    cut drops nothing and r^2 is what is left, else (r + 1) 2**(t + e)."""
-    parts = [(man, exp) for _, man, exp, _ in parts if man]
-    if not parts:
-        return radius
-    e = min(exp for _, exp in parts)
-    n = sum((man << exp - e) ** 2 for man, exp in parts)
+def _abs_up(w: _GaussBall, p: int) -> tuple:
+    """|v| + r over the ball w, v its midpoint and r its radius pair: the
+    p-bit ceiling of |v|, as libmpf's sqrt of the exact norm rounds it
+    with round_ceiling, plus r, exactly, and that sum rounded up once to
+    a pair.  The exact norm n 4**e, e = w.exp, is cut by 2t bits to 2p -
+    1 or 2p bits, whose integer square root s has p bits; the p-bit
+    ceiling is s 2**(t + e) when the cut drops nothing and s^2 is what
+    is left, else (s + 1) 2**(t + e)."""
+    n, e = w.re * w.re + w.im * w.im, w.exp
     t = (n.bit_length() - 2 * p + 1) >> 1
     cut = n >> 2 * t if t > 0 else n << -2 * t
-    r = isqrt(cut)
-    if r * r != cut or t > 0 and n & ((1 << 2 * t) - 1):
-        r += 1
-    (m, f), low = radius, min(t + e, radius[1])
-    return _up((r << t + e - low) + (m << f - low), low)
-
-
-def _fixed_toward_zero(t: tuple, s: int) -> int:
-    """A libmpf number t times 2**s truncated toward zero."""
-    sign, man, exp, _ = t
-    v = man << (exp + s) if exp + s >= 0 else man >> -(exp + s)
-    return -v if sign else v
+    s = isqrt(cut)
+    if s * s != cut or t > 0 and n & ((1 << 2 * t) - 1):
+        s += 1
+    m, f = _up(w.err, e)
+    low = min(t + e, f)
+    return _up((s << t + e - low) + (m << f - low), low)
 
 
 def _mul_cut(ar: int, ai: int, br: int, bi: int, s: int) -> tuple:
     """The Gaussian integer (ar + ai i)(br + bi i) 2**-s, each part
     truncated toward zero."""
-    u, v = ar * br - ai * bi, ar * bi + ai * br
-    return u >> s if u >= 0 else -(-u >> s), v >> s if v >= 0 else -(-v >> s)
+    return _toward_zero(ar * br - ai * bi, -s), _toward_zero(ar * bi + ai * br, -s)
 
 
 def _mul_up_64(p: int, q: int) -> int:
@@ -1009,34 +997,34 @@ def _slope_sum(m: int, k: int, last: int, gap: int, step: int) -> int:
     return total
 
 
-def _theta_nulls(w: BigFloat) -> tuple:
-    """The four buckets theta_j = sum over m = j (mod 4) of w^(m^2),
-    m over all integers, as ``_GaussBall``s of one exponent.  The odd m
-    give theta_1 and theta_3 the same terms w, w^9, w^25, ..., so their
-    sum is made once and returned as both; an even m adds w^(m^2)
-    twice, for m and for -m.  The series stops at
-    the first M whose tail past M^2 is below 10^-dps |w|_lo, with
-    |w|_lo from ``_min_abs``: a relative tolerance for theta_1 = w + w^9
-    + ..., whose relative accuracy j inherits through the Jacobi theta_2
-    = theta_1 + theta_3.  The tolerance is libmpf's product at mp.prec,
-    rounded to nearest, then up to a pair; the tail is a pair too, so it
-    lies below the one iff it lies below the other.
+def _theta_nulls(w: _GaussBall) -> tuple:
+    """The four buckets theta_j = sum over m = j (mod 4) of w^(m^2), m over
+    all integers, as ``_GaussBall``s of one exponent.  The odd m give
+    theta_1 and theta_3 the same terms w, w^9, w^25, ..., so their sum
+    is made once and returned as both; an even m adds w^(m^2) twice, for
+    m and for -m.  The series stops at the first M whose tail past M^2
+    is below 10^-dps |w|_lo, with |w|_lo = |v| - r rounded down, v the
+    nome's midpoint and r its radius pair: a relative tolerance for
+    theta_1 = w + w^9 + ..., whose relative accuracy j inherits through
+    the Jacobi theta_2 = theta_1 + theta_3.  The tolerance is libmpf's
+    product at mp.prec, rounded to nearest, then up to a pair; the tail
+    is a pair too, so it lies below the one iff it lies below the other.
 
-    The M terms run on Gaussian integers at scale 2**s, s = mp.prec +
-    2 bits(M) + 8 + 4 ceil(log2(1 / |w|_lo)): the last bits keep the
+    The M terms run on Gaussian integers at scale 2**s, s = mp.prec + 2
+    bits(M) + 8 + 4 ceil(log2(1 / |w|_lo)): the last bits keep the
     relative accuracy of theta_2 ~ 2 w^4 for tiny w (for M = 1, where
     theta_2 = 0, one ceil(log2(1 / |w|_lo)) keeps that of theta_1 = w,
     and |w| may be as small as 2**-179000).  The midpoint v of w, as it
-    is (``_cm_nome``'s has more bits than mp.prec), is cut to that
-    scale, and w^((m+1)^2) = w^(m^2) w^(2m+1), w^(2m+1) = w^(2m-1) w^2
-    are formed exactly and cut back, every cut toward
-    zero, which commutes with conjugation.  One integer count per
-    running power bounds its distance from the power of v in units u =
-    2**-s: if p, q are within a u and b u of P, Q with |P|, |Q| <= 1
-    (here |v| <= x < 1), then pq - PQ = (p - P) Q + P (q - Q) + (p -
-    P)(q - Q) is within (a + b + ab u) u, and the cut of the exact pq
-    adds less than sqrt(2) u; so the product is within (a + b + 3) u
-    while ab <= 2**s, which is checked.  The first cut costs 2.  A
+    is (``_cm_nome``'s has more bits than mp.prec), is cut from its
+    integers to that scale, and w^((m+1)^2) = w^(m^2) w^(2m+1), w^(2m+1)
+    = w^(2m-1) w^2 are formed exactly and cut back, every cut toward
+    zero (``_toward_zero``), which commutes with conjugation.  One
+    integer count per running power bounds its distance from the power
+    of v in units u = 2**-s: if p, q are within a u and b u of P, Q with
+    |P|, |Q| <= 1 (here |v| <= x < 1), then pq - PQ = (p - P) Q + P (q -
+    Q) + (p - P)(q - Q) is within (a + b + ab u) u, and the cut of the
+    exact pq adds less than sqrt(2) u; so the product is within (a + b +
+    3) u while ab <= 2**s, which is checked.  The first cut costs 2.  A
     bucket's count is the sum of its terms' counts, each even term
     twice: the sums themselves are exact.
 
@@ -1061,7 +1049,8 @@ def _theta_nulls(w: BigFloat) -> tuple:
     or 0 with the tail as its count."""
     # x = |v| + r rounded up once to a pair from |v| rounded up: never
     # above the full-precision |v| + r + guard, and so never a wider tail
-    w_lo, x = w._min_abs(), _abs_up(w.value._mpc_, w._r, mp.prec + 10)
+    r = _up(w.err, w.exp)
+    w_lo, x = _sub_down(_mag((w.re, w.im, w.exp), round_floor), r), _abs_up(w, mp.prec + 10)
     if _sub_down(x, _CAP)[0]:
         raise PrecisionError("theta series refused: |w| too close to 1")
     if not w_lo[0]:
@@ -1081,9 +1070,7 @@ def _theta_nulls(w: BigFloat) -> tuple:
     # w_lo = m 2**e with m of 53 bits: ceil(log2(1 / w_lo)) = -e - 52;
     # with one term, theta_2 = 0 and theta_1 = w asks for 1 log2(1 / w_lo)
     s = mp.prec + 2 * last.bit_length() + 8 + (4 if last > 1 else 1) * max(0, -w_lo[1] - 52)
-    # the midpoint as it is: mpc() would round a longer one to mp.prec
-    re, im = w.value._mpc_
-    a, b = _fixed_toward_zero(re, s), _fixed_toward_zero(im, s)
+    a, b = _toward_zero(w.re, w.exp + s), _toward_zero(w.im, w.exp + s)
     sq, odd, power = _mul_cut(a, b, a, b, s), (a, b), (a, b)  # w^2, w^(2m-1), w^(m^2)
     e_sq, e_odd, e_pow = 7, 2, 2  # their error counts
     sums_re, sums_im, counts = [0, 0, 0], [0, 0, 0], [0, 0, 0]  # theta_0 less its 1
@@ -1110,7 +1097,7 @@ def _theta_nulls(w: BigFloat) -> tuple:
     shapes = ((4, 4, 2, _mul_up_64(x32, x16), x32), (1, 2, 1, x8, x8), (2, 4, 2, x32, x32))
     slopes = [
         _mul_up(
-            _mul_up(w._r, _binary_power(x, first * first - 1, _mul_up) if first > 1 else _ONE),
+            _mul_up(r, _binary_power(x, first * first - 1, _mul_up) if first > 1 else _ONE),
             _up(times * _slope_sum(first, k, last, gap, step), -64),
         )
         if first <= last else _ZERO  # a bucket with no terms has no slope

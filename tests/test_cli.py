@@ -313,6 +313,18 @@ class TestTowerCommands:
         assert code == 2 and out == ""
         assert err.startswith("error: tower spec field 'p' must be an integer")
 
+    def test_certify_spec_without_levels_exit_2(self, capsys, tmp_path):
+        # tower gen writes "levels": [] for --degrees ','; certify would
+        # pass it having checked nothing, so it is refused, writing nothing
+        code, out, _ = run(capsys, "tower", "gen", "--degrees", ",", "--C", "7/10", "--out", str(tmp_path))
+        assert code == 0
+        spec_path = Path(out.strip().split("spec written to ")[-1])
+        assert json.loads(spec_path.read_text())["levels"] == []
+        code, out, err = run(capsys, "tower", "certify", str(spec_path), "--out", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "no levels" in err
+        assert [p.name for p in tmp_path.iterdir()] == [spec_path.name]
+
     def test_certify_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "tower", "certify", str(tmp_path / "none.json")
@@ -451,6 +463,48 @@ class TestCMCommands:
         from heightlab.cli import MAX_PRECISION, faltings_work
 
         assert faltings_work(1, MAX_PRECISION) >= 1300
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cm", "scan", "--dmax", "100000"],
+            ["cm", "scan", "--dmax", "2000"],
+            ["cm", "verify-decay"],
+            ["cm", "verify-tf", "--dmax", "2000"],
+            ["cm", "finiteness", "--dmax", "2000", "--cprime", "1"],
+        ],
+    )
+    def test_scan_work_cap_exit_2(self, capsys, tmp_path, monkeypatch, argv):
+        # at 10000 digits a form costs 0.35-0.85 s, and the fundamental
+        # |D| <= 10**5 hold 2956728 forms: 12 to 29 days of series.  The
+        # refusal comes before the experiment starts
+        from heightlab import cli
+
+        def started(*args, **kwargs):
+            raise AssertionError("the experiment started")
+
+        for name in ("cm_scan", "verify_theta_faltings", "verify_decay", "finiteness_demo"):
+            monkeypatch.setattr(cli, name, started)
+        code, out, err = run(capsys, "--precision", "10000", *argv, "--out", str(tmp_path))
+        assert code == 2 and not out
+        assert "MAX_WORK" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_scan_work_lets_the_cheap_scans_run(self, capsys, tmp_path, monkeypatch):
+        # (p / 275)^2 units for each of the triples |b| <= a <= c with 4ac
+        # - b^2 <= dmax, a bound on the reduced forms of the fundamental
+        # |D| <= dmax: MAX_DMAX at 24 digits and dmax 200 at 10000 run
+        from heightlab import cli
+        from heightlab.cmlab import class_number, fundamental_discriminants
+
+        counts = [cli.scan_work(x, 275) for x in (200, 2000, 20000, 10**5)]
+        assert counts == [593, 17090, 513963, 5640393]
+        assert sum(class_number(d) for d in fundamental_discriminants(2000)) <= counts[1]
+        assert cli.scan_work(cli.MAX_DMAX, 24) <= cli.MAX_WORK and cli.scan_work(200, 10000) <= cli.MAX_WORK
+        monkeypatch.setattr(cli, "cm_scan", lambda *args: ())
+        for argv in (["--dmax", "100000"], ["--dmax", "200", "--precision", "10000"]):
+            code, out, _ = run(capsys, "cm", "scan", *argv, "--out", str(tmp_path))
+            assert code == 0 and "0 discriminants" in out
 
     def test_defaults_are_within_the_caps(self):
         from heightlab.cli import HARD_DEFAULTS, MAX_DMAX, MAX_PRECISION, build_parser

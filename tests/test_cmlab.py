@@ -357,7 +357,7 @@ class TestConstantBalls:
         for f in reduced_forms(-56) + reduced_forms(-163):
             with workdps(30):
                 tau = _cm_tau_ball(f)
-                q, w = _q_ball(tau), cmlab._theta_w(tau)
+                q, w = _q_ball(tau), cmlab._ball_of(cmlab._theta_w(tau))
             with workdps(120):
                 exact = mpc(-f.b, mp.sqrt(-f.discriminant)) / (2 * f.a)
                 assert abs(q.value - mp.exp(2j * mp.pi * exact)) <= q.radius
@@ -383,7 +383,7 @@ class TestConstantBalls:
         assert all(len(group) >= 40 for group in kinds.values()) and sample[-1].a == 1
         for f in sample:
             with workdps(dps):
-                w, prec = cmlab._cm_nome(f), mp.prec
+                w, prec = cmlab._ball_of(cmlab._cm_nome(f)), mp.prec
             with workdps(3 * dps):
                 exact = mp.exp(1j * mp.pi * f.tau(3 * dps) / 4)
                 assert abs(w.value - exact) <= w.radius, (f, dps)
@@ -397,7 +397,7 @@ class TestConstantBalls:
 
         def nomes(dps):
             with workdps(dps):
-                return [(w.value._mpc_, w._r) for w in map(cmlab._cm_nome, forms)]
+                return [(w.re, w.im, w.exp, w.err) for w in map(cmlab._cm_nome, forms)]
 
         cold = {}
         for dps in (15, 39, 100):
@@ -414,11 +414,9 @@ class TestConstantBalls:
         # BigFloat.rounded makes on each call
         for _ in range(2):
             with workdps(dps):
-                got = cmlab._constants()
-                want = [BigFloat.rounded(c) for c in (mpc(0, 1) * mp.pi / 4, -mp.log(2) / 2)]
-            assert len(got) == len(want)
-            for ball, ref in zip(got, want):
-                assert (ball.value, ball._r) == (ref.value, ref._r)
+                got = cmlab._minus_half_log_2(mp.prec, mp.dps)
+                want = BigFloat.rounded(-mp.log(2) / 2)
+            assert (got.value, got._r) == (want.value, want._r)
 
 
 class TestHilbertClassPoly:
@@ -1040,7 +1038,7 @@ class TestFixedPointThetaKernel:
             with workdps(750):
                 for j, (ball, want) in enumerate(zip(buckets, _jtheta_buckets(point))):
                     assert abs(ball.value - want) <= ball.radius, (point, dps, j)
-                    assert ball.radius <= mpf(10) ** (4 - dps) * max(abs(w.value), abs(want)), (point, dps, j)
+                    assert ball.radius <= mpf(10) ** (4 - dps) * max(abs(cmlab._ball_of(w).value), abs(want)), (point, dps, j)
 
     @pytest.mark.parametrize("dps", [15, 39, 250])
     def test_radius_of_tau_carried_over(self, dps):
@@ -1063,7 +1061,7 @@ class TestFixedPointThetaKernel:
         for point in _kernel_points():
             with workdps(dps):
                 w = cmlab._theta_w(_tau_ball_of(point))
-                new, old = _public(cmlab._theta_nulls(w)), _bigfloat_theta_nulls(w)
+                new, old = _public(cmlab._theta_nulls(w)), _bigfloat_theta_nulls(cmlab._ball_of(w))
             for j, (a, b) in enumerate(zip(new, old)):
                 assert a.radius <= b.radius, (point, dps, j)
 
@@ -1078,7 +1076,8 @@ class TestFixedPointThetaKernel:
             with workdps(3 * dps):
                 v = mp.exp(1j * mp.pi * f.tau(3 * dps) / 4)
             with workdps(dps):
-                buckets = _public(cmlab._theta_nulls(BigFloat._made(v, _ZERO, _mag(v))))
+                w = _gauss_ball_of_bucket(BigFloat._made(v, _ZERO, _mag(v)), mp.prec + 8)
+                buckets = _public(cmlab._theta_nulls(w))
             with workdps(3 * dps + 20):
                 powers = {m: v ** (m * m) for m in range(1, 120)}
                 want = (
@@ -1090,9 +1089,9 @@ class TestFixedPointThetaKernel:
                     assert abs(ball.value - ref) <= ball.radius, (f, dps, j)
 
     def test_no_ball_per_term(self, monkeypatch):
-        # BigFloat calls inside the kernel do not grow with its term
-        # count: one, the nome's _min_abs, at 39 digits and at 250 for the
-        # same form; tails and slopes join the buckets' integer counts
+        # no BigFloat call inside the kernel, whose nome is a Gaussian
+        # ball, at 39 digits and at 250 for the same form; tails and
+        # slopes join the buckets' integer counts
         counts = Counter()
         for name, attr in list(vars(BigFloat).items()):
             if isinstance(attr, classmethod):
@@ -1106,7 +1105,7 @@ class TestFixedPointThetaKernel:
                 counts.clear()
                 cmlab._theta_nulls(w)
             seen.append(sum(counts.values()))
-        assert seen[0] == seen[1] == 1, seen
+        assert seen[0] == seen[1] == 0, seen
 
 
 def _bigfloat_j_and_delta(nulls) -> tuple:
@@ -1275,14 +1274,12 @@ class TestFixedPointJKernel:
             assert _within(x / 256, (pr / 256, pi / 256))
 
     def test_one_ball_division(self, monkeypatch):
-        # BigFloat calls in one _cm_terms: the nome, made once from
-        # exact data, and its _min_abs in the series; none per bucket,
-        # for j, s(tau) or the theta term, or for the fold: 2 (7 with a
-        # tau ball and its nome, 55 before the terms ran on integers).
-        # _j_at, given the nome's buckets, makes E4^3 and Delta as balls
-        # (2 _made) and divides them once (its _op, _made and the
-        # divisor's _min_abs), besides the series' _min_abs: 7.  The same
-        # at 39 digits and at 250
+        # BigFloat calls in one _cm_terms: none, as the nome from exact
+        # data is a Gaussian ball, and none per bucket, for j, s(tau) or
+        # the theta term, or for the fold.  _j_at, given the nome's
+        # buckets, makes E4^3 and Delta as balls (2 _made) and divides
+        # them once (its _op, _made and the divisor's _min_abs): 6.  The
+        # same at 39 digits and at 250
         counts = Counter()
         for name, attr in list(vars(BigFloat).items()):
             if isinstance(attr, classmethod):
@@ -1299,9 +1296,8 @@ class TestFixedPointJKernel:
                     counts.clear()
                     kernel()
                     seen.append(dict(counts))
-        nome = {"_made": 1, "_min_abs": 1}
-        j = {"_op": 1, "_made": 3, "_min_abs": 2, "__truediv__": 1}
-        assert seen == [nome, j, nome, j], seen
+        j = {"_op": 1, "_made": 3, "_min_abs": 1, "__truediv__": 1}
+        assert seen == [{}, j, {}, j], seen
 
 
 def _within_interval(interval, scale: int, x) -> bool:
@@ -1468,9 +1464,9 @@ class TestCMRecord:
             conjugates = [(re, -im, *rest) for re, im, *rest in _bucket_fields(nulls)]
             assert _bucket_fields(mirror_nulls) == conjugates, f
             # the nome and j of the mirror are the conjugate balls
-            for ball, conj in ((w, wm), (j, jm)):
-                re, im = ball.value._mpc_
-                assert conj.value._mpc_ == (re, mpf_neg(im)) and conj._r == ball._r, f
+            assert (wm.re, wm.im, wm.exp, wm.err) == (w.re, -w.im, w.exp, w.err), f
+            re, im = j.value._mpc_
+            assert jm.value._mpc_ == (re, mpf_neg(im)) and jm._r == j._r, f
             pairs += 1
         assert pairs > 100
 

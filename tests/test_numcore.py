@@ -1559,6 +1559,20 @@ def test_fixed_point_j_kernel_uses_no_mpmath_numbers():
     assert logs == ["_log_bounds"]
 
 
+def test_theta_kernel_reads_no_bigfloat():
+    # the nome is a Gaussian ball, from exact data or from _theta_w's
+    # exact conversion of a tau ball's nome: the series, its bound on |w|
+    # and the exact-data nome name no BigFloat and read none of a
+    # BigFloat's fields; one helper truncates toward zero
+    tree = ast.parse((Path(numcore.__file__).parent / "cmlab.py").read_text())
+    found = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
+    for name in ("_theta_nulls", "_abs_up", "_cm_nome"):
+        assert "BigFloat" not in {node.id for node in ast.walk(found[name]) if isinstance(node, ast.Name)}, name
+        attributes = {node.attr for node in ast.walk(found[name]) if isinstance(node, ast.Attribute)}
+        assert not attributes & {"_mpc_", "_r", "_min_abs", "value"}, name
+    assert "_toward_zero" in found and "_fixed_toward_zero" not in found
+
+
 def test_tail_helpers_run_on_pairs():
     # the geometric tail, the tail test and their log2 take and return
     # 53-bit pairs and floats: no mpmath number is formed or read
