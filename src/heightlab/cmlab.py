@@ -41,10 +41,12 @@ fundamental domain.  On top of that sit:
   joins the same integer count; the tail and its tolerance are 53-bit
   pairs.  The theta term log(||v||_2 / max_j |theta_j|) is (1/2) log(S /
   N) of the exact integer norms of the bucket midpoints.  Like log|j|
-  and s(tau), it hands exact integers to one log (``_log_bounds``), whose
-  ends libmpf rounds outward, and widens them by one rule, a count over
-  a lower bound rounded up (``_log_spread``): the CM-point kernel uses
-  no mpmath ``iv``.
+  and s(tau), it hands exact integers to one log (``_log_bounds``),
+  whose ends are the quotient and its log rounded outward at the working
+  precision, taken by Ziv's strategy from numcore's integer enclosure of
+  the log, and widens them by one rule, a count over a lower bound
+  rounded up (``_log_spread``): the CM-point kernel uses no mpmath
+  ``iv`` and no libmpf log.
 
 Each kind of point has one source for its nome, a ``_GaussBall`` like
 everything the theta layer computes from it.  A reduced form's comes
@@ -98,14 +100,10 @@ from mpmath.libmp import (
     mpf_cos_sin_pi,
     mpf_div,
     mpf_exp,
-    mpf_log,
     mpf_mul,
     mpf_pi,
-    mpf_shift,
-    round_ceiling,
     round_floor,
     round_nearest,
-    to_int,
     to_rational,
 )
 
@@ -119,10 +117,12 @@ from .numcore import (
     _ZERO,
     _add_up,
     _as_bigfloat,
+    _atanh_fixed,
     _binary_power,
     _div_up,
     _down,
     _log2,
+    _log_fixed,
     _mag,
     _mul_up,
     _pair,
@@ -834,10 +834,10 @@ def _log_plus_term(num: _GaussBall, den: _GaussBall, scale: int) -> tuple:
     the exact norms of x and y, |E4^3| <= (ceil(sqrt(n)) + E) 2**e and
     |Delta| >= (floor(sqrt(N)) - F) 2**f = M 2**f; where the first is at
     most the second, |j| <= 1 and the term is 0.  Otherwise log|j| is
-    (1/2) log(n 4**e / (N 4**f)) at the midpoints, rounded outward by
-    libmpf, and the counts move log|E4^3| by at most E / (m - E), m =
-    floor(sqrt(n)), and log|Delta| by at most F / M, each quotient
-    rounded up to the unit; the ends clamp at 0, as log max(1, t) =
+    (1/2) log(n 4**e / (N 4**f)) at the midpoints, rounded outward
+    (``_log_bounds``), and the counts move log|E4^3| by at most E / (m -
+    E), m = floor(sqrt(n)), and log|Delta| by at most F / M, each
+    quotient rounded up to the unit; the ends clamp at 0, as log max(1, t) =
     max(0, log t).  PrecisionError when M or m - E is not positive
     there."""
     n, big_n = num.re * num.re + num.im * num.im, den.re * den.re + den.im * den.im
@@ -1115,17 +1115,74 @@ def _theta_nulls(w: _GaussBall) -> tuple:
     return b0, b1, b2, b1
 
 
+def _decided(a: int, b: int, p: int, k: int):
+    """f(a) if f(b) is the same, else None, where f(v) = floor(d 2**k)
+    for d the p-bit floor of the integer v: the largest number of at most
+    p significant bits that is at most v."""
+    n = abs(a).bit_length() - p
+    if n > 0:
+        a = a >> n << n
+    n = abs(b).bit_length() - p
+    if n > 0:
+        b = b >> n << n
+    a, b = (a << k, b << k) if k >= 0 else (a >> -k, b >> -k)
+    return a if a == b else None
+
+
 def _log_bounds(num: int, shift: int, den: int, scale: int) -> tuple:
     """log(num 2**shift / den) for positive integers num and den as
     integers (lo, hi), the log in [lo, hi] 2**-scale: the CM terms' one
-    log.  libmpf rounds the exact quotient and then its log outward at
-    the working precision, as mpmath ``iv`` does, and the ends go out to
-    the unit."""
-    n, d = from_man_exp(num, shift), from_int(den)
-    return tuple(
-        to_int(mpf_shift(mpf_log(mpf_div(n, d, mp.prec, rnd), mp.prec, rnd), scale), rnd)
-        for rnd in (round_floor, round_ceiling)
-    )
+    log.  With q the quotient and RD, RU the roundings down and up to p =
+    mp.prec bits, lo = floor(RD(log RD(q)) 2**scale) and hi = ceil(RU(log
+    RU(q)) 2**scale): q and then its log rounded outward at the working
+    precision, as mpmath ``iv`` rounds them, and the ends taken out to
+    the unit.  These are the ends of libmpf's mpf_div and mpf_log with
+    those roundings wherever libmpf's log rounds correctly, which it
+    does not always do between 1/2 and 2: it rounds log(1 + 2**(1-p)) up
+    to the p-bit number below it.
+
+    RD(q) = m 2**e comes from one integer division, and RU(q) = (m + 1)
+    2**e unless it leaves no remainder.  log RD(q) is enclosed at 2**-w
+    by ``numcore._log_fixed``, and log RU(q) = log RD(q) + 2 atanh(1 /
+    (2m + 1)), where t = floor(2**w / (2m + 1)) lies less than 1 below
+    2**w / (2m + 1), so that atanh, of slope below 1.0001 there, lies
+    within [s - err, s + err + 2] 2**-w for ``_atanh_fixed``'s (s, err).
+    Each end is decided by Ziv's strategy (``_decided``): lo(v) =
+    floor(RD(v) 2**scale) is monotone in v, so where it is the same at
+    both ends of an enclosure of log RD(q), it is the lower end; likewise
+    the ceiling for the upper end.  Otherwise w gains guard bits.  With
+    2**L a lower bound of |log q| (|log q| >= |q - 1| / 2 for q in [1/2,
+    2], and >= (|K| - 1) / 2 for q in [2**(K-1), 2**K] otherwise), w =
+    max(min(p - L, scale), 0) + guard leaves about guard bits below the
+    last place that decides either end.  log 1 = 0 is the one exact log; the log of any
+    other rational is irrational, so some guard decides each end, and
+    past 4p + 64 bits of guard PrecisionError is raised."""
+    p = mp.prec
+    e = num.bit_length() + shift - den.bit_length() - p
+    m, rem = divmod(num << shift - e, den) if shift >= e else divmod(num, den << e - shift)
+    if m >> p:
+        m, rem, e = m >> 1, rem | m & 1, e + 1
+    if 0 <= e + p <= 1:  # q in [1/2, 2): |log q| >= |q - 1| / 2
+        one = 1 << -e
+        low = min(abs(m - one).bit_length(), abs(m + 1 - one).bit_length()) + e - 2
+    else:
+        one, low = 0, (abs(e + p) - 1).bit_length() - 2
+    guard = 10
+    while guard <= 4 * p + 64:
+        w = max(min(p - low, scale), 0) + guard
+        a, b = _log_fixed(m, 1, e, w) if m != one else (0, 0)
+        lo = _decided(a, b, p, scale - w)
+        if lo is not None:
+            if rem and m + 1 == one:
+                a = b = 0
+            elif rem:
+                s, err = _atanh_fixed((1 << w) // (2 * m + 1), w)
+                a, b = a + 2 * (s - err), b + 2 * (s + err + 2)
+            hi = _decided(-b, -a, p, scale - w)
+            if hi is not None:
+                return lo, -hi
+        guard *= 2
+    raise PrecisionError("log not separated from a rounding boundary")
 
 
 def _log_spread(err: int, low: int, scale: int, what: str) -> int:
@@ -1146,13 +1203,13 @@ def _theta_term(nulls, scale: int) -> tuple:
     moduli n_j are exact integers in units of 2**(2e), and their radii
     the integer counts r_j in units of 2**e.  At the midpoints the term
     is (1/2) log(S / N), S = sum_j n_j and N = n_k the largest; S / N
-    and its log are rounded outward by libmpf at the working precision,
-    as mpmath ``iv`` rounds them.  The radii move sum_j |theta_j|^2 by
-    at most E = sum_j r_j (2 |theta_j| + r_j), with |theta_j| <=
-    ceil(sqrt(n_j)), so (1/2) log S by at most E / (2 (S - E)); the
-    maximum M = |theta_k| >= floor(sqrt(N)) moves by at most r, the
-    largest r_j of the buckets whose |theta_j| + r_j can reach |theta_k|
-    - r_k, so log M by at most r / (M - r).  Both ends widen by these two
+    and its log are rounded outward at the working precision, as mpmath
+    ``iv`` rounds them (``_log_bounds``).  The radii move sum_j
+    |theta_j|^2 by at most E = sum_j r_j (2 |theta_j| + r_j), with
+    |theta_j| <= ceil(sqrt(n_j)), so (1/2) log S by at most E / (2 (S -
+    E)); the maximum M = |theta_k| >= floor(sqrt(N)) moves by at most r,
+    the largest r_j of the buckets whose |theta_j| + r_j can reach
+    |theta_k| - r_k, so log M by at most r / (M - r).  Both ends widen by these two
     quotients, each rounded up to the unit 2**-scale.  PrecisionError
     when S - E or M - r is not positive."""
     norms = [b.re * b.re + b.im * b.im for b in nulls]
@@ -1229,10 +1286,10 @@ def _s_term(delta: _GaussBall, y12: Fraction, widen: int, scale: int) -> tuple:
 
     N(Delta) = n 4**e is the exact norm of Delta's midpoint x 2**e, so
     N(Delta) y12 is an exact quotient of integers, whose log is rounded
-    outward by libmpf, then to integers at 2**-scale, where the quotient
-    by 24 rounds each end outward again.  |Delta| >= floor(sqrt(n)) 2**e
-    = m 2**e, and Delta's count E moves log|Delta| by at most E / (m -
-    E); s(tau) = -(1/12) log|Delta| - (1/2) log Im tau, so the ends
+    outward (``_log_bounds``), then to integers at 2**-scale, where the
+    quotient by 24 rounds each end outward again.  |Delta| >=
+    floor(sqrt(n)) 2**e = m 2**e, and Delta's count E moves log|Delta| by
+    at most E / (m - E); s(tau) = -(1/12) log|Delta| - (1/2) log Im tau, so the ends
     widen by E / (12 (m - E)), rounded up to the unit, and by widen.
     PrecisionError when m - E is not positive."""
     n = delta.re * delta.re + delta.im * delta.im

@@ -904,6 +904,179 @@ def log_plus_sum(total: BigFloat, balls) -> BigFloat:
 
 
 # ---------------------------------------------------------------------------
+# the logarithm on integers
+# ---------------------------------------------------------------------------
+
+def _atanh_fixed(t: int, w: int) -> tuple:
+    """(s, err): atanh(t 2**-w) lies within err 2**-w of s 2**-w, for an
+    integer t with |t| <= 2**w / 3.
+
+    The series tau + tau^3/3 + tau^5/5 + ..., tau = t 2**-w, is summed
+    by rectangular splitting (Smith, Math. Comp. 52, 1989; Johansson,
+    ARITH 22, 2015): with u = tau^2 and U_l = u^l at 2**-w for l <= m =
+    floor(sqrt(2n)), block i is sum_(l < m) U_l / (2(im + l) + 1), and
+    the blocks are joined by Horner's rule in U_m, so n terms cost about
+    m + n / m products of w-bit numbers and n divisions by small integers.
+
+    Proof, in units of 2**-w.  |tau| < 2**-c for c = w - bitlen|t|, so
+    n = ceil((w - c) / (2c)) terms, or more, leave a tail of at most
+    |tau|^(2n+1) / ((2n + 1)(1 - u)) < 2**(-c(2n + 1)) <= 2**-w, as u <=
+    1/9: less than 1.  Every step floors, and every value but t and s is
+    nonnegative.  U_1 lies below u 2**w by less than 1 and U_l below u^l
+    2**w by d_l < 2 + d_(l-1) / 9, so by less than 9/4.  A block lies
+    below its value by less than 7m/4: U_0 = 2**w is exact, and U_l / (2j
+    + 1) with 2j + 1 >= 3 loses less than 3/4 + 1.  Horner's accumulator
+    a <= 9/8 (a tail of sum u^l) stays less than e below its value: a
+    step loses e u^m + a d_m + 1 < e / 9 + 3.54 and the block's 7m/4, so
+    e < (7m/4 + 3.54) 9/8 < 2m + 4.  The last product loses |tau| e + 1
+    < m + 3, and with the tail err = m + 4.  For n <= 1, s = t and only
+    the tail remains."""
+    c = w - abs(t).bit_length()
+    n = (w + c - 1) // (2 * c)
+    if n <= 1:
+        return t, 1
+    m = isqrt(2 * n)
+    u = t * t >> w
+    powers = [1 << w]
+    for _ in range(m):
+        powers.append(powers[-1] * u >> w)
+    top = powers.pop()
+    acc, step = 0, 2 * m
+    for d in range(step * ((n - 1) // m) + 1, 0, -step):
+        acc = (acc * top >> w) + sum(map(operator.floordiv, powers, range(d, d + step, 2)))
+    return t * acc >> w, m + 4
+
+
+def _atanh_third(a: int, b: int) -> tuple:
+    """(B, Q, T) with T / (B Q) = sum_(a <= j < b) 1 / ((2j + 1) q_a ...
+    q_j), q_0 = 1 and q_j = 9 else, B the product of the 2j + 1 and Q
+    that of the q_j: binary splitting (Haible and Papanikolaou, 1998),
+    as the sum over [a, b) is that over [a, m) plus 1 / (q_a ... q_(m-1))
+    times that over [m, b).  So T / (B Q) for [0, n) is the sum of the
+    first n terms of 3 atanh(1/3) = sum_j 9**-j / (2j + 1)."""
+    if b - a == 1:
+        return 2 * a + 1, 9 if a else 1, 1
+    m = (a + b) // 2
+    b1, q1, t1 = _atanh_third(a, m)
+    b2, q2, t2 = _atanh_third(m, b)
+    return b1 * b2, q1 * q2, b2 * q2 * t1 + b1 * t2
+
+
+@lru_cache(maxsize=16)
+def _ln2_fixed(w: int) -> tuple:
+    """Integers (lo, hi) with log 2 in [lo, hi] 2**-w and hi - lo = 8:
+    log 2 = 2 atanh(1/3).  The first n terms of atanh(1/3) sum exactly to
+    S = T / D, D = 3 B Q (``_atanh_third``), and with 9**n >= 2**w the
+    rest is below 3**(-2n-1) (9/8) / (2n + 1) < 2**-w.  Cut by h = max(0,
+    bitlen D - w - 64) bits, D' = floor(D / 2**h) and T' = floor(T /
+    2**h) give T' / D' within 2**-(w + 63) of S <= 1/2 (exactly S for h
+    = 0), so atanh(1/3) 2**w lies in (s - 1, s + 3) for s = floor(T'
+    2**w / D')."""
+    n = w // 3 + 1  # 9**n > 8**n > 2**w
+    big_b, q, t = _atanh_third(0, n)
+    d = 3 * big_b * q
+    h = max(d.bit_length() - w - 64, 0)
+    s = (t >> h << w) // (d >> h)
+    return 2 * s - 2, 2 * s + 6
+
+
+@lru_cache(maxsize=16)
+def _sixty_fourth_roots(w: int) -> tuple:
+    """(A, B): A_i below 2**(w - i/8) and B_l below 2**(w - l/64), for i,
+    l < 8, each by less than 4 * 7.
+
+    2**(-1/8) and 2**(-1/64) 2**w come from 1/2 by three and six floored
+    square roots at 2**-w.  The values are at least 1/2, so a square root
+    turns an error d below the value into less than d / sqrt(2) + 1, and
+    the roots lie below their values by less than 3.  A_0 = B_0 = 2**w,
+    and a product floor(X r / 2**w) of values at most 1, below them by d
+    and 3, lies below its value by less than d + 3 + 1."""
+    r = 1 << (w - 1)
+    roots = []
+    for _ in range(6):
+        r = isqrt(r << w)
+        roots.append(r)
+    tables = ([1 << w], [1 << w])
+    for table, r in zip(tables, (roots[2], roots[5])):
+        for _ in range(7):
+            table.append(table[-1] * r >> w)
+    return tuple(map(tuple, tables))
+
+
+@lru_cache(maxsize=1024)
+def _sixty_fourth_root(w: int, j: int) -> int:
+    """C_j = floor(A_(j >> 3) B_(j & 7) / 2**w), for j < 64, from
+    ``_sixty_fourth_roots``: below 2**(w - j/64) by less than 28 + 28 + 1
+    = 57, as a product of values at most 1 below them by d and d' lies
+    below its value by less than d + d' + 1."""
+    a, b = _sixty_fourth_roots(w)
+    return a[j >> 3] * b[j & 7] >> w
+
+
+def _log_fixed(num: int, den: int, shift: int, w: int) -> tuple:
+    """Integers (lo, hi) with log(num 2**shift / den) in [lo, hi] 2**-w,
+    for positive integers num and den: an enclosure from integers only,
+    hi - lo a few units.
+
+    It runs at W = w + R + 8 bits, R = floor(sqrt(w) / 10), in four steps
+    (Brent, J. ACM 23, 1976).  Errors are in units of 2**-W.
+    * Reduction by multiples of (log 2) / 64.  x = num 2**shift / den =
+      2**k y with y in (1/2, 2), and Y = floor(y 2**(W+1)).  A double's
+      log2 of Y gives j' = 64q + j, 0 <= j < 64 and q >= -1, within 1/2 +
+      10**-9 of 64 log2 y, so z = y 2**(-q - j/64) has |log2 z| < 1/64
+      and log x = (64(k + q) + j) (log 2) / 64 + log z.  Z = floor(Y C_j
+      / 2**(V + 1 + q)), C_j below 2**(V - j/64) by less than 57 from
+      ``_sixty_fourth_root`` at V >= W + 10 bits, lies below z 2**W by
+      less than 3: 1 from Y, 57 (y 2**-q) 2**(W - V) < 0.12 from C_j (y
+      2**-q < 2.03) and 1 from the floor.
+    * r = max(0, R - c) square roots Z <- isqrt(Z 2**W), where |Z - 2**W|
+      < 2**(W - c): z_r = z**(2**-r) and log z = 2**r log z_r.  As Z >
+      0.98 2**W, a square root turns an error d below the value into less
+      than d / (2 sqrt(0.98)) + 1, so the error stays below 3.
+    * t = floor((Z - 2**W) 2**W / (Z + 2**W)) lies within 0.51 * 3 + 1
+      of tau 2**W, tau = (z_r - 1) / (z_r + 1), as the derivative of (z -
+      1) / (z + 1) is below 2 / 1.98**2 < 0.51 there.  log z_r = 2
+      atanh(tau) with |tau| < 0.006, where atanh' < 1.0001, so atanh(tau)
+      2**W lies within err + 3 of ``_atanh_fixed``'s s, and log z 2**W
+      within 2**(r+1) (err + 3) of 2**(r+1) s.
+    * log 2 from ``_ln2_fixed`` at V' >= W + bitlen|K| bits, K = 64(k +
+      q) + j: K times its width of 8 units 2**-V', taken to 2**-(W + 6),
+      is at most 1/8 of a unit.
+    Each end is floored or ceiled to 2**-w.  As W - w >= r + 8, the
+    series adds at most (err + 3) / 64 <= 1 unit 2**-w to hi - lo while
+    m <= 57, so for w up to about 100000 bits."""
+    k = num.bit_length() + shift - den.bit_length()
+    big_r = isqrt(w) // 10
+    big = w + big_r + 8
+    y = _shift(num, big + 1 + shift - k) // den
+    j = round((log2(y) - big - 1) * 64)
+    if j:
+        q, j = divmod(j, 64)
+        k += q
+        v = (big + 73) >> 6 << 6
+        y = y * _sixty_fourth_root(v, j) >> (v + 1 + q)
+    else:
+        y >>= 1
+    one = 1 << big
+    r = max(big_r + abs(y - one).bit_length() - big, 0)
+    for _ in range(r):
+        y = isqrt(y << big)
+    s, err = _atanh_fixed(((y - one) << big) // (y + one), big)
+    err = (err + 3) << r + 1
+    s <<= r + 1
+    lo, hi = s - err, s + err
+    k = 64 * k + j
+    if k:
+        v = (big + abs(k).bit_length() + 63) >> 6 << 6
+        l0, l1 = _ln2_fixed(v)
+        if k < 0:
+            l0, l1 = l1, l0
+        lo += k * l0 >> v + 6 - big
+        hi -= -k * l1 >> v + 6 - big
+    return lo >> big - w, -(-hi >> big - w)
+
+
+# ---------------------------------------------------------------------------
 # root finding
 # ---------------------------------------------------------------------------
 

@@ -1397,6 +1397,183 @@ class TestIntegerTerms:
                     assert _within_interval(interval, scale, want), (f, k, turn)
 
 
+def _libmpf_log_bounds(num: int, shift: int, den: int, scale: int) -> tuple:
+    """_log_bounds as libmpf computed it: the quotient and then its log
+    rounded outward at mp.prec, and the ends taken out to the unit
+    2**-scale."""
+    from mpmath.libmp import from_int, mpf_div, mpf_log, mpf_shift, round_ceiling, round_floor, to_int
+
+    n, d = from_man_exp(num, shift), from_int(den)
+    return tuple(
+        to_int(mpf_shift(mpf_log(mpf_div(n, d, mp.prec, rnd), mp.prec, rnd), scale), rnd)
+        for rnd in (round_floor, round_ceiling)
+    )
+
+
+@lru_cache(maxsize=64)
+def _rounded_logs(num: int, shift: int, den: int, p: int) -> tuple:
+    """RD(log RD(q)) and RU(log RU(q)) for q = num 2**shift / den and the
+    roundings to p bits, from mpmath at 3p + 64 bits (libmpf's division
+    rounds correctly)."""
+    from mpmath.libmp import from_int, mpf_div, mpf_log, mpf_pos, round_ceiling, round_floor, round_nearest
+
+    n, d = from_man_exp(num, shift), from_int(den)
+    return tuple(
+        mpf_pos(mpf_log(mpf_div(n, d, p, rnd), 3 * p + 64, round_nearest), p, rnd) for rnd in (round_floor, round_ceiling)
+    )
+
+
+def _rounded_log_bounds(num: int, shift: int, den: int, scale: int) -> tuple:
+    """The ends _log_bounds promises at p = mp.prec: ``_rounded_logs``
+    taken out to the unit 2**-scale."""
+    from mpmath.libmp import mpf_shift, round_ceiling, round_floor, to_int
+
+    logs = _rounded_logs(num, shift, den, mp.prec)
+    return tuple(to_int(mpf_shift(v, scale), rnd) for v, rnd in zip(logs, (round_floor, round_ceiling)))
+
+
+def _seeded_quotients(rng: random.Random, p: int, count: int):
+    """(num, shift, den) at p bits: free quotients, quotients within a
+    few ulps or many of 1, and quotients near a power of two."""
+    for i in range(count):
+        den = rng.getrandbits(2 * p) | 1 << (2 * p - 1)
+        if i % 3 == 0:
+            yield rng.getrandbits(rng.randrange(1, 3 * p)) | 1, rng.randrange(-p, p), rng.getrandbits(rng.randrange(1, 3 * p)) | 1
+        elif i % 3 == 1:
+            yield den + rng.choice((-1, 1)) * rng.getrandbits(rng.randrange(1, 2 * p)), 0, den
+        else:
+            yield den + rng.choice((-1, 1)) * rng.getrandbits(rng.randrange(1, p)), rng.randrange(-300, 300), den
+
+
+def _next_to_boundaries(rng: random.Random, p: int, above: bool, count: int) -> list:
+    """(m, e) for p-bit numbers q = m 2**e, each the nearest above (or
+    below) e**B for one of count consecutive p-bit numbers B from a seeded
+    log between 177 and 355: log q lies above (below) B by less than
+    log(1 + 2**(1-p)), about 2**-8 of a unit in B's last place."""
+    from mpmath.libmp import mpf_pos, round_ceiling, round_floor
+
+    out = []
+    with workdps(1):
+        mp.prec = 3 * p + 64
+        x = rng.randrange(256, 512) * mp.log(2) + mp.log(rng.randrange(1 << (p - 1), 1 << p))
+        edge = mp.make_mpf(mpf_pos(x._mpf_, p, round_floor if above else round_ceiling))
+        step = mp.exp(mp.ldexp(1, int(mp.floor(mp.log(edge, 2))) + 1 - p))
+        edge = mp.exp(edge)
+        e = int(mp.floor(mp.log(edge, 2))) - p + 1
+        for _ in range(count):
+            m = int((mp.ceil if above else mp.floor)(mp.ldexp(edge, -e)))
+            if m >> (p - 1) == 1:
+                out.append((m, e))
+            edge *= step
+    return out
+
+
+class TestLogBounds:
+    """The CM terms' one log: the outward-rounded ends that libmpf
+    computed where it rounds correctly, from numcore's integer enclosure
+    by Ziv's strategy."""
+
+    def test_equal_to_libmpf_on_the_scan_quotients(self, monkeypatch):
+        calls, real = [], cmlab._log_bounds
+
+        def spy(*args):
+            calls.append((args, mp.prec))
+            return real(*args)
+
+        monkeypatch.setattr(cmlab, "_log_bounds", spy)
+        cm_scan(200, 24)
+        assert len(calls) == 557
+        for args, prec in calls:
+            with workdps(1):
+                mp.prec = prec
+                assert real(*args) == _libmpf_log_bounds(*args), args
+
+    @pytest.mark.parametrize("dps, count", [(6, 150), (39, 300), (206, 150), (259, 150), (1015, 24)])
+    def test_equal_to_libmpf_on_seeded_quotients(self, dps, count):
+        # equal to the correctly rounded ends everywhere, and to libmpf's
+        # but for quotients between 1/2 and 2, where libmpf's log now and
+        # then misses the correct rounding by a unit in the last place
+        # (and at 1 + 2**(1-p) rounds up below the log: test_log_just_above_one)
+        misses = 0
+        with workdps(dps):
+            for num, shift, den in _seeded_quotients(random.Random(dps), mp.prec, count):
+                q = Fraction(num, den) * Fraction(2) ** shift
+                for scale in (mp.prec + 64, mp.prec + 63, 2 * mp.prec, 0, -5):
+                    got = cmlab._log_bounds(num, shift, den, scale)
+                    assert got == _rounded_log_bounds(num, shift, den, scale), (num, shift, den)
+                    if got != _libmpf_log_bounds(num, shift, den, scale):
+                        assert Fraction(1, 2) <= q < 2, (num, shift, den)
+                        misses += 1
+        assert misses < count // 2
+
+    def test_one_and_its_neighbours(self):
+        with workdps(39):
+            p = mp.prec
+            assert cmlab._log_bounds(5, 0, 5, p + 64) == (0, 0)
+            assert cmlab._log_bounds(1, 10, 1 << 10, p + 64) == (0, 0)
+            for num, shift, den in (
+                ((1 << 3 * p) + 1, -3 * p, 1),  # rounds down to 1, up to 1 + 2**(1-p)
+                ((1 << 3 * p) - 1, -3 * p, 1),  # rounds down to 1 - 2**-p, up to 1
+                ((1 << p) + 1, 1 - p, 2),  # 1 + 2**-p
+                ((1 << p) - 1, -p, 1),  # 1 - 2**-p, a p-bit number
+            ):
+                for scale in (p + 64, 3 * p):
+                    assert cmlab._log_bounds(num, shift, den, scale) == _rounded_log_bounds(num, shift, den, scale), (num, scale)
+
+    def test_log_just_above_one(self):
+        # q = 1 + 2**(1-p) - 2**(-3p-2) rounds up to 1 + x, x = 2**(1-p),
+        # and log q > x - x^2/2, the p-bit number below x.  libmpf's mpf_log
+        # rounds log(1 + x) up to x - x^2/2, so the upper end of the
+        # former libmpf log lay below log q
+        with workdps(39):
+            p = mp.prec
+            num, shift = (1 << 3 * p + 2) + (1 << 2 * p + 3) - 1, -(3 * p + 2)
+            lo, hi = cmlab._log_bounds(num, shift, 1, 2 * p)
+            assert _libmpf_log_bounds(num, shift, 1, 2 * p)[1] == hi - 2
+        with workdps(1):
+            mp.prec = 4 * p
+            assert lo == 0 and mp.ldexp(hi, -2 * p) >= mp.log(mp.ldexp(num, shift)) > mp.ldexp(hi - 2, -2 * p)
+
+    @pytest.mark.parametrize("end", ["lo", "hi"])
+    def test_ziv_widens_a_straddling_enclosure(self, monkeypatch, end):
+        # a seeded search among quotients whose log RD(q) lies just above a
+        # p-bit number B (for lo), or whose log RU(q) lies just below one
+        # (for hi), for three whose first enclosure reaches across B, so
+        # that its lower end rounds down below B (its upper end up above
+        # B): the widening must run, and the ends be the correctly rounded
+        # ones.  Taking the first enclosure's end unchecked fails here.
+        enclosures, real = [], cmlab._log_fixed
+
+        def spy(*args):
+            enclosures.append((real(*args), args[3]))
+            return enclosures[-1][0]
+
+        monkeypatch.setattr(cmlab, "_log_fixed", spy)
+        hits = 0
+        with workdps(39):
+            p, scale = mp.prec, mp.prec + 64
+            for m, e in _next_to_boundaries(random.Random(2031), p, end == "lo", 8000):
+                num = 2 * m + 1 if end == "lo" else 2 * m - 1  # RD(q) = m 2**e, or RU(q) = m 2**e
+                enclosures.clear()
+                ends = cmlab._log_bounds(num, e - 1, 1, scale)
+                (a, b), w = enclosures[0]
+                decided = cmlab._decided(a, b, p, scale - w)
+                if cmlab._decided(a, a, p, scale - w) != ends[0] if end == "lo" else len(enclosures) > 1 and decided is not None:
+                    assert len(enclosures) > 1
+                    assert ends == _rounded_log_bounds(num, e - 1, 1, scale), (num, e)
+                    hits += 1
+                    if hits == 3:
+                        break
+        assert hits == 3
+
+    def test_ziv_loop_is_capped(self, monkeypatch):
+        # an enclosure that never narrows ends in PrecisionError, not a hang
+        monkeypatch.setattr(cmlab, "_log_fixed", lambda num, den, shift, w: (-(1 << w), 1 << w))
+        with workdps(39):
+            with pytest.raises(PrecisionError, match="rounding boundary"):
+                cmlab._log_bounds(3, 0, 7, mp.prec + 64)
+
+
 class TestCMRecord:
     def test_record_consistency(self):
         rec = cm_record(-23, 24)

@@ -1220,6 +1220,74 @@ def test_log_plus_sum_adds_nothing_for_a_ball_inside_the_circle():
     assert (got.value, got.radius) == (0, 0)
 
 
+def _log_holds(num: int, den: int, shift: int, w: int, width: int = 4) -> None:
+    """_log_fixed's interval holds log(num 2**shift / den) 2**w, taken
+    from mpmath at three times the precision, and is at most width wide."""
+    lo, hi = numcore._log_fixed(num, den, shift, w)
+    with workdps(1):
+        mp.prec = 3 * w + 64
+        want = mp.log(mpf(num) * mp.ldexp(1, shift) / den) * mp.ldexp(1, w)
+    assert lo <= want <= hi and hi - lo <= width, (num, den, shift, w, lo, hi)
+
+
+class TestIntegerLog:
+    """numcore's log enclosure from integers: log 2, the atanh series and
+    the reduction, against mpmath at three times the precision."""
+
+    @pytest.mark.parametrize("bits, count", [(133, 40), (700, 20), (3400, 6), (14000, 2), (33300, 1)])
+    def test_encloses_mpmath_at_three_times_the_precision(self, bits, count):
+        rng = random.Random(bits)
+        for _ in range(count):
+            num = rng.getrandbits(bits) | 1 << (bits - 1)
+            den = rng.getrandbits(rng.randrange(1, bits + 1)) | 1
+            _log_holds(num, den, rng.randrange(-2 * bits, 2 * bits), bits + rng.randrange(64))
+
+    def test_reduction_edges(self):
+        w = 133
+        _log_holds(1, 1, 0, w)
+        _log_holds(7, 7, 0, w)
+        for k in range(1, 2 * w + 1, 7):
+            _log_holds((1 << k) + 1, 1, -k, w + k)  # 1 + 2**-k
+            _log_holds((1 << k) - 1, 1, -k, w + k)  # 1 - 2**-k
+        for k in range(-300, 301, 37):
+            _log_holds(1, 1, k, w)  # exact powers of two
+            _log_holds(3, 3 << 40, k + 40, w)
+        for k in (-200, -1, 0, 1, 2, 200):
+            for j in (1, 40, 130):
+                _log_holds((1 << j) - 1, 1, k - j, w)  # just below 2**k
+                _log_holds((1 << j) + 1, 1, k - j, w)  # just above
+
+    def test_log_two_is_enclosed(self):
+        for w in (8, 64, 200, 1000, 5000):
+            lo, hi = numcore._ln2_fixed(w)
+            with workdps(1):
+                mp.prec = 3 * w
+                want = mp.log(2) * mp.ldexp(1, w)
+            assert lo <= want <= hi and hi - lo == 8, w
+
+    def test_atanh_error_count_holds(self):
+        # the series at the bound |t| = 2**w / 3 and below, both signs,
+        # each within its returned error count of atanh at 3 w bits
+        rng = random.Random(31)
+        for w in (50, 133, 700, 2000):
+            for t in ((1 << w) // 3, -((1 << w) // 3), 1, -1, 0, *(rng.randrange(-(1 << w) // 3, (1 << w) // 3) for _ in range(10))):
+                s, err = numcore._atanh_fixed(t, w)
+                with workdps(1):
+                    mp.prec = 3 * w
+                    want = mp.atanh(mpf(t) / mp.ldexp(1, w)) * mp.ldexp(1, w)
+                assert abs(want - s) <= err, (w, t)
+
+    def test_sixty_fourth_roots_below_their_values(self):
+        w = 400
+        a, b = numcore._sixty_fourth_roots(w)
+        assert len(a) == len(b) == 8 and a[0] == b[0] == 1 << w
+        with workdps(1):
+            mp.prec = 3 * w
+            for j in range(64):
+                want = mp.ldexp(1, w) * mp.power(2, mpf(-j) / 64)
+                assert want - 57 < numcore._sixty_fourth_root(w, j) <= want, j
+
+
 class TestCertify:
     def test_doubles_until_decided(self):
         seen = []
@@ -1542,8 +1610,9 @@ def test_fixed_point_j_kernel_uses_no_mpmath_numbers():
     # the libmpf parts and radius pair of the tau ball) and the column
     # sums of the class averages; balls are made only by _ball_of, for
     # j's division and the public buckets, and by _class_averages.  The
-    # three log terms hand integers to _log_bounds, which holds the one
-    # libmpf log, and form no libmpf number themselves
+    # three log terms hand integers to _log_bounds, whose log is numcore's
+    # integer enclosure, and form no libmpf number themselves; no cmlab
+    # function names libmpf's log
     tree = ast.parse((Path(numcore.__file__).parent / "cmlab.py").read_text())
     found = {top.name: top for top in tree.body if isinstance(top, (ast.FunctionDef, ast.ClassDef))}
     assert "of" not in {node.name for node in ast.walk(found["_GaussBall"]) if isinstance(node, ast.FunctionDef)}
@@ -1555,8 +1624,18 @@ def test_fixed_point_j_kernel_uses_no_mpmath_numbers():
         assert not attributes & {"radius", "_mag", "abs_bounds", "_min_abs", "_op", "_made", "pow_int", "widened"}, name
         if name in terms:
             assert not {n for n in names if n.startswith("mpf_") or n in ("from_man_exp", "from_int")}, name
-    logs = [fn.name for fn in found.values() if "mpf_log" in {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}]
-    assert logs == ["_log_bounds"]
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == "mpf_log"]
+    assert "mpf_log" not in {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def test_integer_log_uses_no_mpmath():
+    # the log enclosure, its series, log 2 and the table of 2**(-j/64)
+    # are built from Python integers alone
+    tree = ast.parse(Path(numcore.__file__).read_text())
+    found = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
+    for name in ("_atanh_fixed", "_atanh_third", "_ln2_fixed", "_sixty_fourth_roots", "_sixty_fourth_root", "_log_fixed"):
+        names = {node.id for node in ast.walk(found[name]) if isinstance(node, ast.Name)}
+        assert not {n for n in names if n in ("mp", "mpmath", "mpf", "mpc") or n.startswith("mpf_")}, name
 
 
 def test_theta_kernel_reads_no_bigfloat():
