@@ -1447,9 +1447,9 @@ def _seeded_quotients(rng: random.Random, p: int, count: int):
 
 def _next_to_boundaries(rng: random.Random, p: int, above: bool, count: int) -> list:
     """(m, e) for p-bit numbers q = m 2**e, each the nearest above (or
-    below) e**B for one of count consecutive p-bit numbers B from a seeded
-    log between 177 and 355: log q lies above (below) B by less than
-    log(1 + 2**(1-p)), about 2**-8 of a unit in B's last place."""
+    below) exp(B) for one of count consecutive p-bit numbers B from a
+    seeded log between 177 and 355: log q lies above (below) B by less
+    than log(1 + 2**(1-p)), about 2**-8 of a unit in B's last place."""
     from mpmath.libmp import mpf_pos, round_ceiling, round_floor
 
     out = []

@@ -1270,7 +1270,7 @@ class TestIntegerLog:
         # each within its returned error count of atanh at 3 w bits
         rng = random.Random(31)
         for w in (50, 133, 700, 2000):
-            for t in ((1 << w) // 3, -((1 << w) // 3), 1, -1, 0, *(rng.randrange(-(1 << w) // 3, (1 << w) // 3) for _ in range(10))):
+            for t in ((1 << w) // 3, -((1 << w) // 3), 1, -1, 0, *(rng.randrange(-((1 << w) // 3), (1 << w) // 3) for _ in range(10))):
                 s, err = numcore._atanh_fixed(t, w)
                 with workdps(1):
                     mp.prec = 3 * w
