@@ -23,9 +23,10 @@ error, 3 precision failure.
 Input past a work cap exits 2 at once, naming the cap:
 
   MAX_PRECISION     --precision of any command, in digits (10000)
-  MAX_DISCRIMINANT  |D| of 'cm faltings' (10**8); the reduced forms
-                    of D come from square roots of D and a sieve of
-                    sqrt(|D| / 3) entries
+  MAX_DISCRIMINANT  |D| of 'cm faltings' and 'cm theta' (10**8); the
+                    reduced forms of D come from square roots of D and
+                    a sieve of sqrt(|D| / 3) entries, and the theta
+                    series' integers grow with sqrt(|D|)
   MAX_DMAX          --dmax of every 'cm' experiment (10**5)
   MAX_WORK          the work of 'cm faltings' (10**6 units), estimated
                     once its reduced forms are counted and before the
@@ -49,8 +50,6 @@ Input past a work cap exits 2 at once, naming the cap:
                     the coefficient list is built: x^1000 - 2 takes
                     18 s at 24 digits on a 2-vCPU host.
 
-'cm theta' needs only the principal form, so any D passes there.
-
 Experiment outputs land in the --out directory as
 <experiment>-<hash12>.<ext>, where hash12 is the first 12 hex digits of
 the sha256 of the sorted-JSON parameter set, so identical parameters
@@ -67,16 +66,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 from mpmath import mp, mpc, workdps
-from mpmath.libmp import (
-    ften,
-    from_man_exp,
-    mpf_mul,
-    mpf_pow_int,
-    round_ceiling,
-    round_floor,
-    to_int,
-    to_str,
-)
+from mpmath.libmp import mpf_pos, round_down, to_str
 
 from .cmlab import (
     Discriminant,
@@ -315,7 +305,11 @@ def _ball_text(ball) -> str:
     n = min(cap, max(1, (max(t[2] + t[3] for t in parts) - r[2] - r[3]) * 3 // 10 - 1))
     a = max(0, *(-t[2] for t in (*parts, r)))
     while True:  # mp.nstr prints each part as to_str does
-        printed = [_decimal(to_str(t, n)) for t in parts]
+        # to_str floors a part to (n + 3) log2(10) + 10 bits, but scales a
+        # tiny or huge one first by a power of ten read off its last bit: a
+        # long mantissa came back as more digits than str() takes (4300)
+        cut = [mpf_pos(t, (n + 3) * 3322 // 1000 + 11, round_down) for t in parts]
+        printed = [_decimal(to_str(t, n)) for t in cut]
         b = max(0, *(-k for _, k in printed))
         ten_b = 10**b
         move = sum(
@@ -324,42 +318,23 @@ def _ball_text(ball) -> str:
         )
         radius = (r[1] << (r[2] + a)) * ten_b
         if move <= radius or n >= cap:
-            return f"≈ {mp.nstr(v, n)} (radius {_round_up_3(radius + move, a, b)})"
+            shown = mp.make_mpc(cut) if len(cut) == 2 else mp.make_mpf(cut[0])
+            return f"≈ {mp.nstr(shown, n)} (radius {_round_up_3(radius + move, a, b)})"
         n += 1
 
 
 def _round_up_3(num: int, a: int, b: int) -> str:
     """The least decimal m * 10**e at or above x = num / (2**a 10**b) >= 0
     with m of 3 digits: e starts where m > 1000, and each step up takes
-    m to ceil(m / 10) = ceil(x / 10**(e + 1)) until m <= 1000.  That
-    decimal grows with x, so it is first found for the two ends of a
-    bracket of x / 10**e by 64-bit libmpf quotients rounded down and up;
-    only when the ends give different decimals is the quotient formed
-    exactly, which for a radius near 10**-200000 builds a 200000-digit
-    power of ten."""
+    m to ceil(m / 10) = ceil(x / 10**(e + 1)) until m <= 1000."""
     # bits(2**a 10**b) <= a + b log2(10) + 1: e starts no higher than log10 x - 3.7
     e = (num.bit_length() - a - b * 3321929 // 1000000 - 1) * 30103 // 100000 - 4
     c = b + e  # m = ceil(num / (2**a 10**c))
-    k = max(num.bit_length() - 64, 0)
-    top = num >> k  # num / 2**k lies in [top, top + 1], and is top when no bit drops
-    ends = {
-        _three_digits(to_int(mpf_mul(from_man_exp(n, k - a), mpf_pow_int(ften, -c, 64, rnd), 64, rnd), round_ceiling), e)
-        for n, rnd in ((top, round_floor), (top + (top << k != num), round_ceiling))
-    }
-    if len(ends) == 1:
-        m, e = ends.pop()
-    else:
-        m, e = _three_digits(-(-num // (10**c << a)) if c >= 0 else -(-num * 10**-c >> a), e)
-    with workdps(15):  # m * 10**e to 15 digits prints as m to 3
-        return mp.nstr(m * mp.mpf(10) ** e, 3)
-
-
-def _three_digits(m: int, e: int) -> tuple:
-    """(ceil(m / 10**k), e + k) for the least k >= 0 that leaves at most
-    1000."""
+    m = -(-num // (10**c << a)) if c >= 0 else -(-num * 10**-c >> a)
     while m > 1000:
         m, e = -(-m // 10), e + 1
-    return m, e
+    with workdps(15):  # m * 10**e to 15 digits prints as m to 3
+        return mp.nstr(m * mp.mpf(10) ** e, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -530,11 +505,6 @@ def _cmd_cm_scan(args, opts) -> int:
 
 
 def _cmd_cm_faltings(args, opts) -> int:
-    if abs(args.discriminant) > MAX_DISCRIMINANT:
-        raise UsageError(
-            f"|D| = {abs(args.discriminant)} is above MAX_DISCRIMINANT = {MAX_DISCRIMINANT}: "
-            "its reduced forms need a sieve of sqrt(|D|/3) entries"
-        )
     work = faltings_work(class_number(args.discriminant), opts["precision"])
     if work > MAX_WORK:
         raise UsageError(
@@ -768,6 +738,8 @@ def _resolve_options(args) -> dict:
         raise UsageError("precision must be at least 16 digits")
     if opts["precision"] > MAX_PRECISION:
         raise UsageError(f"precision {opts['precision']} is above MAX_PRECISION = {MAX_PRECISION} digits")
+    if abs(getattr(args, "discriminant", 0)) > MAX_DISCRIMINANT:
+        raise UsageError(f"|D| = {abs(args.discriminant)} is above MAX_DISCRIMINANT = {MAX_DISCRIMINANT}")
     if getattr(args, "dmax", 0) > MAX_DMAX:
         raise UsageError(f"--dmax {args.dmax} is above MAX_DMAX = {MAX_DMAX}")
     if hasattr(args, "dmax") and (work := scan_work(args.dmax, opts["precision"])) > MAX_WORK:

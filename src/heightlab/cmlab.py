@@ -121,6 +121,7 @@ from .numcore import (
     _binary_power,
     _div_up,
     _down,
+    _ln2_fixed,
     _log2,
     _log_fixed,
     _mag,
@@ -365,10 +366,10 @@ def _eta_product(q: BigFloat) -> BigFloat:
     raise PrecisionError("pentagonal series did not converge")
 
 
-def _eisenstein_e4(eighths) -> BigFloat:
+def _eisenstein_e4(eighths) -> _GaussBall:
     """E4 = (theta_2^8 + theta_3^8 + theta_4^8) / 2 from the eighth
-    powers of the Jacobi theta nulls, ``BigFloat``s or, in
-    ``_e4_cubed_and_delta``, ``_GaussBall``s."""
+    powers of the Jacobi theta nulls, the ``_GaussBall``s of
+    ``_e4_cubed_and_delta``, its one caller."""
     t2, t3, t4 = eighths
     return (t2 + t3 + t4) / 2
 
@@ -474,7 +475,9 @@ def _dyadic(m: int, e: int) -> tuple:
 def _ball_of(x: _GaussBall, real: bool = False) -> BigFloat:
     """The ``BigFloat`` of a Gaussian ball: its exact dyadic midpoint, a
     complex value unless real is asked for and the imaginary part is 0,
-    and its count as a radius pair rounded up."""
+    and its count as a radius pair rounded up.  An integer interval [lo,
+    hi] 2**-scale leaves as the real ball of _GaussBall(lo + hi, 0, -scale
+    - 1, hi - lo, bits)."""
     re = _dyadic(x.re, x.exp)
     value = mp.make_mpf(re) if real and not x.im else mp.make_mpc((re, _dyadic(x.im, x.exp)))
     return BigFloat._made(value, _up(x.err, x.exp), _mag(value))
@@ -798,19 +801,14 @@ def _class_averages(d, precision_digits: int, terms) -> tuple:
     pair's, bit for bit, and each conjugate pair is evaluated and folded
     once, with weight 2.  A column's ends sum
     exactly, and the average of h forms lies in [floor(lo / h),
-    ceil(hi / h)] 2**-scale: one ``_interval_ball``."""
+    ceil(hi / h)] 2**-scale: one real ``_ball_of``."""
     forms = reduced_forms(d)
     with workdps(precision_digits + 15):
         scale = mp.prec + 64
         rows = [(2 if 0 < f.b < f.a < f.c else 1, terms(f, scale)) for f in forms if f.b >= 0]
         h = len(forms)
-        return tuple(_interval_ball(lo // h, -(-hi // h), scale) for lo, hi in _fold_columns(rows))
-
-
-def _interval_ball(lo: int, hi: int, scale: int) -> BigFloat:
-    """The ball of [lo, hi] 2**-scale for integers lo <= hi: its midpoint
-    exact, its radius rounded up."""
-    return BigFloat.from_bounds(*(mp.make_mpf(from_man_exp(end, -scale)) for end in (lo, hi)))
+        averages = ((lo // h, -(-hi // h)) for lo, hi in _fold_columns(rows))
+        return tuple(_ball_of(_GaussBall(lo + hi, 0, -scale - 1, hi - lo, mp.prec + 8), True) for lo, hi in averages)
 
 
 def _fold_columns(rows) -> list:
@@ -876,8 +874,8 @@ def s_invariant(tau, precision_digits: int = DEFAULT_DIGITS) -> BigFloat:
             raise PrecisionError("Im tau not separated from zero")
         widen = _units_up(_div_up(t._r, (y_gap[0], y_gap[1] + 1)), -scale)
         delta = _e4_cubed_and_delta(_theta_nulls(_theta_w(t)))[1]
-        s = _s_term(delta, Fraction(*to_rational(y)) ** 12, widen, scale)
-        return _interval_ball(*s, scale)
+        lo, hi = _s_term(delta, Fraction(*to_rational(y)) ** 12, widen, scale)
+        return _ball_of(_GaussBall(lo + hi, 0, -scale - 1, hi - lo, mp.prec + 8), True)
 
 
 def _im_tau(t: BigFloat) -> BigFloat:
@@ -893,8 +891,18 @@ def _im_tau(t: BigFloat) -> BigFloat:
 def _minus_half_log_2(prec: int, dps: int) -> BigFloat:
     """The ball of -(1/2) log 2 as ``BigFloat.rounded`` makes it at the
     ambient precision, which the key (mp.prec, mp.dps) names: built once
-    per precision and bit for bit the same each time."""
-    return BigFloat.rounded(-mp.log(2) / 2)
+    per precision and bit for bit the same each time.  Its midpoint is
+    -m 2**-(prec + 1), m 2**-prec being log 2 rounded to nearest at prec
+    bits as mpmath rounds it: m = floor(log 2 2**prec + 1/2), as 1/2 <
+    log 2 < 1 - 2**-prec, read by ``_decided`` off ``_ln2_fixed`` at
+    2**-(prec + g) plus half a unit 2**-prec, g doubled until both ends
+    agree, as some g does for the irrational log 2."""
+    guard = 16
+    while True:
+        lo, hi = (end + (1 << guard - 1) for end in _ln2_fixed(prec + guard))
+        if (m := _decided(lo, hi, prec, -guard)) is not None:
+            return BigFloat.rounded(mp.make_mpf(from_man_exp(-m, -prec - 1)))
+        guard *= 2
 
 
 def _normalized(avg: BigFloat, offset) -> BigFloat:

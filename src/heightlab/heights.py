@@ -18,10 +18,11 @@ with nonzero rational constant it would make e^c algebraic.)  Numeric
 heights are ``BigFloat`` discs.
 
 Degree weights d**gamma are settled here for the whole package:
-``rational_power`` gives the exact value when it is rational, and
-``degree_weight`` is the one enclosure of it, a ``BigFloat``.  Every
-other enclosure in the package is a ``BigFloat`` too; mpmath ``iv``
-is left inside ``LogCombination.interval`` alone.
+``rational_power`` gives the exact value when it is rational,
+``degree_weight`` is the one enclosure of it, a ``BigFloat``, and
+``degree_weighted_ball`` the one ball of d**gamma times an exact
+height.  Every other enclosure in the package is a ``BigFloat`` too;
+mpmath ``iv`` is left inside ``LogCombination.interval`` alone.
 """
 
 from __future__ import annotations
@@ -92,6 +93,13 @@ def degree_weight(d: int, gamma, precision_digits: int = 40) -> BigFloat:
     + 15.  Balls are immutable, so one is kept per argument triple."""
     with workdps(precision_digits + 15):
         return (BigFloat(d).log_abs() * BigFloat(Fraction(gamma))).exp()
+
+
+def degree_weighted_ball(comb: LogCombination, d: int, gamma, dps: int) -> BigFloat:
+    """The ball of d**gamma times comb, each enclosed at dps digits, their
+    product taken at dps + 3."""
+    with workdps(dps + 3):
+        return degree_weight(d, gamma, dps) * comb.ball(dps)
 
 
 class LogCombination:

@@ -19,10 +19,11 @@ Three policies make every numeric decision certified:
 
 * ``certify_order(x, y, dps, max_dps, what)`` is the one comparison:
   the sign of x - y, read from the exact ends of the first pair of
-  enclosures that do not overlap, escalated by ``certify``;
+  enclosures that do not overlap, escalated by ``certify``, and
+  ``certify_ball_order`` takes those ends from two computed balls;
 
-* ``BigFloat.from_bounds(lo, hi)`` is the one conversion of an
-  enclosure into a ball, and ``BigFloat.bounds()`` the one reading of
+* ``BigFloat.from_bounds(lo, hi)`` is the one conversion of mpmath
+  ends into a ball, and ``BigFloat.bounds()`` the one reading of
   a real ball's ends: midpoints and ends are exact and radii rounded
   up, so neither depends on the ambient precision.
 
@@ -43,6 +44,7 @@ from __future__ import annotations
 import cmath
 import operator
 import random
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import zip_longest
@@ -111,6 +113,17 @@ def certify_order(x, y, dps: int, max_dps: int, what: str) -> int:
             return 1 if xs[0] > ys[1] else -1 if xs[1] < ys[0] else None
 
     return certify(attempt, dps, max_dps, what)
+
+
+def certify_ball_order(x, y, dps: int, what: str) -> int:
+    """``certify_order`` on the exact ends of the real balls ``x(dps)``
+    and ``y(dps)``, either None where it cannot be formed, from max(40,
+    dps) up to 2**13 digits: the one comparison of two computed balls."""
+
+    def ends(ball):
+        return lambda dps: None if (b := ball(dps)) is None else b.bounds()
+
+    return certify_order(ends(x), ends(y), max(40, dps), 1 << 13, what)
 
 
 # ---------------------------------------------------------------------------
@@ -612,6 +625,16 @@ def _div_up(a: tuple, b: tuple) -> tuple:
     return _up(-(-(a[0] << 55) // b[0]), a[1] - b[1] - 55)
 
 
+def _exact(x):
+    """A str or Decimal as the Fraction it names, ValueError if none."""
+    if not isinstance(x, (str, Decimal)):
+        return x
+    try:
+        return Fraction(x)
+    except (ValueError, OverflowError, ZeroDivisionError):  # nan, inf, "1/0"
+        raise ValueError(f"{x!r} is not a finite real number") from None
+
+
 class BigFloat:
     """A real or complex value with a certified absolute error radius.
 
@@ -630,15 +653,19 @@ class BigFloat:
     10**-dps rounded up, never below the exact 8 * |v| * 10**-dps (nor,
     from 15 digits on, below ``_ulp_slop(v)``).  Denominators of ``/``,
     ``log_abs`` and ``sqrt_pos`` are |value| - radius rounded down.  A
-    midpoint or radius that is not finite raises ValueError.  A Fraction
-    midpoint is rounded at the working precision, and its ball gets the
-    radius of ``rounded`` unless the rounding is exact.
+    midpoint or radius that is not finite raises ValueError.  A str or
+    Decimal is the Fraction it names.  A Fraction midpoint is rounded at
+    the working precision, and its ball gets the radius of ``rounded``
+    unless the rounding is exact; a Fraction radius is rounded up.
     """
 
     __slots__ = ("value", "_r", "_mag")
 
     def __init__(self, value, radius=0):
         slop = _ZERO
+        value, radius = _exact(value), _exact(radius)
+        if isinstance(radius, Fraction):
+            radius = mp.make_mpf(from_rational(radius.numerator, radius.denominator, _RADIUS_BITS, round_ceiling))
         if isinstance(value, Fraction):  # exact when binary, else a rounded ball
             v = mpf(value.numerator) / mpf(value.denominator)
             if Fraction(*to_rational(v._mpf_)) != value:
@@ -962,7 +989,10 @@ def _atanh_third(a: int, b: int) -> tuple:
     return b1 * b2, q1 * q2, b2 * q2 * t1 + b1 * t2
 
 
-@lru_cache(maxsize=16)
+# (W, lo): the widest enclosure [lo, lo + 8] 2**-W of log 2 made so far
+_LN2 = (-1, 0)
+
+
 def _ln2_fixed(w: int) -> tuple:
     """Integers (lo, hi) with log 2 in [lo, hi] 2**-w and hi - lo = 8:
     log 2 = 2 atanh(1/3).  The first n terms of atanh(1/3) sum exactly to
@@ -971,46 +1001,43 @@ def _ln2_fixed(w: int) -> tuple:
     bitlen D - w - 64) bits, D' = floor(D / 2**h) and T' = floor(T /
     2**h) give T' / D' within 2**-(w + 63) of S <= 1/2 (exactly S for h
     = 0), so atanh(1/3) 2**w lies in (s - 1, s + 3) for s = floor(T'
-    2**w / D')."""
-    n = w // 3 + 1  # 9**n > 8**n > 2**w
-    big_b, q, t = _atanh_third(0, n)
-    d = 3 * big_b * q
-    h = max(d.bit_length() - w - 64, 0)
-    s = (t >> h << w) // (d >> h)
-    return 2 * s - 2, 2 * s + 6
+    2**w / D').  Only the widest enclosure, at W, is kept, and w = W - k
+    < W is cut from it: log 2 2**w lies in [lo, lo + 8] 2**-k, within
+    [l, l + 5) for l = floor(lo / 2**k)."""
+    global _LN2
+    big, lo = _LN2
+    if w > big:
+        n = w // 3 + 1  # 9**n > 8**n > 2**w
+        big_b, q, t = _atanh_third(0, n)
+        d = 3 * big_b * q
+        h = max(d.bit_length() - w - 64, 0)
+        big, lo = _LN2 = w, 2 * ((t >> h << w) // (d >> h)) - 2
+    lo >>= big - w
+    return lo, lo + 8
 
 
 @lru_cache(maxsize=16)
 def _sixty_fourth_roots(w: int) -> tuple:
-    """(A, B): A_i below 2**(w - i/8) and B_l below 2**(w - l/64), for i,
-    l < 8, each by less than 4 * 7.
+    """C_j below 2**(w - j/64) by less than 57, for j < 64.
 
     2**(-1/8) and 2**(-1/64) 2**w come from 1/2 by three and six floored
     square roots at 2**-w.  The values are at least 1/2, so a square root
     turns an error d below the value into less than d / sqrt(2) + 1, and
-    the roots lie below their values by less than 3.  A_0 = B_0 = 2**w,
-    and a product floor(X r / 2**w) of values at most 1, below them by d
-    and 3, lies below its value by less than d + 3 + 1."""
+    the roots lie below their values by less than 3.  A product
+    floor(X r / 2**w) of values at most 1, below them by d and d', lies
+    below its value by less than d + d' + 1: the powers A_i and B_l, i, l
+    < 8, of the two roots by less than 4 * 7, and C_(8i + l) = floor(A_i
+    B_l / 2**w) by less than 57."""
     r = 1 << (w - 1)
     roots = []
     for _ in range(6):
         r = isqrt(r << w)
         roots.append(r)
-    tables = ([1 << w], [1 << w])
-    for table, r in zip(tables, (roots[2], roots[5])):
+    a, b = [1 << w], [1 << w]
+    for table, r in ((a, roots[2]), (b, roots[5])):
         for _ in range(7):
             table.append(table[-1] * r >> w)
-    return tuple(map(tuple, tables))
-
-
-@lru_cache(maxsize=1024)
-def _sixty_fourth_root(w: int, j: int) -> int:
-    """C_j = floor(A_(j >> 3) B_(j & 7) / 2**w), for j < 64, from
-    ``_sixty_fourth_roots``: below 2**(w - j/64) by less than 28 + 28 + 1
-    = 57, as a product of values at most 1 below them by d and d' lies
-    below its value by less than d + d' + 1."""
-    a, b = _sixty_fourth_roots(w)
-    return a[j >> 3] * b[j & 7] >> w
+    return tuple(x * y >> w for x in a for y in b)
 
 
 def _log_fixed(num: int, den: int, shift: int, w: int) -> tuple:
@@ -1026,7 +1053,7 @@ def _log_fixed(num: int, den: int, shift: int, w: int) -> tuple:
       10**-9 of 64 log2 y, so z = y 2**(-q - j/64) has |log2 z| < 1/64
       and log x = (64(k + q) + j) (log 2) / 64 + log z.  Z = floor(Y C_j
       / 2**(V + 1 + q)), C_j below 2**(V - j/64) by less than 57 from
-      ``_sixty_fourth_root`` at V >= W + 10 bits, lies below z 2**W by
+      ``_sixty_fourth_roots`` at V >= W + 10 bits, lies below z 2**W by
       less than 3: 1 from Y, 57 (y 2**-q) 2**(W - V) < 0.12 from C_j (y
       2**-q < 2.03) and 1 from the floor.
     * r = max(0, R - c) square roots Z <- isqrt(Z 2**W), where |Z - 2**W|
@@ -1054,7 +1081,7 @@ def _log_fixed(num: int, den: int, shift: int, w: int) -> tuple:
         q, j = divmod(j, 64)
         k += q
         v = (big + 73) >> 6 << 6
-        y = y * _sixty_fourth_root(v, j) >> (v + 1 + q)
+        y = y * _sixty_fourth_roots(v)[j] >> (v + 1 + q)
     else:
         y >>= 1
     one = 1 << big

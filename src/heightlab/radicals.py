@@ -42,12 +42,14 @@ from .heights import (
     HeightValue,
     LogCombination,
     degree_weight,
+    degree_weighted_ball,
     rational_power,
 )
 from .numcore import (
     DEFAULT_DIGITS,
     IntMatrix,
     certify,
+    certify_ball_order,
     certify_order,
     smith_normal_form,
 )
@@ -286,9 +288,7 @@ def weighted_projective_height(
     w = rational_power(degree, gamma)
     if w is not None:
         return HeightValue(exact=base.exact.scale(w))
-    dps = precision_digits + 12
-    with workdps(dps + 3):
-        return HeightValue(numeric=degree_weight(degree, gamma, dps) * base.exact.ball(dps))
+    return HeightValue(numeric=degree_weighted_ball(base.exact, degree, gamma, precision_digits + 12))
 
 
 # ---------------------------------------------------------------------------
@@ -379,16 +379,10 @@ def lemma_chain_check(
         k_degree == d_prod and all_h_equal and h_point == heights[0]
     )
     if not structurally_equal:
-
-        def ends(base, combs):
-            def at(dps):
-                ball = _interval_value(base, gamma, combs, dps)
-                return None if ball is None else ball.bounds()
-            return at
-
-        if certify_order(
-            ends(k_degree, [h_point]), ends(d_prod, heights),
-            max(40, precision_digits), 1 << 13, "chain comparison",
+        if certify_ball_order(
+            lambda dps: _interval_value(k_degree, gamma, [h_point], dps),
+            lambda dps: _interval_value(d_prod, gamma, heights, dps),
+            precision_digits, "chain comparison",
         ) < 0:
             raise ChainViolationError(f"lhs < middle at point {norm!r}, gamma={gamma}")
 

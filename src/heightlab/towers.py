@@ -31,8 +31,8 @@ from itertools import product as iter_product
 
 from mpmath import mp, mpf, workdps
 
-from .heights import LogCombination, degree_weight, rational_power
-from .numcore import BigFloat, ConstructionError, certify_order, is_prime, next_prime
+from .heights import LogCombination, degree_weight, degree_weighted_ball, rational_power
+from .numcore import BigFloat, ConstructionError, certify_ball_order, is_prime, next_prime
 from .radicals import RadicalScalar, compositum_degree, radical_degree, radical_height
 
 
@@ -344,26 +344,16 @@ def certify_level(
 
 
 def _comb_float(hg, h_comb: LogCombination, deg: int, gamma: Fraction) -> float:
-    ball = hg.ball(30) if hg is not None else _weighted_ball(h_comb, deg, gamma, 30)
+    ball = hg.ball(30) if hg is not None else degree_weighted_ball(h_comb, deg, gamma, 30)
     return float(ball.value)
-
-
-def _weighted_ball(h_comb: LogCombination, deg: int, gamma: Fraction, dps: int) -> BigFloat:
-    """Ball of deg^gamma * h_comb from enclosures at dps, worked at dps + 3
-    digits."""
-    w = degree_weight(deg, gamma, dps)
-    with workdps(dps + 3):
-        return w * h_comb.ball(dps)
 
 
 def _sign_vs_level_bound(enclose, spec: TowerSpec, level_index: int, precision_digits: int) -> int:
     """Certified sign of x minus the level bound, where ``enclose(dps)``
-    is a ``BigFloat`` ball of x from enclosures at dps: the exact ends
-    of the two balls are compared."""
-    return certify_order(
-        lambda dps: enclose(dps).bounds(),
-        lambda dps: _level_bound_ball(spec, level_index, dps).bounds(),
-        max(40, precision_digits), 1 << 13, "level bound comparison",
+    is a ``BigFloat`` ball of x from enclosures at dps."""
+    return certify_ball_order(
+        enclose, lambda dps: _level_bound_ball(spec, level_index, dps),
+        precision_digits, "level bound comparison",
     )
 
 
@@ -384,7 +374,7 @@ def _interval_sign_weighted(
 ) -> int:
     """Sign of deg^gamma * h_comb - bound."""
     return _sign_vs_level_bound(
-        lambda dps: _weighted_ball(h_comb, deg, gamma, dps), spec, level_index, precision_digits
+        lambda dps: degree_weighted_ball(h_comb, deg, gamma, dps), spec, level_index, precision_digits
     )
 
 

@@ -422,7 +422,7 @@ class TestCMCommands:
                         assert abs(ball.value - truth) <= ball.radius, (d, precision, j)
 
     def test_theta_of_a_huge_discriminant_needs_only_the_principal_form(self, capsys):
-        code, out, _ = run(capsys, "cm", "theta", "-D", "-99999999999")
+        code, out, _ = run(capsys, "cm", "theta", "-D", "-99999999")
         assert code == 0
         assert [line.split(" ")[0] for line in out.splitlines()] == [f"theta_{j}" for j in range(4)]
 
@@ -435,6 +435,8 @@ class TestCMCommands:
             (["cm", "faltings", "-D", "-4", "--precision", "100000"], "MAX_PRECISION"),
             (["height", "alg: x^1001 - 2"], "MAX_DEGREE"),
             (["height", "alg: 3*x^2 + x^0001001"], "MAX_DEGREE"),
+            # the theta series' integers grow with sqrt|D|
+            (["cm", "theta", "-D", "-1000000000003"], "MAX_DISCRIMINANT"),
         ],
     )
     def test_work_caps_exit_2(self, capsys, tmp_path, argv, cap):
@@ -644,6 +646,8 @@ def _printed_disc(line: str):
         ["cm", "theta", "-D", "-4"],
         ["cm", "theta", "-D", "-71", "--precision", "16"],
         ["cm", "theta", "-D", "-3", "--precision", "4400"],
+        # parts whose mantissas are far longer than their printed digits
+        ["cm", "theta", "-D", "-99999999", "--precision", "8000"],
         ["cm", "verify-tf", "--dmax", "60", "--precision", "18"],
         ["cm", "verify-decay", "--dmax", "400", "--precision", "18"],
         ["cm", "finiteness", "--dmax", "20", "--cprime", "1/2"],

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import floor, gcd, isqrt, log10
@@ -763,6 +764,13 @@ class TestFaltings:
         with workdps(80):
             gap = abs(third.value - base.value - mpf(1) / 3)
             assert gap <= third.radius + base.radius
+
+    def test_string_offset_is_the_fraction_offset(self):
+        # "0.1" names 1/10 exactly: it used to be rounded with no radius
+        for offset in ("0.1", Decimal("0.1")):
+            got = faltings_height_cm(-3, 24, normalization_offset=offset)
+            want = faltings_height_cm(-3, 24, normalization_offset=Fraction(1, 10))
+            assert (got.value, got._r) == (want.value, want._r), offset
 
     def test_dyadic_fraction_offset_is_exact(self):
         half = faltings_height_cm(-4, 24, Fraction(1, 2))

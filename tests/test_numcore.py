@@ -1,6 +1,7 @@
 import ast
 import itertools
 import random
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -718,6 +719,29 @@ class TestBigFloat:
         assert balls[Fraction(1, 3)].radius > 0
         assert balls[Fraction(1, 2**200 - 1)].radius > 0
 
+    def test_strings_and_decimals_are_enclosed(self):
+        # a str or Decimal value or radius names an exact rational, and
+        # the ball encloses it as a Fraction's does; "0.1" used to be
+        # rounded to a radius-0 ball whose ends missed 1/10
+        for dps in (15, 30, 100):
+            with workdps(dps):
+                for text in ("0.1", "-2.718281828459045235360287471352662497757", "1e-30", "3/7", " 5 "):
+                    q = Fraction(text)
+                    kinds = (text,) if "/" in text else (text, Decimal(text))
+                    for x in kinds:
+                        ball, want = BigFloat(x), BigFloat(q)
+                        assert (ball.value, ball._r) == (want.value, want._r), (dps, x)
+                        lo, hi = ball.bounds()
+                        assert _exact(lo) <= q <= _exact(hi), (dps, x)
+                    r = text.strip().lstrip("-")
+                    for x in (r, Fraction(r), *(() if "/" in r else (Decimal(r),))):
+                        assert _exact(BigFloat(0, x).radius) >= abs(q), (dps, x)
+        for bad in ("abc", "0.1+1.3j", "nan", "inf", "1/0", Decimal("inf"), Decimal("nan")):
+            with pytest.raises(ValueError):
+                BigFloat(bad)
+            with pytest.raises(ValueError):
+                BigFloat(0, bad)
+
     def test_from_bounds_point_and_order(self):
         b = BigFloat.from_bounds(mpf(3), mpf(3))
         assert b.value == 3 and b.radius == 0
@@ -1279,13 +1303,13 @@ class TestIntegerLog:
 
     def test_sixty_fourth_roots_below_their_values(self):
         w = 400
-        a, b = numcore._sixty_fourth_roots(w)
-        assert len(a) == len(b) == 8 and a[0] == b[0] == 1 << w
+        table = numcore._sixty_fourth_roots(w)
+        assert len(table) == 64 and table[0] == 1 << w
         with workdps(1):
             mp.prec = 3 * w
             for j in range(64):
                 want = mp.ldexp(1, w) * mp.power(2, mpf(-j) / 64)
-                assert want - 57 < numcore._sixty_fourth_root(w, j) <= want, j
+                assert want - 57 < table[j] <= want, j
 
 
 class TestCertify:
@@ -1633,7 +1657,7 @@ def test_integer_log_uses_no_mpmath():
     # are built from Python integers alone
     tree = ast.parse(Path(numcore.__file__).read_text())
     found = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
-    for name in ("_atanh_fixed", "_atanh_third", "_ln2_fixed", "_sixty_fourth_roots", "_sixty_fourth_root", "_log_fixed"):
+    for name in ("_atanh_fixed", "_atanh_third", "_ln2_fixed", "_sixty_fourth_roots", "_log_fixed"):
         names = {node.id for node in ast.walk(found[name]) if isinstance(node, ast.Name)}
         assert not {n for n in names if n in ("mp", "mpmath", "mpf", "mpc") or n.startswith("mpf_")}, name
 
