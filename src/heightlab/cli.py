@@ -49,6 +49,12 @@ Input past a work cap exits 2 at once, naming the cap:
                     checked on each exponent as it is parsed, before
                     the coefficient list is built: x^1000 - 2 takes
                     18 s at 24 digits on a 2-vCPU host.
+  MAX_EXPONENT      |e| of a decimal exponent 'e<e>' in a rational of
+                    --C, --offset, --cprime, --gamma or a 'rad:'
+                    expression (10**5, set in numcore, whose reader
+                    checks it as the string is read, before 10**|e| is
+                    built): 1e10000000 took 9 s to read, 1e100000
+                    takes 0.01 s.
 
 Experiment outputs land in the --out directory as
 <experiment>-<hash12>.<ext>, where hash12 is the first 12 hex digits of
@@ -83,7 +89,7 @@ from .cmlab import (
     verify_theta_faltings,
 )
 from .heights import HeightValue, degree_weight, mahler_height, rational_roots
-from .numcore import IntPoly, PrecisionError, squarefree_decomposition
+from .numcore import IntPoly, PrecisionError, _exact, squarefree_decomposition
 from .radicals import (
     ChainViolationError,
     RadicalPoint,
@@ -146,12 +152,18 @@ class UsageError(Exception):
 
 def _parse_fraction(text: str, expr: str, pos: int) -> Fraction:
     try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(
-            f"could not parse '{text.strip()}' as a rational "
-            f"(column {pos + 1} of '{expr}')"
-        )
+        return _exact(text.strip())
+    except ValueError as exc:
+        raise UsageError(f"{exc} (column {pos + 1} of '{expr}')") from None
+
+
+def _rational(text: str) -> Fraction:
+    """The argparse type of a rational flag, read as ``_parse_fraction``
+    reads one: a refused value exits 2 with the reason."""
+    try:
+        return _exact(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def parse_radical(expr: str) -> RadicalScalar:
@@ -358,14 +370,13 @@ def _cmd_height(args, opts) -> int:
             "height expressions look like 'rad: 2/3 ^ 1/5' or "
             "'alg: x^2 - x - 1'"
         )
-    gamma = Fraction(args.gamma) if args.gamma is not None else None
     digits = opts["precision"]
     if kind == "rad":
         r = parse_radical(body)
-        if gamma is None:
+        if args.gamma is None:
             hv = radical_height(r)
         else:
-            hv = weighted_projective_height(RadicalPoint([RadicalScalar.one(), r]), gamma, digits)
+            hv = weighted_projective_height(RadicalPoint([RadicalScalar.one(), r]), args.gamma, digits)
         print(_height_text(hv, digits))
         return 0
     poly = parse_int_poly(body)
@@ -383,9 +394,9 @@ def _cmd_height(args, opts) -> int:
             file=sys.stderr,
         )
     mh = mahler_height(poly, precision_digits=max(digits, 24))
-    if gamma is not None:
+    if args.gamma is not None:
         with workdps(digits + 10):
-            mh = mh * degree_weight(poly.degree, gamma, digits)
+            mh = mh * degree_weight(poly.degree, args.gamma, digits)
     print(_height_text(HeightValue(numeric=mh), digits))
     return 0
 
@@ -394,7 +405,7 @@ def _cmd_point_height(args, opts) -> int:
     point = parse_point(args.coords)
     digits = opts["precision"]
     if args.gamma is not None:
-        hv = weighted_projective_height(point, Fraction(args.gamma), digits)
+        hv = weighted_projective_height(point, args.gamma, digits)
     else:
         hv = projective_height(point)
     print(_height_text(hv, digits))
@@ -403,8 +414,7 @@ def _cmd_point_height(args, opts) -> int:
 
 def _cmd_lemma_check(args, opts) -> int:
     point = parse_point(args.coords)
-    gamma = Fraction(args.gamma)
-    report = lemma_chain_check(point, gamma, opts["precision"])
+    report = lemma_chain_check(point, args.gamma, opts["precision"])
     digits = opts["precision"]
     print(f"verdict: {report.verdict}")
     print(f"index set: {list(report.index_set)}")
@@ -417,14 +427,14 @@ def _cmd_tower_gen(args, opts) -> int:
     degrees = [int(d) for d in args.degrees.split(",") if d.strip()]
     spec = build_tower(
         degrees,
-        gamma=Fraction(args.gamma),
-        target_c=Fraction(args.target_c),
+        gamma=args.gamma,
+        target_c=args.target_c,
         seed=opts["seed"],
     )
     config = {
         "experiment": "tower-gen",
         "degrees": degrees,
-        "gamma": str(Fraction(args.gamma)),
+        "gamma": str(args.gamma),
         "C": repr(float(args.target_c)),
         "seed": opts["seed"],
     }
@@ -635,28 +645,28 @@ def build_parser() -> argparse.ArgumentParser:
                        help="height of a radical or algebraic number")
     p.add_argument("expression", nargs="+",
                    help="'rad: 2/3 ^ 1/5' or 'alg: x^2 - x - 1'")
-    p.add_argument("--gamma", help=f"degree weight exponent; {_NEGATIVE_GAMMA}")
+    p.add_argument("--gamma", type=_rational, help=f"degree weight exponent; {_NEGATIVE_GAMMA}")
     p.set_defaults(func=_cmd_height)
 
     p = sub.add_parser("point-height", parents=[common],
                        help="projective height of a radical point")
     p.add_argument("--coords", required=True,
                    help="comma-separated coordinates, e.g. '1,2^1/2,0'")
-    p.add_argument("--gamma", help=f"degree weight (weighted height); {_NEGATIVE_GAMMA}")
+    p.add_argument("--gamma", type=_rational, help=f"degree weight (weighted height); {_NEGATIVE_GAMMA}")
     p.set_defaults(func=_cmd_point_height)
 
     p = sub.add_parser("lemma-check", parents=[common],
                        help="certified chain inequality at one point")
     p.add_argument("--coords", required=True)
-    p.add_argument("--gamma", required=True, help=f"degree weight; {_NEGATIVE_GAMMA}")
+    p.add_argument("--gamma", type=_rational, required=True, help=f"degree weight; {_NEGATIVE_GAMMA}")
     p.set_defaults(func=_cmd_lemma_check)
 
     tower = sub.add_parser("tower", help="tower construction/certification")
     tsub = tower.add_subparsers(dest="tower_command", required=True)
     p = tsub.add_parser("gen", parents=[common], help="construct a tower")
     p.add_argument("--degrees", required=True, help="e.g. 2,2,3,3,5")
-    p.add_argument("--gamma", default="-1", help=f"degree weight (default -1); {_NEGATIVE_GAMMA}")
-    p.add_argument("--C", dest="target_c", required=True, type=Fraction,
+    p.add_argument("--gamma", type=_rational, default="-1", help=f"degree weight (default -1); {_NEGATIVE_GAMMA}")
+    p.add_argument("--C", dest="target_c", required=True, type=_rational,
                    help="target height constant")
     p.set_defaults(func=_cmd_tower_gen)
     p = tsub.add_parser("certify", parents=[common],
@@ -674,7 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cm_scan)
     p = csub.add_parser("faltings", parents=[common])
     p.add_argument("-D", "--discriminant", type=int, required=True)
-    p.add_argument("--offset", type=Fraction, default=None,
+    p.add_argument("--offset", type=_rational, default=None,
                    help="normalization offset, e.g. 1/3 or 0.1 (default -log(2)/2)")
     p.set_defaults(func=_cmd_cm_faltings)
     p = csub.add_parser("theta", parents=[common])
@@ -688,7 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cm_verify_decay)
     p = csub.add_parser("finiteness", parents=[common])
     p.add_argument("--dmax", type=int, required=True)
-    p.add_argument("--cprime", type=Fraction, required=True,
+    p.add_argument("--cprime", type=_rational, required=True,
                    help="ratio bound, taken exactly, e.g. 1/3 or 0.05")
     p.set_defaults(func=_cmd_cm_finiteness)
 

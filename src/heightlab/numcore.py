@@ -625,10 +625,23 @@ def _div_up(a: tuple, b: tuple) -> tuple:
     return _up(-(-(a[0] << 55) // b[0]), a[1] - b[1] - 55)
 
 
+# The largest |e| of a decimal exponent 'e<e>' that ``_exact`` reads:
+# Fraction builds 10**|e| exactly, in 0.01 s at 10**5 and 9 s at 10**7
+# on a 2-vCPU host
+MAX_EXPONENT = 10**5
+
+
 def _exact(x):
-    """A str or Decimal as the Fraction it names, ValueError if none."""
+    """A str or Decimal as the Fraction it names; ValueError if none, or
+    if its decimal exponent is above MAX_EXPONENT in size, checked before
+    any power of 10 is built."""
     if not isinstance(x, (str, Decimal)):
         return x
+    x = str(x)  # a Decimal's exact text
+    _, e, digits = x.lower().rpartition("e")
+    digits = digits.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if e and digits.isdecimal() and (len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT):
+        raise ValueError(f"the decimal exponent of {x[:40]!r} is above MAX_EXPONENT = {MAX_EXPONENT}")
     try:
         return Fraction(x)
     except (ValueError, OverflowError, ZeroDivisionError):  # nan, inf, "1/0"
@@ -1208,6 +1221,16 @@ def _divide_fixed(ur: int, ui: int, vr: int, vi: int, s: int) -> tuple:
     return ((ur * vr + ui * vi) << s) // d, ((ui * vr - ur * vi) << s) // d
 
 
+def _ratio(nr: int, ni: int, c: int, e: int) -> complex:
+    """(nr + ni i) / (c + ei) in doubles, all four cut by one power of 2
+    to 1000 bits; inf when the cut zeroes c + ei (the quotient is then
+    over 2**998), ZeroDivisionError for c = e = 0."""
+    k = max(abs(nr).bit_length(), abs(ni).bit_length(), abs(c).bit_length(), abs(e).bit_length()) - 1000
+    if k > 0:
+        nr, ni, c, e = nr >> k, ni >> k, c >> k, e >> k
+    return complex(nr, ni) / complex(c, e) if k <= 0 or c or e else complex(inf)
+
+
 def _fixed_step(coeffs: tuple, s: int):
     """The Aberth step on Gaussian integers z_i = (a, b) worth
     (a + bi) / 2**s, from the exact integer coefficients.  A z_i stops
@@ -1216,21 +1239,21 @@ def _fixed_step(coeffs: tuple, s: int):
     Beyond the unit circle p is read through r(y) = y^n p(1/y) as in
     ``_float_step``, at y = 1/x taken at scale 2**t, t = s + 2 log2|x|,
     fine enough that the Newton ratio N, which scales like |x|^2 / r',
-    keeps s fractional bits.  The Aberth sum S = sum 1 / (x - z_j) is
-    taken at scale 2**t too, and N S shifted back by t: at scale 2**s a
-    term with |x - z_j| > 2**s rounds to 0 or -1 units, and the iterate
-    crawls.  Inside the circle t = s.  Nothing overflows here, but a
-    direct Horner at |x| > 1 carries integers of about n log2|x| bits:
-    the same steps on H_-4703, whose roots reach 10^93, take four times
-    as long."""
+    keeps s fractional bits: a direct Horner there carries integers of
+    about n log2|x| bits, and the steps on H_-4703, whose roots reach
+    10^93, took four times as long.  N is exact, and the correction
+    N / (1 - N S), S = sum 1 / (x - z_j), is N + N q, q = N S / (1 - N S),
+    N S summed in doubles from the exact gaps x - z_j (by ``_ratio`` past
+    a double).  q's rounding moves it by about |N|^2 |S| n 2**-52, far
+    below the cubic step; a q not finite leaves Newton's step N."""
     n, down, s2 = len(coeffs) - 1, coeffs[::-1], 2 * s
 
     def step(z, i):
         a, b = z[i]
-        q, t = a * a + b * b, s
-        if q >> s2:  # |x| > 1: num / den = x r(y) / (n r(y) - y r'(y))
-            t = s + q.bit_length() - s2
-            ya, yb = (a << (s + t)) // q, (-b << (s + t)) // q
+        m = a * a + b * b
+        if m >> s2:  # |x| > 1: num / den = x r(y) / (n r(y) - y r'(y))
+            t = s + m.bit_length() - s2
+            ya, yb = (a << (s + t)) // m, (-b << (s + t)) // m
             rr, ri, dr, di = _horner_fixed(coeffs, ya, yb, t)
             if abs(rr) <= 4 * n and abs(ri) <= 4 * n:
                 return None
@@ -1241,18 +1264,21 @@ def _fixed_step(coeffs: tuple, s: int):
             if abs(nr) <= 4 * n and abs(ni) <= 4 * n:
                 return None
         nr, ni = _divide_fixed(nr, ni, dr, di, s)
-        sr = si = 0  # sum of 1 / (x - z_j) at scale 2**t
-        for j, (c, e) in enumerate(z):
-            if j != i:
-                c, e = a - c, b - e
-                d = c * c + e * e
-                sr += (c << (s + t)) // d
-                si -= (e << (s + t)) // d
-        dr, di = (1 << s) - ((nr * sr - ni * si) >> t), -((nr * si + ni * sr) >> t)
-        cr, ci = _divide_fixed(nr, ni, dr, di, s)
-        if abs(cr) <= 4 and abs(ci) <= 4:
+        gaps = [(a - c, b - e) for j, (c, e) in enumerate(z) if j != i]
+        try:  # a gap's part of 2**1023 or more divides to 0: harmless while N < 2**960
+            if max(abs(nr), abs(ni)) >> 960:
+                raise OverflowError
+            w = complex(nr, ni)
+            ns = sum(w / complex(c, e) for c, e in gaps)
+        except OverflowError:
+            ns = sum(_ratio(nr, ni, c, e) for c, e in gaps)
+        q = ns / (1 - ns) if ns != 1 else inf
+        if cmath.isfinite(q):
+            qr, qi = _fixed(q.real, s), _fixed(q.imag, s)
+            nr, ni = nr + ((nr * qr - ni * qi) >> s), ni + ((nr * qi + ni * qr) >> s)
+        if abs(nr) <= 4 and abs(ni) <= 4:
             return None
-        return a - cr, b - ci
+        return a - nr, b - ni
 
     return step
 
@@ -1391,8 +1417,9 @@ def _dk_roots(poly: IntPoly, digits: int) -> list[BigFloat]:
     skipped when a coefficient over c_n or a start point overflows a
     double or the sweeps end on a value not finite or twice; then on
     Gaussian integers scaled by 2**mp.prec, from the exact integer
-    coefficients; then a certificate with no float in it, on those
-    Gaussian integers.  For distinct z_i, each connected component of
+    coefficients, the Aberth sum in doubles (``_fixed_step``), which
+    suffice as the sweeps only choose the z_i; then a certificate with
+    no float in it, on those Gaussian integers.  For distinct z_i, each connected component of
     the union of the discs D(z_i, n |w_i|) made of m discs holds m roots
     (Braess-Hadeler, Numer. Math. 21, 1973), so disjoint discs
     D(z_i, 2n |w_i|_upper) from ``_weierstrass_discs`` hold one each.

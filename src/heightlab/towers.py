@@ -32,7 +32,7 @@ from itertools import product as iter_product
 from mpmath import mp, mpf, workdps
 
 from .heights import LogCombination, degree_weight, degree_weighted_ball, rational_power
-from .numcore import BigFloat, ConstructionError, certify_ball_order, is_prime, next_prime
+from .numcore import BigFloat, ConstructionError, _exact, certify_ball_order, is_prime, next_prime
 from .radicals import RadicalScalar, compositum_degree, radical_degree, radical_height
 
 
@@ -120,7 +120,7 @@ class TowerSpec:
         if not isinstance(data, dict):
             raise ValueError("a tower spec must be a JSON object")
         try:
-            gamma, target_c = Fraction(data["gamma"]), Fraction(data["C"])
+            gamma, target_c = Fraction(_exact(data["gamma"])), Fraction(_exact(data["C"]))
             levels = tuple(
                 TowerLevel(*(_spec_int(lv, f) for f in "pqd")) for lv in data["levels"]
             )

@@ -86,6 +86,13 @@ class TestHeightCommand:
         assert code == 2 and out == ""
         assert "Pollard-rho steps" in err
 
+    def test_roots_beyond_a_double(self, capsys):
+        # a 1001-digit coefficient: no float stage, and Aberth iterates
+        # of 10^500 whose differences no double holds
+        code, out, _ = run(capsys, "height", "alg: x^2 - " + str(10**1000))
+        assert code == 0
+        assert out.startswith("≈ 1151.292546497")
+
     def test_golden_ratio(self, capsys):
         code, out, err = run(capsys, "height", "alg: x^2 - x - 1")
         assert code == 0
@@ -443,6 +450,28 @@ class TestCMCommands:
         code, out, err = run(capsys, *argv, "--out", str(tmp_path))
         assert code == 2 and not out
         assert cap in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cm", "finiteness", "--dmax", "20", "--cprime", "1e200000"],
+            ["cm", "faltings", "-D", "-4", "--offset", "1e200000"],
+            ["tower", "gen", "--degrees", "2,2", "--C", "1e200000"],
+            ["height", "rad: 2", "--gamma=-1e-200000"],
+            ["height", "rad: 1e200000 ^ 1/2"],
+        ],
+        ids=["cprime", "offset", "C", "gamma", "rad"],
+    )
+    def test_huge_decimal_exponent_exits_2(self, capsys, tmp_path, argv):
+        # each rational is read by one reader, which refuses the exponent
+        # before 10**200000 is built; argparse exits 2 on a refused flag
+        try:
+            code = main([*argv, "--out", str(tmp_path)])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        assert "MAX_EXPONENT" in captured.err
 
     def test_faltings_work_budget(self, capsys, tmp_path):
         # h(-1000031) = 928 forms: at 10000 digits 928 * 1323.3 units are

@@ -498,6 +498,31 @@ def test_huge_roots_certify_at_the_first_precision(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("e", [1000, 3000])
+def test_roots_beyond_a_double_hold_their_roots(e):
+    # the Aberth sum forms its terms in doubles; the iterates of x^2 - 10^e,
+    # and their differences, are far past a double's range
+    discs = poly_roots(IntPoly([-(10**e), 0, 1]), 40)
+    assert len(discs) == 2
+    with workdps(e // 2 + 60):
+        for disc, sign in zip(discs, (-1, 1)):
+            assert disc.radius <= mpf(10) ** -40
+            assert abs(disc.value - sign * mpf(10) ** (e // 2)) <= disc.radius
+
+
+@pytest.mark.parametrize(
+    "poly",
+    [_random_poly(30), _mignotte(7, 10**6), _mignotte(12, 10**4)],
+    ids=["random-30", "mignotte-7", "mignotte-12"],
+)
+def test_sweeps_certify_at_the_first_precision(poly, monkeypatch):
+    # the sweeps converge far enough for one certificate at the first
+    # precision, 100 digits for 50; a weaker step needs a second
+    calls = _certified_calls(monkeypatch)
+    assert len(poly_roots(poly, 50)) == poly.degree
+    assert [(dps, discs is not None) for *_, dps, discs in calls] == [(100, True)]
+
+
 def test_iterates_carry_across_precisions(monkeypatch):
     # the roots of x^7 - 2 (10^6 x - 1)^2 near 10^-6 sit about 10^-9
     # apart: their discs at 30 digits fail, and the iterates, rescaled
@@ -741,6 +766,17 @@ class TestBigFloat:
                 BigFloat(bad)
             with pytest.raises(ValueError):
                 BigFloat(0, bad)
+
+    def test_huge_decimal_exponent_refused_before_it_is_built(self):
+        # Fraction("1e10000000") builds 10**10000000 first, for 9 s; the
+        # reader refuses an exponent above MAX_EXPONENT from the string
+        for bad in ("1e200000", "-2.5E-200000", " 1e+0000200000 ", "1e" + "9" * 5000, Decimal("1e200000")):
+            with pytest.raises(ValueError, match="MAX_EXPONENT"):
+                BigFloat(bad)
+            with pytest.raises(ValueError, match="MAX_EXPONENT"):
+                BigFloat(0, bad)
+        limit = f"1e{numcore.MAX_EXPONENT}"
+        assert _exact(BigFloat(limit).bounds()[1]) >= Fraction(limit)
 
     def test_from_bounds_point_and_order(self):
         b = BigFloat.from_bounds(mpf(3), mpf(3))
@@ -1610,6 +1646,25 @@ def test_root_sweeps_use_no_mpmath_numbers():
     for fn in found:
         names = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
         assert not names & {"mpc", "mpf", "mp", "mpmath", "workdps", "BigFloat"}, fn.name
+
+
+def test_certificate_uses_no_doubles():
+    # only the heuristic sweeps may round to doubles: the certificate and
+    # the pair arithmetic it rounds with name no float, complex, cmath or
+    # ldexp and hold no float literal
+    certificate = {
+        "_residual", "_weierstrass_radii", "_weierstrass_discs",
+        "_mag", "_up", "_down", "_add_up", "_sub_down", "_mul_up", "_mul_down", "_div_up",
+    }
+    tree = ast.parse(Path(numcore.__file__).read_text())
+    found = [top for top in tree.body if isinstance(top, ast.FunctionDef) and top.name in certificate]
+    assert {fn.name for fn in found} == certificate
+    for fn in found:
+        names = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)}
+        assert not names & {"float", "complex", "cmath", "ldexp"}, fn.name
+        literals = [node.value for node in ast.walk(fn) if isinstance(node, ast.Constant)]
+        assert not [v for v in literals if isinstance(v, (float, complex))], fn.name
 
 
 def test_class_poly_product_uses_no_mpmath_numbers():

@@ -88,6 +88,12 @@ class TestTowerSpec:
         with pytest.raises(ValueError, match=f"field '{field}' must be an integer"):
             TowerSpec.from_json(text)
 
+    def test_json_refuses_a_huge_decimal_exponent(self):
+        # Fraction would build 10**200000 before any check
+        text = json.dumps({"gamma": "-1", "C": "1e200000", "levels": [{"p": "3", "q": "2", "d": 2}]})
+        with pytest.raises(ValueError, match="MAX_EXPONENT"):
+            TowerSpec.from_json(text)
+
     def test_json_big_primes_survive(self):
         spec = build_tower([2, 2, 3, 3, 5], gamma=-1, target_c=C_LOG2)
         again = TowerSpec.from_json(spec.to_json())
