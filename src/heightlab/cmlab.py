@@ -121,6 +121,7 @@ from .numcore import (
     _binary_power,
     _div_up,
     _down,
+    _exact,
     _ln2_fixed,
     _log2,
     _log_fixed,
@@ -1530,13 +1531,14 @@ def finiteness_demo(
 ) -> dict:
     """Bounded-ratio demonstration: the fundamental discriminants with
     |d| <= d_max whose ratio (Faltings height / class number) is
-    certified at most c_prime, a float, int or Fraction taken exactly.
+    certified at most c_prime, a float, int or Fraction taken exactly,
+    or a str or Decimal read as the Fraction it names (``_exact``).
     Inclusion and exclusion compare the exact ends of each ratio ball
     with c_prime, escalating precision on borderline cases.  Each
     qualifying Faltings height and ratio is written as a double with a
     radius that encloses its ball (``BigFloat.doubles``); the ratio
     balls themselves are on ``report.balls``."""
-    c_prime = Fraction(c_prime)
+    c_prime = Fraction(_exact(c_prime))
     c_double = float(c_prime)  # OverflowError past the doubles, before any series
     rows = _per_discriminant(_ratio_row, d_max, precision_digits, workers, chunksize=16)
     qualifying, balls = [], []

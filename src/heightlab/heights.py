@@ -39,6 +39,7 @@ from .numcore import (
     BigFloat,
     IntPoly,
     PrecisionError,
+    _exact,
     _ulp_slop,  # bound for bench/test_bench.py only; just numcore calls it
     certify_order,
     factorint,
@@ -75,7 +76,7 @@ def rational_power(d: int, gamma) -> Fraction | None:
     """d**gamma for a positive integer d when that is rational, else None.
     Integer gamma needs no factoring; otherwise d**gamma is rational
     exactly when gamma times every prime exponent of d is an integer."""
-    gamma = Fraction(gamma)
+    gamma = Fraction(_exact(gamma))
     if gamma.denominator == 1 or d == 1:
         return Fraction(d) ** gamma.numerator
     out = Fraction(1)
@@ -92,7 +93,7 @@ def degree_weight(d: int, gamma, precision_digits: int = 40) -> BigFloat:
     """Ball enclosing d**gamma, as exp(gamma * log d) at precision_digits
     + 15.  Balls are immutable, so one is kept per argument triple."""
     with workdps(precision_digits + 15):
-        return (BigFloat(d).log_abs() * BigFloat(Fraction(gamma))).exp()
+        return (BigFloat(d).log_abs() * BigFloat(Fraction(_exact(gamma)))).exp()
 
 
 def degree_weighted_ball(comb: LogCombination, d: int, gamma, dps: int) -> BigFloat:

@@ -616,10 +616,6 @@ def _mul_up(a: tuple, b: tuple) -> tuple:
     return _up(a[0] * b[0], a[1] + b[1])
 
 
-def _mul_down(a: tuple, b: tuple) -> tuple:
-    return _down(a[0] * b[0], a[1] + b[1])
-
-
 def _div_up(a: tuple, b: tuple) -> tuple:
     """a / b rounded up, for b > 0, via a ceiling quotient of 55+ bits."""
     return _up(-(-(a[0] << 55) // b[0]), a[1] - b[1] - 55)
@@ -1149,18 +1145,37 @@ def _start(coeffs: tuple) -> list[tuple[float, float]]:
     return z
 
 
-def _aberth(z: list, step) -> None:
+def _aberth(z: list, step, mirror=None) -> None:
     """Gauss-Seidel Aberth-Ehrlich sweeps (Bini, Numer. Algorithms 13,
     1996) on the approximations z of the roots, in place: step(z, i) is
     the corrected z_i, or None once z_i stops.  A z_i that stopped is
-    not swept again; the sweeps end after 60 + 40n."""
+    not swept again; the sweeps end after 60 + 40n.
+
+    A mirror (``_conjugate_map``) applies to Gaussian integers z_i =
+    (a_i, b_i): only the representatives i <= mirror[i] are swept, and
+    on entry and after each step z_mirror[i] is set to (a_i, -b_i), or
+    b_i to 0 when mirror[i] = i, so z stays closed under conjugation."""
+
+    def put(i, x):
+        if mirror is not None:
+            j = mirror[i]
+            if j == i:
+                x = x[0], 0
+            else:
+                z[j] = x[0], -x[1]
+        z[i] = x
+
     live = range(len(z))
+    if mirror is not None:
+        live = [i for i in live if i <= mirror[i]]
+        for i in live:
+            put(i, z[i])
     for _ in range(60 + 40 * len(z)):
         moving = []
         for i in live:
             x = step(z, i)
             if x is not None:
-                z[i] = x
+                put(i, x)
                 moving.append(i)
         if not moving:
             return
@@ -1298,6 +1313,22 @@ def _float_roots(coeffs: tuple, start: list) -> list | None:
     return z
 
 
+def _conjugate_map(z: list) -> list | None:
+    """The mirror of the float stage's roots z of a real polynomial:
+    mirror[i] = j for the one z_j within 2**-30 |z_i| of conj z_i (j = i
+    for a real z_i), or None unless every z_i has such a j, the map is an
+    involution and every z_i lies over 2**-20 |z_i| from every other.
+    Only a proposal: the certificate checks the closure it relies on."""
+    mirror = []
+    for i, x in enumerate(z):
+        pair, apart = 2.0**-30 * abs(x), 2.0**-20 * abs(x)
+        near = [j for j, v in enumerate(z) if abs(v - x.conjugate()) <= pair]
+        if len(near) != 1 or any(abs(v - x) <= apart for j, v in enumerate(z) if j != i):
+            return None
+        mirror += near
+    return mirror if all(mirror[j] == i for i, j in enumerate(mirror)) else None
+
+
 def _shift(v: int, k: int) -> int:
     """v * 2**k rounded down."""
     return v << k if k >= 0 else v >> -k
@@ -1327,9 +1358,12 @@ def _residual(top_first: tuple, a: int, b: int, s: int) -> tuple:
     """|p(z)| rounded up as a pair, at z = (a + bi) / 2**s, for the
     integer coefficients of p, highest first: Horner on Gaussian-integer
     mantissas P at exponent e, each step P z + c formed exactly and cut
-    to t bits rounding down, t being 2 log2 n + 8 bits over the longer
-    of z's mantissas and s, with the running error bound ``err`` of
-    ``_weierstrass_discs``."""
+    to t bits, t being 2 log2 n + 8 bits over the longer of z's
+    mantissas and s, with the running error bound ``err`` of
+    ``_weierstrass_discs``.  The cut rounds the real part down and the
+    imaginary part toward zero, so it commutes with conjugation: at
+    (a, -b) every P is the conjugate of its value at (a, b), and the
+    bound is the same."""
     t = max(s, abs(a).bit_length(), abs(b).bit_length()) + 2 * len(top_first).bit_length() + 8
     za, err = _mag((a, b, -s)), _ZERO
     pr, pi, e = top_first[0], 0, 0  # P = (pr + pi i) * 2**e
@@ -1346,51 +1380,88 @@ def _residual(top_first: tuple, a: int, b: int, s: int) -> tuple:
             low = (1 << k) - 1
             if pr & low or pi & low:  # the cut drops a nonzero bit
                 err = _add_up(err, (_SQRT2[0], _SQRT2[1] + e + k))
-            pr, pi, e = pr >> k, pi >> k, e + k
+            pr, pi, e = pr >> k, pi >> k if pi >= 0 else -(-pi >> k), e + k
     return _add_up(_mag((pr, pi, e)), err)
 
 
-def _weierstrass_radii(coeffs: tuple, z: list, s: int) -> tuple | None:
+def _weierstrass_radii(coeffs: tuple, z: list, s: int, mirror=None) -> tuple | None:
     """The radii 2n |w_i| of ``_weierstrass_discs`` rounded up as pairs,
     and the lower bounds of |z_i - z_j| for i < j, from the Gaussian
     integers (a_i, b_i) of z_i = (a_i + b_i i) / 2**s; None when two z_i
-    are equal.  Each |z_i - z_j| is the modulus of the exact integer
-    difference rounded down, formed once and joining both products."""
+    are equal, or a mirror is given and z_mirror[i] = (a_i, -b_i) fails
+    or mirror is no involution.  Each |z_i - z_j| is the modulus of the
+    exact integer difference rounded down, formed once per pair, or
+    with a mirror once per pair of pairs (i, j), (mirror[i], mirror[j]);
+    D_i is their exact product with |c_n|, rounded down once, so it does
+    not depend on the order of its factors.  With a mirror only the
+    representatives i <= mirror[i] get a residual and a quotient, and
+    z_i's radius serves z_mirror[i]."""
     n, top_first = len(z), coeffs[::-1]
-    dens, gaps = [_down(abs(coeffs[-1]), 0)] * n, {}
+    if mirror is not None and not all(
+        mirror[j] == i and z[j] == (a, -b) for i, ((a, b), j) in enumerate(zip(z, mirror))
+    ):
+        return None
+    dm, de, gaps = [abs(coeffs[-1])] * n, [0] * n, {}  # D_i = dm[i] * 2**de[i]
     for i, (a, b) in enumerate(z):
         for j in range(i + 1, n):
+            twin = None
+            if mirror is not None:
+                k, l = mirror[i], mirror[j]
+                twin = gaps.get((k, l) if k < l else (l, k))
             c, d = z[j]
-            gap = gaps[i, j] = _mag((a - c, b - d, -s), round_floor)
+            gap = gaps[i, j] = twin or _mag((a - c, b - d, -s), round_floor)
             if not gap[0]:
                 return None
-            dens[i], dens[j] = _mul_down(dens[i], gap), _mul_down(dens[j], gap)
-    two_n = _up(2 * n, 0)
-    radii = [_mul_up(two_n, _div_up(_residual(top_first, a, b, s), den)) for (a, b), den in zip(z, dens)]
+            m, e = gap
+            dm[i], dm[j], de[i], de[j] = dm[i] * m, dm[j] * m, de[i] + e, de[j] + e
+    two_n, radii = _up(2 * n, 0), []
+    for i, (a, b) in enumerate(z):
+        if mirror is not None and mirror[i] < i:
+            radii.append(radii[mirror[i]])
+        else:
+            radii.append(_mul_up(two_n, _div_up(_residual(top_first, a, b, s), _down(dm[i], de[i]))))
     return radii, gaps
 
 
-def _weierstrass_discs(coeffs: tuple, z: list, s: int, target: tuple) -> list[BigFloat] | None:
+def _weierstrass_discs(coeffs: tuple, z: list, s: int, target: tuple, mirror=None) -> list[BigFloat] | None:
     """The discs D(z_i, 2n |w_i|), w_i = p(z_i) / (c_n prod_(j != i) (z_i - z_j)),
     about the exact z_i = (a_i + b_i i) / 2**s, for the integer
     coefficients of p, lowest first; None when two z_i are equal, a disc
-    is wider than target or two discs meet.
+    is wider than target, two discs meet, or a mirror is given and z is
+    not closed under it.
 
     The bounds are rigorous although only Gaussian integers and 53-bit
     pairs are formed: |w_i| <= (|P~| + err) / D_i, all rounded up.  The
-    denominator D_i is |c_n| prod |z_i - z_j|, each factor and product
-    rounded down.  The residual is Higham's running error bound for
-    Horner (Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    2002, sec. 5.1), made simpler by an exact z: ``_residual`` computes
-    P~_n = c_n and P~_k = P~_(k+1) z + c_k + d_k, where d_k is what the
-    cut to t bits drops, |d_k| < sqrt(2) ulp_k, or 0 when it drops only
-    zeros.  The exact P_k obeys the same recurrence without d_k, so
-    E_k = P~_k - P_k has E_n = 0 and |E_k| <= |E_(k+1)| |z| + |d_k|, and
-    err, which follows this bound in pairs rounded up, bounds |E_0|:
-    |p(z_i)| = |P_0| <= |P~_0| + err.  A z_i at which every cut is exact
-    and p vanishes, such as a root at 0 placed there by Bini's start,
-    gets radius 0.  Only the output discs are mpmath numbers."""
-    out = _weierstrass_radii(coeffs, z, s)
+    denominator D_i is |c_n| prod |z_i - z_j|, each factor rounded down
+    and their exact product rounded down.  The residual is Higham's
+    running error bound for Horner (Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 2002, sec. 5.1), made simpler by an exact z:
+    ``_residual`` computes P~_n = c_n and P~_k = P~_(k+1) z + c_k + d_k,
+    where d_k is what the cut to t bits drops, |d_k| < sqrt(2) ulp_k,
+    or 0 when it drops only zeros.  The exact P_k obeys the same
+    recurrence without d_k, so E_k = P~_k - P_k has E_n = 0 and
+    |E_k| <= |E_(k+1)| |z| + |d_k|, and err, which follows this bound in
+    pairs rounded up, bounds |E_0|: |p(z_i)| = |P_0| <= |P~_0| + err.  A
+    z_i at which every cut is exact and p vanishes, such as a root at 0
+    placed there by Bini's start, gets radius 0.  Only the output discs
+    are mpmath numbers.
+
+    A mirror (``_conjugate_map``) halves the work and keeps the proof.
+    ``_weierstrass_radii`` first checks on the Gaussian integers that
+    mirror is an involution and z_mirror[i] = conj z_i, so z is closed
+    under conjugation.  As p has real coefficients, p(conj z_i) =
+    conj p(z_i), and j -> mirror[j] maps the j != mirror[i] onto the
+    k != i, so prod_(j != mirror[i]) (conj z_i - z_j) =
+    conj prod_(k != i) (z_i - z_k): w_mirror[i] = conj w_i and
+    |w_mirror[i]| = |w_i| exactly, as |z_mirror[i] - z_mirror[j]| =
+    |z_i - z_j|.  The residual's cut, which commutes with conjugation,
+    and the exact product in D_i make the bounds computed for
+    z_mirror[i] bit-identical to those for z_i, so the discs are those
+    of mirror None.  The mirror
+    is proposed by the float stage and never trusted: a wrong pairing
+    can at worst hold the iterates away from some roots, which only
+    makes this certificate fail."""
+    out = _weierstrass_radii(coeffs, z, s, mirror)
     if out is None:
         return None
     radii, gaps = out
@@ -1427,14 +1498,25 @@ def _dk_roots(poly: IntPoly, digits: int) -> list[BigFloat]:
     ``certify`` doubles the precision and the iterates carry over; two
     equal iterates in a sweep, or p'(z_i) = 0, restart the next attempt
     from the start.
+
+    As p is real, its roots are closed under conjugation.  When the
+    float stage's roots are each real or one of a clear conjugate pair,
+    and stand apart (``_conjugate_map``), the first attempt sweeps only
+    the real roots and the member of lower index of each pair, setting
+    the other member to its exact conjugate, and the certificate forms
+    one residual and one denominator per such representative;
+    ``_weierstrass_discs`` states why its discs stay rigorous.  Otherwise, and in every attempt after
+    one that failed, the mirror is None and every root is swept and
+    certified on its own.
     """
     coeffs = poly.coeffs
     start = _start(coeffs)
     z, scale = _float_roots(coeffs, start), None
+    mirror = None if z is None else _conjugate_map(z)
     target = _pair(from_rational(1, 10**digits, _RADIUS_BITS, round_floor))
 
     def attempt(dps):
-        nonlocal z, scale
+        nonlocal z, scale, mirror
         with workdps(dps):
             s = mp.prec
             if z is None:
@@ -1445,11 +1527,14 @@ def _dk_roots(poly: IntPoly, digits: int) -> list[BigFloat]:
                 z = [(_shift(a, s - scale), _shift(b, s - scale)) for a, b in z]
             scale = s
             try:
-                _aberth(z, _fixed_step(coeffs, s))
+                _aberth(z, _fixed_step(coeffs, s), mirror)
             except ZeroDivisionError:  # two equal iterates, or p'(z_i) = 0
-                z = None
+                z = mirror = None
                 return None
-            return _weierstrass_discs(coeffs, z, s, target)
+            discs = _weierstrass_discs(coeffs, z, s, target, mirror)
+            if discs is None:
+                mirror = None
+            return discs
 
     dps = max(digits + 15, 2 * digits, 30)
     return certify(
@@ -1524,36 +1609,6 @@ class IntMatrix:
         return IntMatrix(
             [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self.rows]
         )
-
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def det(self) -> int:
-        """Determinant by fraction-free (Bareiss) elimination."""
-        m, n = self.shape
-        if m != n:
-            raise ValueError("det of non-square matrix")
-        if n == 0:
-            return 1
-        a = [list(r) for r in self.rows]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
 
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.rows]!r})"

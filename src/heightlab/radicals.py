@@ -48,6 +48,7 @@ from .heights import (
 from .numcore import (
     DEFAULT_DIGITS,
     IntMatrix,
+    _exact,
     certify,
     certify_ball_order,
     certify_order,
@@ -281,7 +282,7 @@ def weighted_projective_height(
     times the projective height, the point normalized so its first
     nonzero coordinate is 1.  Exact whenever the degree power is
     rational (in particular for integer gamma)."""
-    gamma = Fraction(gamma)
+    gamma = Fraction(_exact(gamma))
     norm = point.normalized()
     degree = compositum_degree([c for c in norm.coords if c is not None])
     base = projective_height(norm)
@@ -353,7 +354,7 @@ def lemma_chain_check(
     ([K:Q] = prod d_i, all h(a_i) equal, h(P) equal to them); strict
     cases are separated by escalating certified intervals.  A violation
     raises ChainViolationError."""
-    gamma = Fraction(gamma)
+    gamma = Fraction(_exact(gamma))
     if gamma >= 0:
         raise ValueError("the chain is stated for negative gamma")
     norm = point.normalized()
@@ -488,13 +489,13 @@ def projective_northcott_experiment(
     ``budget`` caps the number of evaluated points; exhausting it sets
     ``truncated``."""
     generators = list(generators)
-    gamma = Fraction(gamma)
+    gamma = Fraction(_exact(gamma))
     if isinstance(threshold, HeightValue):
         if not threshold.is_exact:
             raise ValueError("census thresholds must be exact")
         threshold = threshold.exact
     elif not isinstance(threshold, LogCombination):
-        threshold = LogCombination(const=Fraction(threshold))
+        threshold = LogCombination(const=Fraction(_exact(threshold)))
 
     entries: list[CensusEntry] = []
     evaluated = 0

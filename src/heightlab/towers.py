@@ -188,8 +188,8 @@ def build_tower(
     distinct seeds give towers over disjoint prime sets.  Thresholds
     beyond ``max_prime_digits`` digits raise ConstructionError: lower
     the target C or shorten/flatten the degree schedule."""
-    gamma = Fraction(gamma)
-    target_c = Fraction(target_c)
+    gamma = Fraction(_exact(gamma))
+    target_c = Fraction(_exact(target_c))
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     schedule = [int(d) for d in degree_schedule]

@@ -1942,6 +1942,14 @@ class TestFinitenessDemo:
             with pytest.raises(OverflowError):
                 finiteness_demo(20, c_prime, 20)
 
+    def test_string_bound_read_by_the_one_reader(self, monkeypatch):
+        # a str bound is the Fraction it names; an exponent above
+        # MAX_EXPONENT is refused before 10**200000 is built
+        assert finiteness_demo(60, "0.5", 20) == finiteness_demo(60, Fraction(1, 2), 20)
+        monkeypatch.setattr(cmlab, "_ratio_row", lambda *args: pytest.fail("a series ran"))
+        with pytest.raises(ValueError, match="MAX_EXPONENT"):
+            finiteness_demo(20, "1e200000", 20)
+
     def test_unseparated_ratio_raises(self, monkeypatch):
         monkeypatch.setattr(
             cmlab, "faltings_height_cm", lambda d, dps: BigFloat(mpf("0.5"), mpf(1))

@@ -321,6 +321,16 @@ class TestRationalPower:
                 if w is not None:
                     assert w ** g.denominator == Fraction(d) ** g.numerator
 
+    def test_strings_are_read_by_the_one_reader(self):
+        # a str gamma is the Fraction it names, and an exponent above
+        # MAX_EXPONENT is refused before its power of 10 is built
+        assert rational_power(4, "-0.5") == Fraction(1, 2)
+        assert degree_weight(4, "-0.5", 24).value == mpf(1) / 2
+        with pytest.raises(ValueError, match="MAX_EXPONENT"):
+            rational_power(2, "1e-200000")
+        with pytest.raises(ValueError, match="MAX_EXPONENT"):
+            degree_weight(2, "1e-200000", 24)
+
 
 class TestHeightValueCompare:
     def test_exact_vs_exact(self):

@@ -387,8 +387,8 @@ def _certified_calls(monkeypatch) -> list:
     dps, discs): the exact iterates it certified and its precision."""
     calls, inner = [], numcore._weierstrass_discs
 
-    def recorded(coeffs, z, s, target):
-        discs = inner(coeffs, z, s, target)
+    def recorded(coeffs, z, s, target, mirror=None):
+        discs = inner(coeffs, z, s, target, mirror)
         calls.append((coeffs, list(z), s, mp.dps, discs))
         return discs
 
@@ -539,6 +539,114 @@ def test_iterates_carry_across_precisions(monkeypatch):
         ref = mp.polyroots(list(reversed(poly.coeffs)), maxsteps=1000, extraprec=600)
         for disc in discs:
             assert disc.radius <= mpf(10) ** -5
+            assert min(abs(disc.value - r) for r in ref) <= disc.radius, disc
+
+
+def _float_stage(poly: IntPoly) -> tuple:
+    """The float stage's roots of poly and the mirror proposed from them."""
+    z = numcore._float_roots(poly.coeffs, numcore._start(poly.coeffs))
+    return z, numcore._conjugate_map(z)
+
+
+def _mirrored_iterates(poly: IntPoly, s: int) -> tuple:
+    """The Gaussian integers at scale 2**s that the mirrored fixed-point
+    sweeps leave from the float stage's roots, and the mirror."""
+    z, mirror = _float_stage(poly)
+    g = [(numcore._fixed(v.real, s), numcore._fixed(v.imag, s)) for v in z]
+    numcore._aberth(g, numcore._fixed_step(poly.coeffs, s), mirror)
+    return g, mirror
+
+
+def test_conjugate_map_pairs_isolated_roots_only():
+    # the random polynomial's roots are real or clear conjugate pairs;
+    # Mignotte's close real pair leaves the float stage with imaginary
+    # parts, neither real nor apart, so those polynomials get no mirror
+    z, mirror = _float_stage(_random_poly(30))
+    assert sorted(mirror) == list(range(30)) and all(mirror[j] == i for i, j in enumerate(mirror))
+    assert 0 < sum(i == j for i, j in enumerate(mirror)) < 30
+    for i, j in enumerate(mirror):
+        assert abs(z[j] - z[i].conjugate()) <= 2.0**-30 * abs(z[i])
+    for poly in (_mignotte(7, 10**6), _mignotte(12, 10**4)):
+        assert _float_stage(poly)[1] is None
+
+
+def test_mirrored_certificate_is_bit_identical():
+    # on an iterate set closed under conjugation, one residual and one
+    # denominator per representative give every radius and gap that the
+    # unmirrored certificate forms, bit for bit
+    poly = _random_poly(30)
+    with workdps(100):
+        s = mp.prec
+        g, mirror = _mirrored_iterates(poly, s)
+        assert all(g[j] == (a, -b) for (a, b), j in zip(g, mirror))
+        mirrored = numcore._weierstrass_radii(poly.coeffs, g, s, mirror)
+        assert mirrored is not None and mirrored == numcore._weierstrass_radii(poly.coeffs, g, s)
+        target = numcore._up(1, -150)
+        discs = numcore._weierstrass_discs(poly.coeffs, g, s, target, mirror)
+        plain = numcore._weierstrass_discs(poly.coeffs, g, s, target)
+    assert discs is not None
+    assert [(d.value._mpc_, d._r, d._mag) for d in discs] == [(d.value._mpc_, d._r, d._mag) for d in plain]
+
+
+def test_real_polynomial_certifies_one_residual_per_class(monkeypatch):
+    # a seeded real polynomial takes the mirror path: one residual per
+    # real root and per conjugate pair, the classes counted from mpmath's
+    # roots, and one certificate
+    poly = _random_poly(20)
+    with workdps(60):
+        ref = mp.polyroots(list(reversed(poly.coeffs)), maxsteps=200, extraprec=200)
+        real = sum(abs(mp.im(r)) < mpf(10) ** -40 for r in ref)
+    residuals, inner = [], numcore._residual
+    monkeypatch.setattr(numcore, "_residual", lambda *args: residuals.append(args) or inner(*args))
+    calls = _certified_calls(monkeypatch)
+    _assert_discs_hold_roots(poly, 50)
+    assert len(calls) == 1
+    assert len(residuals) == real + (poly.degree - real) // 2 < poly.degree
+
+
+def test_certificate_refuses_a_broken_mirror():
+    # the closure is checked on the Gaussian integers: a mirrored member
+    # one unit off, a real iterate one unit off the axis and a map that is
+    # no involution are each refused, where the unmirrored certificate
+    # still serves the iterates
+    poly = _random_poly(30)
+    with workdps(100):
+        s = mp.prec
+        g, mirror = _mirrored_iterates(poly, s)
+    pair = next(i for i, j in enumerate(mirror) if i < j)
+    real = next(i for i, j in enumerate(mirror) if i == j)
+    off, tilted, unpaired = list(g), list(g), list(mirror)
+    a, b = g[mirror[pair]]
+    off[mirror[pair]] = a + 1, b
+    a, b = g[real]
+    tilted[real] = a, b + 1
+    unpaired[pair] = pair
+    for z, m in ((off, mirror), (tilted, mirror), (g, unpaired)):
+        assert numcore._weierstrass_radii(poly.coeffs, z, s, m) is None
+        assert numcore._weierstrass_radii(poly.coeffs, z, s) is not None
+
+
+def test_a_wrong_mirror_only_fails_an_attempt(monkeypatch):
+    # a mirror that pairs two real roots keeps the iterates closed but
+    # leaves one of those roots without an iterate: that certificate
+    # fails, and the next attempt, with no mirror, certifies
+    inner = numcore._conjugate_map
+
+    def wrong(z):
+        mirror = inner(z)
+        i, j = [i for i, k in enumerate(mirror) if i == k][:2]
+        mirror[i], mirror[j] = j, i
+        return mirror
+
+    monkeypatch.setattr(numcore, "_conjugate_map", wrong)
+    calls = _certified_calls(monkeypatch)
+    poly = _random_poly(12)
+    discs = poly_roots(poly, 30)
+    assert [(dps, found is not None) for *_, dps, found in calls] == [(60, False), (120, True)]
+    # each disc, of radius near 10^-120, holds a root of a 240-digit reference
+    with workdps(240):
+        ref = mp.polyroots(list(reversed(poly.coeffs)), maxsteps=1000, extraprec=600)
+        for disc in discs:
             assert min(abs(disc.value - r) for r in ref) <= disc.radius, disc
 
 
@@ -1446,21 +1554,53 @@ def _det_fraction(rows):
     return det
 
 
+def _identity(n: int) -> IntMatrix:
+    return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def _det(matrix: IntMatrix) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination."""
+    m, n = matrix.shape
+    if m != n:
+        raise ValueError("det of non-square matrix")
+    if n == 0:
+        return 1
+    a = [list(r) for r in matrix.rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
 class TestIntMatrix:
     def test_det_known(self):
-        assert IntMatrix([[1, 2], [3, 4]]).det() == -2
-        assert IntMatrix([[2, 0, 0], [0, 3, 0], [0, 0, 5]]).det() == 30
+        assert _det(IntMatrix([[1, 2], [3, 4]])) == -2
+        assert _det(IntMatrix([[2, 0, 0], [0, 3, 0], [0, 0, 5]])) == 30
 
     def test_det_random_vs_fraction_elimination(self):
         rng = random.Random(99)
         for _ in range(25):
             n = rng.randint(1, 5)
             rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-            assert IntMatrix(rows).det() == _det_fraction(rows)
+            assert _det(IntMatrix(rows)) == _det_fraction(rows)
 
     def test_identity_and_mul(self):
         a = IntMatrix([[1, 2], [3, 4]])
-        assert (a * IntMatrix.identity(2)).rows == a.rows
+        assert (a * _identity(2)).rows == a.rows
 
 
 class TestSmithNormalForm:
@@ -1468,8 +1608,8 @@ class TestSmithNormalForm:
         m = IntMatrix(rows)
         s, u, v = smith_normal_form(m)
         assert (u * m * v).rows == s.rows
-        assert abs(u.det()) == 1
-        assert abs(v.det()) == 1
+        assert abs(_det(u)) == 1
+        assert abs(_det(v)) == 1
         diag = [s[i, i] for i in range(min(s.shape))]
         for i in range(len(diag) - 1):
             if diag[i + 1] != 0:
@@ -1638,7 +1778,7 @@ def test_root_sweeps_use_no_mpmath_numbers():
     # discs touches mpmath
     sweeps = {
         "_start", "_aberth", "_horner", "_float_step", "_horner_fixed", "_divide_fixed", "_fixed_step", "_float_roots",
-        "_residual", "_weierstrass_radii",
+        "_conjugate_map", "_residual", "_weierstrass_radii",
     }
     tree = ast.parse(Path(numcore.__file__).read_text())
     found = [top for top in tree.body if isinstance(top, ast.FunctionDef) and top.name in sweeps]
@@ -1654,7 +1794,7 @@ def test_certificate_uses_no_doubles():
     # ldexp and hold no float literal
     certificate = {
         "_residual", "_weierstrass_radii", "_weierstrass_discs",
-        "_mag", "_up", "_down", "_add_up", "_sub_down", "_mul_up", "_mul_down", "_div_up",
+        "_mag", "_up", "_down", "_add_up", "_sub_down", "_mul_up", "_div_up",
     }
     tree = ast.parse(Path(numcore.__file__).read_text())
     found = [top for top in tree.body if isinstance(top, ast.FunctionDef) and top.name in certificate]

@@ -289,6 +289,23 @@ class TestProjectiveHeight:
             truth = mp.log(2) / 2 / mp.sqrt(2)
             assert abs(h.numeric.value - truth) <= h.numeric.radius + mpf(10) ** -30
 
+    def test_strings_are_read_by_the_one_reader(self):
+        # a str gamma or threshold is the Fraction it names, and an
+        # exponent above MAX_EXPONENT is refused before its power of 10
+        # is built, at each of the three gamma sites and the threshold
+        pt = RadicalPoint([1, _scalar(p2="1/2")])
+        assert weighted_projective_height(pt, "-1").exact == weighted_projective_height(pt, -1).exact
+        assert lemma_chain_check(pt, "-0.5").verdict == lemma_chain_check(pt, Fraction(-1, 2)).verdict
+        calls = [
+            lambda: weighted_projective_height(pt, "-1e-200000"),
+            lambda: lemma_chain_check(pt, "-1e-200000"),
+            lambda: projective_northcott_experiment([], dim=1, gamma="-1e-200000", threshold=LogCombination()),
+            lambda: projective_northcott_experiment([], dim=1, gamma=-1, threshold="1e200000"),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="MAX_EXPONENT"):
+                call()
+
     def test_weighted_scale_invariance(self):
         pt = RadicalPoint([_scalar(p2="1/2"), _scalar(p3="1/3")])
         lam = _scalar(p2="2", p3="-1/3")

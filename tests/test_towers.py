@@ -151,6 +151,14 @@ class TestBuildTower:
         with pytest.raises(ValueError):
             build_tower([2], seed=-1)
 
+    def test_strings_are_read_by_the_one_reader(self):
+        # gamma and C given as str are the Fractions they name; an
+        # exponent above MAX_EXPONENT is refused before 10**200000 is built
+        assert build_tower([2, 2], "-1", "0.69") == build_tower([2, 2], -1, Fraction(69, 100))
+        for gamma, c in (("-1e-200000", "69/100"), (-1, "1e200000")):
+            with pytest.raises(ValueError, match="MAX_EXPONENT"):
+                build_tower([2, 3], gamma, c)
+
 
 class TestRemarkBound:
     def test_values(self):
